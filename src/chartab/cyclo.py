@@ -4,6 +4,9 @@ Values are kept as rational coordinate vectors over the power basis
 1, z, ..., z^(phi(e)-1) where z = zeta_e, reduced modulo the e-th cyclotomic
 polynomial.  The reduced form is unique, so equality is coefficient equality
 (after embedding both operands into the lcm order when the orders differ).
+Arithmetic returns a rational result at order 1, and an order-1 operand acts
+on the other operand's coefficient vector directly, so rational values never
+pay for the coefficient vector of a large field.
 No floating point is used anywhere except `to_float`.
 """
 
@@ -103,8 +106,9 @@ def _reduce(e: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
 class Cyclo:
     """An element of Q(zeta_e) in reduced power-basis form.
 
-    Construct via `from_rational`, `root_of_unity`, or arithmetic on those;
-    the raw constructor expects already-reduced coefficients.
+    Construct via `from_rational`, `root_of_unity`, `from_powers`, or
+    arithmetic on those; the raw constructor expects already-reduced
+    coefficients and keeps the order it is given.
     """
 
     __slots__ = ("order", "coeffs")
@@ -119,6 +123,11 @@ class Cyclo:
     @staticmethod
     def from_rational(q: RationalLike) -> "Cyclo":
         return Cyclo(1, (Fraction(q),))
+
+    @staticmethod
+    def from_powers(order: int, coeffs: Sequence[Fraction]) -> "Cyclo":
+        """sum_k coeffs[k] zeta_order^k, reduced; a rational sum has order 1."""
+        return _rational_or(order, _reduce(order, coeffs))
 
     @staticmethod
     def zero() -> "Cyclo":
@@ -161,9 +170,11 @@ class Cyclo:
     # -- ring/field operations ----------------------------------------------
 
     def __add__(self, other):
-        other = Cyclo._coerce(other)
-        a, b = self._match(other)
-        return Cyclo(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        a, b = _rational_last(self, Cyclo._coerce(other))
+        if b.order == 1:
+            return _rational_or(a.order, (a.coeffs[0] + b.coeffs[0],) + a.coeffs[1:])
+        a, b = a._match(b)
+        return _rational_or(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
@@ -177,17 +188,19 @@ class Cyclo:
         return Cyclo._coerce(other) - self
 
     def __mul__(self, other):
-        other = Cyclo._coerce(other)
-        a, b = self._match(other)
-        n = len(a.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1)
+        a, b = _rational_last(self, Cyclo._coerce(other))
+        if b.order == 1:
+            q = b.coeffs[0]
+            return _rational_or(a.order, tuple(q * c for c in a.coeffs))
+        a, b = a._match(b)
+        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
             if x == 0:
                 continue
             for j, y in enumerate(b.coeffs):
                 if y != 0:
                     prod[i + j] += x * y
-        return Cyclo(a.order, _reduce(a.order, prod))
+        return _rational_or(a.order, _reduce(a.order, prod))
 
     __rmul__ = __mul__
 
@@ -207,8 +220,7 @@ class Cyclo:
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         lead = r0[-1]
-        inv = [c / lead for c in s0]
-        return Cyclo(self.order, _reduce(self.order, inv))
+        return Cyclo.from_powers(self.order, [c / lead for c in s0])
 
     def __truediv__(self, other):
         other = Cyclo._coerce(other)
@@ -239,7 +251,7 @@ class Cyclo:
         out = [Fraction(0)] * e
         for i, c in enumerate(self.coeffs):
             out[(i * t) % e] += c
-        return Cyclo(e, _reduce(e, out))
+        return Cyclo.from_powers(e, out)
 
     def conj(self) -> "Cyclo":
         """Complex conjugation, zeta -> zeta^(e-1)."""
@@ -281,7 +293,10 @@ class Cyclo:
             other = Cyclo.from_rational(other)
         elif not isinstance(other, Cyclo):
             return NotImplemented
-        a, b = self._match(other)
+        a, b = _rational_last(self, other)
+        if b.order == 1:
+            return a.is_rational() and a.coeffs[0] == b.coeffs[0]
+        a, b = a._match(b)
         return a.coeffs == b.coeffs
 
     # -- rendering -------------------------------------------------------------
@@ -334,6 +349,20 @@ class Cyclo:
         if len(coeffs) != euler_phi(order):
             raise CycloError("coefficient vector length does not match phi(order)")
         return Cyclo(order, _reduce(order, coeffs))
+
+
+def _rational_or(order: int, coeffs: tuple[Fraction, ...]) -> Cyclo:
+    """The reduced vector `coeffs` of Q(zeta_order) as a Cyclo, at order 1
+    when the value is rational."""
+    if order != 1 and not any(coeffs[1:]):
+        return Cyclo(1, coeffs[:1])
+    return Cyclo(order, coeffs)
+
+
+def _rational_last(a: Cyclo, b: Cyclo) -> tuple[Cyclo, Cyclo]:
+    """The operands of a symmetric operation, an order-1 one (if any) last,
+    so that it can act on the other's coefficients without change_order."""
+    return (b, a) if a.order == 1 else (a, b)
 
 
 def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):

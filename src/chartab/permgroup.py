@@ -16,6 +16,9 @@ from typing import Iterable, Optional, Sequence
 
 MAX_DEGREE = 32
 DEFAULT_CAP = 100_000
+# parsed groups kept alive for reuse; more than any one caller's working set
+# of specs, few enough that a long-running process stays bounded
+PARSE_CACHE_SIZE = 32
 
 
 class ParseError(ValueError):
@@ -478,7 +481,7 @@ _Q8_GEN_I = Perm((1, 2, 3, 0, 5, 6, 7, 4))
 _Q8_GEN_J = Perm((4, 7, 6, 5, 2, 1, 0, 3))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def _parse_group_spec_cached(text: str, cap: int) -> PermGroup:
     text = text.strip()
     if text == "Q8":

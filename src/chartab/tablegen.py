@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import _modp as mp
 from .classfun import ClassFunction
-from .cyclo import Cyclo, _reduce
+from .cyclo import Cyclo
 from .permgroup import PermGroup, Perm, ResourceCapError
 
 SPLIT_SEED = 0x5EED
@@ -256,10 +256,12 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
                     degrees: list[int], p: int) -> CharacterTable:
     """Lift mod-p character values to exact cyclotomics.
 
-    For each row and class, the multiplicities of the e-th roots of unity
-    among the eigenvalues of the representing matrix are recovered by an
-    inverse DFT of chi mod p along the power map of the class, using a fixed
-    element z of order e in F_p; the exact value is then sum_k m_k zeta_e^k.
+    For each row and class, with d the order of the class's elements, the
+    multiplicities of the d-th roots of unity among the eigenvalues of the
+    representing matrix are recovered by an inverse DFT of chi mod p along
+    the power map of the class, using z^(e/d) for a fixed element z of order
+    e in F_p; the exact value is then sum_t m_t zeta_d^t, in Q(zeta_d), or in
+    Q when it is rational.
     """
     data = group.conjugacy_classes()
     e = group.exponent
@@ -278,7 +280,7 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
                 for s in range(d)
             ]
             d_inv = pow(d, p - 2, p)
-            exps = [Fraction(0)] * e
+            exps = [Fraction(0)] * d
             total = 0
             for t in range(d):
                 step = pow(zd_inv, t, p)
@@ -293,13 +295,13 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
                         f"lifted multiplicity {m} exceeds degree {n_i}"
                     )
                 if m:
-                    exps[t * (e // d) % e] += m
+                    exps[t] = Fraction(m)
                     total += m
             if total != n_i:
                 raise TableConstructionError(
                     f"multiplicities sum to {total}, expected degree {n_i}"
                 )
-            values.append(Cyclo(e, _reduce(e, exps)))
+            values.append(Cyclo.from_powers(d, exps))
         rows.append(ClassFunction(group, values))
     return CharacterTable(group, rows)
 
@@ -387,7 +389,7 @@ def linear_characters(g: PermGroup) -> list[ClassFunction]:
             k = chi[coset_of[cl.representative]]
             num = [Fraction(0)] * exponent
             num[k % exponent] = Fraction(1)
-            values.append(Cyclo(exponent, _reduce(exponent, num)))
+            values.append(Cyclo.from_powers(exponent, num))
         out.append(ClassFunction(g, values))
     out.sort(key=lambda f: _row_sort_key(f.values))
     return out

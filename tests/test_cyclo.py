@@ -172,12 +172,25 @@ small_rationals = st.fractions(
 
 
 @st.composite
-def cyclo_values(draw):
+def root_values(draw):
     e = draw(st.integers(min_value=1, max_value=12))
     k = draw(st.integers(min_value=0, max_value=11))
     q = draw(small_rationals)
     base = root_of_unity(e, k % e)
     return base * q if draw(st.booleans()) else base + q
+
+
+@st.composite
+def field_elements(draw):
+    """A random power-basis vector of Q(zeta_n), kept at order n by the raw
+    constructor even when it is rational."""
+    n = draw(st.sampled_from([3, 4, 5, 7, 12]))
+    size = euler_phi(n)
+    return Cyclo(n, draw(st.lists(small_rationals, min_size=size, max_size=size)))
+
+
+def cyclo_values():
+    return st.one_of(root_values(), field_elements())
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,8 +201,28 @@ def test_field_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
     assert a * b == b * a
+    assert (a + (-a)).order == 1
     if not a.is_zero():
         assert a * a.inverse() == 1
+        assert (a * a.inverse()).order == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_rationals, field_elements())
+def test_rational_operand_matches_common_order(q, x):
+    # an order-1 operand skips change_order; the result must be the one
+    # computed with both operands embedded in Q(zeta_n)
+    n = x.order
+    r = from_rational(q)
+    rn = r.change_order(n)
+    assert rn.order == n
+
+    def at_n(v):
+        return v.change_order(n).coeffs
+
+    assert at_n(r + x) == at_n(x + r) == at_n(rn + x)
+    assert at_n(r * x) == at_n(x * r) == at_n(rn * x)
+    assert (x == r) == (r == x) == (x == q) == (x.coeffs == rn.coeffs)
 
 
 @settings(max_examples=60, deadline=None)

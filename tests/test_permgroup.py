@@ -98,6 +98,17 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_group_spec(bad)
 
+    def test_parse_cache_is_bounded(self):
+        from chartab.permgroup import PARSE_CACHE_SIZE, _parse_group_spec_cached
+
+        specs = [f"perm:32:({a},{b})" for a in range(2) for b in range(a + 1, 32)]
+        assert len(specs) > PARSE_CACHE_SIZE
+        for spec in specs:
+            parse_group_spec(spec)
+        info = _parse_group_spec_cached.cache_info()
+        assert info.maxsize == PARSE_CACHE_SIZE
+        assert info.currsize <= PARSE_CACHE_SIZE
+
 
 class TestEnumerate:
     def test_q8(self):

@@ -401,8 +401,23 @@ class TestLinearCharacters:
                 assert any(prod == c for c in chars)
 
 
+NATURAL_FIELD_NAMES = BUILTINS_LE_24 + ["S5", "A5", "A6"]
+
+
+@pytest.mark.parametrize("name", NATURAL_FIELD_NAMES)
+def test_values_in_natural_field(name):
+    # chi(g) lies in Q(zeta_d) for d the order of g; a rational value is in Q
+    g = parse_group_spec(name)
+    table = build_character_table(g)
+    for j, cl in enumerate(g.conjugacy_classes().classes):
+        for row in table.rows:
+            value = row.values[j]
+            assert cl.element_order % value.order == 0
+            assert (value.order == 1) == value.is_rational()
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize("name", ["S5", "A5", "Q8", "D6", "C9"])
+    @pytest.mark.parametrize("name", NATURAL_FIELD_NAMES)
     def test_fresh_builds_are_byte_identical(self, name):
         # two independent group objects, so nothing cached is shared
         from chartab.permgroup import PermGroup
