@@ -1,12 +1,12 @@
 """Number theory and dense linear algebra over a prime field F_p.
 
-Everything here is plain Gaussian elimination and trial-division number
-theory; matrices are lists of lists of ints reduced mod p.  Sizes are tiny
-(class counts at desk scale), so clarity wins over asymptotics.
+Matrices are lists of lists of ints reduced mod p, multiplied by
+accumulating whole rows.  The eigen-splitting of tablegen needs one thing
+beyond Gaussian elimination: the minimal polynomial of a single (seeded,
+random) vector, found by incremental elimination of its Krylov sequence.
 """
 
 from __future__ import annotations
-
 
 
 def is_prime(n: int) -> bool:
@@ -94,20 +94,17 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _row_times(v: list[int], b: Matrix, p: int) -> list[int]:
+    """The row vector v b, accumulated row by row of b, reduced once per entry."""
+    acc = [0] * len(b[0])
+    for vk, bk in zip(v, b):
+        if vk:
+            acc = [x + vk * y for x, y in zip(acc, bk)]
+    return [x % p for x in acc]
+
+
 def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik == 0:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                oi[j] = (oi[j] + aik * bk[j]) % p
-    return out
+    return [_row_times(row, b, p) for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -155,60 +152,6 @@ def nullspace_rows(a: Matrix, p: int) -> Matrix:
     return reduced_basis
 
 
-def poly_mod_trim(a: list[int], p: int) -> list[int]:
-    a = [x % p for x in a]
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def poly_divmod(num: list[int], den: list[int], p: int):
-    num = [x % p for x in num]
-    den = poly_mod_trim(den, p)
-    if den == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    deg_d = len(den) - 1
-    if len(num) - 1 < deg_d:
-        return [0], poly_mod_trim(num, p)
-    inv_lead = pow(den[-1], p - 2, p)
-    quot = [0] * (len(num) - deg_d)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i] * inv_lead % p
-        if c == 0:
-            continue
-        quot[i - deg_d] = c
-        for j, dj in enumerate(den):
-            num[i - deg_d + j] = (num[i - deg_d + j] - c * dj) % p
-    return poly_mod_trim(quot, p), poly_mod_trim(num, p)
-
-
-def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = poly_mod_trim(a, p), poly_mod_trim(b, p)
-    while b != [0]:
-        _, r = poly_divmod(a, b, p)
-        a, b = b, r
-    if a != [0]:
-        inv = pow(a[-1], p - 2, p)
-        a = [x * inv % p for x in a]
-    return a
-
-
-def poly_lcm(a: list[int], b: list[int], p: int) -> list[int]:
-    g = poly_gcd(a, b, p)
-    q, _ = poly_divmod(poly_mul(a, b, p), g, p)
-    return q
-
-
-def poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return poly_mod_trim(out, p)
-
-
 def poly_eval(a: list[int], x: int, p: int) -> int:
     acc = 0
     for c in reversed(a):
@@ -216,44 +159,29 @@ def poly_eval(a: list[int], x: int, p: int) -> int:
     return acc
 
 
-def minimal_polynomial(a: Matrix, p: int) -> list[int]:
-    """Minimal polynomial of the square matrix a over F_p (monic, ascending).
+def minimal_polynomial(a: Matrix, v: list[int], p: int) -> list[int]:
+    """Minimal polynomial of the vector v under the square matrix a over F_p:
+    the monic f of least degree with v f(a) = 0 (coefficients ascending).
 
-    Computed as the lcm of the annihilators of the standard basis vectors
-    under the Krylov iteration v, vA, vA^2, ...
+    The Krylov vectors v, va, va^2, ... are reduced one at a time against an
+    echelon basis of the earlier ones; each basis row carries its combination
+    of Krylov vectors, so the first vector that reduces to zero gives f.  f
+    divides the minimal polynomial of a, and equals it for a generic v.
     """
-    n = len(a)
-    result = [1]
-    for start in range(n):
-        v = [1 if i == start else 0 for i in range(n)]
-        krylov = [v[:]]
-        while True:
-            nxt = [sum(krylov[-1][k] * a[k][j] for k in range(n)) % p for j in range(n)]
-            # test linear dependence of nxt on the krylov rows
-            stacked = krylov + [nxt]
-            reduced, pivots = rref(stacked, p)
-            if len(reduced) == len(krylov):
-                # dependent: solve for coefficients of the annihilator
-                coeffs = _solve_dependence(krylov, nxt, p)
-                ann = [(-c) % p for c in coeffs] + [1]
-                result = poly_lcm(result, ann, p)
-                break
-            krylov.append(nxt)
-        if len(result) == n + 1:
-            break
-    return result
-
-
-def _solve_dependence(rows: Matrix, target: list[int], p: int) -> list[int]:
-    """Coefficients c with sum c_i rows[i] = target (rows independent)."""
-    k = len(rows)
-    n = len(target)
-    aug = [[rows[i][j] for i in range(k)] + [target[j]] for j in range(n)]
-    reduced, pivots = rref(aug, p)
-    coeffs = [0] * k
-    for r, c in enumerate(pivots):
-        if c < k:
-            coeffs[c] = reduced[r][k]
-        else:
-            raise ValueError("target not in span")
-    return coeffs
+    basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, row, combination)
+    w = [x % p for x in v]
+    while True:
+        row = w
+        combo = [0] * len(basis) + [1]
+        for piv, brow, bcombo in basis:
+            c = row[piv]
+            if c:
+                row = [(x - c * y) % p for x, y in zip(row, brow)]
+                for i, y in enumerate(bcombo):
+                    combo[i] = (combo[i] - c * y) % p
+        piv = next((j for j, x in enumerate(row) if x), None)
+        if piv is None:
+            return combo
+        inv = pow(row[piv], p - 2, p)
+        basis.append((piv, [x * inv % p for x in row], [x * inv % p for x in combo]))
+        w = _row_times(w, a, p)

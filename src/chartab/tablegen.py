@@ -20,6 +20,7 @@ from .cyclo import Cyclo
 from .permgroup import PermGroup, Perm, ResourceCapError
 
 SPLIT_SEED = 0x5EED
+MAX_SPLIT_DRAWS = 8  # random vectors tried per subspace split
 PRIME_LIMIT = 2**31
 
 
@@ -38,7 +39,7 @@ class ClassConstants:
         self.inverse_class = inverse_class
 
     def class_matrix(self, j: int) -> mp.Matrix:
-        return [[self.a[j][k][l] for l in range(self.h)] for k in range(self.h)]
+        return [row[:] for row in self.a[j]]
 
 
 def class_constants(g: PermGroup) -> ClassConstants:
@@ -70,55 +71,84 @@ def choose_prime(g: PermGroup) -> int:
     raise ResourceCapError(f"no suitable prime found below cap {PRIME_LIMIT}")
 
 
-def _split_space(rows: mp.Matrix, pivots: list[int], mat_t: mp.Matrix,
-                 p: int) -> list[tuple[mp.Matrix, list[int]]]:
+def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
+                 p: int, rng: random.Random) -> list[tuple[mp.Matrix, list[int]]]:
     """Refine an invariant subspace (row basis in RREF) into eigenspaces of
-    one class matrix; returns the space unchanged when it does not split."""
+    one class matrix; returns the space unchanged when the matrix acts on it
+    as a scalar.
+
+    A row r of the space maps to r mat^T, whose coordinates in the RREF basis
+    are its entries at the pivot columns, so only the pivot rows of mat enter.
+
+    The eigenvalues are the roots of the minimal polynomial of one vector v
+    of coordinates drawn from rng.  Over a good prime the class matrices are
+    diagonalizable, so that polynomial has distinct roots in F_p (fewer
+    roots than its degree raises at once), and it misses an eigenvalue only
+    when v has no component in that eigenspace; the eigenspaces then fall
+    short of the space, and a fresh v is drawn, at most MAX_SPLIT_DRAWS
+    times.
+    """
     d = len(rows)
-    image = mp.mat_mul(rows, mat_t, p)
-    coords = [[image[r][c] for c in pivots] for r in range(d)]
-    minpoly = mp.minimal_polynomial(coords, p)
-    eigvals = [x for x in range(p) if mp.poly_eval(minpoly, x, p) == 0]
-    if len(eigvals) <= 1:
-        return [(rows, pivots)]
-    out = []
-    total_dim = 0
-    for lam in eigvals:
-        shifted = [
-            [(coords[i][j] - (lam if i == j else 0)) % p for j in range(d)]
-            for i in range(d)
-        ]
-        coord_rows = mp.nullspace_rows(shifted, p)
-        if not coord_rows:
+    coords = mp.mat_mul(rows, mp.transpose([mat[c] for c in pivots]), p)
+    for _ in range(MAX_SPLIT_DRAWS):
+        ann = mp.minimal_polynomial(coords, [rng.randrange(p) for _ in range(d)], p)
+        eigvals = []
+        for x in range(p):
+            if mp.poly_eval(ann, x, p) == 0:
+                eigvals.append(x)
+                if len(eigvals) == len(ann) - 1:
+                    break
+        if len(eigvals) < len(ann) - 1:
+            raise TableConstructionError(
+                f"class matrix not diagonalizable over F_{p} "
+                f"(subspace dimension {d}, bad prime)"
+            )
+        if len(eigvals) == 1:
+            lam = eigvals[0]
+            if all(coords[i][j] == (lam if i == j else 0)
+                   for i in range(d) for j in range(d)):
+                return [(rows, pivots)]
             continue
-        sub = mp.mat_mul(coord_rows, rows, p)
-        sub_rref, sub_pivots = mp.rref(sub, p)
-        total_dim += len(sub_rref)
-        out.append((sub_rref, sub_pivots))
-    if total_dim != d:
-        raise TableConstructionError(
-            "class matrix not diagonalizable over F_p (bad prime)"
-        )
-    return out
+        out = []
+        total_dim = 0
+        for lam in eigvals:
+            shifted = [
+                [(coords[i][j] - (lam if i == j else 0)) % p for j in range(d)]
+                for i in range(d)
+            ]
+            coord_rows = mp.nullspace_rows(shifted, p)
+            if not coord_rows:
+                continue
+            sub = mp.mat_mul(coord_rows, rows, p)
+            sub_rref, sub_pivots = mp.rref(sub, p)
+            total_dim += len(sub_rref)
+            out.append((sub_rref, sub_pivots))
+        if total_dim == d:
+            return out
+    raise TableConstructionError(
+        f"class matrix not diagonalizable over F_{p} (subspace dimension {d}: "
+        f"{MAX_SPLIT_DRAWS} random vectors did not span its eigenspaces)"
+    )
 
 
-def _refine_spaces(spaces, mat: mp.Matrix, p: int):
-    mat_t = mp.transpose(mat)
+def _refine_spaces(spaces, mat: mp.Matrix, p: int, rng: random.Random):
     out = []
     for rows, pivots in spaces:
         if len(rows) == 1:
             out.append((rows, pivots))
         else:
-            out.extend(_split_space(rows, pivots, mat_t, p))
+            out.extend(_split_space(rows, pivots, mat, p, rng))
     return out
 
 
-def _random_split_phase(spaces, cc: ClassConstants, p: int):
+def _random_split_phase(spaces, cc: ClassConstants, p: int,
+                        rng: random.Random | None = None):
     """Refine by seeded pseudo-random integer combinations of the class
     matrices until every subspace is a line; a generic combination separates
     the commuting family, but small fields can collide eigenvalues, hence
-    the retry loop."""
-    rng = random.Random(SPLIT_SEED)
+    the retry loop.  rng defaults to a fresh stream of SPLIT_SEED."""
+    if rng is None:
+        rng = random.Random(SPLIT_SEED)
     h = cc.h
     attempts = 0
     while any(len(rows) > 1 for rows, _ in spaces) and attempts < 32:
@@ -127,24 +157,28 @@ def _random_split_phase(spaces, cc: ClassConstants, p: int):
             [sum(coeffs[j] * cc.a[j][k][l] for j in range(h)) % p for l in range(h)]
             for k in range(h)
         ]
-        spaces = _refine_spaces(spaces, combined, p)
+        spaces = _refine_spaces(spaces, combined, p, rng)
         attempts += 1
     return spaces
 
 
 def modp_eigenbasis(cc: ClassConstants, p: int) -> list[list[int]]:
     """Simultaneous eigenvectors of all class matrices over F_p, each
-    normalized so its identity-class coordinate is 1."""
+    normalized so its identity-class coordinate is 1.  Every random draw,
+    in the class-by-class pass and in the random-combination pass, comes
+    from one random.Random(SPLIT_SEED) stream, so the result is the same on
+    every run."""
     h = cc.h
+    rng = random.Random(SPLIT_SEED)
     start, start_piv = mp.rref(mp.identity(h), p)
     spaces = [(start, start_piv)]
 
     for j in range(1, h):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
-        spaces = _refine_spaces(spaces, cc.class_matrix(j), p)
+        spaces = _refine_spaces(spaces, cc.class_matrix(j), p, rng)
 
-    spaces = _random_split_phase(spaces, cc, p)
+    spaces = _random_split_phase(spaces, cc, p, rng)
     if any(len(rows) > 1 for rows, _ in spaces):
         raise TableConstructionError("failed to separate eigenspaces (bad prime)")
 
@@ -386,10 +420,12 @@ def linear_characters(g: PermGroup) -> list[ClassFunction]:
     for chi in chars:
         values = []
         for cl in data.classes:
+            # zeta_m^k = zeta_(m/g)^(k/g), g = gcd(k, m): the natural field
             k = chi[coset_of[cl.representative]]
-            num = [Fraction(0)] * exponent
-            num[k % exponent] = Fraction(1)
-            values.append(Cyclo.from_powers(exponent, num))
+            g_k = math.gcd(k, exponent)
+            num = [Fraction(0)] * (exponent // g_k)
+            num[k // g_k] = Fraction(1)
+            values.append(Cyclo.from_powers(exponent // g_k, num))
         out.append(ClassFunction(g, values))
     out.sort(key=lambda f: _row_sort_key(f.values))
     return out

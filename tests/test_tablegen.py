@@ -1,14 +1,20 @@
 import json
+import random
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartab import _modp as mp
 from chartab.classfun import inner_product, is_irreducible
 from chartab.cyclo import Cyclo, root_of_unity
-from chartab.permgroup import parse_group_spec
+from chartab.permgroup import Perm, parse_group_spec
 from chartab.tablegen import (
+    SPLIT_SEED,
+    TableConstructionError,
+    _split_space,
     build_character_table,
     choose_prime,
     class_constants,
@@ -30,6 +36,10 @@ from conftest import (
     expected_row_set,
     rows_match_as_sets,
 )
+
+
+D4_X_D4 = "perm:8:(0,1,2,3);(0,2);(4,5,6,7);(4,6)"
+D4_X_S3 = "perm:7:(0,1,2,3);(0,2);(4,5);(4,5,6)"
 
 
 def brute_force_constants(g):
@@ -119,7 +129,11 @@ class TestEigenbasis:
         vectors = modp_eigenbasis(class_constants(g), p)
         assert sorted(tuple(v) for v in vectors) == [(1, 1), (1, 2)]
 
-    @pytest.mark.parametrize("name", ["S3", "C6", "Q8", "S4", "A5"])
+    @pytest.mark.parametrize("name", [
+        "S3", "C6", "Q8", "S4", "A5",
+        D4_X_D4,  # h = 25 over p = 17: the small field makes redraws likely
+        D4_X_S3,
+    ])
     def test_simultaneous_eigenvectors(self, name):
         # independent check of the defining property M_j v = v[j] v
         g = parse_group_spec(name)
@@ -152,6 +166,115 @@ class TestEigenbasis:
                         * data.classes[k].representative
                     ]
                     assert v[j] * v[k] % p == v[l]
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@st.composite
+def diagonalized(draw):
+    """(p, A, diag, P^-1, v) with A = P^-1 D P over F_p, D the diagonal
+    matrix of diag and P invertible."""
+    p = draw(st.sampled_from([13, 17, 37]))
+    n = draw(st.integers(min_value=1, max_value=6))
+    diag = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    # P = L U, L unit lower triangular, U upper triangular with a nonzero
+    # diagonal, so P is invertible
+    lower = [[1 if i == j else (draw(st.integers(0, p - 1)) if j < i else 0)
+              for j in range(n)] for i in range(n)]
+    upper = [[draw(st.integers(1, p - 1)) if i == j else
+              (draw(st.integers(0, p - 1)) if j > i else 0)
+              for j in range(n)] for i in range(n)]
+    P = mp.mat_mul(lower, upper, p)
+    reduced, _ = mp.rref([row + unit for row, unit in zip(P, mp.identity(n))], p)
+    P_inv = [row[n:] for row in reduced]
+    D = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    A = mp.mat_mul(mp.mat_mul(P_inv, D, p), P, p)
+    v = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    return p, A, diag, P_inv, v
+
+
+class TestMinimalPolynomial:
+    @settings(max_examples=80, deadline=None)
+    @given(diagonalized())
+    def test_annihilator_of_one_vector(self, case):
+        p, A, diag, P_inv, v = case
+        f = mp.minimal_polynomial(A, v, p)
+        assert f[-1] == 1
+        # v f(A) = 0, evaluated by Horner on the row vector
+        acc = [0] * len(v)
+        for c in reversed(f):
+            acc = mp.mat_mul([acc], A, p)[0]
+            acc = [(x + c * y) % p for x, y in zip(acc, v)]
+        assert not any(acc)
+        # in eigen-coordinates w = v P^-1 (rows of P are eigenvectors), f is
+        # the product of (x - lam) over the eigenvalues where w is nonzero
+        w = mp.mat_mul([v], P_inv, p)[0]
+        present = sorted({lam for lam, wi in zip(diag, w) if wi})
+        expected = [1]
+        for lam in present:
+            expected = _poly_mul(expected, [-lam % p, 1], p)
+        assert f == expected
+        if all(w):
+            assert len(f) == len(set(diag)) + 1
+
+
+class ScriptedRandom(random.Random):
+    """The SPLIT_SEED stream with its first randrange results scripted;
+    counts every draw."""
+
+    def __init__(self, script=()):
+        super().__init__(SPLIT_SEED)
+        self.script = list(script)
+        self.draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        if self.script:
+            return self.script.pop(0)
+        return super().randrange(*args)
+
+
+class TestSplitSpace:
+    @pytest.mark.parametrize("p, mat", [
+        (13, [[5, 1], [0, 5]]),
+        (17, [[3, 1, 0], [0, 3, 0], [0, 0, 9]]),
+    ])
+    def test_jordan_block_fails_on_first_draw(self, p, mat):
+        d = len(mat)
+        rows, pivots = mp.rref(mp.identity(d), p)
+        rng = ScriptedRandom([1] * d)
+        with pytest.raises(TableConstructionError, match=rf"F_{p}.*dimension {d}"):
+            _split_space(rows, pivots, mat, p, rng)
+        assert rng.draws == d
+
+    @pytest.mark.parametrize("name, j", [("S3", 2), ("S4", 3), ("A5", 4)])
+    def test_eigenvector_draw_is_redrawn(self, name, j):
+        # the first draw is a simultaneous eigenvector, so its annihilator
+        # has one root although class matrix j is not scalar
+        g = parse_group_spec(name)
+        cc = class_constants(g)
+        p = choose_prime(g)
+        eigvecs = modp_eigenbasis(cc, p)
+        mat = cc.class_matrix(j)
+        assert len({v[j] for v in eigvecs}) > 1
+        rows, pivots = mp.rref(mp.identity(cc.h), p)
+        rng = ScriptedRandom(eigvecs[-1])
+        spaces = _split_space(rows, pivots, mat, p, rng)
+        assert rng.draws > cc.h
+        assert sum(len(r) for r, _ in spaces) == cc.h
+        assert len(spaces) == len({v[j] for v in eigvecs})
+        for sub, _ in spaces:
+            # every space is the span of the eigenvectors of one eigenvalue
+            members = [v for v in eigvecs
+                       if len(mp.rref(sub + [v], p)[0]) == len(sub)]
+            assert len(members) == len(sub)
+            assert len({v[j] for v in members}) == 1
 
 
 class TestRandomCombinationSplit:
@@ -261,6 +384,26 @@ class TestGoldenTables:
         table = build_character_table(parse_group_spec("C1"))
         assert len(table.rows) == 1
         assert table.rows[0].values[0] == 1
+
+
+def relabeled_spec(g, seed):
+    """`perm:` spec of g with its points renamed by a seeded shuffle."""
+    images = list(range(g.degree))
+    random.Random(seed).shuffle(images)
+    sigma = Perm(images)
+    gens = [(sigma * x * sigma.inv()).cycle_string() for x in g.generators]
+    return f"perm:{g.degree}:" + ";".join(gens)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["S4", D4_X_S3, "Q8"]), st.integers(0, 2**32 - 1))
+def test_relabeling_keeps_the_table(name, seed):
+    # the split path follows labels (class order, pivots), its result must not
+    g = parse_group_spec(name)
+    relabeled = parse_group_spec(relabeled_spec(g, seed))
+    assert relabeled.order == g.order
+    table = build_character_table(relabeled)
+    assert table.same_abstract_table(build_character_table(g))
 
 
 class TestTableInvariants:
@@ -406,11 +549,12 @@ NATURAL_FIELD_NAMES = BUILTINS_LE_24 + ["S5", "A5", "A6"]
 
 @pytest.mark.parametrize("name", NATURAL_FIELD_NAMES)
 def test_values_in_natural_field(name):
-    # chi(g) lies in Q(zeta_d) for d the order of g; a rational value is in Q
+    # chi(g) lies in Q(zeta_d) for d the order of g; a rational value is in Q.
+    # That holds for the lifted rows and for the linear characters of G/G'
     g = parse_group_spec(name)
-    table = build_character_table(g)
+    rows = build_character_table(g).rows + linear_characters(g)
     for j, cl in enumerate(g.conjugacy_classes().classes):
-        for row in table.rows:
+        for row in rows:
             value = row.values[j]
             assert cl.element_order % value.order == 0
             assert (value.order == 1) == value.is_rational()
