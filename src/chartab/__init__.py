@@ -10,6 +10,7 @@ from .cyclo import Cyclo, CycloError, cyclotomic_polynomial, euler_phi, from_rat
 from .permgroup import (
     ClassData,
     GroupMismatchError,
+    NormalSubgroup,
     ParseError,
     Perm,
     PermGroup,

@@ -20,7 +20,7 @@ from .classfun import (
     sym_alt_square,
 )
 from .cyclo import Cyclo
-from .permgroup import GroupMismatchError, PermGroup, Subgroup
+from .permgroup import GroupMismatchError, NormalSubgroup, PermGroup, Subgroup
 from .tablegen import SPLIT_SEED, CharacterTable, class_constants, linear_characters
 
 
@@ -120,7 +120,7 @@ class ClassSizeEntry:
 
 class BurnsideClassReport:
     def __init__(self, entries: list[ClassSizeEntry], verdict: str,
-                 simple: bool, witness: Subgroup | None):
+                 simple: bool, witness: NormalSubgroup | None):
         self.entries = entries
         self.verdict = verdict  # "not simple" | "inconclusive"
         self.simple = simple
@@ -163,11 +163,11 @@ def burnside_class_test(g: PermGroup) -> BurnsideClassReport:
         if j > 0
     ]
     prime_power = any(e.is_prime_power for e in entries)
-    simple = g.is_simple()
+    closures = [g.normal_closure(cl.representative) for cl in data.classes[1:]]
+    simple = g.order > 1 and all(c.order == g.order for c in closures)
 
     best = None
-    for cl in data.classes[1:]:
-        closure = g.normal_closure(cl.representative)
+    for closure in closures:
         if 1 < closure.order < g.order:
             if best is None or closure.order < best.order:
                 best = closure

@@ -109,18 +109,6 @@ def bilinear_form(f1: ClassFunction, f2: ClassFunction) -> Cyclo:
     return total * Fraction(1, f1.group.order)
 
 
-def product(f1: ClassFunction, f2: ClassFunction) -> ClassFunction:
-    return f1 * f2
-
-
-def sum_functions(f1: ClassFunction, f2: ClassFunction) -> ClassFunction:
-    return f1 + f2
-
-
-def conjugate(f: ClassFunction) -> ClassFunction:
-    return f.conjugate()
-
-
 def sym_alt_square(chi: ClassFunction) -> tuple[ClassFunction, ClassFunction]:
     """Characters of the symmetric and alternating squares:
     chi_S(g) = (chi(g)^2 + chi(g^2)) / 2, chi_A(g) = (chi(g)^2 - chi(g^2)) / 2.

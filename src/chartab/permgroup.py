@@ -4,14 +4,16 @@ Groups are given by generators on 0-based points (degree <= 32) and enumerated
 by breadth-first closure, which is adequate at desk scale (default cap
 100,000 elements).  Conjugacy classes carry inverse and power maps and are
 sorted canonically: (size ascending, element order ascending, lexicographically
-least representative); the representative is the least member.
+least representative); the representative is the least member.  Normal
+subgroups are unions of classes (`NormalSubgroup`); `Subgroup` is a subgroup
+given by generators, enumerated as a group of its own.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 MAX_DEGREE = 32
@@ -287,7 +289,7 @@ class PermGroup:
     def class_data(self) -> ClassData:
         return self.conjugacy_classes()
 
-    # -- subgroup machinery ---------------------------------------------------
+    # -- subgroups ------------------------------------------------------------
 
     def subgroup(self, gens: Sequence[Perm]) -> "Subgroup":
         for g in gens:
@@ -295,73 +297,88 @@ class PermGroup:
                 raise GroupMismatchError(f"generator {g.cycle_string()} not in parent group")
         return Subgroup(self, gens)
 
-    def commutator_subgroup(self) -> "Subgroup":
-        """Normal closure of all generator-pair commutators."""
-        commutators = []
-        for a in self.generators:
-            for b in self.generators:
-                c = a.inv() * b.inv() * a * b
-                if not c.is_identity():
-                    commutators.append(c)
-        return self._normal_closure_of(commutators)
+    # -- normal subgroups, as unions of conjugacy classes ---------------------
 
-    def normal_closure(self, s: Perm) -> "Subgroup":
+    def commutator_subgroup(self) -> "NormalSubgroup":
+        """G', closed from the classes of the commutators x^-1 z, x a class
+        representative and z a member of its class: every commutator
+        g^-1 t^-1 g t is conjugate to one of these."""
+        data = self.conjugacy_classes()
+        index = data.member_index
+        seed = set()
+        for cl in data.classes:
+            x_inv = cl.representative.inv()
+            seed.update(index[x_inv * z] for z in cl.members)
+        return self._normal_closure_of(seed)
+
+    def normal_closure(self, s: Perm) -> "NormalSubgroup":
         if s not in self:
             raise GroupMismatchError(f"element {s.cycle_string()} not in group")
-        return self._normal_closure_of([s])
+        return self._normal_closure_of([self.conjugacy_classes().member_index[s]])
 
-    def _normal_closure_of(self, seed: Sequence[Perm]) -> "Subgroup":
-        gens = [g for g in seed if not g.is_identity()]
-        while True:
-            sub = Subgroup(self, gens)
-            extra = []
-            for h in sub.elements:
-                for g in self.generators:
-                    conj = g * h * g.inv()
-                    if conj not in sub.element_set:
-                        extra.append(conj)
-            if not extra:
-                return sub
-            gens = list(sub.generators) + extra
+    def _normal_closure_of(self, seed: Iterable[int]) -> "NormalSubgroup":
+        """The smallest normal subgroup containing the classes `seed`: the
+        union of classes closed under products.  C_j C_k is the union of the
+        classes of g_j y, y in C_k, and equals C_k C_j, so each class taken
+        from the worklist is multiplied with itself and every class taken
+        before it."""
+        data = self.conjugacy_classes()
+        index = data.member_index
+        found = {0, *seed}
+        queue = list(found)
+        done: list[int] = []
+        while queue and len(found) < len(data):
+            j = queue.pop()
+            done.append(j)
+            g_j = data.classes[j].representative
+            for k in done:
+                for y in data.classes[k].members:
+                    l = index[g_j * y]
+                    if l not in found:
+                        found.add(l)
+                        queue.append(l)
+        return NormalSubgroup(self, found)
 
-    def center(self) -> "Subgroup":
-        members = [
-            el for el in self.elements
-            if all(el * g == g * el for g in self.generators)
-        ]
-        return Subgroup(self, members)
+    def center(self) -> "NormalSubgroup":
+        return NormalSubgroup(
+            self, [j for j, cl in enumerate(self.conjugacy_classes().classes) if cl.size == 1]
+        )
 
-    def derived_series(self) -> list["Subgroup"]:
-        """G' >= G'' >= ... until stabilization, each term as a subgroup of G."""
-        series = []
-        current_gens = list(self.generators)
+    def derived_series(self) -> list["NormalSubgroup"]:
+        """G' >= G'' >= ... until stabilization, each term normal in G.
+
+        A term N is normal in G, and so is [N, N]: it is the closure of the
+        classes of the commutators [x, y], x a class representative in N and
+        y in N, since every commutator of N is conjugate to one of these."""
+        data = self.conjugacy_classes()
+        index = data.member_index
+        series: list[NormalSubgroup] = []
         current_order = self.order
+        derived = self.commutator_subgroup()
         while True:
-            term_group = PermGroup(self.degree, current_gens, cap=self.cap)
-            derived = term_group.commutator_subgroup()
-            sub = Subgroup(self, derived.generators)
-            if sub.order == current_order:
+            if derived.order == current_order:
                 if not series:
-                    series.append(sub)
+                    series.append(derived)
                 return series
-            series.append(sub)
-            if sub.order == 1:
+            series.append(derived)
+            if derived.order == 1:
                 return series
-            current_gens = list(sub.generators)
-            current_order = sub.order
+            xs = [(data.classes[j].representative.inv(), data.classes[j].representative)
+                  for j in derived.classes]
+            ys = [(y.inv(), y) for y in derived.elements]
+            current_order = derived.order
+            derived = self._normal_closure_of(
+                {index[x_inv * (y_inv * x * y)] for x_inv, x in xs for y_inv, y in ys}
+            )
 
     def is_solvable(self) -> bool:
-        series = self.derived_series()
-        return series[-1].order == 1
+        return self.derived_series()[-1].order == 1
 
     def is_simple(self) -> bool:
-        if self.order == 1:
-            return False
-        data = self.conjugacy_classes()
-        for cl in data.classes[1:]:
-            if self.normal_closure(cl.representative).order != self.order:
-                return False
-        return True
+        h = len(self.conjugacy_classes())
+        return self.order > 1 and all(
+            len(self._normal_closure_of([j]).classes) == h for j in range(1, h)
+        )
 
     def __repr__(self) -> str:
         label = self.spec or f"degree-{self.degree} group"
@@ -407,18 +424,38 @@ class Subgroup:
         parent_index = self.parent.conjugacy_classes().member_index
         return [parent_index[cl.representative] for cl in self.class_data.classes]
 
-    def is_normal(self) -> bool:
-        return all(
-            g * h * g.inv() in self.element_set
-            for g in self.parent.generators
-            for h in self.generators
-        )
-
     def __contains__(self, p: Perm) -> bool:
         return p in self.element_set
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, index={self.index})"
+
+
+class NormalSubgroup:
+    """A normal subgroup of a parent group, held as the sorted indices of the
+    parent's conjugacy classes whose union it is."""
+
+    def __init__(self, parent: PermGroup, classes: Iterable[int]):
+        self.parent = parent
+        self.classes = tuple(sorted(classes))
+        data = parent.conjugacy_classes()
+        self.order = sum(data.classes[j].size for j in self.classes)
+        self.index = parent.order // self.order
+
+    @cached_property
+    def elements(self) -> list[Perm]:
+        data = self.parent.conjugacy_classes()
+        return [m for j in self.classes for m in data.classes[j].members]
+
+    @cached_property
+    def element_set(self) -> set[Perm]:
+        return set(self.elements)
+
+    def __contains__(self, p: Perm) -> bool:
+        return self.parent.conjugacy_classes().member_index.get(p) in self.classes
+
+    def __repr__(self) -> str:
+        return f"NormalSubgroup(order={self.order}, index={self.index})"
 
 
 # -- group-spec grammar -------------------------------------------------------
@@ -508,39 +545,3 @@ def parse_group_spec(text: str, cap: int = DEFAULT_CAP) -> PermGroup:
     """Parse `S<n>|A<n>|C<n>|D<n>|Q8` or `perm:<degree>:<cycles>(;<cycles>)*`."""
     return _parse_group_spec_cached(text.strip(), cap)
 
-
-# module-level aliases matching the operation names
-def enumerate_group(g: PermGroup) -> list[Perm]:
-    return g.enumerate()
-
-
-def conjugacy_classes(g: PermGroup) -> ClassData:
-    return g.conjugacy_classes()
-
-
-def commutator_subgroup(g: PermGroup) -> Subgroup:
-    return g.commutator_subgroup()
-
-
-def derived_series(g: PermGroup) -> list[Subgroup]:
-    return g.derived_series()
-
-
-def is_solvable(g: PermGroup) -> bool:
-    return g.is_solvable()
-
-
-def center(g: PermGroup) -> Subgroup:
-    return g.center()
-
-
-def normal_closure(g: PermGroup, s: Perm) -> Subgroup:
-    return g.normal_closure(s)
-
-
-def is_simple(g: PermGroup) -> bool:
-    return g.is_simple()
-
-
-def subgroup(g: PermGroup, gens: Sequence[Perm]) -> Subgroup:
-    return g.subgroup(gens)

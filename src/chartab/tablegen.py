@@ -48,13 +48,13 @@ def class_constants(g: PermGroup) -> ClassConstants:
     h = len(data)
     index = data.member_index
     a = [[[0] * h for _ in range(h)] for _ in range(h)]
-    for l, cl_l in enumerate(data.classes):
-        g_l = cl_l.representative
-        for j, cl_j in enumerate(data.classes):
-            row = a[j]
-            for x in cl_j.members:
-                k = index[x.inv() * g_l]
-                row[k][l] += 1
+    reps = data.representatives
+    for j, cl_j in enumerate(data.classes):
+        row = a[j]
+        for x in cl_j.members:
+            x_inv = x.inv()
+            for l, g_l in enumerate(reps):
+                row[index[x_inv * g_l]][l] += 1
     return ClassConstants(h, a, data.sizes, list(data.inverse_class))
 
 

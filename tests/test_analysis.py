@@ -157,6 +157,11 @@ class TestBurnsideClassTest:
         assert report.witness.order == 2
         assert report.witness.element_set == g.center().element_set
 
+    def test_s6_witness_is_a6(self):
+        report = burnside_class_test(parse_group_spec("S6"))
+        assert report.witness_order == 360
+        assert not report.simple
+
     def test_a5_inconclusive_and_simple(self):
         report = burnside_class_test(parse_group_spec("A5"))
         assert report.verdict == "inconclusive"

@@ -12,7 +12,7 @@ from chartab.permgroup import (
     parse_group_spec,
 )
 
-from conftest import BUILTIN_NAMES, perm_of
+from conftest import BUILTIN_NAMES, BUILTINS_LE_24, perm_of
 
 
 def brute_force_closure(generator_images, degree):
@@ -30,6 +30,39 @@ def brute_force_closure(generator_images, degree):
                     nxt.append(prod)
         frontier = nxt
     return elements
+
+
+# relabeled D4xS3, S4xS3 and S4xD4: no factor sits on its natural points
+RELABELED_PRODUCTS = [
+    "perm:7:(1,4,2,5);(4,5);(0,3);(0,3,6)",
+    "perm:7:(2,5);(1,4,2,5);(0,3);(0,3,6)",
+    "perm:8:(0,5);(0,3,6,5);(1,4,7,2);(2,4)",
+]
+NORMAL_SUBGROUP_GROUPS = BUILTINS_LE_24 + ["A5", "S5"] + RELABELED_PRODUCTS
+
+
+def commutator_closure(elements, degree):
+    """Closure of all-pair commutators of a list of elements."""
+    comms = {a.inv() * b.inv() * a * b for a in elements for b in elements}
+    return brute_force_closure([c.images for c in comms], degree)
+
+
+def check_series_by_commutator_oracle(g, series):
+    """Each term is the commutator subgroup of its predecessor, by the
+    all-pairs commutator oracle; the series stops at order 1 or at a term
+    equal to its own commutator subgroup."""
+    prev = g.elements
+    for term in series:
+        assert commutator_closure(prev, g.degree) == {p.images for p in term.elements}
+        assert term.order == len(term.element_set)
+        prev = term.elements
+    orders = [term.order for term in series]
+    assert orders == sorted(set(orders), reverse=True)
+    last = series[-1]
+    if last.order > 1:
+        assert commutator_closure(last.elements, g.degree) == {
+            p.images for p in last.elements
+        }
 
 
 def parity(images):
@@ -224,7 +257,10 @@ class TestSubgroupMachinery:
         assert derived.index == 2
         # independent parity oracle: A4 = even permutations
         assert all(parity(p.images) == 1 for p in derived.elements)
-        assert derived.is_normal()
+        # normal: every element, conjugated by every parent generator, stays
+        for p in derived.elements:
+            for t in g.generators:
+                assert t * p * t.inv() in derived.element_set
 
     def test_commutator_q8_is_center(self):
         g = parse_group_spec("Q8")
@@ -237,21 +273,45 @@ class TestSubgroupMachinery:
         assert parse_group_spec("C6").commutator_subgroup().order == 1
 
     def test_derived_series_s4(self):
-        series = parse_group_spec("S4").derived_series()
-        assert [s.order for s in series] == [12, 4, 1]
-        # each term is the commutator subgroup of its predecessor, verified
-        # against the all-pairs commutator oracle
         g = parse_group_spec("S4")
-        prev = g.elements
-        for term in series:
-            comms = {
-                a.inv() * b.inv() * a * b for a in prev for b in prev
-            }
-            closure = brute_force_closure(
-                [c.images for c in comms], g.degree
-            )
-            assert closure == {p.images for p in term.elements}
-            prev = term.elements
+        series = g.derived_series()
+        assert [s.order for s in series] == [12, 4, 1]
+        check_series_by_commutator_oracle(g, series)
+
+    @pytest.mark.parametrize("name", NORMAL_SUBGROUP_GROUPS)
+    def test_derived_series_by_commutator_oracle(self, name):
+        g = parse_group_spec(name)
+        check_series_by_commutator_oracle(g, g.derived_series())
+
+    @pytest.mark.parametrize("name", NORMAL_SUBGROUP_GROUPS)
+    def test_normal_closure_of_every_class(self, name):
+        g = parse_group_spec(name)
+        for cl in g.conjugacy_classes().classes:
+            closure = g.normal_closure(cl.representative)
+            oracle = brute_force_closure([m.images for m in cl.members], g.degree)
+            assert {p.images for p in closure.elements} == oracle
+            assert closure.order == len(oracle)
+            assert closure.index * closure.order == g.order
+
+    @pytest.mark.parametrize("name", NORMAL_SUBGROUP_GROUPS)
+    def test_center_commutes_with_generators(self, name):
+        g = parse_group_spec(name)
+        oracle = {
+            el for el in g.elements
+            if all(el * t == t * el for t in g.generators)
+        }
+        center = g.center()
+        assert center.element_set == oracle
+        assert all((el in center) == (el in oracle) for el in g.elements)
+        assert center.order == len(oracle)
+
+    def test_a7_simple_not_solvable(self):
+        g = parse_group_spec("A7")
+        assert g.is_simple()
+        assert not g.is_solvable()
+
+    def test_derived_series_s6(self):
+        assert [s.order for s in parse_group_spec("S6").derived_series()] == [360]
 
     def test_a5_not_solvable(self):
         g = parse_group_spec("A5")
