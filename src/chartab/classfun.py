@@ -118,8 +118,8 @@ def sym_alt_square(chi: ClassFunction) -> tuple[ClassFunction, ClassFunction]:
     half = Fraction(1, 2)
     sym_vals = []
     alt_vals = []
-    for j in range(len(data)):
-        square_value = chi.values[data.power_class[j][2 % group.exponent]]
+    for j, powers in enumerate(data.power_class):
+        square_value = chi.values[powers[2 % len(powers)]]
         chi_sq = chi.values[j] * chi.values[j]
         sym_vals.append(half * (chi_sq + square_value))
         alt_vals.append(half * (chi_sq - square_value))

@@ -153,9 +153,12 @@ class ConjugacyClass:
 
 
 class ClassData:
-    """Conjugacy classes in canonical order with inverse and power maps."""
+    """Conjugacy classes in canonical order with inverse and power maps.
 
-    def __init__(self, classes: list[ConjugacyClass], exponent: int):
+    `power_class[j][s]` is the class of g_j^s for s < d_j, the order of g_j;
+    the class of any power g_j^s is `power_class[j][s % d_j]`."""
+
+    def __init__(self, classes: list[ConjugacyClass]):
         self.classes = classes
         self.member_index: dict[Perm, int] = {}
         for idx, cl in enumerate(classes):
@@ -164,10 +167,13 @@ class ClassData:
         self.inverse_class = [
             self.member_index[cl.representative.inv()] for cl in classes
         ]
-        self.power_class = [
-            [self.member_index[cl.representative ** s] for s in range(exponent)]
-            for cl in classes
-        ]
+        self.power_class = []
+        for cl in classes:
+            powers, cur = [0], cl.representative  # the identity class is first
+            for _ in range(1, cl.element_order):
+                powers.append(self.member_index[cur])
+                cur = cur * cl.representative
+            self.power_class.append(powers)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -203,7 +209,6 @@ class PermGroup:
         self.spec = spec
         self._elements: Optional[list[Perm]] = None
         self._index: Optional[dict[Perm, int]] = None
-        self._exponent: Optional[int] = None
         self._class_data: Optional[ClassData] = None
 
     # -- enumeration ------------------------------------------------------
@@ -232,7 +237,6 @@ class PermGroup:
             frontier = new_frontier
         self._elements = elements
         self._index = index
-        self._exponent = math.lcm(*(el.order() for el in elements))
         return elements
 
     @property
@@ -245,16 +249,11 @@ class PermGroup:
 
     @property
     def exponent(self) -> int:
-        self.enumerate()
-        return self._exponent
+        return math.lcm(*self.conjugacy_classes().element_orders)
 
     def __contains__(self, p: Perm) -> bool:
         self.enumerate()
         return p in self._index
-
-    def element_index(self, p: Perm) -> int:
-        self.enumerate()
-        return self._index[p]
 
     # -- conjugacy classes ---------------------------------------------------
 
@@ -262,6 +261,7 @@ class PermGroup:
         if self._class_data is not None:
             return self._class_data
         elements = self.enumerate()
+        gens = [(gen, gen.inv()) for gen in self.generators]
         assigned: dict[Perm, bool] = {}
         raw_classes: list[list[Perm]] = []
         for el in elements:
@@ -273,8 +273,8 @@ class PermGroup:
             queue = [el]
             while queue:
                 cur = queue.pop()
-                for gen in self.generators:
-                    conj = gen * cur * gen.inv()
+                for gen, gen_inv in gens:
+                    conj = gen * cur * gen_inv
                     if conj not in assigned:
                         assigned[conj] = True
                         orbit.append(conj)
@@ -282,7 +282,7 @@ class PermGroup:
             raw_classes.append(orbit)
         classes = [ConjugacyClass(members) for members in raw_classes]
         classes.sort(key=lambda c: (c.size, c.element_order, c.representative.images))
-        self._class_data = ClassData(classes, self.exponent)
+        self._class_data = ClassData(classes)
         return self._class_data
 
     @property

@@ -130,10 +130,6 @@ class MatrixRep:
         return f"MatrixRep(dim={self.dim}, group={self.group.spec})"
 
 
-def extend_to_group(rep: MatrixRep) -> MatrixRep:
-    return rep.extend_to_group()
-
-
 def character_of(rep: MatrixRep) -> ClassFunction:
     """Trace at one representative per class."""
     rep.extend_to_group()

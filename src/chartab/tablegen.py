@@ -1,8 +1,9 @@
 """Exact character tables via the class-matrix eigenvalue method.
 
 Pipeline: class-multiplication constants -> prime choice -> simultaneous
-eigenvectors of the class matrices over F_p (these realize the central
-characters lambda_ij = r_j chi_i(g_j) / n_i) -> degree recovery from the
+eigenvectors of the class matrices over F_p, found by splitting F_p^h with
+one class matrix after another (these realize the central characters
+lambda_ij = r_j chi_i(g_j) / n_i) -> degree recovery from the
 row orthogonality relation -> lifting of eigenvalue multiplicities to exact
 cyclotomic values by a mod-p discrete Fourier transform over each element
 order.  Everything downstream of the prime field is exact.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 from . import _modp as mp
 from .classfun import ClassFunction
@@ -37,9 +39,6 @@ class ClassConstants:
         self.a = a
         self.sizes = sizes
         self.inverse_class = inverse_class
-
-    def class_matrix(self, j: int) -> mp.Matrix:
-        return [row[:] for row in self.a[j]]
 
 
 def class_constants(g: PermGroup) -> ClassConstants:
@@ -116,10 +115,7 @@ def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
                 [(coords[i][j] - (lam if i == j else 0)) % p for j in range(d)]
                 for i in range(d)
             ]
-            coord_rows = mp.nullspace_rows(shifted, p)
-            if not coord_rows:
-                continue
-            sub = mp.mat_mul(coord_rows, rows, p)
+            sub = mp.mat_mul(mp.nullspace_rows(shifted, p), rows, p)
             sub_rref, sub_pivots = mp.rref(sub, p)
             total_dim += len(sub_rref)
             out.append((sub_rref, sub_pivots))
@@ -131,56 +127,33 @@ def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
     )
 
 
-def _refine_spaces(spaces, mat: mp.Matrix, p: int, rng: random.Random):
-    out = []
-    for rows, pivots in spaces:
-        if len(rows) == 1:
-            out.append((rows, pivots))
-        else:
-            out.extend(_split_space(rows, pivots, mat, p, rng))
-    return out
-
-
-def _random_split_phase(spaces, cc: ClassConstants, p: int,
-                        rng: random.Random | None = None):
-    """Refine by seeded pseudo-random integer combinations of the class
-    matrices until every subspace is a line; a generic combination separates
-    the commuting family, but small fields can collide eigenvalues, hence
-    the retry loop.  rng defaults to a fresh stream of SPLIT_SEED."""
-    if rng is None:
-        rng = random.Random(SPLIT_SEED)
-    h = cc.h
-    attempts = 0
-    while any(len(rows) > 1 for rows, _ in spaces) and attempts < 32:
-        coeffs = [rng.randrange(p) for _ in range(h)]
-        combined = [
-            [sum(coeffs[j] * cc.a[j][k][l] for j in range(h)) % p for l in range(h)]
-            for k in range(h)
-        ]
-        spaces = _refine_spaces(spaces, combined, p, rng)
-        attempts += 1
-    return spaces
-
-
 def modp_eigenbasis(cc: ClassConstants, p: int) -> list[list[int]]:
     """Simultaneous eigenvectors of all class matrices over F_p, each
-    normalized so its identity-class coordinate is 1.  Every random draw,
-    in the class-by-class pass and in the random-combination pass, comes
-    from one random.Random(SPLIT_SEED) stream, so the result is the same on
-    every run."""
+    normalized so its identity-class coordinate is 1.
+
+    F_p^h is split by the class matrices one after another.  For a prime
+    with p = 1 (mod exponent), p does not divide |G|, so the central
+    characters stay distinct mod p and the class matrices alone separate
+    them into lines.  Every random draw comes from one
+    random.Random(SPLIT_SEED) stream, so the result is the same on every
+    run."""
     h = cc.h
     rng = random.Random(SPLIT_SEED)
-    start, start_piv = mp.rref(mp.identity(h), p)
-    spaces = [(start, start_piv)]
-
+    spaces = [(mp.identity(h), list(range(h)))]
     for j in range(1, h):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
-        spaces = _refine_spaces(spaces, cc.class_matrix(j), p, rng)
-
-    spaces = _random_split_phase(spaces, cc, p, rng)
+        refined = []
+        for rows, pivots in spaces:
+            if len(rows) == 1:
+                refined.append((rows, pivots))
+            else:
+                refined.extend(_split_space(rows, pivots, cc.a[j], p, rng))
+        spaces = refined
     if any(len(rows) > 1 for rows, _ in spaces):
-        raise TableConstructionError("failed to separate eigenspaces (bad prime)")
+        raise TableConstructionError(
+            f"failed to separate eigenspaces over F_{p} (bad prime)"
+        )
 
     vectors = []
     for rows, _ in spaces:
@@ -293,37 +266,31 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
     For each row and class, with d the order of the class's elements, the
     multiplicities of the d-th roots of unity among the eigenvalues of the
     representing matrix are recovered by an inverse DFT of chi mod p along
-    the power map of the class, using z^(e/d) for a fixed element z of order
-    e in F_p; the exact value is then sum_t m_t zeta_d^t, in Q(zeta_d), or in
-    Q when it is rational.
+    the d entries of the power map of the class, using z^(e/d) for a fixed
+    element z of order e in F_p; the DFT matrix is built once per order d.
+    The exact value is then sum_t m_t zeta_d^t, in Q(zeta_d), or in Q when
+    it is rational.
     """
     data = group.conjugacy_classes()
     e = group.exponent
-    h = len(data)
     z = mp.element_of_order(e, p)
     size_inv = [pow(cl.size % p, p - 2, p) for cl in data.classes]
+    # dft[d][t][s] = zeta_d^-ts / d mod p, zeta_d = z^(e/d)
+    dft = {}
+    for d in set(data.element_orders):
+        zd_inv, d_inv = pow(z, (e // d) * (p - 2), p), pow(d, p - 2, p)
+        w = [pow(zd_inv, k, p) * d_inv % p for k in range(d)]
+        dft[d] = [[w[t * s % d] for s in range(d)] for t in range(d)]
     rows = []
-    for i, v in enumerate(vectors):
-        n_i = degrees[i]
+    for n_i, v in zip(degrees, vectors):
+        chi = [n_i * x % p * r % p for x, r in zip(v, size_inv)]  # chi mod p
         values = []
-        for j in range(h):
-            d = data.classes[j].element_order
-            zd_inv = pow(z, (e // d) * (p - 2), p)  # inverse of the order-d root
-            chibar = [
-                n_i * v[data.power_class[j][s]] % p * size_inv[data.power_class[j][s]] % p
-                for s in range(d)
-            ]
-            d_inv = pow(d, p - 2, p)
+        for powers in data.power_class:
+            d, along = len(powers), [chi[k] for k in powers]
             exps = [Fraction(0)] * d
             total = 0
-            for t in range(d):
-                step = pow(zd_inv, t, p)
-                acc = 0
-                w = 1
-                for s in range(d):
-                    acc = (acc + chibar[s] * w) % p
-                    w = w * step % p
-                m = acc * d_inv % p
+            for t, w in enumerate(dft[d]):
+                m = sum(map(mul, along, w)) % p
                 if m > n_i:
                     raise TableConstructionError(
                         f"lifted multiplicity {m} exceeds degree {n_i}"

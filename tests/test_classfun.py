@@ -21,7 +21,7 @@ from chartab.cyclo import Cyclo, from_rational, root_of_unity
 from chartab.permgroup import GroupMismatchError, parse_group_spec
 from chartab.tablegen import build_character_table
 
-from conftest import class_index_of, ratio
+from conftest import BUILTINS_LE_24, class_index_of, ratio
 
 
 def row_by_degree_and_value(table, degree, col, value):
@@ -236,6 +236,26 @@ class TestSymAltSquare:
                     chi = chi + row.scaled(rng.randrange(0, 3))
                 sym, alt = sym_alt_square(chi)
                 assert sym + alt == chi * chi
+
+    @pytest.mark.parametrize("name", BUILTINS_LE_24 + ["A5", "S5"])
+    def test_squares_from_squared_representatives(self, name):
+        # oracle: the class c of g^2 is looked up from rep * rep, not read
+        # from the power map
+        g = parse_group_spec(name)
+        table = build_character_table(g)
+        data = g.conjugacy_classes()
+        half = Fraction(1, 2)
+        for n, chi in zip(table.degrees, table.rows):
+            sym, alt = sym_alt_square(chi)
+            for j, cl in enumerate(data.classes):
+                c = data.member_index[cl.representative * cl.representative]
+                square = chi.values[j] * chi.values[j]
+                assert sym.values[j] == half * (square + chi.values[c])
+                assert alt.values[j] == half * (square - chi.values[c])
+            # both are characters, of degrees n(n+1)/2 and n(n-1)/2
+            for f, dim in ((sym, n * (n + 1) // 2), (alt, n * (n - 1) // 2)):
+                mults = decompose(f, table)
+                assert sum(m * d for m, d in zip(mults, table.degrees)) == dim
 
 
 class TestIrreducibility:

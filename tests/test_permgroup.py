@@ -240,13 +240,35 @@ class TestConjugacyClasses:
                     for idx, other in enumerate(data.classes)
                     if power in other.members
                 )
-                assert data.power_class[j][s] == found
+                assert data.power_class[j][s % cl.element_order] == found
                 power = power * cl.representative
         assert all(data.power_class[j][0] == 0 for j in range(len(data)))
         assert all(
-            data.power_class[j][1 % g.exponent] == (j if g.exponent > 1 else 0)
-            for j in range(len(data))
+            data.power_class[j][1 % cl.element_order] == j
+            for j, cl in enumerate(data.classes)
         )
+
+    @pytest.mark.parametrize(
+        "name",
+        [n for n in BUILTIN_NAMES + ["A6", "S6"] if parse_group_spec(n).order <= 720]
+        + RELABELED_PRODUCTS[:1],
+    )
+    def test_exponent_and_power_lengths_by_brute_force(self, name):
+        g = parse_group_spec(name)
+        identity = tuple(range(g.degree))
+
+        def order_of(el):
+            # repeated composition on image tuples until the identity
+            k, cur = 1, el.images
+            while cur != identity:
+                cur = tuple(el.images[i] for i in cur)
+                k += 1
+            return k
+
+        assert g.exponent == math.lcm(*(order_of(el) for el in g.elements))
+        data = g.conjugacy_classes()
+        for cl, powers in zip(data.classes, data.power_class):
+            assert len(powers) == cl.element_order == order_of(cl.representative)
 
 
 class TestSubgroupMachinery:

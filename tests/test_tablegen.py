@@ -144,7 +144,7 @@ class TestEigenbasis:
         for v in vectors:
             assert v[0] == 1
             for j in range(cc.h):
-                mat = cc.class_matrix(j)
+                mat = cc.a[j]
                 image = [
                     sum(mat[k][l] * v[l] for l in range(cc.h)) % p
                     for k in range(cc.h)
@@ -166,6 +166,13 @@ class TestEigenbasis:
                         * data.classes[k].representative
                     ]
                     assert v[j] * v[k] % p == v[l]
+
+    def test_prime_dividing_the_order_fails_loudly(self):
+        # 3 divides |S3| = 6: the class matrix of the 3-cycles has a single
+        # eigenvalue mod 3 but is not scalar, so no split can succeed
+        cc = class_constants(parse_group_spec("S3"))
+        with pytest.raises(TableConstructionError, match="F_3"):
+            modp_eigenbasis(cc, 3)
 
 
 def _poly_mul(a, b, p):
@@ -261,7 +268,7 @@ class TestSplitSpace:
         cc = class_constants(g)
         p = choose_prime(g)
         eigvecs = modp_eigenbasis(cc, p)
-        mat = cc.class_matrix(j)
+        mat = cc.a[j]
         assert len({v[j] for v in eigvecs}) > 1
         rows, pivots = mp.rref(mp.identity(cc.h), p)
         rng = ScriptedRandom(eigvecs[-1])
@@ -275,29 +282,6 @@ class TestSplitSpace:
                        if len(mp.rref(sub + [v], p)[0]) == len(sub)]
             assert len(members) == len(sub)
             assert len({v[j] for v in members}) == 1
-
-
-class TestRandomCombinationSplit:
-    @pytest.mark.parametrize("name", ["S4", "S5", "Q8", "A5", "D6"])
-    def test_fallback_phase_splits_from_scratch(self, name):
-        # the seeded random-combination fallback must separate the whole
-        # space even without the sequential refinement pass
-        from chartab.tablegen import _random_split_phase
-
-        g = parse_group_spec(name)
-        cc = class_constants(g)
-        p = choose_prime(g)
-        start, piv = mp.rref(mp.identity(cc.h), p)
-        spaces = _random_split_phase([(start, piv)], cc, p)
-        assert len(spaces) == cc.h
-        assert all(len(rows) == 1 for rows, _ in spaces)
-        # the lines it finds are the same eigenvectors the full pipeline uses
-        normalized = set()
-        for rows, _ in spaces:
-            v = rows[0]
-            inv = pow(v[0], p - 2, p)
-            normalized.add(tuple(x * inv % p for x in v))
-        assert normalized == {tuple(v) for v in modp_eigenbasis(cc, p)}
 
 
 class TestDegrees:
