@@ -62,7 +62,7 @@ def restriction_report(chi: ClassFunction, h: Subgroup,
     restricted = restrict(chi, h)
     mults = decompose(restricted, subgroup_table)
     norm_val = inner_product(restricted, restricted)
-    norm = int(norm_val.as_rational())
+    norm = norm_val.as_rational()
     if sum(d * d for d in mults) != norm:
         raise GroupMismatchError("multiplicities inconsistent with restriction norm")
     if norm > h.index:

@@ -142,7 +142,7 @@ def decompose(chi: ClassFunction, table) -> list[int]:
             raise NotACharacterError(
                 f"not a character: multiplicity {q} is not a nonnegative integer"
             )
-        mults.append(int(q))
+        mults.append(q)
     return mults
 
 

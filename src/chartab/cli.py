@@ -1,6 +1,7 @@
 """chartab: command-line front end.
 
-Exit codes: 0 success, 1 check failure, 2 usage/parse error, 3 resource cap.
+Exit codes: 0 success, 1 check failure or stdout closed early, 2 usage/parse
+error, 3 resource cap.
 """
 
 from __future__ import annotations
@@ -395,7 +396,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: send what is left to devnull, no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CHECK_FAILED
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -1,9 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_e).
 
-Values are kept as rational coordinate vectors over the power basis
+Values are kept as coordinate vectors over the power basis
 1, z, ..., z^(phi(e)-1) where z = zeta_e, reduced modulo the e-th cyclotomic
 polynomial.  The reduced form is unique, so equality is coefficient equality
 (after embedding both operands into the lcm order when the orders differ).
+A coefficient is an `int`, or a `Fraction` whose denominator is greater than
+1: character values are algebraic integers, so their arithmetic stays in
+ints, and a `Fraction` appears only where a division makes one.  `_coeff`
+decides this for every value the module hands out.
 Arithmetic returns a rational result at order 1, and an order-1 operand acts
 on the other operand's coefficient vector directly, so rational values never
 pay for the coefficient vector of a large field.
@@ -54,15 +58,22 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer polynomials; den must be monic."""
+def _poly_divmod(num: Sequence[RationalLike], den: Sequence[RationalLike]):
+    """Quotient and remainder of ascending coefficient lists; den[-1] != 0.
+
+    A quotient term is Fraction(c, lead), never c / lead, so the division is
+    exact, and integer polynomials divided by a monic den stay integer.
+    """
     num = list(num)
     deg_d = len(den) - 1
+    lead = den[-1]
     quot = [0] * max(len(num) - deg_d, 1)
     for i in range(len(num) - 1, deg_d - 1, -1):
         c = num[i]
         if c == 0:
             continue
+        if lead != 1:
+            c = Fraction(c, lead)
         quot[i - deg_d] = c
         for j, dj in enumerate(den):
             num[i - deg_d + j] -= c * dj
@@ -82,13 +93,14 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     for d in _divisors(e):
         if d == e:
             continue
-        num, rem = _poly_divmod_int(num, list(cyclotomic_polynomial(d)))
+        num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
         assert rem == [0], f"Phi_{d} does not divide x^{e}-1"
     return tuple(num)
 
 
-def _reduce(e: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a rational polynomial in zeta_e modulo Phi_e to the power basis."""
+def _reduce(e: int, coeffs: Sequence[RationalLike]) -> tuple[RationalLike, ...]:
+    """Reduce a polynomial in zeta_e modulo Phi_e to the power basis.  Phi_e
+    is monic with integer coefficients, so integer input gives integer output."""
     phi = cyclotomic_polynomial(e)
     deg = len(phi) - 1
     coeffs = list(coeffs)
@@ -96,25 +108,25 @@ def _reduce(e: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
         c = coeffs[i]
         if c == 0:
             continue
-        coeffs[i] = Fraction(0)
         for j in range(deg):
             coeffs[i - deg + j] -= c * phi[j]
-    coeffs = coeffs[:deg] + [Fraction(0)] * (deg - len(coeffs))
-    return tuple(coeffs[:deg])
+    return tuple(coeffs[:deg]) + (0,) * (deg - len(coeffs))
 
 
 class Cyclo:
     """An element of Q(zeta_e) in reduced power-basis form.
 
-    Construct via `from_rational`, `root_of_unity`, `from_powers`, or
-    arithmetic on those; the raw constructor expects already-reduced
-    coefficients and keeps the order it is given.
+    `coeffs` holds phi(e) coefficients, each an `int` or a `Fraction` whose
+    denominator is greater than 1.  Construct via `from_rational`,
+    `root_of_unity`, `from_powers`, or arithmetic on those; the raw
+    constructor expects already-reduced coefficients in that form and keeps
+    the order it is given.
     """
 
     __slots__ = ("order", "coeffs")
     __hash__ = None  # equality crosses field orders; keep values unhashable
 
-    def __init__(self, order: int, coeffs: Sequence[Fraction]):
+    def __init__(self, order: int, coeffs: Sequence[RationalLike]):
         self.order = order
         self.coeffs = tuple(coeffs)
 
@@ -122,10 +134,10 @@ class Cyclo:
 
     @staticmethod
     def from_rational(q: RationalLike) -> "Cyclo":
-        return Cyclo(1, (Fraction(q),))
+        return Cyclo(1, (_coeff(Fraction(q)),))
 
     @staticmethod
-    def from_powers(order: int, coeffs: Sequence[Fraction]) -> "Cyclo":
+    def from_powers(order: int, coeffs: Sequence[RationalLike]) -> "Cyclo":
         """sum_k coeffs[k] zeta_order^k, reduced; a rational sum has order 1."""
         return _rational_or(order, _reduce(order, coeffs))
 
@@ -156,10 +168,10 @@ class Cyclo:
         if not 1 <= new_order <= MAX_ORDER:
             raise CycloError(f"cyclotomic order {new_order} outside [1, {MAX_ORDER}]")
         step = new_order // self.order
-        raised = [Fraction(0)] * new_order
+        raised = [0] * new_order
         for i, c in enumerate(self.coeffs):
             raised[i * step] = c
-        return Cyclo(new_order, _reduce(new_order, raised))
+        return Cyclo(new_order, tuple(map(_coeff, _reduce(new_order, raised))))
 
     def _match(self, other: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
         if self.order == other.order:
@@ -193,14 +205,7 @@ class Cyclo:
             q = b.coeffs[0]
             return _rational_or(a.order, tuple(q * c for c in a.coeffs))
         a, b = a._match(b)
-        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y != 0:
-                    prod[i + j] += x * y
-        return _rational_or(a.order, _reduce(a.order, prod))
+        return _rational_or(a.order, _reduce(a.order, _poly_mul(a.coeffs, b.coeffs)))
 
     __rmul__ = __mul__
 
@@ -208,19 +213,18 @@ class Cyclo:
         """Field inverse via the extended Euclidean algorithm modulo Phi_e."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic value")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
         a = list(self.coeffs)
         while len(a) > 1 and a[-1] == 0:
             a.pop()
         # extended gcd of a and Phi_e in Q[x]; Phi_e irreducible => gcd is 1
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
+        r0, r1 = cyclotomic_polynomial(self.order), a
+        s0, s1 = [0], [1]
         while any(c != 0 for c in r1):
-            q, r = _poly_divmod_frac(r0, r1)
+            q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         lead = r0[-1]
-        return Cyclo.from_powers(self.order, [c / lead for c in s0])
+        return Cyclo.from_powers(self.order, [Fraction(c, lead) for c in s0])
 
     def __truediv__(self, other):
         other = Cyclo._coerce(other)
@@ -248,7 +252,7 @@ class Cyclo:
         e = self.order
         if math.gcd(t, e) != 1:
             raise CycloError(f"galois exponent {t} not coprime to order {e}")
-        out = [Fraction(0)] * e
+        out = [0] * e
         for i, c in enumerate(self.coeffs):
             out[(i * t) % e] += c
         return Cyclo.from_powers(e, out)
@@ -267,19 +271,11 @@ class Cyclo:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_rational(self) -> Fraction:
+    def as_rational(self) -> RationalLike:
+        """The value as an `int` when it is an integer, else as a `Fraction`."""
         if not self.is_rational():
             raise CycloError(f"{self} is not rational")
         return self.coeffs[0]
-
-    def is_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
-
-    def as_integer(self) -> int:
-        q = self.as_rational()
-        if q.denominator != 1:
-            raise CycloError(f"{self} is not an integer")
-        return q.numerator
 
     def to_float(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.order)
@@ -345,15 +341,22 @@ class Cyclo:
     @staticmethod
     def from_json(data: dict) -> "Cyclo":
         order = int(data["order"])
-        coeffs = [Fraction(s) for s in data["coeffs"]]
+        coeffs = [_coeff(Fraction(s)) for s in data["coeffs"]]
         if len(coeffs) != euler_phi(order):
             raise CycloError("coefficient vector length does not match phi(order)")
-        return Cyclo(order, _reduce(order, coeffs))
+        return Cyclo(order, coeffs)
 
 
-def _rational_or(order: int, coeffs: tuple[Fraction, ...]) -> Cyclo:
-    """The reduced vector `coeffs` of Q(zeta_order) as a Cyclo, at order 1
-    when the value is rational."""
+def _coeff(q: RationalLike) -> RationalLike:
+    """The canonical form of a coefficient: an int, or a Fraction whose
+    denominator is greater than 1."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _rational_or(order: int, coeffs: Sequence[RationalLike]) -> Cyclo:
+    """The reduced vector `coeffs` of Q(zeta_order) as a Cyclo with canonical
+    coefficients, at order 1 when the value is rational."""
+    coeffs = tuple(map(_coeff, coeffs))
     if order != 1 and not any(coeffs[1:]):
         return Cyclo(1, coeffs[:1])
     return Cyclo(order, coeffs)
@@ -365,41 +368,21 @@ def _rational_last(a: Cyclo, b: Cyclo) -> tuple[Cyclo, Cyclo]:
     return (b, a) if a.order == 1 else (a, b)
 
 
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-    deg_d = len(den) - 1
-    if len(num) < len(den):
-        return [Fraction(0)], num
-    quot = [Fraction(0)] * (len(num) - deg_d)
-    lead = den[-1]
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i] / lead
-        if c == 0:
-            continue
-        quot[i - deg_d] = c
-        for j, dj in enumerate(den):
-            num[i - deg_d + j] -= c * dj
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _poly_mul(a: Sequence[RationalLike], b: Sequence[RationalLike]) -> list:
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
         for j, y in enumerate(b):
-            out[i + j] += x * y
+            if y != 0:
+                out[i + j] += x * y
     return out
 
 
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _poly_sub(a: list[RationalLike], b: list[RationalLike]) -> list[RationalLike]:
     n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
+    a = a + [0] * (n - len(a))
+    b = b + [0] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
 
 
@@ -410,8 +393,8 @@ def root_of_unity(e: int, k: int = 1) -> Cyclo:
     if e > MAX_ORDER:
         raise CycloError(f"cyclotomic order {e} outside [1, {MAX_ORDER}]")
     k %= e
-    mono = [Fraction(0)] * (k + 1)
-    mono[k] = Fraction(1)
+    mono = [0] * (k + 1)
+    mono[k] = 1
     return Cyclo(e, _reduce(e, mono))
 
 

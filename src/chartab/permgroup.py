@@ -285,10 +285,6 @@ class PermGroup:
         self._class_data = ClassData(classes)
         return self._class_data
 
-    @property
-    def class_data(self) -> ClassData:
-        return self.conjugacy_classes()
-
     # -- subgroups ------------------------------------------------------------
 
     def subgroup(self, gens: Sequence[Perm]) -> "Subgroup":

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from operator import mul
 
 from . import _modp as mp
@@ -192,7 +191,7 @@ def degrees_from_eigen(vectors: list[list[int]], cc: ClassConstants,
 
 
 def _row_sort_key(values: tuple[Cyclo, ...]):
-    key = [int(values[0].as_rational())]
+    key = [values[0].as_rational()]
     for v in values:
         fv = v.to_float()
         key.append((-int(round(fv.real * 1e9)), -int(round(fv.imag * 1e9))))
@@ -213,7 +212,7 @@ class CharacterTable:
         self.group = group
         self.class_data = data
         self.rows = sorted(rows, key=lambda r: _row_sort_key(r.values))
-        self.degrees = tuple(int(r.values[0].as_rational()) for r in self.rows)
+        self.degrees = tuple(r.values[0].as_rational() for r in self.rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -287,7 +286,7 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
         values = []
         for powers in data.power_class:
             d, along = len(powers), [chi[k] for k in powers]
-            exps = [Fraction(0)] * d
+            exps = [0] * d
             total = 0
             for t, w in enumerate(dft[d]):
                 m = sum(map(mul, along, w)) % p
@@ -296,7 +295,7 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
                         f"lifted multiplicity {m} exceeds degree {n_i}"
                     )
                 if m:
-                    exps[t] = Fraction(m)
+                    exps[t] = m
                     total += m
             if total != n_i:
                 raise TableConstructionError(
@@ -390,8 +389,8 @@ def linear_characters(g: PermGroup) -> list[ClassFunction]:
             # zeta_m^k = zeta_(m/g)^(k/g), g = gcd(k, m): the natural field
             k = chi[coset_of[cl.representative]]
             g_k = math.gcd(k, exponent)
-            num = [Fraction(0)] * (exponent // g_k)
-            num[k // g_k] = Fraction(1)
+            num = [0] * (exponent // g_k)
+            num[k // g_k] = 1
             values.append(Cyclo.from_powers(exponent // g_k, num))
         out.append(ClassFunction(g, values))
     out.sort(key=lambda f: _row_sort_key(f.values))

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from chartab import cli
 
@@ -233,3 +236,44 @@ def test_installed_entry_point():
     )
     assert result.returncode == 0
     assert "group S3, order 6, 3 classes" in result.stdout
+
+
+D4XD4 = "perm:8:(0,1,2,3);(0,2);(4,5,6,7);(4,6)"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("table A5", "82f5eeedf0389d5db9cd5a6dd89664b2dc26d8b4db3a792a5c6b91c748f5a777"),
+    ("table S5", "f0e05f679321da4f7a75746df46d5eaee3af92d97b0c17e0a679be349580ad6e"),
+    ("table A6", "fe3ffb5207402bc09c43360f913096aa5413640feedefb14abdf3640a7d5641b"),
+    ("check A6", "c4459b2d728ccac1e3594b2d1332999fbcf46d95ebebceadebbad90ae41fd73b"),
+    (f"check {D4XD4}", "411542fe20a0729cc54a9baa28aec4f57724075a88249dd0d6e3d03ae81234ee"),
+    ("symalt S5 --char 3", "33c49412be09a8715fe274a270bb24888257a7582cfeac9eca83fb98e3d92116"),
+    # non-integral coefficients
+    ("fourier 4 --values 1,0,1/2,0",
+     "dd0ae6ce1df81f8d6d66ceb570e7b614449a9e6456f9b665b9e264ec72cae904"),
+])
+def test_json_output_is_pinned(capsys, argv, digest):
+    # sha256 of stdout: a change in how values are held inside the library
+    # must not change a byte of output
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_closed_pipe_exits_without_traceback():
+    # C30 as a JSON table is about 150 kB, more than a pipe holds, so the
+    # writer is still printing when the reader closes its end
+    spec = "perm:30:(" + ",".join(map(str, range(30))) + ")"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chartab.cli", "table", spec, "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_CHECK_FAILED
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err

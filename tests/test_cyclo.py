@@ -225,6 +225,26 @@ def test_rational_operand_matches_common_order(q, x):
     assert (x == r) == (r == x) == (x == q) == (x.coeffs == rn.coeffs)
 
 
+def is_canonical(c):
+    # an int, or a Fraction only when a division made one; 0.5 == Fraction(1, 2),
+    # so equality-based tests would not notice a float
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyclo_values(), cyclo_values(), st.integers(min_value=1, max_value=12),
+       st.sampled_from([2, 3]))
+def test_coefficients_are_canonical(a, b, t, k):
+    results = [a + b, a - b, a * b, a.conj(), a.change_order(k * a.order),
+               Cyclo.from_json(a.to_json())]
+    if not b.is_zero():
+        results += [a / b, b.inverse()]
+    if math.gcd(t, a.order) == 1:
+        results.append(a.galois(t))
+    for v in results:
+        assert all(is_canonical(c) for c in v.coeffs), v.coeffs
+
+
 @settings(max_examples=60, deadline=None)
 @given(cyclo_values())
 def test_conj_is_involution(a):

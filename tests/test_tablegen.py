@@ -542,6 +542,8 @@ def test_values_in_natural_field(name):
             value = row.values[j]
             assert cl.element_order % value.order == 0
             assert (value.order == 1) == value.is_rational()
+            # character values are algebraic integers
+            assert all(type(c) is int for c in value.coeffs)
 
 
 class TestDeterminism:
