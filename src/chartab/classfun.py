@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclo import Cyclo, from_rational, root_of_unity
+from .cyclo import Cyclo, dot, from_rational, root_of_unity
 from .permgroup import GroupMismatchError, PermGroup
 
 
@@ -92,21 +92,17 @@ class ClassFunction:
 def inner_product(f1: ClassFunction, f2: ClassFunction) -> Cyclo:
     """<f1,f2> = (1/|G|) sum_j r_j f1(g_j) conj(f2(g_j)), exact."""
     f1._check_group(f2)
-    data = f1.group.conjugacy_classes()
-    total = Cyclo.zero()
-    for j, cl in enumerate(data.classes):
-        total = total + cl.size * (f1.values[j] * f2.values[j].conj())
-    return total * Fraction(1, f1.group.order)
+    sizes = f1.group.conjugacy_classes().sizes
+    products = (a * b.conj() for a, b in zip(f1.values, f2.values))
+    return dot(sizes, products) * Fraction(1, f1.group.order)
 
 
 def bilinear_form(f1: ClassFunction, f2: ClassFunction) -> Cyclo:
     """(f1,f2) = (1/|G|) sum_j r_j f1(g_j) f2(g_j^-1); symmetric."""
     f1._check_group(f2)
     data = f1.group.conjugacy_classes()
-    total = Cyclo.zero()
-    for j, cl in enumerate(data.classes):
-        total = total + cl.size * (f1.values[j] * f2.values[data.inverse_class[j]])
-    return total * Fraction(1, f1.group.order)
+    products = (a * f2.values[j] for a, j in zip(f1.values, data.inverse_class))
+    return dot(data.sizes, products) * Fraction(1, f1.group.order)
 
 
 def sym_alt_square(chi: ClassFunction) -> tuple[ClassFunction, ClassFunction]:
@@ -166,13 +162,8 @@ def dft_cyclic(f: Sequence[Cyclo], n: int) -> list[Cyclo]:
         raise ValueError(f"expected {n} values, got {len(f)}")
     f = [Cyclo._coerce(v) for v in f]
     inv_n = Fraction(1, n)
-    out = []
-    for q in range(n):
-        acc = Cyclo.zero()
-        for k, v in enumerate(f):
-            acc = acc + v * root_of_unity(n, (-k * q) % n)
-        out.append(inv_n * acc)
-    return out
+    return [inv_n * dot(f, [root_of_unity(n, -k * q) for k in range(n)])
+            for q in range(n)]
 
 
 def inverse_dft_cyclic(fhat: Sequence[Cyclo], n: int) -> list[Cyclo]:
@@ -180,24 +171,12 @@ def inverse_dft_cyclic(fhat: Sequence[Cyclo], n: int) -> list[Cyclo]:
     if len(fhat) != n:
         raise ValueError(f"expected {n} values, got {len(fhat)}")
     fhat = [Cyclo._coerce(v) for v in fhat]
-    out = []
-    for k in range(n):
-        acc = Cyclo.zero()
-        for q, v in enumerate(fhat):
-            acc = acc + v * root_of_unity(n, (k * q) % n)
-        out.append(acc)
-    return out
+    return [dot(fhat, [root_of_unity(n, k * q) for q in range(n)]) for k in range(n)]
 
 
 def plancherel_check(f: Sequence[Cyclo], n: int) -> tuple[Cyclo, Cyclo]:
     """Both sides of (1/n) sum |f(k)|^2 = sum |fhat(q)|^2, exactly."""
     f = [Cyclo._coerce(v) for v in f]
     fhat = dft_cyclic(f, n)
-    lhs = Cyclo.zero()
-    for v in f:
-        lhs = lhs + v * v.conj()
-    lhs = Fraction(1, n) * lhs
-    rhs = Cyclo.zero()
-    for v in fhat:
-        rhs = rhs + v * v.conj()
-    return lhs, rhs
+    lhs = Fraction(1, n) * dot(f, [v.conj() for v in f])
+    return lhs, dot(fhat, [v.conj() for v in fhat])

@@ -20,7 +20,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 MAX_ORDER = 10_000
 
@@ -387,7 +387,7 @@ def _poly_sub(a: list[RationalLike], b: list[RationalLike]) -> list[RationalLike
 
 
 def root_of_unity(e: int, k: int = 1) -> Cyclo:
-    """zeta_e^k as an exact value of Q(zeta_e)."""
+    """zeta_e^k as an exact value of Q(zeta_e); a rational power has order 1."""
     if e < 1:
         raise CycloError(f"root-of-unity order {e} must be >= 1")
     if e > MAX_ORDER:
@@ -395,7 +395,18 @@ def root_of_unity(e: int, k: int = 1) -> Cyclo:
     k %= e
     mono = [0] * (k + 1)
     mono[k] = 1
-    return Cyclo(e, _reduce(e, mono))
+    return Cyclo.from_powers(e, mono)
+
+
+def dot(xs: Iterable, ys: Iterable) -> Cyclo:
+    """sum_i xs[i] * ys[i], exactly, adding the products left to right to 0.
+
+    A running sum that turns rational drops to order 1, so the order of the
+    terms can decide the `order` the result is held at (never its value)."""
+    acc = Cyclo.zero()
+    for x, y in zip(xs, ys):
+        acc += x * y
+    return acc
 
 
 def from_rational(q: RationalLike) -> Cyclo:

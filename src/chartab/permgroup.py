@@ -160,6 +160,9 @@ class ClassData:
 
     def __init__(self, classes: list[ConjugacyClass]):
         self.classes = classes
+        self.sizes = tuple(cl.size for cl in classes)
+        self.representatives = tuple(cl.representative for cl in classes)
+        self.element_orders = tuple(cl.element_order for cl in classes)
         self.member_index: dict[Perm, int] = {}
         for idx, cl in enumerate(classes):
             for m in cl.members:
@@ -177,18 +180,6 @@ class ClassData:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(cl.size for cl in self.classes)
-
-    @property
-    def representatives(self) -> tuple[Perm, ...]:
-        return tuple(cl.representative for cl in self.classes)
-
-    @property
-    def element_orders(self) -> tuple[int, ...]:
-        return tuple(cl.element_order for cl in self.classes)
 
 
 class PermGroup:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .classfun import ClassFunction
-from .cyclo import Cyclo, from_rational, root_of_unity
+from .cyclo import Cyclo, dot, from_rational, root_of_unity
 from .permgroup import GroupMismatchError, ParseError, Perm, PermGroup, parse_group_spec
 
 CycloMatrix = tuple[tuple[Cyclo, ...], ...]
@@ -35,17 +35,8 @@ def mat_identity(n: int) -> CycloMatrix:
 
 
 def mat_mul(a: CycloMatrix, b: CycloMatrix) -> CycloMatrix:
-    n, inner, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = Cyclo.zero()
-            for k in range(inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    cols = tuple(zip(*b))
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def mat_eq(a: CycloMatrix, b: CycloMatrix) -> bool:
@@ -53,10 +44,7 @@ def mat_eq(a: CycloMatrix, b: CycloMatrix) -> bool:
 
 
 def mat_trace(a: CycloMatrix) -> Cyclo:
-    acc = Cyclo.zero()
-    for i in range(len(a)):
-        acc = acc + a[i][i]
-    return acc
+    return sum((a[i][i] for i in range(len(a))), Cyclo.zero())
 
 
 def mat_det(a: CycloMatrix) -> Cyclo:
@@ -64,15 +52,11 @@ def mat_det(a: CycloMatrix) -> Cyclo:
     n = len(a)
     if n == 1:
         return a[0][0]
-    acc = Cyclo.zero()
-    sign = 1
-    for j in range(n):
-        minor = tuple(
-            tuple(a[i][k] for k in range(n) if k != j) for i in range(1, n)
-        )
-        acc = acc + sign * (a[0][j] * mat_det(minor))
-        sign = -sign
-    return acc
+    cofactors = (
+        a[0][j] * mat_det(tuple(row[:j] + row[j + 1:] for row in a[1:]))
+        for j in range(n)
+    )
+    return dot([(-1) ** j for j in range(n)], cofactors)
 
 
 class MatrixRep:
@@ -195,10 +179,8 @@ def check_matrix_orthogonality(rep1: MatrixRep, rep2: MatrixRep) -> Orthogonalit
         for l in range(n1):
             for m in range(n2):
                 for j in range(n2):
-                    acc = Cyclo.zero()
-                    for a_mat, b_mat in pairs:
-                        acc = acc + a_mat[i][l] * b_mat[m][j]
-                    value = inv_order * acc
+                    value = inv_order * dot((a[i][l] for a, _ in pairs),
+                                            (b[m][j] for _, b in pairs))
                     if same and i == j and l == m:
                         expected = from_rational(Fraction(1, n1))
                     else:

@@ -11,7 +11,7 @@ from chartab.analysis import (
     restriction_report,
 )
 from chartab.classfun import ClassFunction, inner_product, regular_character, trivial_character
-from chartab.cyclo import Cyclo
+from chartab.cyclo import Cyclo, root_of_unity
 from chartab.permgroup import GroupMismatchError, parse_group_spec
 from chartab.tablegen import CharacterTable, build_character_table
 
@@ -228,6 +228,18 @@ class TestCheckAll:
         names = {r.name for r in report.results if not r.passed}
         assert "row-orthonormality" in names
 
+    def test_values_held_at_a_larger_order_pass(self):
+        # every value re-embedded in Q(zeta_6), rationals included: products
+        # of such values come back at their natural order, so the twist rows
+        # must be found by value, not by coefficient vector
+        g = parse_group_spec("A4")
+        table = build_character_table(g)
+        rows = [ClassFunction(g, [v.change_order(6) for v in row.values])
+                for row in table.rows]
+        report = check_all(CharacterTable(g, rows))
+        failing = [r.name for r in report.results if not r.passed]
+        assert report.ok, f"failing checks: {failing}"
+
     def test_report_rendering(self):
         table = build_character_table(parse_group_spec("S3"))
         report = check_all(table)
@@ -237,3 +249,70 @@ class TestCheckAll:
         payload = report.to_json()
         assert payload["ok"] is True
         assert len(payload["checks"]) == len(report.results)
+
+
+def _corrupted(table, kind):
+    """The table's rows with one corruption applied, as a new table."""
+    g = table.group
+    vals = [list(r.values) for r in table.rows]
+    h = len(vals)
+    last = vals[-1]
+    if kind == "add-one":
+        last[1] = last[1] + 1
+    elif kind == "conjugate":
+        i, j = next((i, j) for i in range(h) for j in range(h)
+                    if vals[i][j] != vals[i][j].conj())
+        vals[i][j] = vals[i][j].conj()
+    elif kind == "swap-columns":
+        # classes 1 and h-1 differ in size in every group tested
+        for row in vals:
+            row[1], row[-1] = row[-1], row[1]
+    elif kind == "negate-row":
+        vals[0] = [-v for v in vals[0]]
+    elif kind == "duplicate-row":
+        vals[-1] = list(vals[1])
+    elif kind == "times-zeta3":
+        j = next(j for j in range(1, h) if not last[j].is_zero())
+        last[j] = last[j] * root_of_unity(3)
+    return CharacterTable(g, [ClassFunction(g, v) for v in vals])
+
+
+CORRUPTION_FAILURES = {
+    "add-one": {"row-orthonormality", "rows-irreducible", "weighted-column-sum",
+                "central-character-identity", "linear-twist-irreducible"},
+    "conjugate": {"inverse-class-conjugation", "row-orthonormality",
+                  "linear-twist-irreducible"},
+    "swap-columns": {"column-norms", "row-orthonormality",
+                     "central-character-identity"},
+    "negate-row": {"first-row-trivial", "degrees-ascending", "regular-decomposition"},
+    "duplicate-row": {"row-orthonormality", "column-norms", "degree-squares-sum"},
+    "times-zeta3": {"row-orthonormality", "column-cross-orthogonality",
+                    "inverse-class-conjugation", "central-character-identity"},
+}
+
+D4XS3 = "perm:7:(1,3,0,2);(0,1);(4,6,5);(4,6)"
+
+# of these tables only A4's has non-real entries to conjugate
+CORRUPTION_CASES = [
+    (name, kind)
+    for name in ["S3", "Q8", "A4", "S4", "A5", D4XS3]
+    for kind in sorted(CORRUPTION_FAILURES)
+    if kind != "conjugate" or name == "A4"
+]
+
+
+class TestCheckAllCorruptions:
+    @pytest.mark.parametrize("name, kind", CORRUPTION_CASES)
+    def test_named_checks_fail(self, name, kind):
+        g = parse_group_spec(name)
+        report = check_all(_corrupted(build_character_table(g), kind))
+        failing = {r.name for r in report.results if not r.passed}
+        expected = set(CORRUPTION_FAILURES[kind])
+        if kind == "negate-row" and g.order // g.commutator_subgroup().order > 1:
+            # a nontrivial linear character twisted by another one gives the
+            # trivial character, whose row is now its negative
+            expected.add("linear-twist-irreducible")
+        assert expected <= failing
+        assert [r.name for r in report.results] == [
+            r.name for r in check_all(build_character_table(g)).results
+        ]

@@ -247,6 +247,9 @@ D4XD4 = "perm:8:(0,1,2,3);(0,2);(4,5,6,7);(4,6)"
     ("table A6", "fe3ffb5207402bc09c43360f913096aa5413640feedefb14abdf3640a7d5641b"),
     ("check A6", "c4459b2d728ccac1e3594b2d1332999fbcf46d95ebebceadebbad90ae41fd73b"),
     (f"check {D4XD4}", "411542fe20a0729cc54a9baa28aec4f57724075a88249dd0d6e3d03ae81234ee"),
+    # a relabeled D4xS3xC3
+    ("check perm:10:(1,4,8,3);(3,4);(0,7);(0,9,7);(2,5,6)",
+     "e504df83177da41cb52b6f1c077839b03d25d8fbaf040cb63ea98aa470f9e856"),
     ("symalt S5 --char 3", "33c49412be09a8715fe274a270bb24888257a7582cfeac9eca83fb98e3d92116"),
     # non-integral coefficients
     ("fourier 4 --values 1,0,1/2,0",

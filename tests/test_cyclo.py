@@ -10,6 +10,7 @@ from chartab.cyclo import (
     Cyclo,
     CycloError,
     cyclotomic_polynomial,
+    dot,
     euler_phi,
     from_rational,
     root_of_unity,
@@ -98,10 +99,32 @@ class TestFieldOps:
         assert z ** -1 == z.inverse()
         assert z ** 7 == 1
 
+    def test_rational_powers_have_order_one(self):
+        # zeta_e^k is held as arithmetic holds it: at order 1 when rational
+        for e in range(1, 25):
+            for k in range(e):
+                z = root_of_unity(e, k)
+                assert z.to_json() == (root_of_unity(e) ** k).to_json()
+                if 2 * k % e == 0:
+                    assert z.to_json() == from_rational(-1 if k else 1).to_json()
+
+    def test_dot_adds_left_to_right(self):
+        z3, z4 = root_of_unity(3), root_of_unity(4)
+        assert dot([], []) == 0
+        assert dot([2, z3], [z4, z4]) == 2 * z4 + z3 * z4
+        # the sum turns rational after two terms and drops to order 1, so
+        # the third term alone decides the order
+        assert dot([1, 1, 1], [z3, -z3, z4]).order == 4
+        assert dot([1, 1, 1], [z3, z4, -z3]).order == 12
+
     def test_mixed_order_arithmetic(self):
-        # zeta_2 + zeta_3 lands in Q(zeta_6)
+        # zeta_4 + zeta_3 lands in Q(zeta_12)
+        v = root_of_unity(4, 1) + root_of_unity(3, 1)
+        assert v.order == 12
+        assert abs(v.to_float() - (1j + cmath.exp(2j * cmath.pi / 3))) < 1e-12
+        # zeta_2 = -1 is rational, so it adds to zeta_3 inside Q(zeta_3)
         v = root_of_unity(2, 1) + root_of_unity(3, 1)
-        assert v.order == 6
+        assert v.order == 3
         assert abs(v.to_float() - (-1 + cmath.exp(2j * cmath.pi / 3))) < 1e-12
 
 
