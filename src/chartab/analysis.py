@@ -29,7 +29,7 @@ def restrict(chi: ClassFunction, h: Subgroup) -> ClassFunction:
     if h.parent is not chi.group:
         raise GroupMismatchError("subgroup does not belong to the function's group")
     fusion = h.fusion_to_parent()
-    return ClassFunction(h.as_group(), [chi.values[j] for j in fusion])
+    return ClassFunction(h, [chi.values[j] for j in fusion])
 
 
 class RestrictionReport:
@@ -57,7 +57,7 @@ def restriction_report(chi: ClassFunction, h: Subgroup,
     """Decompose chi|_H over the subgroup's own table and verify the norm
     bound sum d_i^2 <= [G:H]; for index-2 subgroups, classify per the
     splitting dichotomy and check the off-subgroup vanishing directly."""
-    if subgroup_table.group is not h.as_group():
+    if subgroup_table.group is not h:
         raise GroupMismatchError("table does not belong to the subgroup")
     restricted = restrict(chi, h)
     mults = decompose(restricted, subgroup_table)
@@ -76,7 +76,7 @@ def restriction_report(chi: ClassFunction, h: Subgroup,
     parent_classes = chi.group.conjugacy_classes().classes
     vanishes = True
     for j, cl in enumerate(parent_classes):
-        if any(m not in h.element_set for m in cl.members):
+        if any(m not in h for m in cl.members):
             if not chi.values[j].is_zero():
                 vanishes = False
                 break

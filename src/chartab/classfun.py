@@ -127,12 +127,20 @@ def is_irreducible(chi: ClassFunction) -> bool:
 
 
 def decompose(chi: ClassFunction, table) -> list[int]:
-    """Multiplicities <chi, chi_i> over the table rows; rejects non-characters."""
+    """Multiplicities <chi, chi_i> over the table rows; rejects non-characters.
+
+    Each is evaluated as its conjugate (1/|G|) sum_j r_j chi_i(g_j) conj(chi(g_j)),
+    so chi is conjugated once and no table value is; an accepted multiplicity
+    is rational, and so equal to its conjugate."""
+    sizes = chi.group.conjugacy_classes().sizes
+    chi_conj = [v.conj() for v in chi.values]
+    inv_order = Fraction(1, chi.group.order)
     mults = []
     for row in table.rows:
-        m = inner_product(chi, row)
+        chi._check_group(row)
+        m = dot(sizes, (a * b for a, b in zip(row.values, chi_conj))) * inv_order
         if not m.is_rational():
-            raise NotACharacterError(f"multiplicity {m} is not rational")
+            raise NotACharacterError(f"multiplicity {m.conj()} is not rational")
         q = m.as_rational()
         if q.denominator != 1 or q < 0:
             raise NotACharacterError(

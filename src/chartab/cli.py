@@ -217,7 +217,7 @@ def _embed_subgroup(parent: PermGroup, sub_spec: str, cap: int):
             f"subgroup degree {sub.degree} exceeds parent degree {parent.degree}"
         )
     padded = [
-        Perm(tuple(gen.images) + tuple(range(sub.degree, parent.degree)))
+        Perm(gen + tuple(range(sub.degree, parent.degree)))
         for gen in sub.generators
     ]
     return parent.subgroup(padded)
@@ -238,7 +238,7 @@ def cmd_restrict(args) -> int:
         raise CliError("restrict requires --subgroup", EXIT_USAGE)
     sub = _embed_subgroup(group, args.subgroup, cap)
     table = build_character_table(group)
-    sub_table = build_character_table(sub.as_group())
+    sub_table = build_character_table(sub)
     chi = _char_by_index(table, args.char)
     report = restriction_report(chi, sub, sub_table, char_index=args.char - 1)
     pieces = " + ".join(

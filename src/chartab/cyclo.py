@@ -134,6 +134,8 @@ class Cyclo:
 
     @staticmethod
     def from_rational(q: RationalLike) -> "Cyclo":
+        if type(q) is int:  # already canonical; a bool is made an int below
+            return Cyclo(1, (q,))
         return Cyclo(1, (_coeff(Fraction(q)),))
 
     @staticmethod

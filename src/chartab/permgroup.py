@@ -6,7 +6,7 @@ by breadth-first closure, which is adequate at desk scale (default cap
 sorted canonically: (size ascending, element order ascending, lexicographically
 least representative); the representative is the least member.  Normal
 subgroups are unions of classes (`NormalSubgroup`); `Subgroup` is a subgroup
-given by generators, enumerated as a group of its own.
+given by generators, a `PermGroup` of its own that knows its parent.
 """
 
 from __future__ import annotations
@@ -35,17 +35,19 @@ class GroupMismatchError(ValueError):
     """Operands belong to different groups."""
 
 
-class Perm:
-    """A permutation of {0..degree-1}, stored as its image tuple."""
+class Perm(tuple):
+    """A permutation of {0..degree-1}: the tuple of its images, which it
+    equals, hashes and orders as."""
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images: Sequence[int]):
-        self.images = tuple(images)
+    @property
+    def images(self) -> tuple[int, ...]:
+        return self
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self)
 
     @staticmethod
     def identity(degree: int) -> "Perm":
@@ -68,16 +70,14 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         # function composition: (self * other)(i) = self(other(i))
-        o = other.images
-        s = self.images
-        return Perm(tuple(s[o[i]] for i in range(len(s))))
+        return Perm(map(self.__getitem__, other))
 
     def __call__(self, point: int) -> int:
-        return self.images[point]
+        return self[point]
 
     def inv(self) -> "Perm":
-        out = [0] * len(self.images)
-        for i, v in enumerate(self.images):
+        out = [0] * len(self)
+        for i, v in enumerate(self):
             out[v] = i
         return Perm(out)
 
@@ -94,23 +94,23 @@ class Perm:
         return result
 
     def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
+        return all(v == i for i, v in enumerate(self))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting from its least point."""
-        seen = [False] * len(self.images)
+        seen = [False] * len(self)
         out = []
-        for start in range(len(self.images)):
-            if seen[start] or self.images[start] == start:
+        for start in range(len(self)):
+            if seen[start] or self[start] == start:
                 seen[start] = True
                 continue
             cycle = [start]
             seen[start] = True
-            pt = self.images[start]
+            pt = self[start]
             while pt != start:
                 cycle.append(pt)
                 seen[pt] = True
-                pt = self.images[pt]
+                pt = self[pt]
             out.append(tuple(cycle))
         return out
 
@@ -119,22 +119,13 @@ class Perm:
         return math.lcm(*lengths) if lengths else 1
 
     def fixed_points(self) -> int:
-        return sum(1 for i, v in enumerate(self.images) if i == v)
+        return sum(1 for i, v in enumerate(self) if i == v)
 
     def cycle_string(self) -> str:
         cyc = self.cycles()
         if not cyc:
             return "()"
         return "".join("(" + ",".join(map(str, c)) + ")" for c in cyc)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __lt__(self, other: "Perm") -> bool:
-        return self.images < other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"Perm{self.cycle_string()}"
@@ -194,12 +185,12 @@ class PermGroup:
         for g in self.generators:
             if g.degree != degree:
                 raise ParseError("generator degree does not match group degree")
-            if sorted(g.images) != list(range(degree)):
-                raise ParseError(f"generator {g.images} is not a bijection")
+            if sorted(g) != list(range(degree)):
+                raise ParseError(f"generator {tuple(g)} is not a bijection")
         self.cap = cap
         self.spec = spec
         self._elements: Optional[list[Perm]] = None
-        self._index: Optional[dict[Perm, int]] = None
+        self._element_set: Optional[set[Perm]] = None
         self._class_data: Optional[ClassData] = None
 
     # -- enumeration ------------------------------------------------------
@@ -210,24 +201,19 @@ class PermGroup:
             return self._elements
         identity = Perm.identity(self.degree)
         elements = [identity]
-        index = {identity: 0}
-        frontier = [identity]
-        while frontier:
-            new_frontier = []
-            for el in frontier:
-                for gen in self.generators:
-                    prod = el * gen
-                    if prod not in index:
-                        index[prod] = len(elements)
-                        elements.append(prod)
-                        new_frontier.append(prod)
-                        if len(elements) > self.cap:
-                            raise ResourceCapError(
-                                f"group enumeration exceeded cap of {self.cap} elements"
-                            )
-            frontier = new_frontier
+        element_set = {identity}
+        for el in elements:  # the list grows while it is walked: breadth-first
+            for gen in self.generators:
+                prod = el * gen
+                if prod not in element_set:
+                    element_set.add(prod)
+                    elements.append(prod)
+                    if len(elements) > self.cap:
+                        raise ResourceCapError(
+                            f"group enumeration exceeded cap of {self.cap} elements"
+                        )
         self._elements = elements
-        self._index = index
+        self._element_set = element_set
         return elements
 
     @property
@@ -244,7 +230,7 @@ class PermGroup:
 
     def __contains__(self, p: Perm) -> bool:
         self.enumerate()
-        return p in self._index
+        return p in self._element_set
 
     # -- conjugacy classes ---------------------------------------------------
 
@@ -253,26 +239,26 @@ class PermGroup:
             return self._class_data
         elements = self.enumerate()
         gens = [(gen, gen.inv()) for gen in self.generators]
-        assigned: dict[Perm, bool] = {}
+        assigned: set[Perm] = set()
         raw_classes: list[list[Perm]] = []
         for el in elements:
             if el in assigned:
                 continue
             # orbit of el under conjugation by the generators
             orbit = [el]
-            assigned[el] = True
+            assigned.add(el)
             queue = [el]
             while queue:
                 cur = queue.pop()
                 for gen, gen_inv in gens:
                     conj = gen * cur * gen_inv
                     if conj not in assigned:
-                        assigned[conj] = True
+                        assigned.add(conj)
                         orbit.append(conj)
                         queue.append(conj)
             raw_classes.append(orbit)
         classes = [ConjugacyClass(members) for members in raw_classes]
-        classes.sort(key=lambda c: (c.size, c.element_order, c.representative.images))
+        classes.sort(key=lambda c: (c.size, c.element_order, c.representative))
         self._class_data = ClassData(classes)
         return self._class_data
 
@@ -374,45 +360,25 @@ class PermGroup:
         return f"PermGroup({label})"
 
 
-class Subgroup:
-    """A subgroup of a parent group, enumerated with its own class data.
-
-    `class_fusion` maps each subgroup element to its subgroup class index;
-    `fusion_to_parent` maps subgroup class indices to parent class indices.
-    """
+class Subgroup(PermGroup):
+    """A subgroup of a parent group given by generators, enumerated as a
+    group of its own; `fusion_to_parent` maps its class indices to the
+    parent's."""
 
     def __init__(self, parent: PermGroup, gens: Sequence[Perm]):
+        super().__init__(parent.degree, gens, cap=parent.cap)
         self.parent = parent
-        self._group = PermGroup(parent.degree, tuple(gens), cap=parent.cap)
-        self.elements = self._group.elements
-        self.element_set = set(self.elements)
-        self.generators = self._group.generators
         if parent.order % self.order != 0:
             raise GroupMismatchError("subgroup order does not divide parent order")
         self.index = parent.order // self.order
 
-    @property
-    def order(self) -> int:
-        return self._group.order
-
-    def as_group(self) -> PermGroup:
-        """The subgroup as a group in its own right (shared instance)."""
-        return self._group
-
-    @property
-    def class_data(self) -> ClassData:
-        return self._group.conjugacy_classes()
-
-    @property
-    def class_fusion(self) -> dict[Perm, int]:
-        return self._group.conjugacy_classes().member_index
+    def as_group(self) -> "Subgroup":
+        """The subgroup as a group in its own right: itself."""
+        return self
 
     def fusion_to_parent(self) -> list[int]:
         parent_index = self.parent.conjugacy_classes().member_index
-        return [parent_index[cl.representative] for cl in self.class_data.classes]
-
-    def __contains__(self, p: Perm) -> bool:
-        return p in self.element_set
+        return [parent_index[g] for g in self.conjugacy_classes().representatives]
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, index={self.index})"

@@ -1,9 +1,9 @@
 """Explicit matrix representations over cyclotomics.
 
 A representation is given by generator images and extended to the whole
-group along the same breadth-first word order as element enumeration,
-verifying the homomorphism property on every Cayley-graph edge.  Matrix
-arithmetic is naive and exact; dimensions in scope are tiny.
+group along the group's own breadth-first element enumeration, verifying
+the homomorphism property on every Cayley-graph edge.  Matrix arithmetic is
+naive and exact; dimensions in scope are tiny.
 """
 
 from __future__ import annotations
@@ -78,31 +78,24 @@ class MatrixRep:
         self.full_images: dict[Perm, CycloMatrix] | None = None
 
     def extend_to_group(self) -> "MatrixRep":
-        """Fill images for every element, breadth-first from the identity;
-        raises when two words for the same element disagree."""
+        """Fill images for every element along the group's breadth-first
+        enumeration, checking every Cayley-graph edge; raises when two words
+        for the same element disagree."""
         if self.full_images is not None:
             return self
-        identity = Perm.identity(self.group.degree)
-        full = {identity: mat_identity(self.dim)}
-        frontier = [identity]
-        while frontier:
-            new_frontier = []
-            for el in frontier:
-                for gen, gen_img in zip(self.group.generators, self.images):
-                    prod = el * gen
-                    mat = mat_mul(full[el], gen_img)
-                    seen = full.get(prod)
-                    if seen is None:
-                        full[prod] = mat
-                        new_frontier.append(prod)
-                    elif not mat_eq(seen, mat):
-                        raise InconsistentRepError(
-                            f"images are not a homomorphism at element "
-                            f"{prod.cycle_string()}"
-                        )
-            frontier = new_frontier
-        if len(full) != self.group.order:
-            raise InconsistentRepError("extension did not reach every element")
+        full = {Perm.identity(self.group.degree): mat_identity(self.dim)}
+        for el in self.group.elements:
+            for gen, gen_img in zip(self.group.generators, self.images):
+                prod = el * gen
+                mat = mat_mul(full[el], gen_img)
+                seen = full.get(prod)
+                if seen is None:
+                    full[prod] = mat
+                elif not mat_eq(seen, mat):
+                    raise InconsistentRepError(
+                        f"images are not a homomorphism at element "
+                        f"{prod.cycle_string()}"
+                    )
         self.full_images = full
         return self
 

@@ -170,12 +170,12 @@ def degrees_from_eigen(vectors: list[list[int]], cc: ClassConstants,
                        p: int, order: int) -> list[int]:
     """Recover each degree from n_i^2 = |G| / sum_j lambda_ij lambda_ij* / r_j,
     taking the residue square root in (0, p/2)."""
+    r_inv = [pow(r % p, p - 2, p) for r in cc.sizes]
     degrees = []
     for v in vectors:
         s = 0
         for j in range(cc.h):
-            r_inv = pow(cc.sizes[j] % p, p - 2, p)
-            s = (s + v[j] * v[cc.inverse_class[j]] % p * r_inv) % p
+            s = (s + v[j] * v[cc.inverse_class[j]] % p * r_inv[j]) % p
         if s == 0:
             raise TableConstructionError("degenerate orthogonality sum")
         n_sq = order % p * pow(s, p - 2, p) % p

@@ -12,7 +12,7 @@ from chartab.analysis import (
 )
 from chartab.classfun import ClassFunction, inner_product, regular_character, trivial_character
 from chartab.cyclo import Cyclo, root_of_unity
-from chartab.permgroup import GroupMismatchError, parse_group_spec
+from chartab.permgroup import GroupMismatchError, PermGroup, parse_group_spec
 from chartab.tablegen import CharacterTable, build_character_table
 
 from conftest import BUILTINS_LE_24, class_index_of, ratio
@@ -116,6 +116,21 @@ class TestRestrictionReport:
             got = inner_product(restricted, psi)
             expected = Fraction(s5_group.order, a5_subgroup.order) * psi.values[0]
             assert got == expected
+
+    def test_subgroup_is_its_own_group(self, s5_table, a5_subgroup):
+        sub = a5_subgroup
+        assert isinstance(sub, PermGroup)
+        assert sub.as_group() is sub
+        table = build_character_table(sub)
+        assert table.group is sub
+        assert table.degrees == (1, 3, 3, 4, 5)
+        for i, chi in enumerate(s5_table.rows):
+            direct = restriction_report(chi, sub, table, char_index=i)
+            wrapped = restriction_report(chi, sub.as_group(), table, char_index=i)
+            assert direct.restricted == wrapped.restricted
+            assert direct.multiplicities == wrapped.multiplicities
+            assert (direct.norm, direct.case, direct.vanishes_off_subgroup) == (
+                wrapped.norm, wrapped.case, wrapped.vanishes_off_subgroup)
 
     def test_regular_restriction_pairing_s4(self):
         g = parse_group_spec("S4")

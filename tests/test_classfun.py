@@ -303,6 +303,25 @@ class TestDecompose:
         assert mults[table.rows.index(paper_chi(table, 3, g))] == 1
         assert mults[table.rows.index(paper_chi(table, 6, g))] == 1
 
+    def test_conjugates_chi_once(self, monkeypatch):
+        # no table value is conjugated, only the h values of chi
+        g = parse_group_spec("S6")
+        table = build_character_table(g)
+        chi = table.rows[2]
+        chi_s, _ = sym_alt_square(chi)
+        calls = []
+        conj = Cyclo.conj
+
+        def counting_conj(self):
+            calls.append(self)
+            return conj(self)
+
+        monkeypatch.setattr(Cyclo, "conj", counting_conj)
+        mults = decompose(chi_s, table)
+        assert len(calls) <= len(table.rows)
+        n = table.degrees[2]
+        assert sum(m * d for m, d in zip(mults, table.degrees)) == n * (n + 1) // 2
+
     def test_regular_gives_degrees(self):
         g = parse_group_spec("S4")
         table = build_character_table(g)

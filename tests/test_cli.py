@@ -250,6 +250,9 @@ D4XD4 = "perm:8:(0,1,2,3);(0,2);(4,5,6,7);(4,6)"
     # a relabeled D4xS3xC3
     ("check perm:10:(1,4,8,3);(3,4);(0,7);(0,9,7);(2,5,6)",
      "e504df83177da41cb52b6f1c077839b03d25d8fbaf040cb63ea98aa470f9e856"),
+    # the same group's class order and rep_cycles
+    ("table perm:10:(1,4,8,3);(3,4);(0,7);(0,9,7);(2,5,6)",
+     "544cee2da1cbd171e6f69696cfd7fb72ba1cd8d04b6d7b1f28e8552f05aa5a7c"),
     ("symalt S5 --char 3", "33c49412be09a8715fe274a270bb24888257a7582cfeac9eca83fb98e3d92116"),
     # non-integral coefficients
     ("fourier 4 --values 1,0,1/2,0",

@@ -390,9 +390,9 @@ class TestSubgroupMachinery:
     def test_class_fusion_constant_on_classes(self):
         g = parse_group_spec("S4")
         sub = g.subgroup([perm_of(g, "(0,1,2)"), perm_of(g, "(0,1)(2,3)")])
-        fusion = sub.class_fusion
-        for cl in sub.class_data.classes:
-            assert len({fusion[m] for m in cl.members}) == 1
+        data = sub.conjugacy_classes()
+        for cl in data.classes:
+            assert len({data.member_index[m] for m in cl.members}) == 1
 
 
 class TestSolvabilityInventory:
