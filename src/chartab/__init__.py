@@ -39,6 +39,7 @@ from .tablegen import (
     build_character_table,
     choose_prime,
     class_constants,
+    class_matrix,
     degrees_from_eigen,
     lift_characters,
     linear_characters,

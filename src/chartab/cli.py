@@ -371,6 +371,13 @@ COMMANDS = {
 }
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chartab",
@@ -387,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--cap", type=int, default=None,
                        help="enumeration cap (default 100000 or CHARTAB_CAP)")
-        p.add_argument("--precision", type=int, default=4,
+        p.add_argument("--precision", type=non_negative_int, default=4,
                        help="decimal places for approximate values")
     return parser
 

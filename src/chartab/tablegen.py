@@ -1,12 +1,12 @@
 """Exact character tables via the class-matrix eigenvalue method.
 
-Pipeline: class-multiplication constants -> prime choice -> simultaneous
-eigenvectors of the class matrices over F_p, found by splitting F_p^h with
-one class matrix after another (these realize the central characters
-lambda_ij = r_j chi_i(g_j) / n_i) -> degree recovery from the
-row orthogonality relation -> lifting of eigenvalue multiplicities to exact
-cyclotomic values by a mod-p discrete Fourier transform over each element
-order.  Everything downstream of the prime field is exact.
+Pipeline: prime choice -> simultaneous eigenvectors of the class matrices
+over F_p, found by splitting F_p^h with one class matrix after another, each
+computed as the split reads it (these realize the central characters
+lambda_ij = r_j chi_i(g_j) / n_i) -> degrees from the row orthogonality
+relation -> lifting of eigenvalue multiplicities to exact cyclotomic values
+by a mod-p discrete Fourier transform over each element order.  Everything
+downstream of the prime field is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from operator import mul
 from . import _modp as mp
 from .classfun import ClassFunction
 from .cyclo import Cyclo
-from .permgroup import PermGroup, Perm, ResourceCapError
+from .permgroup import ClassData, PermGroup, Perm, ResourceCapError
 
 SPLIT_SEED = 0x5EED
 MAX_SPLIT_DRAWS = 8  # random vectors tried per subspace split
@@ -32,28 +32,30 @@ class TableConstructionError(RuntimeError):
 class ClassConstants:
     """Class-multiplication constants a[j][k][l] with c_j c_k = sum_l a_jkl c_l."""
 
-    def __init__(self, h: int, a: list[list[list[int]]],
-                 sizes: tuple[int, ...], inverse_class: list[int]):
+    def __init__(self, h: int, a: list[list[list[int]]], sizes: tuple[int, ...]):
         self.h = h
         self.a = a
         self.sizes = sizes
-        self.inverse_class = inverse_class
+
+
+def class_matrix(data: ClassData, j: int) -> list[list[int]]:
+    """The class matrix M_j, row k and column l holding
+    a_jkl = #{x in C_j : x^-1 g_l in C_k}, by |C_j| h membership lookups."""
+    h = len(data)
+    index = data.member_index
+    mat = [[0] * h for _ in range(h)]
+    for x in data.classes[j].members:
+        x_inv = x.inv()
+        for l, g_l in enumerate(data.representatives):
+            mat[index[x_inv * g_l]][l] += 1
+    return mat
 
 
 def class_constants(g: PermGroup) -> ClassConstants:
-    """a_jkl = #{x in C_j : x^-1 g_l in C_k}, by membership lookup."""
+    """All h^3 constants, one class matrix per class."""
     data = g.conjugacy_classes()
     h = len(data)
-    index = data.member_index
-    a = [[[0] * h for _ in range(h)] for _ in range(h)]
-    reps = data.representatives
-    for j, cl_j in enumerate(data.classes):
-        row = a[j]
-        for x in cl_j.members:
-            x_inv = x.inv()
-            for l, g_l in enumerate(reps):
-                row[index[x_inv * g_l]][l] += 1
-    return ClassConstants(h, a, data.sizes, list(data.inverse_class))
+    return ClassConstants(h, [class_matrix(data, j) for j in range(h)], data.sizes)
 
 
 def choose_prime(g: PermGroup) -> int:
@@ -126,28 +128,31 @@ def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
     )
 
 
-def modp_eigenbasis(cc: ClassConstants, p: int) -> list[list[int]]:
+def modp_eigenbasis(g: PermGroup, p: int) -> list[list[int]]:
     """Simultaneous eigenvectors of all class matrices over F_p, each
     normalized so its identity-class coordinate is 1.
 
-    F_p^h is split by the class matrices one after another.  For a prime
-    with p = 1 (mod exponent), p does not divide |G|, so the central
+    F_p^h is split by the class matrices one after another, smallest class
+    first; M_j is computed only while some space is not yet a line.  For a
+    prime with p = 1 (mod exponent), p does not divide |G|, so the central
     characters stay distinct mod p and the class matrices alone separate
     them into lines.  Every random draw comes from one
     random.Random(SPLIT_SEED) stream, so the result is the same on every
     run."""
-    h = cc.h
+    data = g.conjugacy_classes()
+    h = len(data)
     rng = random.Random(SPLIT_SEED)
     spaces = [(mp.identity(h), list(range(h)))]
     for j in range(1, h):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
+        mat = class_matrix(data, j)
         refined = []
         for rows, pivots in spaces:
             if len(rows) == 1:
                 refined.append((rows, pivots))
             else:
-                refined.extend(_split_space(rows, pivots, cc.a[j], p, rng))
+                refined.extend(_split_space(rows, pivots, mat, p, rng))
         spaces = refined
     if any(len(rows) > 1 for rows, _ in spaces):
         raise TableConstructionError(
@@ -166,23 +171,27 @@ def modp_eigenbasis(cc: ClassConstants, p: int) -> list[list[int]]:
     return vectors
 
 
-def degrees_from_eigen(vectors: list[list[int]], cc: ClassConstants,
-                       p: int, order: int) -> list[int]:
-    """Recover each degree from n_i^2 = |G| / sum_j lambda_ij lambda_ij* / r_j,
-    taking the residue square root in (0, p/2)."""
-    r_inv = [pow(r % p, p - 2, p) for r in cc.sizes]
+def degrees_from_eigen(g: PermGroup, vectors: list[list[int]], p: int) -> list[int]:
+    """Recover each degree from n_i^2 = |G| / sum_j lambda_ij lambda_ij* / r_j:
+    n_i divides |G| and n_i^2 <= |G| < (p/2)^2, so the residue is the square
+    of exactly one divisor n of |G| with n^2 <= |G|."""
+    data = g.conjugacy_classes()
+    order = g.order
+    r_inv = [pow(r % p, p - 2, p) for r in data.sizes]
+    by_residue = {n * n % p: n for n in range(1, math.isqrt(order) + 1) if order % n == 0}
     degrees = []
     for v in vectors:
         s = 0
-        for j in range(cc.h):
-            s = (s + v[j] * v[cc.inverse_class[j]] % p * r_inv[j]) % p
+        for j, k in enumerate(data.inverse_class):
+            s = (s + v[j] * v[k] % p * r_inv[j]) % p
         if s == 0:
             raise TableConstructionError("degenerate orthogonality sum")
         n_sq = order % p * pow(s, p - 2, p) % p
-        root = mp.sqrt_mod(n_sq, p)
-        if root is None or root == 0:
-            raise TableConstructionError(f"degree residue {n_sq} has no square root")
-        degrees.append(min(root, p - root))
+        if n_sq not in by_residue:
+            raise TableConstructionError(
+                f"degree residue {n_sq} is not the square of a divisor of |G| = {order}"
+            )
+        degrees.append(by_residue[n_sq])
     if sum(n * n for n in degrees) != order:
         raise TableConstructionError(
             f"recovered degrees {sorted(degrees)} violate sum of squares = {order}"
@@ -307,11 +316,10 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
 
 
 def build_character_table(g: PermGroup) -> CharacterTable:
-    """Full pipeline: constants -> prime -> eigenbasis -> degrees -> lift."""
-    cc = class_constants(g)
+    """Full pipeline: prime -> eigenbasis -> degrees -> lift."""
     p = choose_prime(g)
-    vectors = modp_eigenbasis(cc, p)
-    degrees = degrees_from_eigen(vectors, cc, p, g.order)
+    vectors = modp_eigenbasis(g, p)
+    degrees = degrees_from_eigen(g, vectors, p)
     return lift_characters(g, vectors, degrees, p)
 
 

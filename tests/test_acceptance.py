@@ -163,6 +163,21 @@ def test_criterion_3_degree_facts():
     passed(3, "sum of squares, divisibility, and linear count hold for all builtins")
 
 
+def test_criterion_3_degrees_of_larger_groups():
+    d4 = [1, 1, 1, 1, 2]
+    expected = {
+        "S8": [1, 1, 7, 7, 14, 14, 20, 20, 21, 21, 28, 28, 35, 35, 42, 56, 56,
+               64, 64, 70, 70, 90],
+        # D4^3 (h = 125): Irr(G x H) = Irr(G) x Irr(H), so the degrees are the
+        # products of D4's, 64 of 1, 48 of 2, 12 of 4 and 1 of 8
+        "perm:12:(0,1,2,3);(0,2);(4,5,6,7);(4,6);(8,9,10,11);(8,10)":
+            sorted(a * b * c for a, b, c in iproduct(d4, repeat=3)),
+    }
+    for spec, degrees in expected.items():
+        assert sorted(build_character_table(parse_group_spec(spec)).degrees) == degrees
+    passed(3, "degree multisets of S8 and D4^3")
+
+
 def test_criterion_4_regular_decomposition():
     for name in BUILTIN_NAMES:
         g = parse_group_spec(name)

@@ -227,6 +227,14 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "classes", "S5", "--cap", "1000")
         assert code == 0
 
+    @pytest.mark.parametrize("extra", [(), ("--format", "csv")])
+    @pytest.mark.parametrize("precision", ["-1", "-2"])
+    def test_negative_precision_is_a_usage_error(self, capsys, extra, precision):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "A5", *extra, "--precision", precision])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "--precision" in capsys.readouterr().err
+
 
 def test_installed_entry_point():
     result = subprocess.run(

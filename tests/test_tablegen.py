@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from chartab import _modp as mp
 from chartab.classfun import inner_product, is_irreducible
 from chartab.cyclo import Cyclo, root_of_unity
+from chartab import tablegen
 from chartab.permgroup import Perm, parse_group_spec
 from chartab.tablegen import (
     SPLIT_SEED,
@@ -126,7 +127,7 @@ class TestEigenbasis:
         g = parse_group_spec("C2")
         p = choose_prime(g)
         assert p == 3
-        vectors = modp_eigenbasis(class_constants(g), p)
+        vectors = modp_eigenbasis(g, p)
         assert sorted(tuple(v) for v in vectors) == [(1, 1), (1, 2)]
 
     @pytest.mark.parametrize("name", [
@@ -139,7 +140,7 @@ class TestEigenbasis:
         g = parse_group_spec(name)
         cc = class_constants(g)
         p = choose_prime(g)
-        vectors = modp_eigenbasis(cc, p)
+        vectors = modp_eigenbasis(g, p)
         assert len(vectors) == cc.h
         for v in vectors:
             assert v[0] == 1
@@ -158,7 +159,7 @@ class TestEigenbasis:
         cc = class_constants(g)
         p = choose_prime(g)
         data = g.conjugacy_classes()
-        for v in modp_eigenbasis(cc, p):
+        for v in modp_eigenbasis(g, p):
             for j in range(cc.h):
                 for k in range(cc.h):
                     l = data.member_index[
@@ -167,12 +168,25 @@ class TestEigenbasis:
                     ]
                     assert v[j] * v[k] % p == v[l]
 
+    def test_split_computes_only_the_matrices_it_reads(self, monkeypatch):
+        # S8 (h = 22) is split into lines by M_1 and M_2; no other class
+        # matrix is computed
+        read = []
+        real = tablegen.class_matrix
+
+        def spy(data, j):
+            read.append(j)
+            return real(data, j)
+
+        monkeypatch.setattr(tablegen, "class_matrix", spy)
+        build_character_table(parse_group_spec("S8"))
+        assert read == [1, 2]
+
     def test_prime_dividing_the_order_fails_loudly(self):
         # 3 divides |S3| = 6: the class matrix of the 3-cycles has a single
         # eigenvalue mod 3 but is not scalar, so no split can succeed
-        cc = class_constants(parse_group_spec("S3"))
         with pytest.raises(TableConstructionError, match="F_3"):
-            modp_eigenbasis(cc, 3)
+            modp_eigenbasis(parse_group_spec("S3"), 3)
 
 
 def _poly_mul(a, b, p):
@@ -267,7 +281,7 @@ class TestSplitSpace:
         g = parse_group_spec(name)
         cc = class_constants(g)
         p = choose_prime(g)
-        eigvecs = modp_eigenbasis(cc, p)
+        eigvecs = modp_eigenbasis(g, p)
         mat = cc.a[j]
         assert len({v[j] for v in eigvecs}) > 1
         rows, pivots = mp.rref(mp.identity(cc.h), p)
@@ -287,24 +301,36 @@ class TestSplitSpace:
 class TestDegrees:
     def test_s5_multiset(self):
         g = parse_group_spec("S5")
-        cc = class_constants(g)
         p = choose_prime(g)
-        vectors = modp_eigenbasis(cc, p)
-        degrees = degrees_from_eigen(vectors, cc, p, g.order)
+        vectors = modp_eigenbasis(g, p)
+        degrees = degrees_from_eigen(g, vectors, p)
         assert sorted(degrees) == [1, 1, 4, 4, 5, 5, 6]
 
     def test_q8(self):
         g = parse_group_spec("Q8")
-        cc = class_constants(g)
         p = choose_prime(g)
-        degrees = degrees_from_eigen(modp_eigenbasis(cc, p), cc, p, g.order)
+        degrees = degrees_from_eigen(g, modp_eigenbasis(g, p), p)
         assert sorted(degrees) == [1, 1, 1, 1, 2]
 
     def test_trivial(self):
         g = parse_group_spec("C1")
-        cc = class_constants(g)
         p = choose_prime(g)
-        assert degrees_from_eigen(modp_eigenbasis(cc, p), cc, p, 1) == [1]
+        assert degrees_from_eigen(g, modp_eigenbasis(g, p), p) == [1]
+
+    def test_perturbed_eigenvector_names_its_residue(self):
+        g = parse_group_spec("S5")
+        p = choose_prime(g)
+        data = g.conjugacy_classes()
+        v = modp_eigenbasis(g, p)[-1]
+        v[1] = (v[1] + 1) % p
+        # n^2 = |G| / sum_j v_j v_j* / r_j mod p, and no divisor n of |G|
+        # has that square
+        s = sum(v[j] * v[k] * pow(r, -1, p)
+                for j, (k, r) in enumerate(zip(data.inverse_class, data.sizes)))
+        n_sq = g.order * pow(s, -1, p) % p
+        assert all(n * n % p != n_sq for n in range(1, g.order + 1) if g.order % n == 0)
+        with pytest.raises(TableConstructionError, match=rf"residue {n_sq}\b.*\b120\b"):
+            degrees_from_eigen(g, [v], p)
 
 
 class TestGoldenTables:
