@@ -107,8 +107,9 @@ def rref(a: Matrix, p: int) -> tuple[Matrix, list[int]]:
     return m[:r], pivots
 
 
-def nullspace_rows(a: Matrix, p: int) -> Matrix:
-    """Rows v with v @ a = 0 (a basis of the left null space, in RREF)."""
+def nullspace_rows(a: Matrix, p: int) -> tuple[Matrix, list[int]]:
+    """Rows v with v @ a = 0 (a basis of the left null space, in RREF) and
+    their pivot columns, as `rref` gives them."""
     reduced, pivots = rref(transpose(a), p)
     n = len(a)
     free = [c for c in range(n) if c not in pivots]
@@ -119,8 +120,7 @@ def nullspace_rows(a: Matrix, p: int) -> Matrix:
         for r, c in enumerate(pivots):
             v[c] = (-reduced[r][f]) % p
         basis.append(v)
-    reduced_basis, _ = rref(basis, p) if basis else ([], [])
-    return reduced_basis
+    return rref(basis, p)
 
 
 def poly_eval(a: list[int], x: int, p: int) -> int:

@@ -31,7 +31,7 @@ from .permgroup import (
     ResourceCapError,
     parse_group_spec,
 )
-from .tablegen import CharacterTable, TableConstructionError, build_character_table
+from .tablegen import CharacterTable, TableConstructionError, build_character_table, classes_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,8 +53,8 @@ def _cap_from(args) -> int:
     env = os.environ.get("CHARTAB_CAP")
     if env:
         try:
-            return int(env)
-        except ValueError as exc:
+            return non_negative_int(env)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise CliError(f"bad CHARTAB_CAP value {env!r}", EXIT_USAGE) from exc
     return DEFAULT_CAP
 
@@ -116,6 +116,13 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _sum_of(mults: list[int], label: str) -> str:
+    """A decomposition as text: [0, 0, 2, 0, 1] with label X is "2*X3 + X5"."""
+    return " + ".join(
+        (f"{d}*" if d > 1 else "") + f"{label}{k + 1}" for k, d in enumerate(mults) if d
+    ) or "0"
+
+
 def cmd_table(args) -> int:
     group = _load_group(args.spec, _cap_from(args))
     table = build_character_table(group)
@@ -132,19 +139,7 @@ def cmd_classes(args) -> int:
     group = _load_group(args.spec, _cap_from(args))
     data = group.conjugacy_classes()
     if args.format == "json":
-        payload = {
-            "group": group.spec,
-            "order": group.order,
-            "classes": [
-                {
-                    "rep_cycles": cl.representative.cycle_string(),
-                    "size": cl.size,
-                    "element_order": cl.element_order,
-                }
-                for cl in data.classes
-            ],
-        }
-        print(_json_dumps(payload))
+        print(_json_dumps(classes_json(group)))
     else:
         print(f"group {group.spec}, order {group.order}, {len(data)} classes")
         for j, cl in enumerate(data.classes):
@@ -241,11 +236,6 @@ def cmd_restrict(args) -> int:
     sub_table = build_character_table(sub)
     chi = _char_by_index(table, args.char)
     report = restriction_report(chi, sub, sub_table, char_index=args.char - 1)
-    pieces = " + ".join(
-        (f"{d}*" if d > 1 else "") + f"H{i + 1}"
-        for i, d in enumerate(report.multiplicities)
-        if d
-    )
     if args.format == "json":
         payload = {
             "group": group.spec,
@@ -261,7 +251,7 @@ def cmd_restrict(args) -> int:
     else:
         print(f"X{args.char} of {group.spec} restricted to index-{sub.index} subgroup")
         print(f"norm = {report.norm}")
-        print(f"{report.case}: {pieces}")
+        print(f"{report.case}: {_sum_of(report.multiplicities, 'H')}")
         print(f"vanishes off subgroup: {report.vanishes_off_subgroup}")
     return EXIT_OK
 
@@ -278,9 +268,6 @@ def cmd_tensor(args) -> int:
         raise CliError(f"bad --chars value {args.chars!r}", EXIT_USAGE) from exc
     chi = _char_by_index(table, i) * _char_by_index(table, j)
     mults = decompose(chi, table)
-    pieces = " + ".join(
-        (f"{d}*" if d > 1 else "") + f"X{k + 1}" for k, d in enumerate(mults) if d
-    )
     if args.format == "json":
         print(_json_dumps({
             "group": group.spec,
@@ -289,7 +276,7 @@ def cmd_tensor(args) -> int:
             "product_values": [v.to_json() for v in chi.values],
         }))
     else:
-        print(f"X{i}*X{j} = {pieces}")
+        print(f"X{i}*X{j} = {_sum_of(mults, 'X')}")
         print(f"values: {[v.exact_str() for v in chi.values]}")
     return EXIT_OK
 
@@ -299,27 +286,20 @@ def cmd_symalt(args) -> int:
     table = build_character_table(group)
     chi = _char_by_index(table, args.char)
     sym, alt = sym_alt_square(chi)
-    out = {}
-    for label, f in (("sym", sym), ("alt", alt)):
-        mults = decompose(f, table)
-        pieces = " + ".join(
-            (f"{d}*" if d > 1 else "") + f"X{k + 1}" for k, d in enumerate(mults) if d
-        ) or "0"
-        out[label] = (f, mults, pieces)
+    sym_mults, alt_mults = decompose(sym, table), decompose(alt, table)
     if args.format == "json":
         print(_json_dumps({
             "group": group.spec,
             "char": args.char,
             "sym": {"values": [v.to_json() for v in sym.values],
-                    "multiplicities": out["sym"][1]},
+                    "multiplicities": sym_mults},
             "alt": {"values": [v.to_json() for v in alt.values],
-                    "multiplicities": out["alt"][1]},
+                    "multiplicities": alt_mults},
         }))
     else:
-        for label, (f, mults, pieces) in out.items():
-            tag = "chi_S" if label == "sym" else "chi_A"
+        for tag, f, mults in (("chi_S", sym, sym_mults), ("chi_A", alt, alt_mults)):
             irr = " (irreducible)" if not f.is_zero() and is_irreducible(f) else ""
-            print(f"{tag} = {pieces}{irr}")
+            print(f"{tag} = {_sum_of(mults, 'X')}{irr}")
             print(f"  values: {[v.exact_str() for v in f.values]}")
     return EXIT_OK
 
@@ -358,24 +338,41 @@ def cmd_fourier(args) -> int:
     return EXIT_OK
 
 
-COMMANDS = {
-    "table": cmd_table,
-    "classes": cmd_classes,
-    "check": cmd_check,
-    "simple": cmd_simple,
-    "solvable": cmd_solvable,
-    "restrict": cmd_restrict,
-    "tensor": cmd_tensor,
-    "symalt": cmd_symalt,
-    "fourier": cmd_fourier,
-}
-
-
 def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
+
+
+# every option, in --help order, with its argparse settings; --format takes
+# its choices from the command
+OPTIONS = {
+    "--subgroup": {"help": "subgroup spec"},
+    "--char": {"type": int, "default": 1, "help": "1-based character index"},
+    "--chars": {"help": "pair of 1-based indices, e.g. 2,3"},
+    "--values": {"help": "comma-separated rationals"},
+    "--format": {"default": "text"},
+    "--cap": {"type": non_negative_int, "default": None,
+              "help": "enumeration cap (default 100000 or CHARTAB_CAP)"},
+    "--precision": {"type": non_negative_int, "default": 4,
+                    "help": "decimal places for approximate values"},
+}
+
+TEXT_JSON = ("text", "json")
+
+# each command: its handler, its output formats, and the other options it reads
+COMMANDS = {
+    "table": (cmd_table, ("text", "json", "csv"), {"--cap", "--precision"}),
+    "classes": (cmd_classes, TEXT_JSON, {"--cap"}),
+    "check": (cmd_check, TEXT_JSON, {"--cap"}),
+    "simple": (cmd_simple, TEXT_JSON, {"--cap"}),
+    "solvable": (cmd_solvable, TEXT_JSON, {"--cap"}),
+    "restrict": (cmd_restrict, TEXT_JSON, {"--subgroup", "--char", "--cap"}),
+    "tensor": (cmd_tensor, TEXT_JSON, {"--chars", "--cap"}),
+    "symalt": (cmd_symalt, TEXT_JSON, {"--char", "--cap"}),
+    "fourier": (cmd_fourier, TEXT_JSON, {"--values"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,18 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact character tables of finite permutation groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, formats, reads) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("spec", help="group spec (or modulus n for fourier)")
-        p.add_argument("--subgroup", help="subgroup spec for restrict")
-        p.add_argument("--char", type=int, default=1, help="1-based character index")
-        p.add_argument("--chars", help="pair of 1-based indices, e.g. 2,3")
-        p.add_argument("--values", help="comma-separated rationals for fourier")
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        p.add_argument("--cap", type=int, default=None,
-                       help="enumeration cap (default 100000 or CHARTAB_CAP)")
-        p.add_argument("--precision", type=non_negative_int, default=4,
-                       help="decimal places for approximate values")
+        for flag, settings in OPTIONS.items():
+            if flag == "--format":
+                p.add_argument(flag, choices=formats, **settings)
+            elif flag in reads:
+                p.add_argument(flag, **settings)
     return parser
 
 
@@ -403,7 +396,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = COMMANDS[args.command](args)
+        code = COMMANDS[args.command][0](args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -158,9 +158,6 @@ class ClassData:
         for idx, cl in enumerate(classes):
             for m in cl.members:
                 self.member_index[m] = idx
-        self.inverse_class = [
-            self.member_index[cl.representative.inv()] for cl in classes
-        ]
         self.power_class = []
         for cl in classes:
             powers, cur = [0], cl.representative  # the identity class is first
@@ -168,6 +165,8 @@ class ClassData:
                 powers.append(self.member_index[cur])
                 cur = cur * cl.representative
             self.power_class.append(powers)
+        # g^-1 = g^(d-1), the last power
+        self.inverse_class = [powers[-1] for powers in self.power_class]
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -192,6 +191,7 @@ class PermGroup:
         self._elements: Optional[list[Perm]] = None
         self._element_set: Optional[set[Perm]] = None
         self._class_data: Optional[ClassData] = None
+        self._commutator_subgroup: Optional[NormalSubgroup] = None
 
     # -- enumeration ------------------------------------------------------
 
@@ -276,13 +276,15 @@ class PermGroup:
         """G', closed from the classes of the commutators x^-1 z, x a class
         representative and z a member of its class: every commutator
         g^-1 t^-1 g t is conjugate to one of these."""
-        data = self.conjugacy_classes()
-        index = data.member_index
-        seed = set()
-        for cl in data.classes:
-            x_inv = cl.representative.inv()
-            seed.update(index[x_inv * z] for z in cl.members)
-        return self._normal_closure_of(seed)
+        if self._commutator_subgroup is None:
+            data = self.conjugacy_classes()
+            index = data.member_index
+            seed = set()
+            for cl in data.classes:
+                x_inv = cl.representative.inv()
+                seed.update(index[x_inv * z] for z in cl.members)
+            self._commutator_subgroup = self._normal_closure_of(seed)
+        return self._commutator_subgroup
 
     def normal_closure(self, s: Perm) -> "NormalSubgroup":
         if s not in self:

@@ -116,10 +116,10 @@ def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
                 [(coords[i][j] - (lam if i == j else 0)) % p for j in range(d)]
                 for i in range(d)
             ]
-            sub = mp.mat_mul(mp.nullspace_rows(shifted, p), rows, p)
-            sub_rref, sub_pivots = mp.rref(sub, p)
-            total_dim += len(sub_rref)
-            out.append((sub_rref, sub_pivots))
+            # null and rows are in RREF, so null rows is too
+            null, null_pivots = mp.nullspace_rows(shifted, p)
+            total_dim += len(null)
+            out.append((mp.mat_mul(null, rows, p), [pivots[q] for q in null_pivots]))
         if total_dim == d:
             return out
     raise TableConstructionError(
@@ -207,6 +207,19 @@ def _row_sort_key(values: tuple[Cyclo, ...]):
     return tuple(key)
 
 
+def classes_json(group: PermGroup) -> dict:
+    """The group and its classes: `chartab classes` and a table's JSON head."""
+    return {
+        "group": group.spec,
+        "order": group.order,
+        "classes": [
+            {"rep_cycles": cl.representative.cycle_string(), "size": cl.size,
+             "element_order": cl.element_order}
+            for cl in group.conjugacy_classes().classes
+        ],
+    }
+
+
 class CharacterTable:
     """The square table of irreducible characters in canonical order:
     rows by ascending degree (ties by descending value key), columns in the
@@ -244,16 +257,7 @@ class CharacterTable:
 
     def to_json(self) -> dict:
         return {
-            "group": self.group.spec,
-            "order": self.group.order,
-            "classes": [
-                {
-                    "rep_cycles": cl.representative.cycle_string(),
-                    "size": cl.size,
-                    "element_order": cl.element_order,
-                }
-                for cl in self.class_data.classes
-            ],
+            **classes_json(self.group),
             "characters": [
                 {
                     "degree": self.degrees[i],

@@ -255,6 +255,17 @@ class TestCheckAll:
         failing = [r.name for r in report.results if not r.passed]
         assert report.ok, f"failing checks: {failing}"
 
+    def test_commutator_subgroup_is_closed_once(self, monkeypatch):
+        # a group of its own, not one the parse cache has seen
+        g = PermGroup(4, parse_group_spec("S4").generators)
+        table = build_character_table(g)
+        calls = []
+        closure = PermGroup._normal_closure_of
+        monkeypatch.setattr(PermGroup, "_normal_closure_of",
+                            lambda self, seed: calls.append(seed) or closure(self, seed))
+        assert check_all(table).ok
+        assert len(calls) == 1
+
     def test_report_rendering(self):
         table = build_character_table(parse_group_spec("S3"))
         report = check_all(table)

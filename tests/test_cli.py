@@ -236,6 +236,49 @@ class TestExitCodes:
         assert "--precision" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv", [
+        ("check", "S3", "--format", "csv"),
+        ("table", "S3", "--char", "2"),
+        ("fourier", "4", "--values", "1,1,1,1", "--cap", "10"),
+    ])
+    def test_option_the_command_does_not_read_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == cli.EXIT_USAGE
+
+    def test_negative_cap_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classes", "S3", "--cap", "-1"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "--cap" in capsys.readouterr().err
+
+    def test_negative_env_cap_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHARTAB_CAP", "-5")
+        code, _, err = run_cli(capsys, "classes", "S3")
+        assert code == cli.EXIT_USAGE
+        assert "CHARTAB_CAP" in err
+
+
+@pytest.mark.parametrize("command, options", [
+    ("table", ["--format", "--cap", "--precision"]),
+    ("classes", ["--format", "--cap"]),
+    ("check", ["--format", "--cap"]),
+    ("simple", ["--format", "--cap"]),
+    ("solvable", ["--format", "--cap"]),
+    ("restrict", ["--subgroup", "--char", "--format", "--cap"]),
+    ("tensor", ["--chars", "--format", "--cap"]),
+    ("symalt", ["--char", "--format", "--cap"]),
+    ("fourier", ["--values", "--format"]),
+])
+def test_each_command_takes_only_the_options_it_reads(capsys, command, options):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  --")]
+    assert listed == options
+
+
 def test_installed_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "chartab.cli", "table", "S3"],

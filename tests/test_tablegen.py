@@ -245,6 +245,22 @@ class TestMinimalPolynomial:
             assert len(f) == len(set(diag)) + 1
 
 
+class TestNullspaceRows:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([5, 13, 37]), st.integers(1, 6), st.integers(1, 6),
+           st.integers(0, 6), st.randoms(use_true_random=False))
+    def test_rref_basis_of_left_null_space(self, p, n, m, rank, rnd):
+        # a = b c with b n x rank and c rank x m has rank <= rank
+        b = [[rnd.randrange(p) for _ in range(rank)] for _ in range(n)]
+        c = [[rnd.randrange(p) for _ in range(m)] for _ in range(rank)]
+        a = mp.mat_mul(b, c, p) if rank else [[0] * m for _ in range(n)]
+        rows, pivots = mp.nullspace_rows(a, p)
+        assert mp.rref(rows, p) == (rows, pivots)
+        assert len(rows) == n - len(mp.rref(a, p)[0])
+        for v in rows:
+            assert not any(mp.mat_mul([v], a, p)[0])
+
+
 class ScriptedRandom(random.Random):
     """The SPLIT_SEED stream with its first randrange results scripted;
     counts every draw."""
