@@ -113,7 +113,8 @@ def _render_table_csv(table: CharacterTable, precision: int) -> str:
 
 
 def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2)
+    # compact separators let CPython use its C encoder; indent=2 does not
+    return json.dumps(payload, separators=(",", ":"))
 
 
 def _sum_of(mults: list[int], label: str) -> str:

@@ -133,19 +133,41 @@ def modp_eigenbasis(g: PermGroup, p: int) -> list[list[int]]:
     normalized so its identity-class coordinate is 1.
 
     F_p^h is split by the class matrices one after another, smallest class
-    first; M_j is computed only while some space is not yet a line.  For a
-    prime with p = 1 (mod exponent), p does not divide |G|, so the central
-    characters stay distinct mod p and the class matrices alone separate
-    them into lines.  Every random draw comes from one
-    random.Random(SPLIT_SEED) stream, so the result is the same on every
-    run."""
+    first, while some space is not yet a line.  A class is covered when its
+    matrix is known to act as a scalar on every space; its matrix is then
+    skipped, never computed.  The identity class and each class applied are
+    covered.  The class matrices multiply as the classes do, M_j M_k =
+    sum_l a_jkl M_l, so when M_j was read, k is covered and l is the one
+    uncovered class with a_jkl != 0 mod p in row k, l is covered too.
+    Spaces only get finer, so a class stays covered.  For a prime with
+    p = 1 (mod exponent), p does not divide |G|, so the central characters
+    stay distinct mod p and the class matrices alone separate them into
+    lines.  Every random draw comes from one random.Random(SPLIT_SEED)
+    stream, and lines are unique, so the result is the same on every run
+    whichever matrices split them."""
     data = g.conjugacy_classes()
     h = len(data)
     rng = random.Random(SPLIT_SEED)
     spaces = [(mp.identity(h), list(range(h)))]
+    covered = [True] + [False] * (h - 1)  # M_0 is the identity
+    # for each row k of a read matrix, the uncovered classes of its support:
+    # rows_at[k] holds those sets, and holding[l] the (k, set) pairs with l
+    rows_at: list[list[set[int]]] = [[] for _ in range(h)]
+    holding: list[list[tuple[int, set[int]]]] = [[] for _ in range(h)]
+    todo: list[int] = []
+
+    def settle(k: int, open_l: set[int]) -> None:
+        if covered[k] and len(open_l) == 1:
+            (l,) = open_l
+            if not covered[l]:
+                covered[l] = True
+                todo.append(l)
+
     for j in range(1, h):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
+        if covered[j]:
+            continue
         mat = class_matrix(data, j)
         refined = []
         for rows, pivots in spaces:
@@ -154,6 +176,21 @@ def modp_eigenbasis(g: PermGroup, p: int) -> list[list[int]]:
             else:
                 refined.extend(_split_space(rows, pivots, mat, p, rng))
         spaces = refined
+        covered[j] = True
+        todo.append(j)
+        for k, row in enumerate(mat):
+            open_l = {l for l, a in enumerate(row) if a % p and not covered[l]}
+            rows_at[k].append(open_l)
+            for l in open_l:
+                holding[l].append((k, open_l))
+            settle(k, open_l)
+        while todo:  # a newly covered class re-examines the rows that hold it
+            x = todo.pop()
+            for k, open_l in holding[x]:
+                open_l.discard(x)
+                settle(k, open_l)
+            for open_l in rows_at[x]:
+                settle(x, open_l)
     if any(len(rows) > 1 for rows, _ in spaces):
         raise TableConstructionError(
             f"failed to separate eigenspaces over F_{p} (bad prime)"
@@ -199,12 +236,27 @@ def degrees_from_eigen(g: PermGroup, vectors: list[list[int]], p: int) -> list[i
     return degrees
 
 
-def _row_sort_key(values: tuple[Cyclo, ...]):
+def _row_sort_key(values: tuple[Cyclo, ...], value_keys: dict | None = None) -> tuple:
+    """A row's place in the canonical order: its degree, then each value's
+    rounded float, descending.  value_keys memoises the float key of each
+    distinct (order, coeffs) across the rows of one sort."""
+    if value_keys is None:
+        value_keys = {}
     key = [values[0].as_rational()]
     for v in values:
-        fv = v.to_float()
-        key.append((-int(round(fv.real * 1e9)), -int(round(fv.imag * 1e9))))
+        vkey = value_keys.get((v.order, v.coeffs))
+        if vkey is None:
+            fv = v.to_float()
+            vkey = value_keys[v.order, v.coeffs] = (
+                -int(round(fv.real * 1e9)), -int(round(fv.imag * 1e9)))
+        key.append(vkey)
     return tuple(key)
+
+
+def _sorted_rows(rows: list[ClassFunction]) -> list[ClassFunction]:
+    """Rows in canonical order: ascending degree, ties by descending values."""
+    value_keys: dict = {}
+    return sorted(rows, key=lambda r: _row_sort_key(r.values, value_keys))
 
 
 def classes_json(group: PermGroup) -> dict:
@@ -233,7 +285,7 @@ class CharacterTable:
             )
         self.group = group
         self.class_data = data
-        self.rows = sorted(rows, key=lambda r: _row_sort_key(r.values))
+        self.rows = _sorted_rows(rows)
         self.degrees = tuple(r.values[0].as_rational() for r in self.rows)
 
     def __len__(self) -> int:
@@ -275,47 +327,78 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
                     degrees: list[int], p: int) -> CharacterTable:
     """Lift mod-p character values to exact cyclotomics.
 
-    For each row and class, with d the order of the class's elements, the
-    multiplicities of the d-th roots of unity among the eigenvalues of the
-    representing matrix are recovered by an inverse DFT of chi mod p along
-    the d entries of the power map of the class, using z^(e/d) for a fixed
-    element z of order e in F_p; the DFT matrix is built once per order d.
-    The exact value is then sum_t m_t zeta_d^t, in Q(zeta_d), or in Q when
-    it is rational.
+    A class j of elements g of order d is rational when it holds every
+    generator g^s of <g>, gcd(s, d) = 1 (power_class[j][s] == j).  There
+    chi(g) is an integer with |chi(g)| <= n_i < p/2: chi mod p, centred.
+    Each such column is checked by the integer identity sum_i n_i chi_i(g)
+    = 0 for g != 1, which a single wrong value breaks.
+
+    The other classes fall into Galois orbits {g^s : gcd(s, d) = 1}.  On the
+    first class of an orbit, the multiplicities m_t of the d-th roots of
+    unity among the eigenvalues of the representing matrix are recovered by
+    an inverse DFT of chi mod p along the d entries of its power map, using
+    zeta_d = z^(e/d) for a fixed element z of order e in F_p; the DFT matrix
+    is built once per order d.  The class of g^s takes m'_(ts mod d) = m_t:
+    its chi mod p is the DFT's entry at s, so the bounds checked on the m_t
+    cover it too.  The exact value is sum_t m_t zeta_d^t, in Q(zeta_d), or
+    in Q when it is rational.
     """
     data = group.conjugacy_classes()
     e = group.exponent
     z = mp.element_of_order(e, p)
     size_inv = [pow(cl.size % p, p - 2, p) for cl in data.classes]
+    rational = []
+    orbit_of = {}  # non-rational class j -> (first class j0 of its orbit, s)
+    for j, powers in enumerate(data.power_class):
+        units = [s for s in range(1, len(powers)) if math.gcd(s, len(powers)) == 1]
+        if all(powers[s] == j for s in units):
+            rational.append(j)
+        elif j not in orbit_of:
+            for s in units:
+                orbit_of.setdefault(powers[s], (j, s))
     # dft[d][t][s] = zeta_d^-ts / d mod p, zeta_d = z^(e/d)
     dft = {}
-    for d in set(data.element_orders):
+    for d in {len(data.power_class[j]) for j in orbit_of}:
         zd_inv, d_inv = pow(z, (e // d) * (p - 2), p), pow(d, p - 2, p)
         w = [pow(zd_inv, k, p) * d_inv % p for k in range(d)]
         dft[d] = [[w[t * s % d] for s in range(d)] for t in range(d)]
     rows = []
     for n_i, v in zip(degrees, vectors):
         chi = [n_i * x % p * r % p for x, r in zip(v, size_inv)]  # chi mod p
-        values = []
-        for powers in data.power_class:
-            d, along = len(powers), [chi[k] for k in powers]
-            exps = [0] * d
-            total = 0
-            for t, w in enumerate(dft[d]):
-                m = sum(map(mul, along, w)) % p
-                if m > n_i:
+        values = [None] * len(chi)
+        for j in rational:
+            c = chi[j] - p if chi[j] > p // 2 else chi[j]
+            if abs(c) > n_i:
+                raise TableConstructionError(f"rational value {c} exceeds degree {n_i}")
+            values[j] = Cyclo(1, (c,))
+        mults = {}
+        for j, (j0, s) in orbit_of.items():
+            powers = data.power_class[j]
+            d = len(powers)
+            if j == j0:
+                along = [chi[k] for k in powers]
+                exps = [sum(map(mul, along, w)) % p for w in dft[d]]
+                if max(exps) > n_i:
                     raise TableConstructionError(
-                        f"lifted multiplicity {m} exceeds degree {n_i}"
+                        f"lifted multiplicity {max(exps)} exceeds degree {n_i}"
                     )
-                if m:
-                    exps[t] = m
-                    total += m
-            if total != n_i:
-                raise TableConstructionError(
-                    f"multiplicities sum to {total}, expected degree {n_i}"
-                )
-            values.append(Cyclo.from_powers(d, exps))
+                if sum(exps) != n_i:
+                    raise TableConstructionError(
+                        f"multiplicities sum to {sum(exps)}, expected degree {n_i}"
+                    )
+                mults[j] = exps
+            else:
+                exps = [0] * d
+                for t, m in enumerate(mults[j0]):
+                    exps[t * s % d] = m
+            values[j] = Cyclo.from_powers(d, exps)
         rows.append(ClassFunction(group, values))
+    for j in rational[1:]:  # the regular character vanishes off the identity
+        total = sum(n_i * row.values[j].coeffs[0] for n_i, row in zip(degrees, rows))
+        if total:
+            raise TableConstructionError(
+                f"column {j}: sum of degree times value is {total}, not 0"
+            )
     return CharacterTable(group, rows)
 
 
@@ -405,5 +488,4 @@ def linear_characters(g: PermGroup) -> list[ClassFunction]:
             num[k // g_k] = 1
             values.append(Cyclo.from_powers(exponent // g_k, num))
         out.append(ClassFunction(g, values))
-    out.sort(key=lambda f: _row_sort_key(f.values))
-    return out
+    return _sorted_rows(out)

@@ -172,10 +172,12 @@ def test_criterion_3_degrees_of_larger_groups():
         # products of D4's, 64 of 1, 48 of 2, 12 of 4 and 1 of 8
         "perm:12:(0,1,2,3);(0,2);(4,5,6,7);(4,6);(8,9,10,11);(8,10)":
             sorted(a * b * c for a, b, c in iproduct(d4, repeat=3)),
+        # C2^8 (h = 256): abelian, so 256 linear characters
+        "perm:16:(0,1);(2,3);(4,5);(6,7);(8,9);(10,11);(12,13);(14,15)": [1] * 256,
     }
     for spec, degrees in expected.items():
         assert sorted(build_character_table(parse_group_spec(spec)).degrees) == degrees
-    passed(3, "degree multisets of S8 and D4^3")
+    passed(3, "degree multisets of S8, D4^3 and C2^8")
 
 
 def test_criterion_4_regular_decomposition():

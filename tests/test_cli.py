@@ -54,7 +54,7 @@ class TestTable:
     def test_json_round_trip_is_byte_identical(self, capsys):
         code, first, _ = run_cli(capsys, "table", "S5", "--format", "json")
         assert code == 0
-        reparsed = json.dumps(json.loads(first), indent=2) + "\n"
+        reparsed = json.dumps(json.loads(first), separators=(",", ":")) + "\n"
         assert reparsed == first
         code, second, _ = run_cli(capsys, "table", "S5", "--format", "json")
         assert first == second
@@ -310,27 +310,29 @@ D4XD4 = "perm:8:(0,1,2,3);(0,2);(4,5,6,7);(4,6)"
      "dd0ae6ce1df81f8d6d66ceb570e7b614449a9e6456f9b665b9e264ec72cae904"),
 ])
 def test_json_output_is_pinned(capsys, argv, digest):
-    # sha256 of stdout: a change in how values are held inside the library
-    # must not change a byte of output
+    # sha256 of stdout re-indented: a change in how values are held inside
+    # the library must not change a byte of output.  stdout itself is one
+    # compact line
     code, out, _ = run_cli(capsys, *argv.split(), "--format", "json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert out.count("\n") == 1 and out.endswith("\n")
+    indented = json.dumps(json.loads(out), indent=2) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest() == digest
 
 
 def test_closed_pipe_exits_without_traceback():
-    # C30 as a JSON table is about 150 kB, more than a pipe holds, so the
+    # C31 as a JSON table is about 137 kB, more than a pipe holds, so the
     # writer is still printing when the reader closes its end
-    spec = "perm:30:(" + ",".join(map(str, range(30))) + ")"
-    proc = subprocess.Popen(
+    spec = "perm:31:(" + ",".join(map(str, range(31))) + ")"
+    with subprocess.Popen(
         [sys.executable, "-m", "chartab.cli", "table", spec, "--format", "json"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-    )
-    assert proc.stdout.readline() == "{\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait() == cli.EXIT_CHECK_FAILED
+    ) as proc:
+        assert proc.stdout.read(10) == '{"group":"'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == cli.EXIT_CHECK_FAILED
     assert "Traceback" not in err
     assert "BrokenPipeError" not in err

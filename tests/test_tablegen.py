@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from chartab.tablegen import (
     choose_prime,
     class_constants,
     degrees_from_eigen,
+    lift_characters,
     linear_characters,
     modp_eigenbasis,
 )
@@ -41,6 +43,12 @@ from conftest import (
 
 D4_X_D4 = "perm:8:(0,1,2,3);(0,2);(4,5,6,7);(4,6)"
 D4_X_S3 = "perm:7:(0,1,2,3);(0,2);(4,5);(4,5,6)"
+C2_8 = "perm:16:(0,1);(2,3);(4,5);(6,7);(8,9);(10,11);(12,13);(14,15)"
+D4_CUBED = "perm:12:(0,1,2,3);(0,2);(4,5,6,7);(4,6);(8,9,10,11);(8,10)"
+# three of the direct products whose tables the benchmark builds
+Q8_X_S3_X_C2 = "perm:13:(0,1,2,3)(4,5,6,7);(0,4,2,6)(1,7,3,5);(8,9);(8,9,10);(11,12)"
+S3_X_S3_X_C3 = "perm:9:(0,1);(0,1,2);(3,4);(3,4,5);(6,7,8)"
+D4_X_C2_X_C2_X_C2 = "perm:10:(0,1,2,3);(0,2);(4,5);(6,7);(8,9)"
 
 
 def brute_force_constants(g):
@@ -181,6 +189,26 @@ class TestEigenbasis:
         monkeypatch.setattr(tablegen, "class_matrix", spy)
         build_character_table(parse_group_spec("S8"))
         assert read == [1, 2]
+
+    @pytest.mark.parametrize("spec, reads", [
+        (C2_8, 8),  # 255 class matrices; the 8 of a basis of C2^8 suffice
+        ("A8", 8),
+        (D4_CUBED, 9),
+    ])
+    def test_split_skips_covered_class_matrices(self, monkeypatch, spec, reads):
+        # a class matrix that the matrices read force to act as a scalar on
+        # every space is never computed
+        read = []
+        real = tablegen.class_matrix
+
+        def spy(data, j):
+            read.append(j)
+            return real(data, j)
+
+        monkeypatch.setattr(tablegen, "class_matrix", spy)
+        g = parse_group_spec(spec)
+        assert len(modp_eigenbasis(g, choose_prime(g))) == len(g.conjugacy_classes())
+        assert len(read) == reads
 
     def test_prime_dividing_the_order_fails_loudly(self):
         # 3 divides |S3| = 6: the class matrix of the 3-cycles has a single
@@ -430,6 +458,60 @@ def test_relabeling_keeps_the_table(name, seed):
     assert relabeled.order == g.order
     table = build_character_table(relabeled)
     assert table.same_abstract_table(build_character_table(g))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([D4_X_D4, Q8_X_S3_X_C2, S3_X_S3_X_C3, D4_X_C2_X_C2_X_C2]),
+       st.integers(0, 2**32 - 1))
+def test_eigenvectors_of_every_class_matrix(name, seed):
+    # the split reads only some class matrices; every final vector must still
+    # be an eigenvector of all of them, M_j v = v[j] v, the skipped included
+    g = parse_group_spec(relabeled_spec(parse_group_spec(name), seed))
+    data = g.conjugacy_classes()
+    p = choose_prime(g)
+    vectors = modp_eigenbasis(g, p)
+    for j in range(len(data)):
+        mat = tablegen.class_matrix(data, j)
+        for v in vectors:
+            assert [sum(map(mul, row, v)) % p for row in mat] == [v[j] * x % p for x in v]
+
+
+class TestLift:
+    def _a5_stages(self):
+        g = parse_group_spec("A5")
+        p = choose_prime(g)
+        vectors = modp_eigenbasis(g, p)
+        return g, p, vectors, degrees_from_eigen(g, vectors, p)
+
+    def _set_value(self, g, p, v, n, j, c):
+        # the eigenvector entry at which chi(g_j) = n v[j] / r_j is c mod p
+        v[j] = c * g.conjugacy_classes().sizes[j] * pow(n, -1, p) % p
+
+    def test_wrong_rational_value_breaks_its_column(self):
+        # chi(g) = 1 on the 3-cycles for the degree-4 character of A5; 0 is
+        # within the degree bound, but sum_i n_i chi_i(g) is no longer 0
+        g, p, vectors, degrees = self._a5_stages()
+        j = g.conjugacy_classes().element_orders.index(3)
+        i = degrees.index(4)
+        self._set_value(g, p, vectors[i], 4, j, 0)
+        with pytest.raises(TableConstructionError, match=f"column {j}: .* is -4, not 0"):
+            lift_characters(g, vectors, degrees, p)
+
+    def test_wrong_value_on_a_galois_conjugate_class_fails(self):
+        # the second class of 5-cycles takes its multiplicities from the
+        # first class's DFT, which reads chi on it as well
+        g, p, vectors, degrees = self._a5_stages()
+        orders = g.conjugacy_classes().element_orders
+        j = len(orders) - 1 - orders[::-1].index(5)
+        assert orders.index(5) < j
+        for i, n in enumerate(degrees):
+            chi = n * vectors[i][j] * pow(g.conjugacy_classes().sizes[j], -1, p) % p
+            self._set_value(g, p, vectors[i], n, j, chi + 1)
+            with pytest.raises(TableConstructionError, match="multiplicit"):
+                lift_characters(g, vectors, degrees, p)
+            self._set_value(g, p, vectors[i], n, j, chi)
+        assert lift_characters(g, vectors, degrees, p).same_abstract_table(
+            build_character_table(g))
 
 
 class TestTableInvariants:
