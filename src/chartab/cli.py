@@ -21,7 +21,7 @@ from .analysis import (
     restriction_report,
 )
 from .classfun import decompose, dft_cyclic, inverse_dft_cyclic, is_irreducible, plancherel_check, sym_alt_square
-from .cyclo import Cyclo
+from .cyclo import MAX_ORDER, Cyclo
 from .permgroup import (
     DEFAULT_CAP,
     GroupMismatchError,
@@ -311,8 +311,8 @@ def cmd_fourier(args) -> int:
     except ValueError as exc:
         raise CliError(f"fourier needs an integer modulus, got {args.spec!r}",
                        EXIT_USAGE) from exc
-    if n < 1:
-        raise CliError("fourier modulus must be >= 1", EXIT_USAGE)
+    if not 1 <= n <= MAX_ORDER:
+        raise CliError(f"fourier modulus must be in [1, {MAX_ORDER}], got {n}", EXIT_USAGE)
     if not args.values:
         raise CliError("fourier requires --values", EXIT_USAGE)
     try:

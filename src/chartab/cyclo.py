@@ -343,6 +343,8 @@ class Cyclo:
     @staticmethod
     def from_json(data: dict) -> "Cyclo":
         order = int(data["order"])
+        if not 1 <= order <= MAX_ORDER:
+            raise CycloError(f"cyclotomic order {order} outside [1, {MAX_ORDER}]")
         coeffs = [_coeff(Fraction(s)) for s in data["coeffs"]]
         if len(coeffs) != euler_phi(order):
             raise CycloError("coefficient vector length does not match phi(order)")

@@ -491,6 +491,8 @@ def _parse_group_spec_cached(text: str, cap: int) -> PermGroup:
             degree = int(parts[1])
         except ValueError as exc:
             raise ParseError(f"malformed degree in {text!r}") from exc
+        if not 1 <= degree <= MAX_DEGREE:  # before any cycle allocates `degree` images
+            raise ParseError(f"degree {degree} outside [1, {MAX_DEGREE}]")
         gens = [_parse_cycles(chunk, degree) for chunk in parts[2].split(";")]
         return PermGroup(degree, gens, cap=cap, spec=text)
     raise ParseError(f"unknown group spec {text!r}")

@@ -139,6 +139,9 @@ def modp_eigenbasis(g: PermGroup, p: int) -> list[list[int]]:
     covered.  The class matrices multiply as the classes do, M_j M_k =
     sum_l a_jkl M_l, so when M_j was read, k is covered and l is the one
     uncovered class with a_jkl != 0 mod p in row k, l is covered too.
+    After each read, the rows of every matrix read so far are passed over
+    again and again until a pass covers nothing.  The rule only ever adds
+    classes, so this fixed point is the same in any order of the rows.
     Spaces only get finer, so a class stays covered.  For a prime with
     p = 1 (mod exponent), p does not divide |G|, so the central characters
     stay distinct mod p and the class matrices alone separate them into
@@ -150,19 +153,7 @@ def modp_eigenbasis(g: PermGroup, p: int) -> list[list[int]]:
     rng = random.Random(SPLIT_SEED)
     spaces = [(mp.identity(h), list(range(h)))]
     covered = [True] + [False] * (h - 1)  # M_0 is the identity
-    # for each row k of a read matrix, the uncovered classes of its support:
-    # rows_at[k] holds those sets, and holding[l] the (k, set) pairs with l
-    rows_at: list[list[set[int]]] = [[] for _ in range(h)]
-    holding: list[list[tuple[int, set[int]]]] = [[] for _ in range(h)]
-    todo: list[int] = []
-
-    def settle(k: int, open_l: set[int]) -> None:
-        if covered[k] and len(open_l) == 1:
-            (l,) = open_l
-            if not covered[l]:
-                covered[l] = True
-                todo.append(l)
-
+    rows_read: list[tuple[int, set[int]]] = []  # (k, uncovered support of row k)
     for j in range(1, h):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
@@ -177,20 +168,17 @@ def modp_eigenbasis(g: PermGroup, p: int) -> list[list[int]]:
                 refined.extend(_split_space(rows, pivots, mat, p, rng))
         spaces = refined
         covered[j] = True
-        todo.append(j)
-        for k, row in enumerate(mat):
-            open_l = {l for l, a in enumerate(row) if a % p and not covered[l]}
-            rows_at[k].append(open_l)
-            for l in open_l:
-                holding[l].append((k, open_l))
-            settle(k, open_l)
-        while todo:  # a newly covered class re-examines the rows that hold it
-            x = todo.pop()
-            for k, open_l in holding[x]:
-                open_l.discard(x)
-                settle(k, open_l)
-            for open_l in rows_at[x]:
-                settle(x, open_l)
+        rows_read += [(k, {l for l, a in enumerate(row) if a % p and not covered[l]})
+                      for k, row in enumerate(mat)]
+        grew = True
+        while grew:
+            grew = False
+            for k, open_l in rows_read:
+                if covered[k]:
+                    open_l.difference_update([l for l in open_l if covered[l]])
+                    if len(open_l) == 1:
+                        covered[open_l.pop()] = True
+                        grew = True
     if any(len(rows) > 1 for rows, _ in spaces):
         raise TableConstructionError(
             f"failed to separate eigenspaces over F_{p} (bad prime)"
@@ -338,10 +326,12 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
     unity among the eigenvalues of the representing matrix are recovered by
     an inverse DFT of chi mod p along the d entries of its power map, using
     zeta_d = z^(e/d) for a fixed element z of order e in F_p; the DFT matrix
-    is built once per order d.  The class of g^s takes m'_(ts mod d) = m_t:
-    its chi mod p is the DFT's entry at s, so the bounds checked on the m_t
-    cover it too.  The exact value is sum_t m_t zeta_d^t, in Q(zeta_d), or
-    in Q when it is rational.
+    is built once per order d.  The exact value is sum_t m_t zeta_d^t, in
+    Q(zeta_d), or in Q when it is rational.  The class of g^s needs no DFT
+    of its own: chi(g^s) = sigma_s(chi(g)) for the Galois automorphism
+    sigma_s: zeta_d -> zeta_d^s, so it takes the first class's value under
+    Cyclo.galois(s).  Its chi mod p is the DFT's entry at s, so the bounds
+    checked on the m_t cover it too.
     """
     data = group.conjugacy_classes()
     e = group.exponent
@@ -371,26 +361,21 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
             if abs(c) > n_i:
                 raise TableConstructionError(f"rational value {c} exceeds degree {n_i}")
             values[j] = Cyclo(1, (c,))
-        mults = {}
         for j, (j0, s) in orbit_of.items():
-            powers = data.power_class[j]
-            d = len(powers)
-            if j == j0:
-                along = [chi[k] for k in powers]
-                exps = [sum(map(mul, along, w)) % p for w in dft[d]]
-                if max(exps) > n_i:
-                    raise TableConstructionError(
-                        f"lifted multiplicity {max(exps)} exceeds degree {n_i}"
-                    )
-                if sum(exps) != n_i:
-                    raise TableConstructionError(
-                        f"multiplicities sum to {sum(exps)}, expected degree {n_i}"
-                    )
-                mults[j] = exps
-            else:
-                exps = [0] * d
-                for t, m in enumerate(mults[j0]):
-                    exps[t * s % d] = m
+            if j != j0:
+                values[j] = values[j0].galois(s)
+                continue
+            along = [chi[k] for k in data.power_class[j]]
+            d = len(along)
+            exps = [sum(map(mul, along, w)) % p for w in dft[d]]
+            if max(exps) > n_i:
+                raise TableConstructionError(
+                    f"lifted multiplicity {max(exps)} exceeds degree {n_i}"
+                )
+            if sum(exps) != n_i:
+                raise TableConstructionError(
+                    f"multiplicities sum to {sum(exps)}, expected degree {n_i}"
+                )
             values[j] = Cyclo.from_powers(d, exps)
         rows.append(ClassFunction(group, values))
     for j in rational[1:]:  # the regular character vanishes off the identity

@@ -201,6 +201,12 @@ class TestFourier:
         code, _, err = run_cli(capsys, "fourier", "4", "--values", "1,2")
         assert code == 2
 
+    def test_modulus_above_the_field_range_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "fourier", "10001", "--values", ",".join(["0"] * 10001))
+        assert code == 2
+        assert "10000" in err
+        assert "Traceback" not in err
+
 
 class TestExitCodes:
     def test_parse_error(self, capsys):
@@ -296,6 +302,8 @@ D4XD4 = "perm:8:(0,1,2,3);(0,2);(4,5,6,7);(4,6)"
     ("table A5", "82f5eeedf0389d5db9cd5a6dd89664b2dc26d8b4db3a792a5c6b91c748f5a777"),
     ("table S5", "f0e05f679321da4f7a75746df46d5eaee3af92d97b0c17e0a679be349580ad6e"),
     ("table A6", "fe3ffb5207402bc09c43360f913096aa5413640feedefb14abdf3640a7d5641b"),
+    # an order-7 Galois orbit: two classes of 7-cycles
+    ("table A7", "c4251672a7d3b69793f40b8f383e14655b80effeeccd8cfa4cac3cf2ac8316f8"),
     ("check A6", "c4459b2d728ccac1e3594b2d1332999fbcf46d95ebebceadebbad90ae41fd73b"),
     (f"check {D4XD4}", "411542fe20a0729cc54a9baa28aec4f57724075a88249dd0d6e3d03ae81234ee"),
     # a relabeled D4xS3xC3

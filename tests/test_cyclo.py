@@ -186,6 +186,14 @@ class TestRendering:
         assert all(isinstance(c, str) for c in data["coeffs"])
         assert Cyclo.from_json(data) == v
 
+    @pytest.mark.parametrize("order, n_coeffs", [
+        (0, 0),  # would divide by zero in to_float
+        (20_000, 8_000),  # phi(20000) = 8000, above MAX_ORDER
+    ])
+    def test_json_order_outside_the_field_range(self, order, n_coeffs):
+        with pytest.raises(CycloError, match="outside"):
+            Cyclo.from_json({"order": order, "coeffs": ["0"] * n_coeffs})
+
 
 # -- property tests ------------------------------------------------------------
 

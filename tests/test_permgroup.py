@@ -131,6 +131,16 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_group_spec(bad)
 
+    def test_out_of_range_degree_is_rejected_before_any_cycle(self, monkeypatch):
+        # each cycle is a list of `degree` images, so the degree is checked
+        # before the first one is built
+        def spy(cycles, degree):
+            raise AssertionError(f"Perm.from_cycles called with degree {degree}")
+
+        monkeypatch.setattr(Perm, "from_cycles", staticmethod(spy))
+        with pytest.raises(ParseError, match="outside"):
+            parse_group_spec("perm:1000000:()")
+
     def test_parse_cache_is_bounded(self):
         from chartab.permgroup import PARSE_CACHE_SIZE, _parse_group_spec_cached
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -49,6 +50,8 @@ D4_CUBED = "perm:12:(0,1,2,3);(0,2);(4,5,6,7);(4,6);(8,9,10,11);(8,10)"
 Q8_X_S3_X_C2 = "perm:13:(0,1,2,3)(4,5,6,7);(0,4,2,6)(1,7,3,5);(8,9);(8,9,10);(11,12)"
 S3_X_S3_X_C3 = "perm:9:(0,1);(0,1,2);(3,4);(3,4,5);(6,7,8)"
 D4_X_C2_X_C2_X_C2 = "perm:10:(0,1,2,3);(0,2);(4,5);(6,7);(8,9)"
+# a relabeled D4xD4xC3 (h = 75), the largest table the benchmark builds
+D4_X_D4_X_C3 = "perm:11:(1,10,3,9);(9,10);(0,8,4,7);(0,4);(2,5,6)"
 
 
 def brute_force_constants(g):
@@ -130,6 +133,16 @@ class TestChoosePrime:
         assert p * p > 4 * g.order
 
 
+# the classes whose matrices the split reads, in order
+SPLIT_READS = [
+    # 255 class matrices; the 8 of a basis of C2^8 suffice
+    (C2_8, [1, 2, 4, 8, 16, 32, 64, 128]),
+    ("A8", [1, 2, 3, 4, 7, 8, 9, 11]),
+    (D4_CUBED, [1, 2, 4, 8, 9, 10, 12, 16, 20]),
+    (D4_X_D4_X_C3, [1, 2, 4, 12, 13, 15, 18]),
+]
+
+
 class TestEigenbasis:
     def test_c2(self):
         g = parse_group_spec("C2")
@@ -190,14 +203,13 @@ class TestEigenbasis:
         build_character_table(parse_group_spec("S8"))
         assert read == [1, 2]
 
-    @pytest.mark.parametrize("spec, reads", [
-        (C2_8, 8),  # 255 class matrices; the 8 of a basis of C2^8 suffice
-        ("A8", 8),
-        (D4_CUBED, 9),
-    ])
+    @pytest.mark.parametrize("spec, reads", SPLIT_READS,
+                             ids=[f"{spec}-{len(reads)}" for spec, reads in SPLIT_READS])
     def test_split_skips_covered_class_matrices(self, monkeypatch, spec, reads):
         # a class matrix that the matrices read force to act as a scalar on
-        # every space is never computed
+        # every space is never computed; the classes read, in order, are
+        # pinned, so that a change in how coverage is tracked reads the same
+        # matrices
         read = []
         real = tablegen.class_matrix
 
@@ -208,7 +220,7 @@ class TestEigenbasis:
         monkeypatch.setattr(tablegen, "class_matrix", spy)
         g = parse_group_spec(spec)
         assert len(modp_eigenbasis(g, choose_prime(g))) == len(g.conjugacy_classes())
-        assert len(read) == reads
+        assert read == reads
 
     def test_prime_dividing_the_order_fails_loudly(self):
         # 3 divides |S3| = 6: the class matrix of the 3-cycles has a single
@@ -498,8 +510,8 @@ class TestLift:
             lift_characters(g, vectors, degrees, p)
 
     def test_wrong_value_on_a_galois_conjugate_class_fails(self):
-        # the second class of 5-cycles takes its multiplicities from the
-        # first class's DFT, which reads chi on it as well
+        # the second class of 5-cycles takes sigma_2 of the first class's
+        # value, and the first class's DFT reads chi on it as well
         g, p, vectors, degrees = self._a5_stages()
         orders = g.conjugacy_classes().element_orders
         j = len(orders) - 1 - orders[::-1].index(5)
@@ -512,6 +524,26 @@ class TestLift:
             self._set_value(g, p, vectors[i], n, j, chi)
         assert lift_characters(g, vectors, degrees, p).same_abstract_table(
             build_character_table(g))
+
+    @pytest.mark.parametrize("spec", [
+        "A5", "A7", "Q8",
+        "perm:10:(1,4,8,3);(3,4);(0,7);(0,9,7);(2,5,6)",  # relabeled D4xS3xC3, e = 12
+        "C7",  # an orbit of 6 classes, on which sigma_s and sigma_(1/s) differ
+    ])
+    def test_galois_closure(self, spec):
+        # sigma_s: zeta -> zeta^s, s a unit mod the exponent e, permutes the
+        # irreducible characters, and chi(g^s) = sigma_s(chi(g))
+        g = parse_group_spec(spec)
+        power_class = g.conjugacy_classes().power_class
+        rows = [row.values for row in build_character_table(g).rows]
+        units = [s for s in range(1, g.exponent) if math.gcd(s, g.exponent) == 1]
+        assert len(units) > 1
+        for s in units:
+            for values in rows:
+                image = tuple(v.galois(s) for v in values)
+                assert image in rows
+                for j, powers in enumerate(power_class):
+                    assert values[powers[s % len(powers)]] == image[j]
 
 
 class TestTableInvariants:
