@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclo import Cyclo, dot, from_rational, root_of_unity
+from .cyclo import Cyclo, _root_sums, dot, from_rational
 from .permgroup import GroupMismatchError, PermGroup
 
 
@@ -165,21 +165,19 @@ def trivial_character(g: PermGroup) -> ClassFunction:
 
 
 def dft_cyclic(f: Sequence[Cyclo], n: int) -> list[Cyclo]:
-    """fhat(q) = (1/n) sum_k f(k) zeta_n^(-kq), the 1/n-normalized transform."""
+    """fhat(q) = (1/n) sum_k f(k) zeta_n^(-kq), the 1/n-normalized transform.
+
+    An irrational fhat(q) is held at order lcm(n, orders of the f(k))."""
     if len(f) != n:
         raise ValueError(f"expected {n} values, got {len(f)}")
-    f = [Cyclo._coerce(v) for v in f]
-    inv_n = Fraction(1, n)
-    return [inv_n * dot(f, [root_of_unity(n, -k * q) for k in range(n)])
-            for q in range(n)]
+    return _root_sums([Cyclo._coerce(v) for v in f], n, -1, n)
 
 
 def inverse_dft_cyclic(fhat: Sequence[Cyclo], n: int) -> list[Cyclo]:
-    """f(k) = sum_q fhat(q) zeta_n^(kq)."""
+    """f(k) = sum_q fhat(q) zeta_n^(kq), held at the order `dft_cyclic` uses."""
     if len(fhat) != n:
         raise ValueError(f"expected {n} values, got {len(fhat)}")
-    fhat = [Cyclo._coerce(v) for v in fhat]
-    return [dot(fhat, [root_of_unity(n, k * q) for q in range(n)]) for k in range(n)]
+    return _root_sums([Cyclo._coerce(v) for v in fhat], n, 1)
 
 
 def plancherel_check(f: Sequence[Cyclo], n: int) -> tuple[Cyclo, Cyclo]:

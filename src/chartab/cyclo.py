@@ -6,8 +6,10 @@ polynomial.  The reduced form is unique, so equality is coefficient equality
 (after embedding both operands into the lcm order when the orders differ).
 A coefficient is an `int`, or a `Fraction` whose denominator is greater than
 1: character values are algebraic integers, so their arithmetic stays in
-ints, and a `Fraction` appears only where a division makes one.  `_coeff`
-decides this for every value the module hands out.
+ints, and a `Fraction` appears only where a division makes one.  Products
+and reductions modulo Phi_e run on int vectors over one common denominator
+(`_integral`, `_reduce`), so a `Fraction` is built only for an output
+coefficient that is not an integer, never per term.
 Arithmetic returns a rational result at order 1, and an order-1 operand acts
 on the other operand's coefficient vector directly, so rational values never
 pay for the coefficient vector of a large field.
@@ -98,19 +100,46 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _reduce(e: int, coeffs: Sequence[RationalLike]) -> tuple[RationalLike, ...]:
-    """Reduce a polynomial in zeta_e modulo Phi_e to the power basis.  Phi_e
-    is monic with integer coefficients, so integer input gives integer output."""
+@lru_cache(maxsize=None)
+def _phi_terms(e: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The degree of Phi_e and its nonzero terms (j, c) below x^degree."""
     phi = cyclotomic_polynomial(e)
-    deg = len(phi) - 1
-    coeffs = list(coeffs)
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+def _integral(coeffs: Sequence[RationalLike]) -> tuple[list[int], int]:
+    """The coefficients as ints over one common denominator: (ints, den),
+    with den the lcm of their denominators and coeffs[i] == ints[i] / den."""
+    for c in coeffs:
+        if type(c) is not int:
+            den = math.lcm(*(c.denominator for c in coeffs))
+            return [c.numerator * (den // c.denominator) for c in coeffs], den
+    return list(coeffs), 1
+
+
+def _reduce(e: int, coeffs: Sequence[RationalLike], den: int = 1) -> tuple[RationalLike, ...]:
+    """Reduce the polynomial (sum_i coeffs[i] z^i) / den in z = zeta_e modulo
+    Phi_e to the power basis, with canonical coefficients.
+
+    The reduction runs on an int vector over one common denominator: Phi_e is
+    monic with integer coefficients, so clearing the denominators once keeps
+    every step in ints, and a `Fraction` is built only for an output
+    coefficient that is not an integer.  A step subtracts only the nonzero
+    terms of Phi_e, which is sparse when a prime divides e twice
+    (x^4 - x^2 + 1 for e = 12, x^160 - x^120 + x^80 - x^40 + 1 for e = 400)."""
+    deg, terms = _phi_terms(e)
+    coeffs, common = _integral(coeffs)
+    den *= common
     for i in range(len(coeffs) - 1, deg - 1, -1):
         c = coeffs[i]
         if c == 0:
             continue
-        for j in range(deg):
-            coeffs[i - deg + j] -= c * phi[j]
-    return tuple(coeffs[:deg]) + (0,) * (deg - len(coeffs))
+        for j, p in terms:
+            coeffs[i - deg + j] -= c * p
+    out = tuple(coeffs[:deg]) + (0,) * (deg - len(coeffs))
+    if den == 1:
+        return out
+    return tuple(c // den if c % den == 0 else Fraction(c, den) for c in out)
 
 
 class Cyclo:
@@ -173,7 +202,7 @@ class Cyclo:
         raised = [0] * new_order
         for i, c in enumerate(self.coeffs):
             raised[i * step] = c
-        return Cyclo(new_order, tuple(map(_coeff, _reduce(new_order, raised))))
+        return Cyclo(new_order, _reduce(new_order, raised))
 
     def _match(self, other: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
         if self.order == other.order:
@@ -207,7 +236,9 @@ class Cyclo:
             q = b.coeffs[0]
             return _rational_or(a.order, tuple(q * c for c in a.coeffs))
         a, b = a._match(b)
-        return _rational_or(a.order, _reduce(a.order, _poly_mul(a.coeffs, b.coeffs)))
+        x, dx = _integral(a.coeffs)
+        y, dy = _integral(b.coeffs)
+        return _rational_or(a.order, _reduce(a.order, _poly_mul(x, y), dx * dy))
 
     __rmul__ = __mul__
 
@@ -411,6 +442,30 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
     for x, y in zip(xs, ys):
         acc += x * y
     return acc
+
+
+def _root_sums(values: Sequence[Cyclo], n: int, sign: int, divisor: int = 1) -> list[Cyclo]:
+    """[sum_k values[k] zeta_n^(sign k q) / divisor for q in range(n)].
+
+    Each value is embedded once, as ints over one common denominator, into
+    the unreduced basis 1, z, ..., z^(L-1) of Q(zeta_L), with L the lcm of n
+    and the value orders.  There, multiplying by zeta_n^m rotates the vector
+    by m L / n, so each sum costs one pass over the nonzero coefficients and
+    one reduction.  A sum is held at order L, or at order 1 when rational."""
+    order = math.lcm(n, *(v.order for v in values))
+    den = math.lcm(*(c.denominator for v in values for c in v.coeffs))
+    terms = [[(i * (order // v.order), int(c * den)) for i, c in enumerate(v.coeffs) if c]
+             for v in values]
+    shift = sign * (order // n)
+    sums = []
+    for q in range(n):
+        buf = [0] * order
+        for k, vec in enumerate(terms):
+            rot = k * q * shift
+            for i, c in vec:
+                buf[(i + rot) % order] += c
+        sums.append(_rational_or(order, _reduce(order, buf, den * divisor)))
+    return sums
 
 
 def from_rational(q: RationalLike) -> Cyclo:

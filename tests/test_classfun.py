@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from chartab.classfun import (
     sym_alt_square,
     trivial_character,
 )
-from chartab.cyclo import Cyclo, from_rational, root_of_unity
+from chartab.cyclo import Cyclo, dot, from_rational, root_of_unity
 from chartab.permgroup import GroupMismatchError, parse_group_spec
 from chartab.tablegen import build_character_table
 
@@ -386,3 +387,52 @@ class TestFourier:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             dft_cyclic([from_rational(1)], 2)
+
+    # the transform against its definition, one Cyclo product per term
+    @staticmethod
+    def naive_dft(f, n):
+        return [dot(f, [root_of_unity(n, -k * q) for k in range(n)]) * Fraction(1, n)
+                for q in range(n)]
+
+    @staticmethod
+    def naive_inverse(fhat, n):
+        return [dot(fhat, [root_of_unity(n, k * q) for q in range(n)]) for k in range(n)]
+
+    @staticmethod
+    def random_value(rng, d):
+        """A value of Q(zeta_d), often sparse, with some non-integral coefficients."""
+        total = Cyclo.zero()
+        for k in rng.sample(range(d), rng.randrange(1, d + 1)):
+            total += root_of_unity(d, k) * Fraction(rng.randrange(-5, 6), rng.choice([1, 1, 2, 3]))
+        return total
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_rational_input_matches_the_definition(self, n):
+        # rational input: each value is held where the definition holds it,
+        # at order n, or 1 when rational, with the same coefficients
+        rng = random.Random(n)
+        for _ in range(4):
+            f = [from_rational(Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)))
+                 if rng.random() < 0.7 else Cyclo.zero() for _ in range(n)]
+            for got, want in ((dft_cyclic(f, n), self.naive_dft(f, n)),
+                              (inverse_dft_cyclic(f, n), self.naive_inverse(f, n))):
+                assert [(v.order, v.coeffs) for v in got] == [(v.order, v.coeffs) for v in want]
+
+    @pytest.mark.parametrize("n, d", [
+        (4, 4), (6, 3), (8, 4), (8, 8), (9, 3), (12, 3), (12, 4), (12, 6), (12, 12),
+        (4, 5), (3, 4), (6, 4), (5, 7), (1, 5),  # d does not divide n
+    ])
+    def test_irrational_input_matches_the_definition(self, n, d):
+        rng = random.Random(100 * n + d)
+        big = math.lcm(n, d)
+        for _ in range(3):
+            f = [self.random_value(rng, d) if rng.random() < 0.6 else from_rational(rng.randrange(-3, 4))
+                 for _ in range(n)]
+            fhat = dft_cyclic(f, n)
+            assert fhat == self.naive_dft(f, n)
+            back = inverse_dft_cyclic(fhat, n)
+            assert back == self.naive_inverse(fhat, n)
+            assert back == f
+            # an irrational value is held at order lcm(n, d)
+            assert all(v.order in (1, big) for v in fhat + back)
+            assert all(v.order == 1 for v in fhat + back if v.is_rational())

@@ -316,6 +316,12 @@ D4XD4 = "perm:8:(0,1,2,3);(0,2);(4,5,6,7);(4,6)"
     # non-integral coefficients
     ("fourier 4 --values 1,0,1/2,0",
      "dd0ae6ce1df81f8d6d66ceb570e7b614449a9e6456f9b665b9e264ec72cae904"),
+    # values in Q(zeta_12) with non-integral coefficients, and an impulse in
+    # Q(zeta_30): the transform reduces each value once, from an int vector
+    ("fourier 12 --values=-2,1,-3,2,-5/3,-7/3,0,1,0,0,1/2,4",
+     "00e929aad3d00ff82f63c200b49d98c2d556798f1952e43765ab6529d8686eb7"),
+    ("fourier 30 --values=1" + ",0" * 29,
+     "8b0bf4bb3afd8294cd3b40b648622dca1345fac6b5f223e4643bbd548c69b6a0"),
 ])
 def test_json_output_is_pinned(capsys, argv, digest):
     # sha256 of stdout re-indented: a change in how values are held inside

@@ -311,3 +311,86 @@ def test_reduction_soundness(e, k):
 def test_to_float_is_ring_hom(a, b):
     assert abs((a + b).to_float() - (a.to_float() + b.to_float())) < 1e-9
     assert abs((a * b).to_float() - (a.to_float() * b.to_float())) < 1e-9
+
+
+# -- the int kernel against the Fraction algorithm ------------------------------
+
+def fraction_reduce(e, coeffs):
+    """Reduce modulo Phi_e with a Fraction operation per term, the way the
+    reduction ran before products and reductions moved to int vectors."""
+    phi = cyclotomic_polynomial(e)
+    deg = len(phi) - 1
+    coeffs = [Fraction(c) for c in coeffs] + [Fraction(0)] * deg
+    for i in range(len(coeffs) - 1, deg - 1, -1):
+        c = coeffs[i]
+        for j in range(deg):
+            coeffs[i - deg + j] -= c * phi[j]
+    return coeffs[:deg]
+
+
+def fraction_embed(x, m):
+    raised = [0] * m
+    for i, c in enumerate(x.coeffs):
+        raised[i * (m // x.order)] = c
+    return fraction_reduce(m, raised)
+
+
+def assert_reduced(v, order, coeffs, drop_rational=True):
+    """v is the value of Q(zeta_order) with reduced coefficients `coeffs`,
+    held at order 1 when it is rational (unless drop_rational is False)."""
+    if drop_rational and not any(coeffs[1:]):
+        order, coeffs = 1, coeffs[:1]
+    assert (v.order, v.coeffs) == (order, tuple(coeffs))
+    assert all(is_canonical(c) for c in v.coeffs), v.coeffs
+
+
+ORACLE_ORDERS = [1, 3, 4, 5, 7, 12, 20, 28, 36]
+oracle_coeffs = st.one_of(
+    st.just(0),
+    st.integers(min_value=-30, max_value=30),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+)
+
+
+@st.composite
+def oracle_values(draw):
+    """A reduced vector of Q(zeta_e) with canonical coefficients, held at
+    order e by the raw constructor even when it is rational."""
+    e = draw(st.sampled_from(ORACLE_ORDERS))
+    size = euler_phi(e)
+    coeffs = draw(st.lists(oracle_coeffs, min_size=size, max_size=size))
+    return Cyclo(e, [c.numerator if c.denominator == 1 else c for c in coeffs])
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_values(), oracle_values())
+def test_product_matches_fraction_oracle(x, y):
+    m = math.lcm(x.order, y.order)
+    expected = fraction_reduce(m, poly_mul_int(fraction_embed(x, m), fraction_embed(y, m)))
+    assert_reduced(x * y, m, expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_values(), st.integers(min_value=1, max_value=3))
+def test_change_order_matches_fraction_oracle(x, k):
+    m = k * x.order
+    assert_reduced(x.change_order(m), m, fraction_embed(x, m), drop_rational=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_values(), st.integers(min_value=1, max_value=72))
+def test_galois_matches_fraction_oracle(x, s):
+    e = x.order
+    if math.gcd(s, e) != 1:
+        return
+    permuted = [0] * e
+    for i, c in enumerate(x.coeffs):
+        permuted[(i * s) % e] += c
+    assert_reduced(x.galois(s), e, fraction_reduce(e, permuted))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ORACLE_ORDERS), st.data())
+def test_from_powers_matches_fraction_oracle(e, data):
+    coeffs = data.draw(st.lists(oracle_coeffs, max_size=3 * e))
+    assert_reduced(Cyclo.from_powers(e, coeffs), e, fraction_reduce(e, coeffs))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -215,3 +216,45 @@ class TestBuiltinReps:
         table = build_character_table(g)
         chi = character_of(builtin_rep("dihedral-rot:6:1"))
         assert any(chi == row for row in table.rows)
+
+
+def _images_text(name):
+    rep = builtin_rep(name).extend_to_group()
+    return "".join(f"{el!r} {mat!r}\n" for el, mat in rep.full_images.items())
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("dihedral-rot:3", "8660ab49505edb95a4f14c1c78558934b9f42342df1da6df36b92485d4027f28"),
+    ("dihedral-rot:4", "0bae66a309b4adb9403461812f7f23634dc39d6b2f16bcd9314ec9c955079e75"),
+    ("dihedral-rot:5", "60183f89d7724d13883493f541f0bc6a97e033ee21d97b6fd45133b459505036"),
+    ("dihedral-rot:6", "7210b7dc539ebe7a7915af1c90434b9cb0b2857447a0d3ef6ac0304a0df2b9d3"),
+    ("dihedral-rot:7", "cff465bb819e879f03775c9fcc222aa7dbf67e4c130244ad10309929d0b1ecea"),
+    ("dihedral-rot:8", "2371ea4ae60a2cde06ada4a643cd072ba8615352929cbae9bb4b5d1d7c0031fc"),
+    ("dihedral-rot:9", "603f61d66ca24c3b93d3110b070f1b35e20f3dc3eab006539d83f38c27582bda"),
+    ("q8-2dim", "9ab6b8db84da3570545c5e2606a4105f0992fc38547ddc440eb21dc9ab80df6e"),
+])
+def test_full_images_are_pinned(name, digest):
+    # sha256 of the repr of every element's image, for dihedral-rot:n:r over
+    # r = 0..n-1: entries with denominator 2 in Q(zeta_n) and Q(zeta_4n), so
+    # a change in how Cyclo multiplies or reduces must not move a value or
+    # the order it is held at
+    if name == "q8-2dim":
+        text = _images_text(name)
+    else:
+        n = int(name.split(":")[1])
+        text = "".join(_images_text(f"{name}:{r}") for r in range(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_orthogonality_report_is_pinned(n):
+    # rotation by 2 pi / n and by -2 pi / n: equivalent representations held
+    # as two objects, so the report lists the pairings that are not 0
+    rep1 = builtin_rep(f"dihedral-rot:{n}:1")
+    report = check_matrix_orthogonality(rep1, builtin_rep(f"dihedral-rot:{n}:{n - 1}"))
+    half, zero = "Cyclo(1, '1/2')", "Cyclo(1, '0')"
+    assert f"{report!r} {report.violations!r}" == (
+        "OrthogonalityReport(16 pairings, 4 violations) "
+        f"[((0, 0, 1, 1), {half}, {zero}), ((0, 1, 0, 1), {half}, {zero}), "
+        f"((1, 0, 1, 0), {half}, {zero}), ((1, 1, 0, 0), {half}, {zero})]"
+    )
