@@ -93,16 +93,16 @@ def inner_product(f1: ClassFunction, f2: ClassFunction) -> Cyclo:
     """<f1,f2> = (1/|G|) sum_j r_j f1(g_j) conj(f2(g_j)), exact."""
     f1._check_group(f2)
     sizes = f1.group.conjugacy_classes().sizes
-    products = (a * b.conj() for a, b in zip(f1.values, f2.values))
-    return dot(sizes, products) * Fraction(1, f1.group.order)
+    weighted = [r * b.conj() for r, b in zip(sizes, f2.values)]
+    return dot(f1.values, weighted) * Fraction(1, f1.group.order)
 
 
 def bilinear_form(f1: ClassFunction, f2: ClassFunction) -> Cyclo:
     """(f1,f2) = (1/|G|) sum_j r_j f1(g_j) f2(g_j^-1); symmetric."""
     f1._check_group(f2)
     data = f1.group.conjugacy_classes()
-    products = (a * f2.values[j] for a, j in zip(f1.values, data.inverse_class))
-    return dot(data.sizes, products) * Fraction(1, f1.group.order)
+    weighted = [r * f2.values[j] for r, j in zip(data.sizes, data.inverse_class)]
+    return dot(f1.values, weighted) * Fraction(1, f1.group.order)
 
 
 def sym_alt_square(chi: ClassFunction) -> tuple[ClassFunction, ClassFunction]:
@@ -129,16 +129,21 @@ def is_irreducible(chi: ClassFunction) -> bool:
 def decompose(chi: ClassFunction, table) -> list[int]:
     """Multiplicities <chi, chi_i> over the table rows; rejects non-characters.
 
-    Each is evaluated as its conjugate (1/|G|) sum_j r_j chi_i(g_j) conj(chi(g_j)),
-    so chi is conjugated once and no table value is; an accepted multiplicity
-    is rational, and so equal to its conjugate."""
+    Each is evaluated as its conjugate (1/|G|) sum_j chi_i(g_j) r_j conj(chi(g_j)):
+    conj(chi) is weighted by the class sizes once, and each row takes one
+    fused `dot` with that vector, which makes no product per term and
+    conjugates no table value.  An accepted multiplicity is rational, so equal
+    to its conjugate, and held at order 1.  The irrational value a rejection
+    reports is held where `dot` holds it, at the lcm of the orders of its
+    irrational per-order sums; earlier versions could hold it elsewhere,
+    depending on the order of the terms, but its value is unchanged."""
     sizes = chi.group.conjugacy_classes().sizes
-    chi_conj = [v.conj() for v in chi.values]
+    weighted = [r * v.conj() for r, v in zip(sizes, chi.values)]
     inv_order = Fraction(1, chi.group.order)
     mults = []
     for row in table.rows:
         chi._check_group(row)
-        m = dot(sizes, (a * b for a, b in zip(row.values, chi_conj))) * inv_order
+        m = dot(row.values, weighted) * inv_order
         if not m.is_rational():
             raise NotACharacterError(f"multiplicity {m.conj()} is not rational")
         q = m.as_rational()

@@ -9,7 +9,9 @@ A coefficient is an `int`, or a `Fraction` whose denominator is greater than
 ints, and a `Fraction` appears only where a division makes one.  Products
 and reductions modulo Phi_e run on int vectors over one common denominator
 (`_integral`, `_reduce`), so a `Fraction` is built only for an output
-coefficient that is not an integer, never per term.
+coefficient that is not an integer, never per term.  `dot` collects a sum
+of products the same way, in one int vector per field order, and makes no
+`Cyclo` per term.
 Arithmetic returns a rational result at order 1, and an order-1 operand acts
 on the other operand's coefficient vector directly, so rational values never
 pay for the coefficient vector of a large field.
@@ -434,14 +436,67 @@ def root_of_unity(e: int, k: int = 1) -> Cyclo:
 
 
 def dot(xs: Iterable, ys: Iterable) -> Cyclo:
-    """sum_i xs[i] * ys[i], exactly, adding the products left to right to 0.
+    """sum_i xs[i] * ys[i], exactly, in one fused pass that makes no Cyclo per
+    term; an operand is an `int`, a `Fraction` or a `Cyclo`.
 
-    A running sum that turns rational drops to order 1, so the order of the
-    terms can decide the `order` the result is held at (never its value)."""
-    acc = Cyclo.zero()
+    A rational x rational term goes into one rational accumulator.  Every
+    other term goes into an unreduced int buffer of length o, o the lcm of its
+    two operand orders, where exponents wrap mod o since z^o = 1.  A buffer
+    keeps one common denominator, rescaled only when a term's denominator
+    does not divide it, and is reduced once, at the end, the buffers in
+    ascending order.  The result is held at order 1 when it is rational, else
+    at the lcm of the orders whose reduced sums are irrational, so the order
+    of the terms never decides it.  That rule is deliberate: the left-to-right
+    sum of Cyclo products this kernel replaced dropped to order 1 whenever a
+    running sum turned rational, so the order of the terms could decide the
+    order a result was held at.  The value is the same as that sum's."""
+    rational = 0
+    sums: dict[int, list] = {}  # order -> [int buffer, common denominator]
     for x, y in zip(xs, ys):
-        acc += x * y
-    return acc
+        ox, cx = (x.order, x.coeffs) if isinstance(x, Cyclo) else (1, (x,))
+        oy, cy = (y.order, y.coeffs) if isinstance(y, Cyclo) else (1, (y,))
+        if oy == 1:  # a rational operand goes first, and a zero one adds nothing
+            ox, cx, oy, cy = oy, cy, ox, cx
+        if ox == 1:
+            if oy == 1:
+                rational += cx[0] * cy[0]
+                continue
+            if not cx[0]:
+                continue
+        o = math.lcm(ox, oy)
+        cx, dx = _integral(cx)
+        cy, dy = _integral(cy)
+        d = dx * dy
+        entry = sums.get(o)
+        if entry is None:
+            if o > MAX_ORDER:
+                raise CycloError(f"cyclotomic order {o} outside [1, {MAX_ORDER}]")
+            entry = sums[o] = [[0] * o, d]
+        buf, den = entry
+        if den % d:
+            scale = d // math.gcd(den, d)
+            buf[:] = [c * scale for c in buf]
+            den = entry[1] = den * scale
+        sx, sy, f = o // ox, o // oy, den // d
+        for i, a in enumerate(cx):
+            if a:
+                a *= f
+                shift = i * sx
+                for j, b in enumerate(cy):
+                    if b:
+                        buf[(shift + j * sy) % o] += a * b
+    irrational = []
+    for o, (buf, den) in sorted(sums.items()):
+        c = _reduce(o, buf, den)
+        if any(c[1:]):
+            irrational.append((o, c))
+        else:
+            rational += c[0]
+    total = Cyclo.from_rational(rational)
+    order = math.lcm(*(o for o, _ in irrational))
+    for o, c in irrational:
+        total += Cyclo(o, c).change_order(order)
+    return total
 
 
 def _root_sums(values: Sequence[Cyclo], n: int, sign: int, divisor: int = 1) -> list[Cyclo]:

@@ -335,6 +335,11 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
     """
     data = group.conjugacy_classes()
     e = group.exponent
+    if (p - 1) % e:
+        raise TableConstructionError(
+            f"lift: exponent e = {e} does not divide p - 1 for p = {p}, "
+            "so F_p has no element of order e"
+        )
     z = mp.element_of_order(e, p)
     size_inv = [pow(cl.size % p, p - 2, p) for cl in data.classes]
     rational = []

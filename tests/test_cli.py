@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from chartab import cli
+from chartab import cli, tablegen
 
 
 def run_cli(capsys, *argv):
@@ -222,6 +222,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "table", "S5", "--cap", "10")
         assert code == 3
         assert "cap" in err
+
+    def test_failed_build_is_a_consistency_failure(self, capsys, monkeypatch):
+        # at p = 7 the degrees of S5 break the sum of squares; the build
+        # raises TableConstructionError, which the command reports
+        monkeypatch.setattr(tablegen, "choose_prime", lambda g: 7)
+        code, out, err = run_cli(capsys, "table", "S5")
+        assert code == cli.EXIT_CHECK_FAILED == 1
+        assert out == ""
+        assert err.startswith("consistency failure:")
+        assert "violate sum of squares = 120" in err
 
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("CHARTAB_CAP", "10")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -108,14 +109,36 @@ class TestFieldOps:
                 if 2 * k % e == 0:
                     assert z.to_json() == from_rational(-1 if k else 1).to_json()
 
-    def test_dot_adds_left_to_right(self):
-        z3, z4 = root_of_unity(3), root_of_unity(4)
-        assert dot([], []) == 0
+    def test_dot_holds_the_lcm_of_its_irrational_sums(self):
+        z3, z4, z5 = root_of_unity(3), root_of_unity(4), root_of_unity(5)
+        assert dot([], []).to_json() == from_rational(0).to_json()
         assert dot([2, z3], [z4, z4]) == 2 * z4 + z3 * z4
-        # the sum turns rational after two terms and drops to order 1, so
-        # the third term alone decides the order
+        # the order-3 terms cancel, so only the order-4 sum is irrational,
+        # wherever the order-4 term stands
         assert dot([1, 1, 1], [z3, -z3, z4]).order == 4
-        assert dot([1, 1, 1], [z3, z4, -z3]).order == 12
+        assert dot([1, 1, 1], [z3, z4, -z3]).order == 4
+        # a rational result has order 1, though no term is rational
+        assert dot([z3, z4], [z3.conj(), z4.conj()]).to_json() == from_rational(2).to_json()
+        # z4 is summed at order 4 and -z4 = z3 (-z3^2 z4) at order 12, both
+        # irrational; they cancel, but the result is held at lcm(4, 12, 5)
+        w = -z3.conj() * z4
+        assert w.order == 12
+        v = dot([1, z3, 1], [z4, w, z5])
+        assert v == z5
+        assert v.order == 60
+
+    def test_dot_refuses_a_term_beyond_the_largest_order(self):
+        # lcm(997, 991) = 988027: the term is refused before a buffer of that
+        # length (8 MB) is made
+        x, y = root_of_unity(997), root_of_unity(991)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CycloError, match="988027"):
+                dot([x], [y])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_mixed_order_arithmetic(self):
         # zeta_4 + zeta_3 lands in Q(zeta_12)
@@ -274,6 +297,41 @@ def test_coefficients_are_canonical(a, b, t, k):
         results.append(a.galois(t))
     for v in results:
         assert all(is_canonical(c) for c in v.coeffs), v.coeffs
+
+
+# operands of `dot` as its callers pass them: ints, Fractions (the halves of
+# dihedral-rot's cos and sin, check_all's lambdas r_j chi(g_j) / n) and Cyclo
+# values at orders whose sums mix fields
+DOT_ORDERS = [1, 3, 4, 5, 12, 15]
+dot_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=10)
+dot_coeffs = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3), dot_rationals)
+
+
+@st.composite
+def dot_operands(draw):
+    kind = draw(st.sampled_from(["int", "fraction", "cyclo", "cyclo"]))
+    if kind == "int":
+        return draw(st.integers(min_value=-6, max_value=6))
+    if kind == "fraction":
+        return draw(dot_rationals)
+    e = draw(st.sampled_from(DOT_ORDERS))
+    coeffs = draw(st.lists(dot_coeffs, min_size=euler_phi(e), max_size=euler_phi(e)))
+    return Cyclo.from_powers(e, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(dot_operands(), dot_operands()), max_size=7), st.data())
+def test_dot_is_the_sum_whatever_the_order_of_the_terms(pairs, data):
+    total = Cyclo.zero()
+    for x, y in pairs:
+        total = total + x * y
+    v = dot([x for x, _ in pairs], [y for _, y in pairs])
+    assert v == total
+    assert (v.order == 1) == v.is_rational()
+    assert all(is_canonical(c) for c in v.coeffs), v.coeffs
+    shuffled = data.draw(st.permutations(pairs))
+    w = dot([x for x, _ in shuffled], [y for _, y in shuffled])
+    assert (w.order, w.coeffs) == (v.order, v.coeffs)
 
 
 @settings(max_examples=60, deadline=None)

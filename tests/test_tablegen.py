@@ -13,7 +13,7 @@ from chartab import _modp as mp
 from chartab.classfun import inner_product, is_irreducible
 from chartab.cyclo import Cyclo, root_of_unity
 from chartab import tablegen
-from chartab.permgroup import Perm, parse_group_spec
+from chartab.permgroup import Perm, PermGroup, parse_group_spec
 from chartab.tablegen import (
     SPLIT_SEED,
     TableConstructionError,
@@ -389,6 +389,15 @@ class TestDegrees:
             degrees_from_eigen(g, [v], p)
 
 
+def test_build_with_a_bad_prime_fails_loudly(monkeypatch):
+    # p = 7 is below 2 sqrt(|S5|) and not 1 mod the exponent 60, yet the split
+    # succeeds; the degree residues mod 7 then name wrong degrees, and the
+    # sum of squares catches them
+    monkeypatch.setattr(tablegen, "choose_prime", lambda g: 7)
+    with pytest.raises(TableConstructionError, match="violate sum of squares = 120"):
+        build_character_table(parse_group_spec("S5"))
+
+
 class TestGoldenTables:
     def test_s3(self):
         table = build_character_table(parse_group_spec("S3"))
@@ -472,6 +481,38 @@ def test_relabeling_keeps_the_table(name, seed):
     assert table.same_abstract_table(build_character_table(g))
 
 
+def direct_product(g, k):
+    """G x K on disjoint point sets: G moves 0..n-1, K moves n..n+m-1."""
+    n, m = g.degree, k.degree
+    gens = [Perm(x + tuple(range(n, n + m))) for x in g.generators]
+    gens += [Perm(tuple(range(n)) + tuple(n + i for i in y)) for y in k.generators]
+    return PermGroup(n + m, gens)
+
+
+@pytest.mark.parametrize("left, right", [("D4", "S3"), ("Q8", "C3"), ("A5", "C3")])
+def test_direct_product_table_is_the_outer_product(left, right):
+    # Irr(G x K) = {chi x psi}, (chi x psi)(g, k) = chi(g) psi(k): an oracle
+    # built from the factors' tables alone.  The projections onto the two
+    # point sets map each class of the product to its pair of factor classes
+    g, k = parse_group_spec(left), parse_group_spec(right)
+    product = direct_product(g, k)
+    n = g.degree
+    g_index, k_index = g.conjugacy_classes().member_index, k.conjugacy_classes().member_index
+    pairs = [(g_index[Perm(x[:n])], k_index[Perm(i - n for i in x[n:])])
+             for x in product.conjugacy_classes().representatives]
+    outer = [[chi.values[a] * psi.values[b] for a, b in pairs]
+             for chi in build_character_table(g).rows
+             for psi in build_character_table(k).rows]
+    rows = [list(row.values) for row in build_character_table(product).rows]
+    # a bijection: each outer product equals exactly one row, and each row
+    # exactly one outer product
+    assert len(rows) == len(outer) == len(pairs)
+    for values in outer:
+        assert sum(r == values for r in rows) == 1, values
+    for r in rows:
+        assert sum(r == values for values in outer) == 1, r
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.sampled_from([D4_X_D4, Q8_X_S3_X_C2, S3_X_S3_X_C3, D4_X_C2_X_C2_X_C2]),
        st.integers(0, 2**32 - 1))
@@ -524,6 +565,17 @@ class TestLift:
             self._set_value(g, p, vectors[i], n, j, chi)
         assert lift_characters(g, vectors, degrees, p).same_abstract_table(
             build_character_table(g))
+
+    def test_prime_without_an_element_of_order_e_fails_at_the_lift(self):
+        # S5 has exponent 60, and 60 does not divide 31 - 1; the split and the
+        # degrees still succeed at p = 31, so the lift is the first stage
+        # that needs an element of order e in F_p
+        g = parse_group_spec("S5")
+        vectors = modp_eigenbasis(g, 31)
+        degrees = degrees_from_eigen(g, vectors, 31)
+        assert sorted(degrees) == [1, 1, 4, 4, 5, 5, 6]
+        with pytest.raises(TableConstructionError, match=r"^lift: exponent e = 60 .* p = 31\b"):
+            lift_characters(g, vectors, degrees, 31)
 
     @pytest.mark.parametrize("spec", [
         "A5", "A7", "Q8",
