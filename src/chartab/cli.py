@@ -356,7 +356,9 @@ OPTIONS = {
     "--format": {"default": "text"},
     "--cap": {"type": non_negative_int, "default": None,
               "help": "enumeration cap (default 100000 or CHARTAB_CAP)"},
-    "--precision": {"type": non_negative_int, "default": 4,
+    # a double carries at most 17 significant decimal digits: more places
+    # print only noise, and each costs memory in every formatted value
+    "--precision": {"type": int, "choices": range(18), "metavar": "PRECISION", "default": 4,
                     "help": "decimal places for approximate values"},
 }
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from chartab import analysis
 from chartab.analysis import (
     burnside_class_test,
     burnside_solvability,
@@ -266,6 +267,34 @@ class TestCheckAll:
         assert check_all(table).ok
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("degree", [0, Fraction(1, 2)], ids=["zero", "half"])
+    def test_degree_that_is_not_a_divisor_fails(self, degree):
+        # failures are data: a zero degree is reported, not divided by, and
+        # a fractional one does not divide |G| although 6 % (1/2) == 0
+        g = parse_group_spec("S3")
+        vals = [list(r.values) for r in build_character_table(g).rows]
+        vals[-1][0] = degree
+        report = check_all(CharacterTable(g, [ClassFunction(g, v) for v in vals]))
+        failing = {r.name for r in report.results if not r.passed}
+        assert "degree-divides-order" in failing
+
+    def test_fault_in_sym_alt_decomposition_is_raised(self, monkeypatch):
+        # only a rejected multiplicity fails sym-alt-squares; a fault in the
+        # program is not a failed check
+        table = build_character_table(parse_group_spec("S4"))
+        calls = []
+        real = analysis.decompose
+
+        def faulty(chi, tab):
+            calls.append(chi)
+            if len(calls) > 1:
+                raise RuntimeError("fault after the regular decomposition")
+            return real(chi, tab)
+
+        monkeypatch.setattr(analysis, "decompose", faulty)
+        with pytest.raises(RuntimeError):
+            check_all(table)
+
     def test_report_rendering(self):
         table = build_character_table(parse_group_spec("S3"))
         report = check_all(table)
@@ -327,7 +356,31 @@ CORRUPTION_CASES = [
 ]
 
 
+# two classes of one size swapped in every row: the row and column pairings
+# and the class sizes cannot tell, only the class constants can
+CLASS_SWAPS = [
+    # A5xC3, the two classes of 5-cycles: caught only by pairs with k > j
+    ("perm:8:(0,1,2);(0,1,2,3,4);(5,6,7)", 3, 4),
+    # S6, transpositions and triple transpositions: a rational table
+    ("S6", 1, 2),
+]
+
+
 class TestCheckAllCorruptions:
+    @pytest.mark.parametrize("name, j, k", CLASS_SWAPS)
+    def test_swapped_classes_fail_only_the_central_identity(self, name, j, k):
+        g = parse_group_spec(name)
+        sizes = g.conjugacy_classes().sizes
+        assert sizes[j] == sizes[k]
+        rows = []
+        for row in build_character_table(g).rows:
+            vals = list(row.values)
+            vals[j], vals[k] = vals[k], vals[j]
+            rows.append(ClassFunction(g, vals))
+        report = check_all(CharacterTable(g, rows))
+        assert {r.name for r in report.results if not r.passed} == {
+            "central-character-identity"}
+
     @pytest.mark.parametrize("name, kind", CORRUPTION_CASES)
     def test_named_checks_fail(self, name, kind):
         g = parse_group_spec(name)

@@ -244,8 +244,8 @@ class TestExitCodes:
         assert code == 0
 
     @pytest.mark.parametrize("extra", [(), ("--format", "csv")])
-    @pytest.mark.parametrize("precision", ["-1", "-2"])
-    def test_negative_precision_is_a_usage_error(self, capsys, extra, precision):
+    @pytest.mark.parametrize("precision", ["-1", "-2", "18"])
+    def test_out_of_range_precision_is_a_usage_error(self, capsys, extra, precision):
         with pytest.raises(SystemExit) as exc:
             cli.main(["table", "A5", *extra, "--precision", precision])
         assert exc.value.code == cli.EXIT_USAGE
