@@ -21,7 +21,7 @@ from .classfun import (
 )
 from .cyclo import dot
 from .permgroup import GroupMismatchError, NormalSubgroup, PermGroup, Subgroup
-from .tablegen import SPLIT_SEED, CharacterTable, class_constants, linear_characters
+from .tablegen import SPLIT_SEED, CharacterTable, class_matrix, linear_characters
 
 
 def restrict(chi: ClassFunction, h: Subgroup) -> ClassFunction:
@@ -258,7 +258,9 @@ def check_all(table: CharacterTable) -> CheckReport:
     Each identity is evaluated once, on data computed once: every value is
     conjugated once, and the row and column pairings are shared by the checks
     that read them, the central-character identity included: it is evaluated
-    in integer form on the size-weighted conjugates of the row pairings."""
+    in integer form on the size-weighted conjugates of the row pairings, for
+    the classes in `table.split_classes`, which generate the centre of the
+    group algebra, so only their class matrices are computed."""
     group = table.group
     data = table.class_data
     h = len(data)
@@ -347,23 +349,28 @@ def check_all(table: CharacterTable) -> CheckReport:
         )
 
     # lambda_ij lambda_ik = sum_l a_jkl lambda_il, lambda_ij = r_j chi_i(g_j) / n_i,
-    # times n_i^2 and conjugated: w_j w_k = n_i sum_l a_jkl w_l, w = weighted[i].
-    # C_j C_k = C_k C_j gives a_jkl = a_kjl, so k >= j covers every identity;
-    # the symmetry is compared too, so that asymmetric constants still fail
-    cc = class_constants(group)
+    # times n_i^2 and conjugated: w_j w_k = n_i sum_l a_jkl w_l, w = weighted[i],
+    # a_jkl in row k of the class matrix M_j.  It is checked for j in the split
+    # classes S and every k, which covers every pair: the x of Z(CG) with
+    # f(xy) = f(x) f(y) for every y, f(C_l) = lambda_il, form a subalgebra that
+    # holds 1 (lambda_i1 = 1) and S, and S generates Z(CG).  At a zero degree
+    # every pair asks w_j w_k = 0, which holds exactly when the row is zero
+    identities = [
+        (j, k, [(l, a) for l, a in enumerate(a_jk) if a])
+        for j in table.split_classes
+        for k, a_jk in enumerate(class_matrix(data, j))
+    ]
 
-    def central_identity_holds(j: int, k: int) -> bool:
-        a_jk = cc.a[j][k]
-        support = [l for l in range(h) if a_jk[l]]
-        return a_jk == cc.a[k][j] and all(
-            dot([w[j]] + [-n * a_jk[l] for l in support],
-                [w[k]] + [w[l] for l in support]).is_zero()
-            for n, w in zip(degrees, weighted)
+    def central_identity_holds(n, w: list) -> bool:
+        if not n:
+            return all(v.is_zero() for v in w)
+        return all(
+            dot([w[j]] + [-n * a for _, a in support],
+                [w[k]] + [w[l] for l, _ in support]).is_zero()
+            for j, k, support in identities
         )
 
-    central_ok = all(
-        central_identity_holds(j, k) for j in range(h) for k in range(j, h)
-    )
+    central_ok = all(central_identity_holds(n, w) for n, w in zip(degrees, weighted))
     add(
         "central-character-identity",
         central_ok,
@@ -416,10 +423,10 @@ def check_all(table: CharacterTable) -> CheckReport:
     add("sym-alt-squares", symalt_ok, "chi_S + chi_A = chi^2 on seeded characters")
 
     # each twist must be a row of norm 1, which makes it irreducible.  Rows
-    # are looked up by coefficient vectors, which are unique within a field
-    # order; a twist held at other orders is compared value by value.
+    # are looked up by (nums, den), which is unique within a field order; a
+    # twist held at other orders is compared value by value.
     def held(f: ClassFunction) -> tuple:
-        return tuple((v.order, v.coeffs) for v in f.values)
+        return tuple((v.order, v.nums, v.den) for v in f.values)
 
     row_at = {held(row): k for k, row in enumerate(rows)}
 

@@ -1,20 +1,22 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_e).
 
-Values are kept as coordinate vectors over the power basis
-1, z, ..., z^(phi(e)-1) where z = zeta_e, reduced modulo the e-th cyclotomic
-polynomial.  The reduced form is unique, so equality is coefficient equality
-(after embedding both operands into the lcm order when the orders differ).
-A coefficient is an `int`, or a `Fraction` whose denominator is greater than
-1: character values are algebraic integers, so their arithmetic stays in
-ints, and a `Fraction` appears only where a division makes one.  Products
-and reductions modulo Phi_e run on int vectors over one common denominator
-(`_integral`, `_reduce`), so a `Fraction` is built only for an output
-coefficient that is not an integer, never per term.  `dot` collects a sum
-of products the same way, in one int vector per field order, and makes no
+A value is held as int numerators over one positive denominator: nums[i]
+/ den is its coordinate on z^i, z = zeta_e, in the power basis 1, z, ...,
+z^(phi(e)-1) modulo the e-th cyclotomic polynomial, and gcd(den, *nums)
+is 1.  That form is unique, so equality is equality of (nums, den), after
+embedding both operands into the lcm order when the orders differ.  The
+power basis is an integral basis of Z[zeta_e], and character values are
+algebraic integers, so a character value has den 1; a denominator greater
+than 1 appears only where a division makes one.  Sums, products,
+reductions modulo Phi_e, Galois images and `dot` all work on the
+numerators directly and make no `Fraction`.  `coeffs` derives the
+canonical coefficient tuple (each an `int`, or a `Fraction` whose
+denominator is greater than 1) that rendering and JSON print.  `dot`
+collects a sum of products in one int vector per field order and makes no
 `Cyclo` per term.
 Arithmetic returns a rational result at order 1, and an order-1 operand acts
-on the other operand's coefficient vector directly, so rational values never
-pay for the coefficient vector of a large field.
+on the other operand's numerators directly, so rational values never pay for
+the coefficient vector of a large field.
 No floating point is used anywhere except `to_float`.
 """
 
@@ -110,8 +112,10 @@ def _phi_terms(e: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 def _integral(coeffs: Sequence[RationalLike]) -> tuple[list[int], int]:
-    """The coefficients as ints over one common denominator: (ints, den),
-    with den the lcm of their denominators and coeffs[i] == ints[i] / den."""
+    """Rational coefficients as ints over one common denominator: (ints, den),
+    with den the lcm of their denominators and coeffs[i] == ints[i] / den.
+    Only the constructors that take rational coefficients call it;
+    arithmetic reads `nums` and `den` directly."""
     for c in coeffs:
         if type(c) is not int:
             den = math.lcm(*(c.denominator for c in coeffs))
@@ -119,60 +123,92 @@ def _integral(coeffs: Sequence[RationalLike]) -> tuple[list[int], int]:
     return list(coeffs), 1
 
 
-def _reduce(e: int, coeffs: Sequence[RationalLike], den: int = 1) -> tuple[RationalLike, ...]:
-    """Reduce the polynomial (sum_i coeffs[i] z^i) / den in z = zeta_e modulo
-    Phi_e to the power basis, with canonical coefficients.
+def _reduce(e: int, nums: list[int]) -> tuple[int, ...]:
+    """The phi(e) power-basis coordinates of the int polynomial
+    sum_i nums[i] z^i in z = zeta_e, reduced modulo Phi_e in place.
 
-    The reduction runs on an int vector over one common denominator: Phi_e is
-    monic with integer coefficients, so clearing the denominators once keeps
-    every step in ints, and a `Fraction` is built only for an output
-    coefficient that is not an integer.  A step subtracts only the nonzero
-    terms of Phi_e, which is sparse when a prime divides e twice
-    (x^4 - x^2 + 1 for e = 12, x^160 - x^120 + x^80 - x^40 + 1 for e = 400)."""
+    Phi_e is monic with integer coefficients, so every step stays in ints.
+    A step subtracts only the nonzero terms of Phi_e, which is sparse when a
+    prime divides e twice (x^4 - x^2 + 1 for e = 12, x^160 - x^120 + x^80 -
+    x^40 + 1 for e = 400)."""
     deg, terms = _phi_terms(e)
-    coeffs, common = _integral(coeffs)
-    den *= common
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        for j, p in terms:
-            coeffs[i - deg + j] -= c * p
-    out = tuple(coeffs[:deg]) + (0,) * (deg - len(coeffs))
-    if den == 1:
-        return out
-    return tuple(c // den if c % den == 0 else Fraction(c, den) for c in out)
+    for i in range(len(nums) - 1, deg - 1, -1):
+        c = nums[i]
+        if c:
+            for j, p in terms:
+                nums[i - deg + j] -= c * p
+    if len(nums) < deg:
+        nums += [0] * (deg - len(nums))
+    return tuple(nums[:deg] if len(nums) > deg else nums)
+
+
+def _held(order: int, nums: tuple[int, ...], den: int) -> "Cyclo":
+    """A Cyclo of exactly these fields, which must already be in lowest terms."""
+    v = object.__new__(Cyclo)
+    v.order, v.nums, v.den = order, nums, den
+    return v
+
+
+def _value(order: int, nums: tuple[int, ...], den: int = 1) -> "Cyclo":
+    """The reduced vector nums / den of Q(zeta_order), den > 0, in lowest
+    terms, and at order 1 when the value is rational."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple(c // g for c in nums)
+            den //= g
+    if order != 1 and not any(nums[1:]):
+        return _held(1, nums[:1], den)
+    return _held(order, nums, den)
 
 
 class Cyclo:
     """An element of Q(zeta_e) in reduced power-basis form.
 
-    `coeffs` holds phi(e) coefficients, each an `int` or a `Fraction` whose
-    denominator is greater than 1.  Construct via `from_rational`,
-    `root_of_unity`, `from_powers`, or arithmetic on those; the raw
-    constructor expects already-reduced coefficients in that form and keeps
-    the order it is given.
+    `nums` holds phi(e) int numerators over the positive int `den`, in lowest
+    terms; `coeffs` is the same vector with canonical coefficients, each an
+    `int` or a `Fraction` whose denominator is greater than 1.  Construct via
+    `from_rational`, `root_of_unity`, `from_powers`, `from_ints`, or
+    arithmetic on those; the raw constructor expects already-reduced
+    coefficients (ints or `Fraction`s) and keeps the order it is given.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
     __hash__ = None  # equality crosses field orders; keep values unhashable
 
     def __init__(self, order: int, coeffs: Sequence[RationalLike]):
+        nums, self.den = _integral(coeffs)
         self.order = order
-        self.coeffs = tuple(coeffs)
+        self.nums = tuple(nums)
+
+    @property
+    def coeffs(self) -> tuple[RationalLike, ...]:
+        """The coordinates as an `int`, or a `Fraction` when not an integer."""
+        den = self.den
+        if den == 1:
+            return self.nums
+        return tuple(c // den if c % den == 0 else Fraction(c, den) for c in self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(q: RationalLike) -> "Cyclo":
-        if type(q) is int:  # already canonical; a bool is made an int below
-            return Cyclo(1, (q,))
-        return Cyclo(1, (_coeff(Fraction(q)),))
+        if type(q) is int:  # a bool is made an int below
+            return _held(1, (q,), 1)
+        q = Fraction(q)
+        return _held(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def from_powers(order: int, coeffs: Sequence[RationalLike]) -> "Cyclo":
         """sum_k coeffs[k] zeta_order^k, reduced; a rational sum has order 1."""
-        return _rational_or(order, _reduce(order, coeffs))
+        nums, den = _integral(coeffs)
+        return _value(order, _reduce(order, nums), den)
+
+    @staticmethod
+    def from_ints(order: int, nums: Sequence[int]) -> "Cyclo":
+        """sum_k nums[k] zeta_order^k for int nums: the int form of
+        `from_powers`, which scans no coefficient."""
+        return _value(order, _reduce(order, list(nums)))
 
     @staticmethod
     def zero() -> "Cyclo":
@@ -202,9 +238,10 @@ class Cyclo:
             raise CycloError(f"cyclotomic order {new_order} outside [1, {MAX_ORDER}]")
         step = new_order // self.order
         raised = [0] * new_order
-        for i, c in enumerate(self.coeffs):
-            raised[i * step] = c
-        return Cyclo(new_order, _reduce(new_order, raised))
+        raised[:len(self.nums) * step:step] = self.nums
+        # Z[zeta_new] meets Q(zeta_order) in Z[zeta_order], so the lowest
+        # denominator stays the same
+        return _held(new_order, _reduce(new_order, raised), self.den)
 
     def _match(self, other: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
         if self.order == other.order:
@@ -216,15 +253,20 @@ class Cyclo:
 
     def __add__(self, other):
         a, b = _rational_last(self, Cyclo._coerce(other))
+        if b.order != 1:
+            a, b = a._match(b)
+        den = a.den if a.den == b.den else math.lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
         if b.order == 1:
-            return _rational_or(a.order, (a.coeffs[0] + b.coeffs[0],) + a.coeffs[1:])
-        a, b = a._match(b)
-        return _rational_or(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+            nums = [c * fa for c in a.nums] if fa != 1 else list(a.nums)
+            nums[0] += b.nums[0] * fb
+            return _value(a.order, tuple(nums), den)
+        return _value(a.order, tuple(x * fa + y * fb for x, y in zip(a.nums, b.nums)), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.order, tuple(-c for c in self.coeffs))
+        return _held(self.order, tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other):
         return self + (-Cyclo._coerce(other))
@@ -235,12 +277,10 @@ class Cyclo:
     def __mul__(self, other):
         a, b = _rational_last(self, Cyclo._coerce(other))
         if b.order == 1:
-            q = b.coeffs[0]
-            return _rational_or(a.order, tuple(q * c for c in a.coeffs))
+            q = b.nums[0]
+            return _value(a.order, tuple(q * c for c in a.nums), a.den * b.den)
         a, b = a._match(b)
-        x, dx = _integral(a.coeffs)
-        y, dy = _integral(b.coeffs)
-        return _rational_or(a.order, _reduce(a.order, _poly_mul(x, y), dx * dy))
+        return _value(a.order, _reduce(a.order, _poly_mul(a.nums, b.nums)), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -288,9 +328,9 @@ class Cyclo:
         if math.gcd(t, e) != 1:
             raise CycloError(f"galois exponent {t} not coprime to order {e}")
         out = [0] * e
-        for i, c in enumerate(self.coeffs):
-            out[(i * t) % e] += c
-        return Cyclo.from_powers(e, out)
+        for i, c in enumerate(self.nums):
+            out[i * t % e] = c  # i -> i t is injective mod e
+        return _value(e, _reduce(e, out), self.den)
 
     def conj(self) -> "Cyclo":
         """Complex conjugation, zeta -> zeta^(e-1)."""
@@ -301,34 +341,35 @@ class Cyclo:
     # -- predicates and conversions -------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> RationalLike:
         """The value as an `int` when it is an integer, else as a `Fraction`."""
         if not self.is_rational():
             raise CycloError(f"{self} is not rational")
-        return self.coeffs[0]
+        return self.nums[0] if self.den == 1 else Fraction(self.nums[0], self.den)
 
     def to_float(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.order)
         total = 0j
-        for i in reversed(range(len(self.coeffs))):
-            total = total * z + complex(self.coeffs[i])
+        coeffs = self.coeffs
+        for i in reversed(range(len(coeffs))):
+            total = total * z + complex(coeffs[i])
         return total
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Cyclo):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Cyclo.from_rational(other)
-        elif not isinstance(other, Cyclo):
-            return NotImplemented
         a, b = _rational_last(self, other)
         if b.order == 1:
-            return a.is_rational() and a.coeffs[0] == b.coeffs[0]
+            return a.den == b.den and a.nums[0] == b.nums[0] and a.is_rational()
         a, b = a._match(b)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     # -- rendering -------------------------------------------------------------
 
@@ -378,40 +419,25 @@ class Cyclo:
         order = int(data["order"])
         if not 1 <= order <= MAX_ORDER:
             raise CycloError(f"cyclotomic order {order} outside [1, {MAX_ORDER}]")
-        coeffs = [_coeff(Fraction(s)) for s in data["coeffs"]]
+        coeffs = [Fraction(s) for s in data["coeffs"]]
         if len(coeffs) != euler_phi(order):
             raise CycloError("coefficient vector length does not match phi(order)")
         return Cyclo(order, coeffs)
 
 
-def _coeff(q: RationalLike) -> RationalLike:
-    """The canonical form of a coefficient: an int, or a Fraction whose
-    denominator is greater than 1."""
-    return q.numerator if q.denominator == 1 else q
-
-
-def _rational_or(order: int, coeffs: Sequence[RationalLike]) -> Cyclo:
-    """The reduced vector `coeffs` of Q(zeta_order) as a Cyclo with canonical
-    coefficients, at order 1 when the value is rational."""
-    coeffs = tuple(map(_coeff, coeffs))
-    if order != 1 and not any(coeffs[1:]):
-        return Cyclo(1, coeffs[:1])
-    return Cyclo(order, coeffs)
-
-
 def _rational_last(a: Cyclo, b: Cyclo) -> tuple[Cyclo, Cyclo]:
     """The operands of a symmetric operation, an order-1 one (if any) last,
-    so that it can act on the other's coefficients without change_order."""
+    so that it can act on the other's numerators without change_order."""
     return (b, a) if a.order == 1 else (a, b)
 
 
 def _poly_mul(a: Sequence[RationalLike], b: Sequence[RationalLike]) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == 0:
+        if not x:
             continue
         for j, y in enumerate(b):
-            if y != 0:
+            if y:
                 out[i + j] += x * y
     return out
 
@@ -432,41 +458,46 @@ def root_of_unity(e: int, k: int = 1) -> Cyclo:
     k %= e
     mono = [0] * (k + 1)
     mono[k] = 1
-    return Cyclo.from_powers(e, mono)
+    return Cyclo.from_ints(e, mono)
 
 
 def dot(xs: Iterable, ys: Iterable) -> Cyclo:
     """sum_i xs[i] * ys[i], exactly, in one fused pass that makes no Cyclo per
     term; an operand is an `int`, a `Fraction` or a `Cyclo`.
 
-    A rational x rational term goes into one rational accumulator.  Every
-    other term goes into an unreduced int buffer of length o, o the lcm of its
-    two operand orders, where exponents wrap mod o since z^o = 1.  A buffer
-    keeps one common denominator, rescaled only when a term's denominator
-    does not divide it, and is reduced once, at the end, the buffers in
-    ascending order.  The result is held at order 1 when it is rational, else
-    at the lcm of the orders whose reduced sums are irrational, so the order
-    of the terms never decides it.  That rule is deliberate: the left-to-right
-    sum of Cyclo products this kernel replaced dropped to order 1 whenever a
+    A term of two integers goes into one int accumulator.  Every other term
+    goes into an unreduced int buffer of length o, o the lcm of its two
+    operand orders, where exponents wrap mod o since z^o = 1.  A buffer keeps
+    one common denominator, rescaled only when a term's denominator does not
+    divide it, and is reduced once, at the end, the buffers in ascending
+    order.  The result is held at order 1 when it is rational, else at the
+    lcm of the orders whose reduced sums are irrational, so the order of the
+    terms never decides it.  That rule is deliberate: the left-to-right sum
+    of Cyclo products this kernel replaced dropped to order 1 whenever a
     running sum turned rational, so the order of the terms could decide the
     order a result was held at.  The value is the same as that sum's."""
     rational = 0
     sums: dict[int, list] = {}  # order -> [int buffer, common denominator]
     for x, y in zip(xs, ys):
-        ox, cx = (x.order, x.coeffs) if isinstance(x, Cyclo) else (1, (x,))
-        oy, cy = (y.order, y.coeffs) if isinstance(y, Cyclo) else (1, (y,))
+        # an int or a Fraction is read by its numerator and denominator
+        if isinstance(x, Cyclo):
+            ox, nx, dx = x.order, x.nums, x.den
+        else:
+            ox, nx, dx = 1, (x.numerator,), x.denominator
+        if isinstance(y, Cyclo):
+            oy, ny, dy = y.order, y.nums, y.den
+        else:
+            oy, ny, dy = 1, (y.numerator,), y.denominator
         if oy == 1:  # a rational operand goes first, and a zero one adds nothing
-            ox, cx, oy, cy = oy, cy, ox, cx
+            ox, nx, dx, oy, ny, dy = oy, ny, dy, ox, nx, dx
+        d = dx * dy
         if ox == 1:
-            if oy == 1:
-                rational += cx[0] * cy[0]
+            if not nx[0]:
                 continue
-            if not cx[0]:
+            if oy == 1 and d == 1:
+                rational += nx[0] * ny[0]
                 continue
         o = math.lcm(ox, oy)
-        cx, dx = _integral(cx)
-        cy, dy = _integral(cy)
-        d = dx * dy
         entry = sums.get(o)
         if entry is None:
             if o > MAX_ORDER:
@@ -478,38 +509,39 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
             buf[:] = [c * scale for c in buf]
             den = entry[1] = den * scale
         sx, sy, f = o // ox, o // oy, den // d
-        for i, a in enumerate(cx):
+        for i, a in enumerate(nx):
             if a:
                 a *= f
                 shift = i * sx
-                for j, b in enumerate(cy):
+                for j, b in enumerate(ny):
                     if b:
                         buf[(shift + j * sy) % o] += a * b
+    total = Cyclo.from_rational(rational)
     irrational = []
     for o, (buf, den) in sorted(sums.items()):
-        c = _reduce(o, buf, den)
-        if any(c[1:]):
-            irrational.append((o, c))
+        v = _value(o, _reduce(o, buf), den)
+        if v.order == 1:
+            total += v
         else:
-            rational += c[0]
-    total = Cyclo.from_rational(rational)
-    order = math.lcm(*(o for o, _ in irrational))
-    for o, c in irrational:
-        total += Cyclo(o, c).change_order(order)
+            irrational.append(v)
+    order = math.lcm(*(v.order for v in irrational))
+    for v in irrational:
+        total += v.change_order(order)
     return total
 
 
 def _root_sums(values: Sequence[Cyclo], n: int, sign: int, divisor: int = 1) -> list[Cyclo]:
     """[sum_k values[k] zeta_n^(sign k q) / divisor for q in range(n)].
 
-    Each value is embedded once, as ints over one common denominator, into
-    the unreduced basis 1, z, ..., z^(L-1) of Q(zeta_L), with L the lcm of n
-    and the value orders.  There, multiplying by zeta_n^m rotates the vector
-    by m L / n, so each sum costs one pass over the nonzero coefficients and
-    one reduction.  A sum is held at order L, or at order 1 when rational."""
+    Each value is embedded once, its numerators brought to one common
+    denominator, into the unreduced basis 1, z, ..., z^(L-1) of Q(zeta_L),
+    with L the lcm of n and the value orders.  There, multiplying by
+    zeta_n^m rotates the vector by m L / n, so each sum costs one pass over
+    the nonzero coefficients and one reduction.  A sum is held at order L, or
+    at order 1 when rational."""
     order = math.lcm(n, *(v.order for v in values))
-    den = math.lcm(*(c.denominator for v in values for c in v.coeffs))
-    terms = [[(i * (order // v.order), int(c * den)) for i, c in enumerate(v.coeffs) if c]
+    den = math.lcm(*(v.den for v in values))
+    terms = [[(i * (order // v.order), c * (den // v.den)) for i, c in enumerate(v.nums) if c]
              for v in values]
     shift = sign * (order // n)
     sums = []
@@ -519,7 +551,7 @@ def _root_sums(values: Sequence[Cyclo], n: int, sign: int, divisor: int = 1) -> 
             rot = k * q * shift
             for i, c in vec:
                 buf[(i + rot) % order] += c
-        sums.append(_rational_or(order, _reduce(order, buf, den * divisor)))
+        sums.append(_value(order, _reduce(order, buf), den * divisor))
     return sums
 
 

@@ -128,9 +128,10 @@ def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
     )
 
 
-def modp_eigenbasis(g: PermGroup, p: int) -> list[list[int]]:
+def modp_eigenbasis(g: PermGroup, p: int, read: list[int] | None = None) -> list[list[int]]:
     """Simultaneous eigenvectors of all class matrices over F_p, each
-    normalized so its identity-class coordinate is 1.
+    normalized so its identity-class coordinate is 1.  The classes whose
+    matrices are read are appended to `read`, when it is given, in order.
 
     F_p^h is split by the class matrices one after another, smallest class
     first, while some space is not yet a line.  A class is covered when its
@@ -160,6 +161,8 @@ def modp_eigenbasis(g: PermGroup, p: int) -> list[list[int]]:
         if covered[j]:
             continue
         mat = class_matrix(data, j)
+        if read is not None:
+            read.append(j)
         refined = []
         for rows, pivots in spaces:
             if len(rows) == 1:
@@ -227,15 +230,15 @@ def degrees_from_eigen(g: PermGroup, vectors: list[list[int]], p: int) -> list[i
 def _row_sort_key(values: tuple[Cyclo, ...], value_keys: dict | None = None) -> tuple:
     """A row's place in the canonical order: its degree, then each value's
     rounded float, descending.  value_keys memoises the float key of each
-    distinct (order, coeffs) across the rows of one sort."""
+    distinct (order, nums, den) across the rows of one sort."""
     if value_keys is None:
         value_keys = {}
     key = [values[0].as_rational()]
     for v in values:
-        vkey = value_keys.get((v.order, v.coeffs))
+        vkey = value_keys.get((v.order, v.nums, v.den))
         if vkey is None:
             fv = v.to_float()
-            vkey = value_keys[v.order, v.coeffs] = (
+            vkey = value_keys[v.order, v.nums, v.den] = (
                 -int(round(fv.real * 1e9)), -int(round(fv.imag * 1e9)))
         key.append(vkey)
     return tuple(key)
@@ -275,6 +278,23 @@ class CharacterTable:
         self.class_data = data
         self.rows = _sorted_rows(rows)
         self.degrees = tuple(r.values[0].as_rational() for r in self.rows)
+        self._split_classes = None
+
+    @property
+    def split_classes(self) -> tuple[int, ...]:
+        """The classes whose matrices the split in `modp_eigenbasis` reads.
+
+        The split ends only when these matrices separate the central
+        characters mod p, and values that differ mod p differ in C, so with
+        the identity class they generate Z(CG).  They are group data, never
+        read off the rows: `build_character_table` keeps those of its own
+        split, and for a table made any other way the split is run once,
+        here."""
+        if self._split_classes is None:
+            read: list[int] = []
+            modp_eigenbasis(self.group, choose_prime(self.group), read)
+            self._split_classes = tuple(read)
+        return self._split_classes
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -365,7 +385,7 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
             c = chi[j] - p if chi[j] > p // 2 else chi[j]
             if abs(c) > n_i:
                 raise TableConstructionError(f"rational value {c} exceeds degree {n_i}")
-            values[j] = Cyclo(1, (c,))
+            values[j] = Cyclo.from_rational(c)
         for j, (j0, s) in orbit_of.items():
             if j != j0:
                 values[j] = values[j0].galois(s)
@@ -381,10 +401,10 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
                 raise TableConstructionError(
                     f"multiplicities sum to {sum(exps)}, expected degree {n_i}"
                 )
-            values[j] = Cyclo.from_powers(d, exps)
+            values[j] = Cyclo.from_ints(d, exps)
         rows.append(ClassFunction(group, values))
     for j in rational[1:]:  # the regular character vanishes off the identity
-        total = sum(n_i * row.values[j].coeffs[0] for n_i, row in zip(degrees, rows))
+        total = sum(n_i * row.values[j].nums[0] for n_i, row in zip(degrees, rows))
         if total:
             raise TableConstructionError(
                 f"column {j}: sum of degree times value is {total}, not 0"
@@ -395,9 +415,12 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
 def build_character_table(g: PermGroup) -> CharacterTable:
     """Full pipeline: prime -> eigenbasis -> degrees -> lift."""
     p = choose_prime(g)
-    vectors = modp_eigenbasis(g, p)
+    read: list[int] = []
+    vectors = modp_eigenbasis(g, p, read)
     degrees = degrees_from_eigen(g, vectors, p)
-    return lift_characters(g, vectors, degrees, p)
+    table = lift_characters(g, vectors, degrees, p)
+    table._split_classes = tuple(read)
+    return table
 
 
 def linear_characters(g: PermGroup) -> list[ClassFunction]:
@@ -476,6 +499,6 @@ def linear_characters(g: PermGroup) -> list[ClassFunction]:
             g_k = math.gcd(k, exponent)
             num = [0] * (exponent // g_k)
             num[k // g_k] = 1
-            values.append(Cyclo.from_powers(exponent // g_k, num))
+            values.append(Cyclo.from_ints(exponent // g_k, num))
         out.append(ClassFunction(g, values))
     return _sorted_rows(out)

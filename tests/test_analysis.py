@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from chartab import analysis
+from chartab import analysis, tablegen
 from chartab.analysis import (
     burnside_class_test,
     burnside_solvability,
@@ -294,6 +294,43 @@ class TestCheckAll:
         monkeypatch.setattr(analysis, "decompose", faulty)
         with pytest.raises(RuntimeError):
             check_all(table)
+
+    def test_central_identity_reads_only_the_split_class_matrices(self, monkeypatch):
+        # the identity is checked for j in the classes the split read, so
+        # check_all computes those class matrices and no others, and a table
+        # made by hand runs the split once to learn them
+        g = parse_group_spec(D4XS3)
+        table = build_character_table(g)
+        computed, splits, cubes = [], [], []
+        real_matrix, real_split = tablegen.class_matrix, tablegen.modp_eigenbasis
+
+        def matrix_spy(data, j):
+            computed.append(j)
+            return real_matrix(data, j)
+
+        def split_spy(*args):
+            splits.append(args)
+            return real_split(*args)
+
+        # analysis holds class_matrix by value, the split looks it up in tablegen
+        monkeypatch.setattr(tablegen, "class_matrix", matrix_spy)
+        monkeypatch.setattr(analysis, "class_matrix", matrix_spy)
+        monkeypatch.setattr(tablegen, "modp_eigenbasis", split_spy)
+        monkeypatch.setattr(tablegen, "class_constants", lambda g: cubes.append(g))
+        reads = list(table.split_classes)
+        assert 0 < len(reads) < len(table) - 1
+        assert check_all(table).ok
+        assert computed == reads
+        assert not splits and not cubes
+
+        computed.clear()
+        by_hand = CharacterTable(g, [ClassFunction(g, r.values) for r in table.rows])
+        assert check_all(by_hand).ok and check_all(by_hand).ok
+        assert len(splits) == 1
+        assert by_hand.split_classes == table.split_classes
+        # the split's reads, then those of each check_all
+        assert computed == 3 * reads
+        assert not cubes
 
     def test_report_rendering(self):
         table = build_character_table(parse_group_spec("S3"))

@@ -411,10 +411,10 @@ oracle_coeffs = st.one_of(
 
 
 @st.composite
-def oracle_values(draw):
+def oracle_values(draw, orders=ORACLE_ORDERS):
     """A reduced vector of Q(zeta_e) with canonical coefficients, held at
     order e by the raw constructor even when it is rational."""
-    e = draw(st.sampled_from(ORACLE_ORDERS))
+    e = draw(st.sampled_from(orders))
     size = euler_phi(e)
     coeffs = draw(st.lists(oracle_coeffs, min_size=size, max_size=size))
     return Cyclo(e, [c.numerator if c.denominator == 1 else c for c in coeffs])
@@ -452,3 +452,47 @@ def test_galois_matches_fraction_oracle(x, s):
 def test_from_powers_matches_fraction_oracle(e, data):
     coeffs = data.draw(st.lists(oracle_coeffs, max_size=3 * e))
     assert_reduced(Cyclo.from_powers(e, coeffs), e, fraction_reduce(e, coeffs))
+
+
+# orders whose lcm is at most 60, so that the oracle's Fraction products stay small
+DOT_ORACLE_ORDERS = [1, 3, 4, 5, 12, 20]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.one_of(oracle_values(DOT_ORACLE_ORDERS), oracle_coeffs),
+                          st.one_of(oracle_values(DOT_ORACLE_ORDERS), oracle_coeffs)),
+                max_size=5))
+def test_dot_matches_fraction_oracle(pairs):
+    pairs = [(Cyclo._coerce(x), Cyclo._coerce(y)) for x, y in pairs]
+    m = math.lcm(1, *(v.order for pair in pairs for v in pair))
+    expected = [Fraction(0)] * euler_phi(m)
+    for x, y in pairs:
+        term = fraction_reduce(m, poly_mul_int(fraction_embed(x, m), fraction_embed(y, m)))
+        expected = [a + b for a, b in zip(expected, term)]
+    v = dot([x for x, _ in pairs], [y for _, y in pairs])
+    assert m % v.order == 0
+    assert_reduced(v.change_order(m), m, expected, drop_rational=False)
+
+
+def assert_lowest_terms(v):
+    """v holds int numerators over a positive int denominator in lowest
+    terms, at order 1 exactly when it is rational."""
+    assert type(v.den) is int and v.den > 0
+    assert all(type(c) is int for c in v.nums)
+    assert len(v.nums) == euler_phi(v.order)
+    assert math.gcd(v.den, *v.nums) == 1, (v.nums, v.den)
+    assert (v.order == 1) == v.is_rational()
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_values(), oracle_values(), st.integers(min_value=1, max_value=72),
+       st.lists(oracle_coeffs, max_size=40), st.data())
+def test_results_are_held_in_lowest_terms(x, y, s, coeffs, data):
+    pairs = data.draw(st.lists(st.tuples(oracle_values(), oracle_values()), max_size=4))
+    results = [x + y, x - y, x * y, dot([x, y], [y, x]),
+               dot([a for a, _ in pairs], [b for _, b in pairs]),
+               Cyclo.from_powers(x.order, coeffs)]
+    if math.gcd(s, x.order) == 1:
+        results.append(x.galois(s))
+    for v in results:
+        assert_lowest_terms(v)

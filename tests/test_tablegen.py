@@ -92,7 +92,8 @@ class TestClassConstants:
             for l in range(cc.h):
                 assert cc.a[0][k][l] == (1 if k == l else 0)
 
-    @pytest.mark.parametrize("name", BUILTINS_LE_24)
+    # check_all trusts a_jkl = a_kjl and does not compare them
+    @pytest.mark.parametrize("name", BUILTINS_LE_24 + ["S5", D4_X_S3])
     def test_counting_identity_and_symmetry(self, name):
         cc = class_constants(parse_group_spec(name))
         for j in range(cc.h):
