@@ -416,13 +416,22 @@ class Cyclo:
 
     @staticmethod
     def from_json(data: dict) -> "Cyclo":
-        order = int(data["order"])
+        """The value `to_json` wrote: an int order and a list of phi(order)
+        coefficients, each an int or a string such as "-2/3"; anything else
+        raises `CycloError`."""
+        order, coeffs = data.get("order"), data.get("coeffs")
+        if type(order) is not int:  # not a bool, a float or a string
+            raise CycloError(f"cyclotomic order {order!r} is not an int")
         if not 1 <= order <= MAX_ORDER:
             raise CycloError(f"cyclotomic order {order} outside [1, {MAX_ORDER}]")
-        coeffs = [Fraction(s) for s in data["coeffs"]]
-        if len(coeffs) != euler_phi(order):
-            raise CycloError("coefficient vector length does not match phi(order)")
-        return Cyclo(order, coeffs)
+        if not isinstance(coeffs, (list, tuple)) or len(coeffs) != euler_phi(order):
+            raise CycloError("coefficients are not a list of phi(order) values")
+        if any(type(c) not in (int, str) for c in coeffs):  # a float is inexact
+            raise CycloError(f"coefficients {coeffs!r} are not ints and strings")
+        try:
+            return Cyclo(order, [Fraction(c) for c in coeffs])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CycloError(f"malformed coefficient in {coeffs!r}") from exc
 
 
 def _rational_last(a: Cyclo, b: Cyclo) -> tuple[Cyclo, Cyclo]:

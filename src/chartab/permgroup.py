@@ -273,18 +273,20 @@ class PermGroup:
     # -- normal subgroups, as unions of conjugacy classes ---------------------
 
     def commutator_subgroup(self) -> "NormalSubgroup":
-        """G', closed from the classes of the commutators x^-1 z, x a class
-        representative and z a member of its class: every commutator
-        g^-1 t^-1 g t is conjugate to one of these."""
+        """G', closed from the classes of the commutators [a, b] of pairs of
+        generators: modulo that closure the generators commute, so the
+        quotient is abelian."""
         if self._commutator_subgroup is None:
-            data = self.conjugacy_classes()
-            index = data.member_index
-            seed = set()
-            for cl in data.classes:
-                x_inv = cl.representative.inv()
-                seed.update(index[x_inv * z] for z in cl.members)
-            self._commutator_subgroup = self._normal_closure_of(seed)
+            gens = self.generators
+            self._commutator_subgroup = self._normal_closure_of(self._commutators(gens, gens))
         return self._commutator_subgroup
+
+    def _commutators(self, ts: Sequence[Perm], xs: Sequence[Perm]) -> set[int]:
+        """The classes of the commutators t^-1 x^-1 t x, t in ts, x in xs."""
+        index = self.conjugacy_classes().member_index
+        xs = [(x.inv(), x) for x in xs]
+        return {index[t_inv * (x_inv * t * x)]
+                for t_inv, t in [(t.inv(), t) for t in ts] for x_inv, x in xs}
 
     def normal_closure(self, s: Perm) -> "NormalSubgroup":
         if s not in self:
@@ -293,25 +295,24 @@ class PermGroup:
 
     def _normal_closure_of(self, seed: Iterable[int]) -> "NormalSubgroup":
         """The smallest normal subgroup containing the classes `seed`: the
-        union of classes closed under products.  C_j C_k is the union of the
-        classes of g_j y, y in C_k, and equals C_k C_j, so each class taken
-        from the worklist is multiplied with itself and every class taken
-        before it."""
+        subgroup generated by X, the members of those classes.  The classes
+        are reached from the identity's by right-multiplying the
+        representative g_i of each class reached by each y in X.  That
+        reaches every member's products too: h g_i h^-1 y = h (g_i y') h^-1
+        with y' = h^-1 y h in X, since X is closed under conjugation."""
         data = self.conjugacy_classes()
         index = data.member_index
+        seed = set(seed)
+        xs = [y for k in seed for y in data.classes[k].members]
         found = {0, *seed}
         queue = list(found)
-        done: list[int] = []
         while queue and len(found) < len(data):
-            j = queue.pop()
-            done.append(j)
-            g_j = data.classes[j].representative
-            for k in done:
-                for y in data.classes[k].members:
-                    l = index[g_j * y]
-                    if l not in found:
-                        found.add(l)
-                        queue.append(l)
+            g_i = data.classes[queue.pop()].representative
+            for y in xs:
+                l = index[g_i * y]
+                if l not in found:
+                    found.add(l)
+                    queue.append(l)
         return NormalSubgroup(self, found)
 
     def center(self) -> "NormalSubgroup":
@@ -322,29 +323,22 @@ class PermGroup:
     def derived_series(self) -> list["NormalSubgroup"]:
         """G' >= G'' >= ... until stabilization, each term normal in G.
 
-        A term N is normal in G, and so is [N, N]: it is the closure of the
-        classes of the commutators [x, y], x a class representative in N and
-        y in N, since every commutator of N is conjugate to one of these."""
-        data = self.conjugacy_classes()
-        index = data.member_index
-        series: list[NormalSubgroup] = []
-        current_order = self.order
-        derived = self.commutator_subgroup()
-        while True:
-            if derived.order == current_order:
-                if not series:
-                    series.append(derived)
-                return series
+        A term N is the closure of its seed classes, whose members X
+        generate N.  [N, N] is normal in G and is the closure of the
+        classes of the commutators [t, x], t a representative of a seed
+        class and x in X: every [t', x'] on X is conjugate to one of these,
+        so modulo that closure the members of X commute."""
+        classes = self.conjugacy_classes().classes
+        seed = self._commutators(self.generators, self.generators)
+        series = [self.commutator_subgroup()]
+        while 1 < series[-1].order < self.order:  # a perfect G stops at G'
+            seed = self._commutators([classes[j].representative for j in seed],
+                                     [y for j in seed for y in classes[j].members])
+            derived = self._normal_closure_of(seed)
+            if derived.order == series[-1].order:
+                break
             series.append(derived)
-            if derived.order == 1:
-                return series
-            xs = [(data.classes[j].representative.inv(), data.classes[j].representative)
-                  for j in derived.classes]
-            ys = [(y.inv(), y) for y in derived.elements]
-            current_order = derived.order
-            derived = self._normal_closure_of(
-                {index[x_inv * (y_inv * x * y)] for x_inv, x in xs for y_inv, y in ys}
-            )
+        return series
 
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].order == 1

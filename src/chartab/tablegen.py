@@ -17,7 +17,7 @@ from operator import mul
 
 from . import _modp as mp
 from .classfun import ClassFunction
-from .cyclo import Cyclo
+from .cyclo import Cyclo, root_of_unity
 from .permgroup import ClassData, PermGroup, Perm, ResourceCapError
 
 SPLIT_SEED = 0x5EED
@@ -426,79 +426,59 @@ def build_character_table(g: PermGroup) -> CharacterTable:
 def linear_characters(g: PermGroup) -> list[ClassFunction]:
     """All degree-1 characters, lifted from the abelian quotient G/G'.
 
-    The quotient is peeled into a chain of cyclic extensions; each partial
-    character extends in exactly d ways per relative order d, so the count
-    is the quotient order [G:G'].
+    Conjugates differ by a commutator, so each class lies in one coset of
+    G', and classes j and k share a coset when g_j^-1 g_k is in G': the
+    quotient is read off the class representatives.  It is peeled into a
+    chain of cyclic extensions; each partial character extends in exactly
+    d ways per relative order d, so the count is the quotient order [G:G'].
+    A character's value on a coset is zeta_e^k, e the exponent of G.
     """
-    derived = g.commutator_subgroup()
-    coset_of: dict[Perm, int] = {}
-    reps: list[Perm] = []
-    for el in g.elements:
-        if el in coset_of:
-            continue
-        idx = len(reps)
-        members = [el * t for t in derived.elements]
-        for m in members:
-            coset_of[m] = idx
-        reps.append(min(members))
+    data = g.conjugacy_classes()
+    index = data.member_index
+    derived = set(g.commutator_subgroup().classes)
+    reps: list[Perm] = []  # one class representative per coset
+    coset_of: list[int] = []  # class -> coset
+    for x in data.representatives:
+        x_inv = x.inv()  # x^-1 y is in G' when y^-1 x is
+        c = next((c for c, y in enumerate(reps) if index[x_inv * y] in derived), len(reps))
+        if c == len(reps):
+            reps.append(x)
+        coset_of.append(c)
     n_q = len(reps)
+    exponent = g.exponent
 
     def qmul(a: int, b: int) -> int:
-        return coset_of[reps[a] * reps[b]]
+        return coset_of[index[reps[a] * reps[b]]]
 
-    def qorder(x: int) -> int:
-        s, cur = 1, x
-        while cur != 0:
-            cur = qmul(cur, x)
-            s += 1
-        return s
-
-    exponent = 1
-    for x in range(n_q):
-        exponent = math.lcm(exponent, qorder(x))
-
-    covered = [0]
-    covered_set = {0}
-    chars: list[dict[int, int]] = [{0: 0}]
+    covered = [0]  # the cosets reached; a character is its powers k on them
+    at = {0: 0}  # coset -> its position in `covered`
+    chars = [[0]]
     while len(covered) < n_q:
-        x = next(c for c in range(n_q) if c not in covered_set)
+        x = next(c for c in range(n_q) if c not in at)
         xpow = [0]
         cur = x
-        while cur not in covered_set:
+        while cur not in at:
             xpow.append(cur)
             cur = qmul(cur, x)
         d = len(xpow)  # relative order of x; xpow[a] = x^a for a < d
-        landing = cur  # x^d, already covered
+        landing = at[cur]  # x^d, already covered
+        # the new cosets h x^a, a = 1..d-1, h covered, once per step
+        covered += [qmul(hcoset, xpow[a]) for a in range(1, d) for hcoset in covered]
+        at = {c: i for i, c in enumerate(covered)}
         new_chars = []
         for chi in chars:
             c = chi[landing]
             if c % d != 0:
                 raise TableConstructionError("character extension is unsolvable")
             for t in range(d):
-                k = (c // d + t * (exponent // d)) % exponent
-                ext = dict(chi)
-                for a in range(1, d):
-                    for hcoset in covered:
-                        ext[qmul(hcoset, xpow[a])] = (chi[hcoset] + a * k) % exponent
-                new_chars.append(ext)
+                k = c // d + t * (exponent // d)
+                new_chars.append(chi + [(v + a * k) % exponent for a in range(1, d) for v in chi])
         chars = new_chars
-        new_covered = list(covered)
-        for a in range(1, d):
-            for hcoset in covered:
-                new_covered.append(qmul(hcoset, xpow[a]))
-        covered = new_covered
-        covered_set = set(covered)
 
-    data = g.conjugacy_classes()
-    out = []
-    for chi in chars:
-        values = []
-        for cl in data.classes:
-            # zeta_m^k = zeta_(m/g)^(k/g), g = gcd(k, m): the natural field
-            k = chi[coset_of[cl.representative]]
-            g_k = math.gcd(k, exponent)
-            num = [0] * (exponent // g_k)
-            num[k // g_k] = 1
-            values.append(Cyclo.from_ints(exponent // g_k, num))
-        out.append(ClassFunction(g, values))
-    return _sorted_rows(out)
+    def value(k: int) -> Cyclo:
+        # zeta_e^k = zeta_(e/g)^(k/g), g = gcd(k, e): the natural field
+        g_k = math.gcd(k, exponent)
+        return root_of_unity(exponent // g_k, k // g_k)
+
+    return _sorted_rows([ClassFunction(g, [value(chi[at[c]]) for c in coset_of])
+                         for chi in chars])

@@ -41,6 +41,21 @@ def perm_of(group, cycle_text):
     return _parse_cycles(cycle_text, group.degree)
 
 
+def count_perm_products(monkeypatch):
+    """Count the `Perm` products made from now on, in a one-item list."""
+    from chartab.permgroup import Perm
+
+    count = [0]
+    mul = Perm.__mul__
+
+    def counting(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Perm, "__mul__", counting)
+    return count
+
+
 def class_index_of(group, cycle_text):
     """Canonical class index of the element written in cycle notation."""
     data = group.conjugacy_classes()

@@ -217,6 +217,21 @@ class TestRendering:
         with pytest.raises(CycloError, match="outside"):
             Cyclo.from_json({"order": order, "coeffs": ["0"] * n_coeffs})
 
+    @pytest.mark.parametrize("data", [
+        {"order": 3, "coeffs": ["1/0", "0"]},  # a zero denominator
+        {"order": 3, "coeffs": ["x", "0"]},  # not a number
+        {"order": 4, "coeffs": [1.5, 0]},  # a float, which is inexact
+        {"order": 4.9, "coeffs": ["0", "0"]},  # a float order, not cut to 4
+        {"order": "4", "coeffs": ["0", "0"]},
+        {"order": True, "coeffs": ["0"]},  # a bool is not an order
+        {"order": 1, "coeffs": [True]},  # nor a coefficient
+        {"order": 3, "coeffs": "12"},  # not a list
+        {"order": 3},
+    ])
+    def test_json_malformed_input(self, data):
+        with pytest.raises(CycloError):
+            Cyclo.from_json(data)
+
 
 # -- property tests ------------------------------------------------------------
 

@@ -12,7 +12,7 @@ from chartab.permgroup import (
     parse_group_spec,
 )
 
-from conftest import BUILTIN_NAMES, BUILTINS_LE_24, perm_of
+from conftest import BUILTIN_NAMES, BUILTINS_LE_24, count_perm_products, perm_of
 
 
 def brute_force_closure(generator_images, degree):
@@ -38,7 +38,10 @@ RELABELED_PRODUCTS = [
     "perm:7:(2,5);(1,4,2,5);(0,3);(0,3,6)",
     "perm:8:(0,5);(0,3,6,5);(1,4,7,2);(2,4)",
 ]
-NORMAL_SUBGROUP_GROUPS = BUILTINS_LE_24 + ["A5", "S5"] + RELABELED_PRODUCTS
+# a relabeled D4xD4xC3: five generators, 75 classes, derived series [4, 1]
+D4_X_D4_X_C3 = "perm:11:(1,10,3,9);(9,10);(0,8,4,7);(0,4);(2,5,6)"
+NORMAL_SUBGROUP_GROUPS = (BUILTINS_LE_24 + ["A5", "S5"] + RELABELED_PRODUCTS
+                          + [D4_X_D4_X_C3])
 
 
 def commutator_closure(elements, degree):
@@ -336,6 +339,17 @@ class TestSubgroupMachinery:
         assert center.element_set == oracle
         assert all((el in center) == (el in oracle) for el in g.elements)
         assert center.order == len(oracle)
+
+    def test_s8_derived_series_from_generator_commutators(self, monkeypatch):
+        # a group the parse cache has not seen, with its classes computed
+        s8 = parse_group_spec("S8")
+        g = PermGroup(s8.degree, s8.generators)
+        g.conjugacy_classes()
+        count = count_perm_products(monkeypatch)
+        g.commutator_subgroup()
+        assert [term.order for term in g.derived_series()] == [20160]
+        # about 6,000; a scan of every member of every class makes over 10^6
+        assert count[0] < 10_000
 
     def test_a7_simple_not_solvable(self):
         g = parse_group_spec("A7")

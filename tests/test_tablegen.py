@@ -37,6 +37,7 @@ from conftest import (
     S4_ROWS,
     S5_COLUMNS,
     S5_ROWS,
+    count_perm_products,
     expected_row_set,
     rows_match_as_sets,
 )
@@ -44,6 +45,7 @@ from conftest import (
 
 D4_X_D4 = "perm:8:(0,1,2,3);(0,2);(4,5,6,7);(4,6)"
 D4_X_S3 = "perm:7:(0,1,2,3);(0,2);(4,5);(4,5,6)"
+C2_4 = "perm:8:(0,1);(2,3);(4,5);(6,7)"
 C2_8 = "perm:16:(0,1);(2,3);(4,5);(6,7);(8,9);(10,11);(12,13);(14,15)"
 D4_CUBED = "perm:12:(0,1,2,3);(0,2);(4,5,6,7);(4,6);(8,9,10,11);(8,10)"
 # three of the direct products whose tables the benchmark builds
@@ -716,7 +718,8 @@ class TestLinearCharacters:
         for chi in chars:
             assert chi.values[1] == 1
 
-    @pytest.mark.parametrize("name", BUILTINS_LE_24 + ["A5", "S5"])
+    # D4xD4xC3: G/G' = C2^4 x C3, 48 linear characters
+    @pytest.mark.parametrize("name", BUILTINS_LE_24 + ["A5", "S5", D4_X_D4_X_C3, C2_4])
     def test_matches_table_rows(self, name):
         g = parse_group_spec(name)
         table = build_character_table(g)
@@ -725,6 +728,15 @@ class TestLinearCharacters:
         assert len(chars) == len(table_linear)
         for chi in chars:
             assert any(chi == row for row in table_linear)
+
+    def test_s8_quotient_read_off_class_representatives(self, monkeypatch):
+        s8 = parse_group_spec("S8")
+        g = PermGroup(s8.degree, s8.generators)
+        g.commutator_subgroup()
+        count = count_perm_products(monkeypatch)
+        assert len(linear_characters(g)) == 2
+        # a few dozen; enumerating every element times G' makes 40,325
+        assert count[0] < 1_000
 
     def test_distinct_and_closed_under_product(self):
         g = parse_group_spec("D6")
