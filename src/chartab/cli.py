@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from operator import attrgetter
 
 from .analysis import (
     burnside_class_test,
@@ -117,6 +118,21 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def _render_table_json(table: CharacterTable) -> str:
+    """`_json_dumps(table.to_json())`, byte for byte, with each distinct
+    value encoded once.  A value's JSON depends only on its order, nums and
+    den, so those key the encoded texts."""
+    key = attrgetter("order", "nums", "den")
+    distinct = {key(v): v for row in table.rows for v in row.values}
+    encoded = {k: _json_dumps(v.to_json()) for k, v in distinct.items()}.__getitem__
+    rows = []
+    for n, row in zip(table.degrees, table.rows):
+        values = ",".join(map(encoded, map(key, row.values)))
+        rows.append(f'{{"degree":{_json_dumps(n)},"values":[{values}]}}')
+    head = _json_dumps(classes_json(table.group))[:-1]  # without its closing brace
+    return f'{head},"characters":[{",".join(rows)}]}}'
+
+
 def _sum_of(mults: list[int], label: str) -> str:
     """A decomposition as text: [0, 0, 2, 0, 1] with label X is "2*X3 + X5"."""
     return " + ".join(
@@ -128,7 +144,7 @@ def cmd_table(args) -> int:
     group = _load_group(args.spec, _cap_from(args))
     table = build_character_table(group)
     if args.format == "json":
-        print(_json_dumps(table.to_json()))
+        print(_render_table_json(table))
     elif args.format == "csv":
         print(_render_table_csv(table, args.precision))
     else:

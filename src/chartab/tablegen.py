@@ -352,6 +352,12 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
     sigma_s: zeta_d -> zeta_d^s, so it takes the first class's value under
     Cyclo.galois(s).  Its chi mod p is the DFT's entry at s, so the bounds
     checked on the m_t cover it too.
+
+    A table holds few distinct values, so each is made once per call: the
+    rational value of each c, the DFT of each tuple `along` of chi mod p on
+    the power classes (which, with d and p, fixes it), and the image of each
+    first-class value under each sigma_s, each kind in a dict of its own.
+    The bounds are still checked on every entry, against that row's degree.
     """
     data = group.conjugacy_classes()
     e = group.exponent
@@ -377,37 +383,55 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
         zd_inv, d_inv = pow(z, (e // d) * (p - 2), p), pow(d, p - 2, p)
         w = [pow(zd_inv, k, p) * d_inv % p for k in range(d)]
         dft[d] = [[w[t * s % d] for s in range(d)] for t in range(d)]
+    half = p // 2
     rows = []
+    column_sums = [0] * len(data)  # sum_i n_i chi_i(g_j) on the rational classes
+    rational_values: dict[int, Cyclo] = {}  # c -> the value c
+    dft_values: dict[tuple, tuple] = {}  # along -> (max m_t, sum m_t, value)
+    galois_values: dict[tuple, Cyclo] = {}  # (order, nums, s) of a value -> its image
     for n_i, v in zip(degrees, vectors):
         chi = [n_i * x % p * r % p for x, r in zip(v, size_inv)]  # chi mod p
         values = [None] * len(chi)
         for j in rational:
-            c = chi[j] - p if chi[j] > p // 2 else chi[j]
+            c = chi[j]
+            if c > half:
+                c -= p
             if abs(c) > n_i:
                 raise TableConstructionError(f"rational value {c} exceeds degree {n_i}")
-            values[j] = Cyclo.from_rational(c)
+            column_sums[j] += n_i * c
+            value = rational_values.get(c)
+            if value is None:
+                value = rational_values[c] = Cyclo.from_rational(c)
+            values[j] = value
         for j, (j0, s) in orbit_of.items():
             if j != j0:
-                values[j] = values[j0].galois(s)
+                first = values[j0]  # made by from_ints, so its den is 1
+                key = (first.order, first.nums, s)
+                value = galois_values.get(key)
+                if value is None:
+                    value = galois_values[key] = first.galois(s)
+                values[j] = value
                 continue
-            along = [chi[k] for k in data.power_class[j]]
-            d = len(along)
-            exps = [sum(map(mul, along, w)) % p for w in dft[d]]
-            if max(exps) > n_i:
+            along = tuple(map(chi.__getitem__, data.power_class[j]))
+            entry = dft_values.get(along)
+            if entry is None:
+                d = len(along)
+                exps = [sum(map(mul, along, w)) % p for w in dft[d]]
+                entry = dft_values[along] = (max(exps), sum(exps), Cyclo.from_ints(d, exps))
+            top, total, values[j] = entry
+            if top > n_i:
                 raise TableConstructionError(
-                    f"lifted multiplicity {max(exps)} exceeds degree {n_i}"
+                    f"lifted multiplicity {top} exceeds degree {n_i}"
                 )
-            if sum(exps) != n_i:
+            if total != n_i:
                 raise TableConstructionError(
-                    f"multiplicities sum to {sum(exps)}, expected degree {n_i}"
+                    f"multiplicities sum to {total}, expected degree {n_i}"
                 )
-            values[j] = Cyclo.from_ints(d, exps)
         rows.append(ClassFunction(group, values))
     for j in rational[1:]:  # the regular character vanishes off the identity
-        total = sum(n_i * row.values[j].nums[0] for n_i, row in zip(degrees, rows))
-        if total:
+        if column_sums[j]:
             raise TableConstructionError(
-                f"column {j}: sum of degree times value is {total}, not 0"
+                f"column {j}: sum of degree times value is {column_sums[j]}, not 0"
             )
     return CharacterTable(group, rows)
 
@@ -431,7 +455,8 @@ def linear_characters(g: PermGroup) -> list[ClassFunction]:
     quotient is read off the class representatives.  It is peeled into a
     chain of cyclic extensions; each partial character extends in exactly
     d ways per relative order d, so the count is the quotient order [G:G'].
-    A character's value on a coset is zeta_e^k, e the exponent of G.
+    A character's value on a coset is zeta_e^k, e the exponent of G, made
+    once per distinct k.
     """
     data = g.conjugacy_classes()
     index = data.member_index
@@ -475,10 +500,9 @@ def linear_characters(g: PermGroup) -> list[ClassFunction]:
                 new_chars.append(chi + [(v + a * k) % exponent for a in range(1, d) for v in chi])
         chars = new_chars
 
-    def value(k: int) -> Cyclo:
-        # zeta_e^k = zeta_(e/g)^(k/g), g = gcd(k, e): the natural field
+    roots = {}  # k -> zeta_e^k = zeta_(e/g)^(k/g), g = gcd(k, e): the natural field
+    for k in {k for chi in chars for k in chi}:
         g_k = math.gcd(k, exponent)
-        return root_of_unity(exponent // g_k, k // g_k)
-
-    return _sorted_rows([ClassFunction(g, [value(chi[at[c]]) for c in coset_of])
+        roots[k] = root_of_unity(exponent // g_k, k // g_k)
+    return _sorted_rows([ClassFunction(g, [roots[chi[at[c]]] for c in coset_of])
                          for chi in chars])

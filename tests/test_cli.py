@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from chartab import cli, tablegen
+from chartab.permgroup import parse_group_spec
 
 
 def run_cli(capsys, *argv):
@@ -342,6 +343,25 @@ def test_json_output_is_pinned(capsys, argv, digest):
     assert out.count("\n") == 1 and out.endswith("\n")
     indented = json.dumps(json.loads(out), indent=2) + "\n"
     assert hashlib.sha256(indented.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec", [
+    "A7",  # an order-7 Galois orbit
+    "S6",
+    "perm:8:(0,1,2);(0,1,2,3,4);(5,6,7)",  # A5xC3: values at orders 3, 5 and 15
+    "perm:11:(1,10,3,9);(9,10);(0,8,4,7);(0,4);(2,5,6)",  # a relabeled D4xD4xC3
+    "perm:16:(0,1);(2,3);(4,5);(6,7);(8,9);(10,11);(12,13);(14,15)",  # C2^8
+])
+def test_table_json_is_the_compact_dump_of_to_json(capsys, spec):
+    # byte for byte: the pinned digests above re-indent the output, so they
+    # cannot see a stray space or a degree printed as a string
+    code, out, _ = run_cli(capsys, "table", spec, "--format", "json")
+    assert code == 0
+    payload = tablegen.build_character_table(parse_group_spec(spec)).to_json()
+    assert out == cli._json_dumps(payload) + "\n"
+    # to_json gives each entry a dict of its own
+    entries = [v for c in payload["characters"] for v in c["values"]]
+    assert len({id(v) for v in entries}) == len(entries) == len(payload["classes"]) ** 2
 
 
 def test_closed_pipe_exits_without_traceback():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from chartab import _modp as mp
 from chartab.classfun import inner_product, is_irreducible
 from chartab.cyclo import Cyclo, root_of_unity
-from chartab import tablegen
+from chartab import cyclo, tablegen
 from chartab.permgroup import Perm, PermGroup, parse_group_spec
 from chartab.tablegen import (
     SPLIT_SEED,
@@ -580,10 +580,57 @@ class TestLift:
         with pytest.raises(TableConstructionError, match=r"^lift: exponent e = 60 .* p = 31\b"):
             lift_characters(g, vectors, degrees, 31)
 
+    @pytest.mark.parametrize("larger", [False, True])
+    def test_bounds_are_checked_on_entries_whose_value_is_already_made(self, larger):
+        # row b takes row a's vector times n_a / n_b, so chi_b = chi_a mod p:
+        # every value of row b, the DFT of each orbit included, was made for
+        # row a, yet the bounds must hold for row b's own degree n_b
+        g = parse_group_spec("A7")
+        p = choose_prime(g)
+        vectors = modp_eigenbasis(g, p)
+        degrees = degrees_from_eigen(g, vectors, p)
+        a, b = next((a, b) for a in range(len(degrees)) for b in range(a + 1, len(degrees))
+                    if degrees[a] != degrees[b] and (degrees[b] > degrees[a]) == larger)
+        n_a, n_b = degrees[a], degrees[b]
+        vectors[b] = [x * n_a * pow(n_b, -1, p) % p for x in vectors[a]]
+        # chi_b(1) = n_a: above a smaller degree at the identity class; below
+        # a larger one everywhere, so the rational classes pass and the first
+        # orbit's multiplicities, those of row a, sum to n_a
+        message = (f"multiplicities sum to {n_a}, expected degree {n_b}" if larger
+                   else f"rational value {n_a} exceeds degree {n_b}")
+        with pytest.raises(TableConstructionError, match=f"^{message}$"):
+            lift_characters(g, vectors, degrees, p)
+
+    def test_each_distinct_value_is_made_once(self, monkeypatch):
+        # D4xD4xC3 has 3,750 entries on its 50 non-rational classes, but few
+        # distinct values there; making one per entry reduces 3,750 times
+        g = parse_group_spec(D4_X_D4_X_C3)
+        p = choose_prime(g)
+        vectors = modp_eigenbasis(g, p)
+        degrees = degrees_from_eigen(g, vectors, p)
+        rational = [j for j, powers in enumerate(g.conjugacy_classes().power_class)
+                    if all(powers[s] == j for s in range(len(powers))
+                           if math.gcd(s, len(powers)) == 1)]
+        entries = len(degrees) * (len(degrees) - len(rational))
+        assert entries == 3_750
+        calls = [0]
+        reduce = cyclo._reduce
+
+        def counting(e, nums):
+            calls[0] += 1
+            return reduce(e, nums)
+
+        monkeypatch.setattr(cyclo, "_reduce", counting)
+        lift_characters(g, vectors, degrees, p)
+        assert 0 < calls[0] <= entries // 10
+
     @pytest.mark.parametrize("spec", [
         "A5", "A7", "Q8",
         "perm:10:(1,4,8,3);(3,4);(0,7);(0,9,7);(2,5,6)",  # relabeled D4xS3xC3, e = 12
         "C7",  # an orbit of 6 classes, on which sigma_s and sigma_(1/s) differ
+        # C24: zeta_8 and zeta_12 have the same numerators (0, 1, 0, 0), and
+        # sigma_5 maps them to different values
+        "perm:24:(" + ",".join(map(str, range(24))) + ")",
     ])
     def test_galois_closure(self, spec):
         # sigma_s: zeta -> zeta^s, s a unit mod the exponent e, permutes the
@@ -737,6 +784,18 @@ class TestLinearCharacters:
         assert len(linear_characters(g)) == 2
         # a few dozen; enumerating every element times G' makes 40,325
         assert count[0] < 1_000
+
+    def test_each_distinct_power_is_made_once(self, monkeypatch):
+        # C2^8: 256 characters on 256 classes, 65,536 values, all 1 or -1
+        made = []
+
+        def recording(e, k=1):
+            made.append((e, k))
+            return root_of_unity(e, k)
+
+        monkeypatch.setattr(tablegen, "root_of_unity", recording)
+        assert len(linear_characters(parse_group_spec(C2_8))) == 256
+        assert sorted(made) == [(1, 0), (2, 1)]
 
     def test_distinct_and_closed_under_product(self):
         g = parse_group_spec("D6")
