@@ -1,9 +1,10 @@
 """Number theory and dense linear algebra over a prime field F_p.
 
 Matrices are lists of lists of ints reduced mod p, multiplied by
-accumulating whole rows.  The eigen-splitting of tablegen needs one thing
-beyond Gaussian elimination: the minimal polynomial of a single (seeded,
-random) vector, found by incremental elimination of its Krylov sequence.
+accumulating whole rows.  One incremental row reduction, `_dependencies`,
+gives the eigen-splitting of tablegen both things it needs: left null spaces
+(the dependencies among the rows of a matrix) and the minimal polynomial of
+one (seeded, random) vector (the first dependency of its Krylov sequence).
 """
 
 from __future__ import annotations
@@ -82,45 +83,41 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def rref(a: Matrix, p: int) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices; zero rows dropped."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] % p != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] % p != 0:
-                factor = m[i][c]
-                m[i] = [(x - factor * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m[:r], pivots
+def _dependencies(rows, p: int):
+    """Yield (i, c) for each row i of `rows` that depends on the rows before
+    it: c @ rows = 0, c[i] = 1 and c has length i + 1.
+
+    The rows, which may be a lazy iterable, are reduced one at a time
+    against an echelon basis of the earlier independent rows; each basis row
+    carries its combination of the input rows after its own entries.  Only
+    independent rows enter those combinations, so c is 0 at every other
+    dependent row.
+    """
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row + combination)
+    for i, row in enumerate(rows):
+        n = len(row)
+        r = [x % p for x in row] + [0] * i + [1]
+        for piv, b in basis:
+            c = r[piv]
+            if c:
+                r[:len(b)] = [(x - c * y) % p for x, y in zip(r, b)]
+        piv = next((j for j in range(n) if r[j]), None)
+        if piv is None:
+            yield i, r[n:]
+        else:
+            inv = pow(r[piv], p - 2, p)
+            basis.append((piv, [x * inv % p for x in r]))
 
 
 def nullspace_rows(a: Matrix, p: int) -> tuple[Matrix, list[int]]:
-    """Rows v with v @ a = 0 (a basis of the left null space, in RREF) and
-    their pivot columns, as `rref` gives them."""
-    reduced, pivots = rref(transpose(a), p)
+    """A basis of the rows v with v @ a = 0, and the row indices at which
+    that basis is the identity, ascending.  The rows of a are reduced last
+    first, so there is one v per row i that depends on the rows after it,
+    with v[i] = 1 and v 0 before i and at every other such row: the basis is
+    in reduced row echelon form, the one basis the null space alone fixes."""
     n = len(a)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * n
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-reduced[r][f]) % p
-        basis.append(v)
-    return rref(basis, p)
+    deps = list(_dependencies(a[::-1], p))[::-1]
+    return [[0] * (n - len(c)) + c[::-1] for _, c in deps], [n - 1 - i for i, _ in deps]
 
 
 def poly_eval(a: list[int], x: int, p: int) -> int:
@@ -134,25 +131,14 @@ def minimal_polynomial(a: Matrix, v: list[int], p: int) -> list[int]:
     """Minimal polynomial of the vector v under the square matrix a over F_p:
     the monic f of least degree with v f(a) = 0 (coefficients ascending).
 
-    The Krylov vectors v, va, va^2, ... are reduced one at a time against an
-    echelon basis of the earlier ones; each basis row carries its combination
-    of Krylov vectors, so the first vector that reduces to zero gives f.  f
-    divides the minimal polynomial of a, and equals it for a generic v.
+    f is the first dependency of the Krylov vectors v, va, va^2, ..., made
+    one at a time as the reduction asks for them.  f divides the minimal
+    polynomial of a, and equals it for a generic v.
     """
-    basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, row, combination)
-    w = [x % p for x in v]
-    while True:
-        row = w
-        combo = [0] * len(basis) + [1]
-        for piv, brow, bcombo in basis:
-            c = row[piv]
-            if c:
-                row = [(x - c * y) % p for x, y in zip(row, brow)]
-                for i, y in enumerate(bcombo):
-                    combo[i] = (combo[i] - c * y) % p
-        piv = next((j for j, x in enumerate(row) if x), None)
-        if piv is None:
-            return combo
-        inv = pow(row[piv], p - 2, p)
-        basis.append((piv, [x * inv % p for x in row], [x * inv % p for x in combo]))
-        w = _row_times(w, a, p)
+    def krylov():
+        w = v
+        while True:
+            yield w
+            w = _row_times(w, a, p)
+
+    return next(_dependencies(krylov(), p))[1]

@@ -98,6 +98,13 @@ def regular_decomposition(table: CharacterTable) -> list[int]:
     return mults
 
 
+def _factor_str(factorization: dict[int, int]) -> str:
+    """A factorization {prime: multiplicity} as "2^3*3*5", or "1" when empty."""
+    return "*".join(
+        f"{p}^{k}" if k > 1 else str(p) for p, k in sorted(factorization.items())
+    ) or "1"
+
+
 class ClassSizeEntry:
     def __init__(self, index: int, size: int, factorization: dict[int, int]):
         self.index = index
@@ -107,10 +114,7 @@ class ClassSizeEntry:
         self.is_prime_power = len(factorization) == 1
 
     def factor_str(self) -> str:
-        return "*".join(
-            f"{p}^{k}" if k > 1 else str(p)
-            for p, k in sorted(self.factorization.items())
-        ) or "1"
+        return _factor_str(self.factorization)
 
     def tag(self) -> str:
         if self.size == 1:
@@ -190,11 +194,7 @@ class SolvabilityReport:
         self.series_orders = series_orders
 
     def lines(self) -> list[str]:
-        factor = "*".join(
-            f"{p}^{k}" if k > 1 else str(p)
-            for p, k in sorted(self.factorization.items())
-        ) or "1"
-        out = [f"order {self.order} = {factor}"]
+        out = [f"order {self.order} = {_factor_str(self.factorization)}"]
         if self.theorem_applies:
             out.append("at most two primes divide the order: solvable by theorem")
         else:

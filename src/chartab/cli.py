@@ -411,9 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()  # parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         code = COMMANDS[args.command][0](args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

@@ -73,12 +73,14 @@ def choose_prime(g: PermGroup) -> int:
 
 def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
                  p: int, rng: random.Random) -> list[tuple[mp.Matrix, list[int]]]:
-    """Refine an invariant subspace (row basis in RREF) into eigenspaces of
-    one class matrix; returns the space unchanged when the matrix acts on it
-    as a scalar.
+    """Refine an invariant subspace into eigenspaces of one class matrix;
+    returns the space unchanged when the matrix acts on it as a scalar.
 
-    A row r of the space maps to r mat^T, whose coordinates in the RREF basis
-    are its entries at the pivot columns, so only the pivot rows of mat enter.
+    The basis rows are the identity on the pivot columns, row t being 1 at
+    pivots[t] and 0 at the other pivots, in any order and with any entries
+    elsewhere.  A row r of the space maps to r mat^T, whose coordinates in
+    that basis are its entries at the pivot columns, so only the pivot rows
+    of mat enter.  Each eigenspace is returned in the same form.
 
     The eigenvalues are the roots of the minimal polynomial of one vector v
     of coordinates drawn from rng.  Over a good prime the class matrices are
@@ -116,7 +118,9 @@ def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
                 [(coords[i][j] - (lam if i == j else 0)) % p for j in range(d)]
                 for i in range(d)
             ]
-            # null and rows are in RREF, so null rows is too
+            # null is the identity on the coordinates null_pivots and rows
+            # on the columns pivots, so null rows is the identity on the
+            # columns pivots[q] for q in null_pivots
             null, null_pivots = mp.nullspace_rows(shifted, p)
             total_dim += len(null)
             out.append((mp.mat_mul(null, rows, p), [pivots[q] for q in null_pivots]))

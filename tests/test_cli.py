@@ -296,6 +296,23 @@ def test_each_command_takes_only_the_options_it_reads(capsys, command, options):
     assert listed == options
 
 
+def test_the_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    code, first, _ = run_cli(capsys, "table", "A5")
+    assert code == 0
+    assert run_cli(capsys, "table", "A5", "--precision", "2")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "A5", "--format", "xml"])
+    assert exc.value.code == cli.EXIT_USAGE
+    capsys.readouterr()
+    assert run_cli(capsys, "classes", "S3", "--format", "json")[0] == 0
+    # no option of an earlier call carries over to a later one
+    assert run_cli(capsys, "table", "A5") == (0, first, "")
+    assert built == []
+
+
 def test_installed_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "chartab.cli", "table", "S3"],

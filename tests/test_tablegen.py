@@ -2,7 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from operator import mul
 
 import pytest
@@ -232,6 +232,27 @@ class TestEigenbasis:
             modp_eigenbasis(parse_group_spec("S3"), 3)
 
 
+def rref(a, p):
+    """Oracle: reduced row echelon form of a over F_p and its pivot columns;
+    zero rows dropped."""
+    m = [[x % p for x in row] for row in a]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [(x - factor * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
 def _poly_mul(a, b, p):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -255,7 +276,7 @@ def diagonalized(draw):
               (draw(st.integers(0, p - 1)) if j > i else 0)
               for j in range(n)] for i in range(n)]
     P = mp.mat_mul(lower, upper, p)
-    reduced, _ = mp.rref([row + unit for row, unit in zip(P, mp.identity(n))], p)
+    reduced, _ = rref([row + unit for row, unit in zip(P, mp.identity(n))], p)
     P_inv = [row[n:] for row in reduced]
     D = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
     A = mp.mat_mul(mp.mat_mul(P_inv, D, p), P, p)
@@ -297,11 +318,22 @@ class TestNullspaceRows:
         b = [[rnd.randrange(p) for _ in range(rank)] for _ in range(n)]
         c = [[rnd.randrange(p) for _ in range(m)] for _ in range(rank)]
         a = mp.mat_mul(b, c, p) if rank else [[0] * m for _ in range(n)]
-        rows, pivots = mp.nullspace_rows(a, p)
-        assert mp.rref(rows, p) == (rows, pivots)
-        assert len(rows) == n - len(mp.rref(a, p)[0])
+        rows, q = mp.nullspace_rows(a, p)
+        assert [[v[i] for i in q] for v in rows] == mp.identity(len(q))
+        assert len(rows) == n - len(rref(a, p)[0])
         for v in rows:
             assert not any(mp.mat_mul([v], a, p)[0])
+        assert rref(rows, p) == (rows, q)
+
+    def test_each_dependent_row_is_one_of_the_identity(self):
+        # row 1 is row 0, and row 3 is row 0 + row 2: reduced last first,
+        # rows 1 and 0 depend on the rows after them, and each null vector
+        # is 1 at its own row and 0 at the other
+        p = 13
+        a = [[1, 2, 0], [1, 2, 0], [0, 1, 1], [1, 3, 1]]
+        rows, q = mp.nullspace_rows(a, p)
+        assert q == [0, 1]
+        assert rows == [[1, 0, 1, 12], [0, 1, 1, 12]]
 
 
 class ScriptedRandom(random.Random):
@@ -327,7 +359,7 @@ class TestSplitSpace:
     ])
     def test_jordan_block_fails_on_first_draw(self, p, mat):
         d = len(mat)
-        rows, pivots = mp.rref(mp.identity(d), p)
+        rows, pivots = rref(mp.identity(d), p)
         rng = ScriptedRandom([1] * d)
         with pytest.raises(TableConstructionError, match=rf"F_{p}.*dimension {d}"):
             _split_space(rows, pivots, mat, p, rng)
@@ -343,7 +375,7 @@ class TestSplitSpace:
         eigvecs = modp_eigenbasis(g, p)
         mat = cc.a[j]
         assert len({v[j] for v in eigvecs}) > 1
-        rows, pivots = mp.rref(mp.identity(cc.h), p)
+        rows, pivots = rref(mp.identity(cc.h), p)
         rng = ScriptedRandom(eigvecs[-1])
         spaces = _split_space(rows, pivots, mat, p, rng)
         assert rng.draws > cc.h
@@ -352,9 +384,39 @@ class TestSplitSpace:
         for sub, _ in spaces:
             # every space is the span of the eigenvectors of one eigenvalue
             members = [v for v in eigvecs
-                       if len(mp.rref(sub + [v], p)[0]) == len(sub)]
+                       if len(rref(sub + [v], p)[0]) == len(sub)]
             assert len(members) == len(sub)
             assert len({v[j] for v in members}) == 1
+
+    @pytest.mark.parametrize("name, j", [("S4", 3), ("A5", 4), ("S5", 4)])
+    def test_any_basis_identity_on_its_pivots_splits_alike(self, name, j):
+        # the span of all but one of the simultaneous eigenvectors, in RREF
+        # and in a basis that is the identity on pivots in descending order
+        # with entries left of a pivot
+        g = parse_group_spec(name)
+        p = choose_prime(g)
+        eigvecs = modp_eigenbasis(g, p)
+        mat = tablegen.class_matrix(g.conjugacy_classes(), j)
+        echelon, echelon_pivots = rref(eigvecs[1:], p)
+        k = len(echelon)
+        pivots = next(cols for cols in (list(reversed(c)) for c in combinations(range(len(mat)), k))
+                      if sorted(cols) != echelon_pivots
+                      and len(rref([[row[c] for c in cols] for row in echelon], p)[0]) == k)
+        square = [[row[c] for c in pivots] for row in echelon]
+        inverse = [row[k:] for row in rref([r + u for r, u in zip(square, mp.identity(k))], p)[0]]
+        other = mp.mat_mul(inverse, echelon, p)
+        assert [[row[c] for c in pivots] for row in other] == mp.identity(k)
+        assert any(row[c] for row, piv in zip(other, pivots) for c in range(piv))
+
+        def split(rows, piv):
+            spaces = _split_space(rows, piv, mat, p, random.Random(SPLIT_SEED))
+            for sub, sub_pivots in spaces:
+                assert [[row[c] for c in sub_pivots] for row in sub] == mp.identity(len(sub))
+            return [rref(sub, p)[0] for sub, _ in spaces]
+
+        spaces = split(other, pivots)
+        assert len(spaces) > 1
+        assert spaces == split(echelon, echelon_pivots)
 
 
 class TestDegrees:
