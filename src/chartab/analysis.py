@@ -323,13 +323,22 @@ def check_all(table: CharacterTable) -> CheckReport:
 
     add("weighted-column-sum", all(degree_pairings), "sum_i n_i chi_i(s) = 0 off identity")
 
+    # a class function is looked up among rows by (nums, den), which is
+    # unique within a field order; one held at other orders, such as a root
+    # of unity of linear_characters at a divisor of the order the table
+    # holds it at, is compared value by value
+    def held(f: ClassFunction) -> tuple:
+        return tuple((v.order, v.nums, v.den) for v in f.values)
+
+    row_at = {held(row): k for k, row in enumerate(rows)}
+
     derived = group.commutator_subgroup()
     index = group.order // derived.order
     n_linear = sum(1 for d in degrees if d == 1)
     lin = linear_characters(group)
     table_linear = [r for r in rows if r.values[0] == 1]
     setwise = len(lin) == len(table_linear) and all(
-        any(l == t for t in table_linear) for l in lin
+        held(l) in row_at or any(l == t for t in table_linear) for l in lin
     )
     add(
         "linear-characters",
@@ -422,14 +431,7 @@ def check_all(table: CharacterTable) -> CheckReport:
             symalt_ok = False
     add("sym-alt-squares", symalt_ok, "chi_S + chi_A = chi^2 on seeded characters")
 
-    # each twist must be a row of norm 1, which makes it irreducible.  Rows
-    # are looked up by (nums, den), which is unique within a field order; a
-    # twist held at other orders is compared value by value.
-    def held(f: ClassFunction) -> tuple:
-        return tuple((v.order, v.nums, v.den) for v in f.values)
-
-    row_at = {held(row): k for k, row in enumerate(rows)}
-
+    # each twist must be a row of norm 1, which makes it irreducible
     def is_irreducible_row(f: ClassFunction) -> bool:
         k = row_at.get(held(f))
         if k is None:

@@ -73,8 +73,8 @@ def choose_prime(g: PermGroup) -> int:
 
 def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
                  p: int, rng: random.Random) -> list[tuple[mp.Matrix, list[int]]]:
-    """Refine an invariant subspace into eigenspaces of one class matrix;
-    returns the space unchanged when the matrix acts on it as a scalar.
+    """Split an invariant subspace, on which one class matrix is not a
+    scalar, into that matrix's eigenspaces.
 
     The basis rows are the identity on the pivot columns, row t being 1 at
     pivots[t] and 0 at the other pivots, in any order and with any entries
@@ -86,9 +86,9 @@ def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
     of coordinates drawn from rng.  Over a good prime the class matrices are
     diagonalizable, so that polynomial has distinct roots in F_p (fewer
     roots than its degree raises at once), and it misses an eigenvalue only
-    when v has no component in that eigenspace; the eigenspaces then fall
-    short of the space, and a fresh v is drawn, at most MAX_SPLIT_DRAWS
-    times.
+    when v has no component in that eigenspace: a single root, or
+    eigenspaces that fall short of the space.  A fresh v is then drawn, at
+    most MAX_SPLIT_DRAWS times.
     """
     d = len(rows)
     coords = mp.mat_mul(rows, mp.transpose([mat[c] for c in pivots]), p)
@@ -106,10 +106,6 @@ def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
                 f"(subspace dimension {d}, bad prime)"
             )
         if len(eigvals) == 1:
-            lam = eigvals[0]
-            if all(coords[i][j] == (lam if i == j else 0)
-                   for i in range(d) for j in range(d)):
-                return [(rows, pivots)]
             continue
         out = []
         total_dim = 0
@@ -132,60 +128,53 @@ def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
     )
 
 
+def _acts_as_scalar(rows: mp.Matrix, j: int, p: int) -> bool:
+    """Whether M_j acts as a scalar on the span of the rows, read off the
+    rows: column j is a multiple of column 0.
+
+    A space that is zero at column 0 counts as not scalar, so it goes on to
+    the split and the checks after it.  None arises, at any prime: each
+    space the split holds is the joint eigenspace of the matrices applied,
+    the functionals f on Z(F_p G) with f(C_j x) = lam_j f(x), which vanish
+    on a proper ideal and so not on 1."""
+    r_t = next((r for r in rows if r[0]), None)
+    if r_t is None:
+        return False
+    lam = r_t[j] * pow(r_t[0], p - 2, p) % p
+    return all((r[j] - lam * r[0]) % p == 0 for r in rows)
+
+
 def modp_eigenbasis(g: PermGroup, p: int, read: list[int] | None = None) -> list[list[int]]:
     """Simultaneous eigenvectors of all class matrices over F_p, each
     normalized so its identity-class coordinate is 1.  The classes whose
     matrices are read are appended to `read`, when it is given, in order.
 
     F_p^h is split by the class matrices one after another, smallest class
-    first, while some space is not yet a line.  A class is covered when its
-    matrix is known to act as a scalar on every space; its matrix is then
-    skipped, never computed.  The identity class and each class applied are
-    covered.  The class matrices multiply as the classes do, M_j M_k =
-    sum_l a_jkl M_l, so when M_j was read, k is covered and l is the one
-    uncovered class with a_jkl != 0 mod p in row k, l is covered too.
-    After each read, the rows of every matrix read so far are passed over
-    again and again until a pass covers nothing.  The rule only ever adds
-    classes, so this fixed point is the same in any order of the rows.
-    Spaces only get finer, so a class stays covered.  For a prime with
-    p = 1 (mod exponent), p does not divide |G|, so the central characters
-    stay distinct mod p and the class matrices alone separate them into
-    lines.  Every random draw comes from one random.Random(SPLIT_SEED)
+    first, until every space is a line.  The class matrices commute and,
+    for a prime with p = 1 (mod exponent), which does not divide |G|, are
+    diagonalized by the central characters w_i, which stay distinct mod p:
+    w_i M_j^T = w_i[j] w_i and w_i[0] = 1.  So each space held is spanned by
+    some of the w_i, and M_j acts on it as the scalar lam exactly when
+    r[j] = lam r[0] for every basis row r.  M_j is computed only when some
+    space of dimension > 1 fails that test, and only those spaces are
+    split.  Every random draw comes from one random.Random(SPLIT_SEED)
     stream, and lines are unique, so the result is the same on every run
     whichever matrices split them."""
     data = g.conjugacy_classes()
     h = len(data)
     rng = random.Random(SPLIT_SEED)
     spaces = [(mp.identity(h), list(range(h)))]
-    covered = [True] + [False] * (h - 1)  # M_0 is the identity
-    rows_read: list[tuple[int, set[int]]] = []  # (k, uncovered support of row k)
     for j in range(1, h):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
-        if covered[j]:
+        is_open = [len(rows) > 1 and not _acts_as_scalar(rows, j, p) for rows, _ in spaces]
+        if not any(is_open):
             continue
         mat = class_matrix(data, j)
         if read is not None:
             read.append(j)
-        refined = []
-        for rows, pivots in spaces:
-            if len(rows) == 1:
-                refined.append((rows, pivots))
-            else:
-                refined.extend(_split_space(rows, pivots, mat, p, rng))
-        spaces = refined
-        covered[j] = True
-        rows_read += [(k, {l for l, a in enumerate(row) if a % p and not covered[l]})
-                      for k, row in enumerate(mat)]
-        grew = True
-        while grew:
-            grew = False
-            for k, open_l in rows_read:
-                if covered[k]:
-                    open_l.difference_update([l for l in open_l if covered[l]])
-                    if len(open_l) == 1:
-                        covered[open_l.pop()] = True
-                        grew = True
+        spaces = [part for space, split in zip(spaces, is_open)
+                  for part in (_split_space(*space, mat, p, rng) if split else [space])]
     if any(len(rows) > 1 for rows, _ in spaces):
         raise TableConstructionError(
             f"failed to separate eigenspaces over F_{p} (bad prime)"
@@ -231,12 +220,10 @@ def degrees_from_eigen(g: PermGroup, vectors: list[list[int]], p: int) -> list[i
     return degrees
 
 
-def _row_sort_key(values: tuple[Cyclo, ...], value_keys: dict | None = None) -> tuple:
+def _row_sort_key(values: tuple[Cyclo, ...], value_keys: dict) -> tuple:
     """A row's place in the canonical order: its degree, then each value's
     rounded float, descending.  value_keys memoises the float key of each
     distinct (order, nums, den) across the rows of one sort."""
-    if value_keys is None:
-        value_keys = {}
     key = [values[0].as_rational()]
     for v in values:
         vkey = value_keys.get((v.order, v.nums, v.den))

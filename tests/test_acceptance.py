@@ -61,7 +61,7 @@ def assert_table_matches(group, table, columns, rows):
     expected = expected_row_set(group, columns, rows)
     expected = sorted(
         (tuple(Cyclo._coerce(v) for v in row) for row in expected),
-        key=_row_sort_key,
+        key=lambda row: _row_sort_key(row, {}),
     )
     actual = canonical_rows(table)
     assert len(actual) == len(expected)

@@ -17,6 +17,7 @@ from chartab.permgroup import Perm, PermGroup, parse_group_spec
 from chartab.tablegen import (
     SPLIT_SEED,
     TableConstructionError,
+    _acts_as_scalar,
     _split_space,
     build_character_table,
     choose_prime,
@@ -140,7 +141,9 @@ class TestChoosePrime:
 SPLIT_READS = [
     # 255 class matrices; the 8 of a basis of C2^8 suffice
     (C2_8, [1, 2, 4, 8, 16, 32, 64, 128]),
-    ("A8", [1, 2, 3, 4, 7, 8, 9, 11]),
+    ("A6", [1, 4]),
+    ("A7", [1, 5]),
+    ("A8", [1, 2, 7, 11]),
     (D4_CUBED, [1, 2, 4, 8, 9, 10, 12, 16, 20]),
     (D4_X_D4_X_C3, [1, 2, 4, 12, 13, 15, 18]),
 ]
@@ -158,6 +161,8 @@ class TestEigenbasis:
         "S3", "C6", "Q8", "S4", "A5",
         D4_X_D4,  # h = 25 over p = 17: the small field makes redraws likely
         D4_X_S3,
+        # the split skips class matrices that act as scalars on every space
+        "A6", "A7", "A8",
     ])
     def test_simultaneous_eigenvectors(self, name):
         # independent check of the defining property M_j v = v[j] v
@@ -209,10 +214,11 @@ class TestEigenbasis:
     @pytest.mark.parametrize("spec, reads", SPLIT_READS,
                              ids=[f"{spec}-{len(reads)}" for spec, reads in SPLIT_READS])
     def test_split_skips_covered_class_matrices(self, monkeypatch, spec, reads):
-        # a class matrix that the matrices read force to act as a scalar on
-        # every space is never computed; the classes read, in order, are
-        # pinned, so that a change in how coverage is tracked reads the same
-        # matrices
+        # a class matrix is computed only when it is not a scalar on some
+        # space of dimension > 1, which the spaces show: column j of the
+        # basis is not a multiple of column 0.  The classes read, in order,
+        # are pinned, so that a change in how that test is made reads the
+        # same matrices
         read = []
         real = tablegen.class_matrix
 
@@ -224,6 +230,41 @@ class TestEigenbasis:
         g = parse_group_spec(spec)
         assert len(modp_eigenbasis(g, choose_prime(g))) == len(g.conjugacy_classes())
         assert read == reads
+
+    @pytest.mark.parametrize("name", ["A6", "A7", "A8"])
+    def test_every_split_refines_its_space(self, monkeypatch, name):
+        # the split is given only spaces on which the matrix is not a
+        # scalar, so each call returns at least two eigenspaces
+        calls = []
+        real = tablegen._split_space
+
+        def spy(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(tablegen, "_split_space", spy)
+        g = parse_group_spec(name)
+        modp_eigenbasis(g, choose_prime(g))
+        assert calls
+        assert all(len(spaces) > 1 for spaces in calls)
+
+    @pytest.mark.parametrize("name, j", [("S4", 4), ("A5", 4), ("S5", 2)])
+    def test_scalar_is_read_off_the_columns(self, name, j):
+        # M_j acts on a span of eigenvectors as a scalar exactly when they
+        # share their j-th coordinate; a first row that agrees with the
+        # scalar does not make it so, and a space that is zero at the
+        # identity class counts as not scalar
+        g = parse_group_spec(name)
+        p = choose_prime(g)
+        eigvecs = modp_eigenbasis(g, p)
+        column = [v[j] for v in eigvecs]
+        lam = max(column, key=column.count)
+        same = [v for v in eigvecs if v[j] == lam]
+        other = next(v for v in eigvecs if v[j] != lam)
+        assert len(same) > 1
+        assert _acts_as_scalar(rref(same, p)[0], j, p)
+        assert not _acts_as_scalar([same[0], other], j, p)
+        assert not _acts_as_scalar([[0] + v[1:] for v in same], j, p)
 
     def test_prime_dividing_the_order_fails_loudly(self):
         # 3 divides |S3| = 6: the class matrix of the 3-cycles has a single
