@@ -4,7 +4,7 @@ Matrices are lists of lists of ints reduced mod p, multiplied by
 accumulating whole rows.  One incremental row reduction, `_dependencies`,
 gives the eigen-splitting of tablegen both things it needs: left null spaces
 (the dependencies among the rows of a matrix) and the minimal polynomial of
-one (seeded, random) vector (the first dependency of its Krylov sequence).
+one vector (the first dependency of its Krylov sequence).
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ def minimal_polynomial(a: Matrix, v: list[int], p: int) -> list[int]:
 
     f is the first dependency of the Krylov vectors v, va, va^2, ..., made
     one at a time as the reduction asks for them.  f divides the minimal
-    polynomial of a, and equals it for a generic v.
+    polynomial of a, and equals it when a is diagonalizable and v has a
+    nonzero component on each of its eigenspaces.
     """
     def krylov():
         w = v

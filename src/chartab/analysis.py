@@ -21,7 +21,9 @@ from .classfun import (
 )
 from .cyclo import dot
 from .permgroup import GroupMismatchError, NormalSubgroup, PermGroup, Subgroup
-from .tablegen import SPLIT_SEED, CharacterTable, class_matrix, linear_characters
+from .tablegen import CharacterTable, class_matrix, linear_characters
+
+CHECK_SEED = 0x5EED  # the seeded characters of check_all's sym-alt check
 
 
 def restrict(chi: ClassFunction, h: Subgroup) -> ClassFunction:
@@ -414,7 +416,7 @@ def check_all(table: CharacterTable) -> CheckReport:
 
     add("rows-irreducible", all(irreducible), "<chi, chi> = 1 for every row")
 
-    rng = random.Random(SPLIT_SEED)
+    rng = random.Random(CHECK_SEED)
     symalt_ok = True
     for _ in range(3):
         coeffs = [rng.randrange(0, 3) for _ in range(h)]

@@ -12,7 +12,6 @@ downstream of the prime field is exact.
 from __future__ import annotations
 
 import math
-import random
 from operator import mul
 
 from . import _modp as mp
@@ -20,8 +19,6 @@ from .classfun import ClassFunction
 from .cyclo import Cyclo, root_of_unity
 from .permgroup import ClassData, PermGroup, Perm, ResourceCapError
 
-SPLIT_SEED = 0x5EED
-MAX_SPLIT_DRAWS = 8  # random vectors tried per subspace split
 PRIME_LIMIT = 2**31
 
 
@@ -59,7 +56,13 @@ def class_constants(g: PermGroup) -> ClassConstants:
 
 
 def choose_prime(g: PermGroup) -> int:
-    """Smallest prime p with p = 1 (mod exponent) and p > 2 sqrt(|G|)."""
+    """Smallest prime p with p = 1 (mod exponent) and p > 2 sqrt(|G|).
+
+    No build fails at this p, so no other prime is tried.  p does not divide
+    |G| (every prime that does divides e), so the central characters stay
+    distinct mod p and every class matrix is diagonalizable over F_p; each
+    degree and multiplicity is below sqrt|G| < p/2, so it is read off its
+    residue; and the split's column 0 meets every eigenspace."""
     e = g.exponent
     order = g.order
     p = e + 1 if e > 1 else 2
@@ -72,7 +75,7 @@ def choose_prime(g: PermGroup) -> int:
 
 
 def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
-                 p: int, rng: random.Random) -> list[tuple[mp.Matrix, list[int]]]:
+                 p: int) -> list[tuple[mp.Matrix, list[int]]]:
     """Split an invariant subspace, on which one class matrix is not a
     scalar, into that matrix's eigenspaces.
 
@@ -80,52 +83,45 @@ def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
     pivots[t] and 0 at the other pivots, in any order and with any entries
     elsewhere.  A row r of the space maps to r mat^T, whose coordinates in
     that basis are its entries at the pivot columns, so only the pivot rows
-    of mat enter.  Each eigenspace is returned in the same form.
+    of mat enter: R mat^T = C R, C = coords.  Each eigenspace is returned in
+    the same form.
 
-    The eigenvalues are the roots of the minimal polynomial of one vector v
-    of coordinates drawn from rng.  Over a good prime the class matrices are
-    diagonalizable, so that polynomial has distinct roots in F_p (fewer
-    roots than its degree raises at once), and it misses an eigenvalue only
-    when v has no component in that eigenspace: a single root, or
-    eigenspaces that fall short of the space.  A fresh v is then drawn, at
-    most MAX_SPLIT_DRAWS times.
+    The eigenvalues are the roots of the minimal polynomial under C of x,
+    column 0 of R (a column, so its Krylov rows run under C^T; C x is the
+    column `_acts_as_scalar` reads).  A central character w in the space is
+    c R with c C = lam c, and c . x = w[0] = 1: x meets every eigenspace, so
+    one pass splits the space.  Eigenspaces that fall short of d (a
+    repeated root, one outside F_p, or a missed eigenvalue: a bad prime)
+    raise.
     """
     d = len(rows)
     coords = mp.mat_mul(rows, mp.transpose([mat[c] for c in pivots]), p)
-    for _ in range(MAX_SPLIT_DRAWS):
-        ann = mp.minimal_polynomial(coords, [rng.randrange(p) for _ in range(d)], p)
-        eigvals = []
-        for x in range(p):
-            if mp.poly_eval(ann, x, p) == 0:
-                eigvals.append(x)
-                if len(eigvals) == len(ann) - 1:
-                    break
-        if len(eigvals) < len(ann) - 1:
-            raise TableConstructionError(
-                f"class matrix not diagonalizable over F_{p} "
-                f"(subspace dimension {d}, bad prime)"
-            )
-        if len(eigvals) == 1:
-            continue
-        out = []
-        total_dim = 0
-        for lam in eigvals:
-            shifted = [
-                [(coords[i][j] - (lam if i == j else 0)) % p for j in range(d)]
-                for i in range(d)
-            ]
-            # null is the identity on the coordinates null_pivots and rows
-            # on the columns pivots, so null rows is the identity on the
-            # columns pivots[q] for q in null_pivots
-            null, null_pivots = mp.nullspace_rows(shifted, p)
-            total_dim += len(null)
-            out.append((mp.mat_mul(null, rows, p), [pivots[q] for q in null_pivots]))
-        if total_dim == d:
-            return out
-    raise TableConstructionError(
-        f"class matrix not diagonalizable over F_{p} (subspace dimension {d}: "
-        f"{MAX_SPLIT_DRAWS} random vectors did not span its eigenspaces)"
-    )
+    ann = mp.minimal_polynomial(mp.transpose(coords), [r[0] for r in rows], p)
+    eigvals = []
+    for lam in range(p):
+        if mp.poly_eval(ann, lam, p) == 0:
+            eigvals.append(lam)
+            if len(eigvals) == len(ann) - 1:
+                break
+    out = []
+    total_dim = 0
+    for lam in eigvals:
+        shifted = [
+            [(coords[i][j] - (lam if i == j else 0)) % p for j in range(d)]
+            for i in range(d)
+        ]
+        # null is the identity on the coordinates null_pivots and rows
+        # on the columns pivots, so null rows is the identity on the
+        # columns pivots[q] for q in null_pivots
+        null, null_pivots = mp.nullspace_rows(shifted, p)
+        total_dim += len(null)
+        out.append((mp.mat_mul(null, rows, p), [pivots[q] for q in null_pivots]))
+    if total_dim != d:
+        raise TableConstructionError(
+            f"class matrix not diagonalizable over F_{p} (subspace dimension {d}, "
+            f"eigenspaces fill {total_dim}: bad prime)"
+        )
+    return out
 
 
 def _acts_as_scalar(rows: mp.Matrix, j: int, p: int) -> bool:
@@ -157,12 +153,12 @@ def modp_eigenbasis(g: PermGroup, p: int, read: list[int] | None = None) -> list
     some of the w_i, and M_j acts on it as the scalar lam exactly when
     r[j] = lam r[0] for every basis row r.  M_j is computed only when some
     space of dimension > 1 fails that test, and only those spaces are
-    split.  Every random draw comes from one random.Random(SPLIT_SEED)
-    stream, and lines are unique, so the result is the same on every run
-    whichever matrices split them."""
+    split.  Lines are unique, so the result is the same whichever matrices
+    split them.  A line is never 0 at column 0 (w[0] = 1); if one were, it
+    would scale to the zero vector, on which `degrees_from_eigen` raises
+    "degenerate orthogonality sum"."""
     data = g.conjugacy_classes()
     h = len(data)
-    rng = random.Random(SPLIT_SEED)
     spaces = [(mp.identity(h), list(range(h)))]
     for j in range(1, h):
         if all(len(rows) == 1 for rows, _ in spaces):
@@ -174,7 +170,7 @@ def modp_eigenbasis(g: PermGroup, p: int, read: list[int] | None = None) -> list
         if read is not None:
             read.append(j)
         spaces = [part for space, split in zip(spaces, is_open)
-                  for part in (_split_space(*space, mat, p, rng) if split else [space])]
+                  for part in (_split_space(*space, mat, p) if split else [space])]
     if any(len(rows) > 1 for rows, _ in spaces):
         raise TableConstructionError(
             f"failed to separate eigenspaces over F_{p} (bad prime)"
@@ -183,10 +179,6 @@ def modp_eigenbasis(g: PermGroup, p: int, read: list[int] | None = None) -> list
     vectors = []
     for rows, _ in spaces:
         v = rows[0]
-        if v[0] == 0:
-            raise TableConstructionError(
-                "eigenvector vanishes on the identity class"
-            )
         inv = pow(v[0], p - 2, p)
         vectors.append([x * inv % p for x in v])
     return vectors

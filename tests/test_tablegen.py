@@ -15,7 +15,6 @@ from chartab.cyclo import Cyclo, root_of_unity
 from chartab import cyclo, tablegen
 from chartab.permgroup import Perm, PermGroup, parse_group_spec
 from chartab.tablegen import (
-    SPLIT_SEED,
     TableConstructionError,
     _acts_as_scalar,
     _split_space,
@@ -159,7 +158,7 @@ class TestEigenbasis:
 
     @pytest.mark.parametrize("name", [
         "S3", "C6", "Q8", "S4", "A5",
-        D4_X_D4,  # h = 25 over p = 17: the small field makes redraws likely
+        D4_X_D4,  # h = 25 over p = 17
         D4_X_S3,
         # the split skips class matrices that act as scalars on every space
         "A6", "A7", "A8",
@@ -377,39 +376,32 @@ class TestNullspaceRows:
         assert rows == [[1, 0, 1, 12], [0, 1, 1, 12]]
 
 
-class ScriptedRandom(random.Random):
-    """The SPLIT_SEED stream with its first randrange results scripted;
-    counts every draw."""
-
-    def __init__(self, script=()):
-        super().__init__(SPLIT_SEED)
-        self.script = list(script)
-        self.draws = 0
-
-    def randrange(self, *args):
-        self.draws += 1
-        if self.script:
-            return self.script.pop(0)
-        return super().randrange(*args)
-
-
 class TestSplitSpace:
     @pytest.mark.parametrize("p, mat", [
         (13, [[5, 1], [0, 5]]),
         (17, [[3, 1, 0], [0, 3, 0], [0, 0, 9]]),
     ])
     def test_jordan_block_fails_on_first_draw(self, p, mat):
+        # column 0 of the basis has a minimal polynomial with a repeated
+        # root, so the one pass finds eigenspaces that fall short of d
         d = len(mat)
         rows, pivots = rref(mp.identity(d), p)
-        rng = ScriptedRandom([1] * d)
         with pytest.raises(TableConstructionError, match=rf"F_{p}.*dimension {d}"):
-            _split_space(rows, pivots, mat, p, rng)
-        assert rng.draws == d
+            _split_space(rows, pivots, mat, p)
+
+    def test_column_0_that_misses_an_eigenspace_fails_loudly(self):
+        # diagonalizable, but column 0 of the identity basis lies in one
+        # eigenspace: no space of central characters has such a column, and
+        # the split raises rather than return a space it did not split
+        p = 13
+        with pytest.raises(TableConstructionError, match=rf"F_{p}.*dimension 2"):
+            _split_space(*rref(mp.identity(2), p), [[1, 0], [0, 2]], p)
 
     @pytest.mark.parametrize("name, j", [("S3", 2), ("S4", 3), ("A5", 4)])
-    def test_eigenvector_draw_is_redrawn(self, name, j):
-        # the first draw is a simultaneous eigenvector, so its annihilator
-        # has one root although class matrix j is not scalar
+    def test_one_pass_gives_every_eigenspace(self, name, j):
+        # the whole space, split by a class matrix that is not scalar on
+        # it: every central character is 1 at column 0, so one minimal
+        # polynomial has every eigenvalue as a root
         g = parse_group_spec(name)
         cc = class_constants(g)
         p = choose_prime(g)
@@ -417,9 +409,7 @@ class TestSplitSpace:
         mat = cc.a[j]
         assert len({v[j] for v in eigvecs}) > 1
         rows, pivots = rref(mp.identity(cc.h), p)
-        rng = ScriptedRandom(eigvecs[-1])
-        spaces = _split_space(rows, pivots, mat, p, rng)
-        assert rng.draws > cc.h
+        spaces = _split_space(rows, pivots, mat, p)
         assert sum(len(r) for r, _ in spaces) == cc.h
         assert len(spaces) == len({v[j] for v in eigvecs})
         for sub, _ in spaces:
@@ -428,6 +418,23 @@ class TestSplitSpace:
                        if len(rref(sub + [v], p)[0]) == len(sub)]
             assert len(members) == len(sub)
             assert len({v[j] for v in members}) == 1
+
+    @pytest.mark.parametrize("spec", ["A4", "C6", "D6", C2_8])
+    def test_one_minimal_polynomial_per_split(self, monkeypatch, spec):
+        # column 0 of each space meets every eigenspace, so no space needs
+        # a second vector and a second minimal polynomial
+        calls = []
+        for module, name in [(tablegen, "_split_space"), (mp, "minimal_polynomial")]:
+            def spy(*args, real=getattr(module, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        g = parse_group_spec(spec)
+        assert len(modp_eigenbasis(g, choose_prime(g))) == len(g.conjugacy_classes())
+        splits = calls.count("_split_space")
+        assert splits > 0
+        assert calls.count("minimal_polynomial") == splits
 
     @pytest.mark.parametrize("name, j", [("S4", 3), ("A5", 4), ("S5", 4)])
     def test_any_basis_identity_on_its_pivots_splits_alike(self, name, j):
@@ -450,7 +457,7 @@ class TestSplitSpace:
         assert any(row[c] for row, piv in zip(other, pivots) for c in range(piv))
 
         def split(rows, piv):
-            spaces = _split_space(rows, piv, mat, p, random.Random(SPLIT_SEED))
+            spaces = _split_space(rows, piv, mat, p)
             for sub, sub_pivots in spaces:
                 assert [[row[c] for c in sub_pivots] for row in sub] == mp.identity(len(sub))
             return [rref(sub, p)[0] for sub, _ in spaces]
