@@ -72,8 +72,7 @@ class ClassFunction:
         return ClassFunction(self.group, [v.conj() for v in self.values])
 
     def scaled(self, c) -> "ClassFunction":
-        factor = Cyclo._coerce(c)
-        return ClassFunction(self.group, [factor * v for v in self.values])
+        return ClassFunction(self.group, [c * v for v in self.values])
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
@@ -133,23 +132,27 @@ def decompose(chi: ClassFunction, table) -> list[int]:
     conj(chi) is weighted by the class sizes once, and each row takes one
     fused `dot` with that vector, which makes no product per term and
     conjugates no table value.  An accepted multiplicity is rational, so equal
-    to its conjugate, and held at order 1.  The irrational value a rejection
+    to its conjugate: the sum is then nums[0] / den at order 1, and one
+    `divmod(nums[0], den |G|)` reads the multiplicity off it, making no
+    `Fraction` unless a rejection prints one.  The irrational value a rejection
     reports is held where `dot` holds it, at the lcm of the orders of its
     irrational per-order sums; earlier versions could hold it elsewhere,
     depending on the order of the terms, but its value is unchanged."""
     sizes = chi.group.conjugacy_classes().sizes
     weighted = [r * v.conj() for r, v in zip(sizes, chi.values)]
-    inv_order = Fraction(1, chi.group.order)
+    order = chi.group.order
     mults = []
     for row in table.rows:
         chi._check_group(row)
-        m = dot(row.values, weighted) * inv_order
-        if not m.is_rational():
+        s = dot(row.values, weighted)
+        if not s.is_rational():
+            m = s * Fraction(1, order)
             raise NotACharacterError(f"multiplicity {m.conj()} is not rational")
-        q = m.as_rational()
-        if q.denominator != 1 or q < 0:
+        q, rem = divmod(s.nums[0], s.den * order)
+        if rem or q < 0:
             raise NotACharacterError(
-                f"not a character: multiplicity {q} is not a nonnegative integer"
+                "not a character: multiplicity "
+                f"{Fraction(s.nums[0], s.den * order)} is not a nonnegative integer"
             )
         mults.append(q)
     return mults

@@ -12,12 +12,16 @@ reductions modulo Phi_e, Galois images and `dot` all work on the
 numerators directly and make no `Fraction`.  `coeffs` derives the
 canonical coefficient tuple (each an `int`, or a `Fraction` whose
 denominator is greater than 1) that rendering and JSON print.  `dot`
-collects a sum of products in one int vector per field order and makes no
-`Cyclo` per term.
-Arithmetic returns a rational result at order 1, and an order-1 operand acts
-on the other operand's numerators directly, so rational values never pay for
-the coefficient vector of a large field.
-No floating point is used anywhere except `to_float`.
+collects a sum of products in one int vector per field order, makes no
+`Cyclo` per term, and combines its per-order sums in ints too, making one
+`Cyclo` per call.
+Arithmetic returns a rational result at order 1, and an order-1 operand, or
+an `int` or `Fraction` scalar, scales the other operand's numerators and
+denominator directly, so rational values never pay for the coefficient
+vector of a large field.
+No floating point is used anywhere except `to_float`: a float, or any other
+operand that is not an `int`, a `Fraction` or a `Cyclo`, raises `CycloError`
+rather than entering as its binary fraction.
 """
 
 from __future__ import annotations
@@ -193,10 +197,14 @@ class Cyclo:
 
     @staticmethod
     def from_rational(q: RationalLike) -> "Cyclo":
-        if type(q) is int:  # a bool is made an int below
+        """q held at order 1; q is an `int` (a `bool` included) or a
+        `Fraction`, whose terms are already lowest, and anything else, a
+        float above all, raises `CycloError`."""
+        if type(q) is int:
             return _held(1, (q,), 1)
-        q = Fraction(q)
-        return _held(1, (q.numerator,), q.denominator)
+        if isinstance(q, (int, Fraction)):
+            return _held(1, (q.numerator,), q.denominator)
+        raise _inexact(q)
 
     @staticmethod
     def from_powers(order: int, coeffs: Sequence[RationalLike]) -> "Cyclo":
@@ -275,12 +283,18 @@ class Cyclo:
         return Cyclo._coerce(other) - self
 
     def __mul__(self, other):
-        a, b = _rational_last(self, Cyclo._coerce(other))
-        if b.order == 1:
-            q = b.nums[0]
-            return _value(a.order, tuple(q * c for c in a.nums), a.den * b.den)
-        a, b = a._match(b)
-        return _value(a.order, _reduce(a.order, _poly_mul(a.nums, b.nums)), a.den * b.den)
+        if isinstance(other, Cyclo):
+            a, b = _rational_last(self, other)
+            if b.order != 1:
+                a, b = a._match(b)
+                return _value(a.order, _reduce(a.order, _poly_mul(a.nums, b.nums)),
+                              a.den * b.den)
+            q, d = b.nums[0], b.den
+        elif isinstance(other, (int, Fraction)):
+            a, q, d = self, other.numerator, other.denominator
+        else:
+            raise _inexact(other)
+        return _value(a.order, tuple(q * c for c in a.nums), a.den * d)
 
     __rmul__ = __mul__
 
@@ -434,6 +448,11 @@ class Cyclo:
             raise CycloError(f"malformed coefficient in {coeffs!r}") from exc
 
 
+def _inexact(q) -> CycloError:
+    return CycloError(f"{type(q).__name__} {q!r} is not an int or a Fraction, "
+                      "so it cannot enter exact arithmetic")
+
+
 def _rational_last(a: Cyclo, b: Cyclo) -> tuple[Cyclo, Cyclo]:
     """The operands of a symmetric operation, an order-1 one (if any) last,
     so that it can act on the other's numerators without change_order."""
@@ -472,17 +491,22 @@ def root_of_unity(e: int, k: int = 1) -> Cyclo:
 
 def dot(xs: Iterable, ys: Iterable) -> Cyclo:
     """sum_i xs[i] * ys[i], exactly, in one fused pass that makes no Cyclo per
-    term; an operand is an `int`, a `Fraction` or a `Cyclo`.
+    term; an operand is an `int`, a `Fraction` or a `Cyclo`, and anything
+    else raises `CycloError`.
 
     A term of two integers goes into one int accumulator.  Every other term
     goes into an unreduced int buffer of length o, o the lcm of its two
     operand orders, where exponents wrap mod o since z^o = 1.  A buffer keeps
     one common denominator, rescaled only when a term's denominator does not
-    divide it, and is reduced once, at the end, the buffers in ascending
-    order.  The result is held at order 1 when it is rational, else at the
-    lcm of the orders whose reduced sums are irrational, so the order of the
-    terms never decides it.  That rule is deliberate: the left-to-right sum
-    of Cyclo products this kernel replaced dropped to order 1 whenever a
+    divide it, and is reduced once, at the end.  The per-order sums then
+    combine in ints as well: the rational ones into one int fraction, the
+    irrational ones embedded at the lcm of their orders into one numerator
+    vector over a common denominator, which is reduced once more only when
+    more than one order is irrational, and the result is brought to lowest
+    terms once.  The result is held at order 1 when it is rational, else at
+    the lcm of the orders whose reduced sums are irrational, so the order of
+    the terms never decides it.  That rule is deliberate: the left-to-right
+    sum of Cyclo products this kernel replaced dropped to order 1 whenever a
     running sum turned rational, so the order of the terms could decide the
     order a result was held at.  The value is the same as that sum's."""
     rational = 0
@@ -491,21 +515,24 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
         # an int or a Fraction is read by its numerator and denominator
         if isinstance(x, Cyclo):
             ox, nx, dx = x.order, x.nums, x.den
-        else:
+        elif isinstance(x, (int, Fraction)):
             ox, nx, dx = 1, (x.numerator,), x.denominator
+        else:
+            raise _inexact(x)
         if isinstance(y, Cyclo):
             oy, ny, dy = y.order, y.nums, y.den
-        else:
+        elif isinstance(y, (int, Fraction)):
             oy, ny, dy = 1, (y.numerator,), y.denominator
-        if oy == 1:  # a rational operand goes first, and a zero one adds nothing
-            ox, nx, dx, oy, ny, dy = oy, ny, dy, ox, nx, dx
+        else:
+            raise _inexact(y)
         d = dx * dy
-        if ox == 1:
-            if not nx[0]:
-                continue
-            if oy == 1 and d == 1:
-                rational += nx[0] * ny[0]
-                continue
+        if ox == oy == d == 1:
+            rational += nx[0] * ny[0]
+            continue
+        if oy == 1:  # a rational operand goes first, and a zero one adds nothing
+            ox, nx, oy, ny = oy, ny, ox, nx
+        if ox == 1 and not nx[0]:
+            continue
         o = math.lcm(ox, oy)
         entry = sums.get(o)
         if entry is None:
@@ -525,18 +552,33 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
                 for j, b in enumerate(ny):
                     if b:
                         buf[(shift + j * sy) % o] += a * b
-    total = Cyclo.from_rational(rational)
+    if not sums:
+        return _held(1, (rational,), 1)
+    num, den = rational, 1  # the rational per-order sums, as num / den
     irrational = []
-    for o, (buf, den) in sorted(sums.items()):
-        v = _value(o, _reduce(o, buf), den)
-        if v.order == 1:
-            total += v
+    for o, (buf, d) in sums.items():
+        nums = _reduce(o, buf)
+        if any(nums[1:]):
+            irrational.append((o, nums, d))
         else:
-            irrational.append(v)
-    order = math.lcm(*(v.order for v in irrational))
-    for v in irrational:
-        total += v.change_order(order)
-    return total
+            num, den = num * d + nums[0] * den, den * d
+    if not irrational:
+        return _value(1, (num,), den)
+    if len(irrational) == 1:  # already reduced at its own order
+        order, nums, d = irrational[0]
+        common = math.lcm(den, d)
+        vec = [c * (common // d) for c in nums]
+        vec[0] += num * (common // den)
+    else:
+        order = math.lcm(*(o for o, _, _ in irrational))
+        common = math.lcm(den, *(d for _, _, d in irrational))
+        vec = [num * (common // den)] + [0] * (order - 1)
+        for o, nums, d in irrational:
+            step, f = order // o, common // d
+            for i, c in enumerate(nums):
+                vec[i * step] += c * f
+        vec = _reduce(order, vec)
+    return _value(order, tuple(vec), common)
 
 
 def _root_sums(values: Sequence[Cyclo], n: int, sign: int, divisor: int = 1) -> list[Cyclo]:

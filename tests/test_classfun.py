@@ -18,7 +18,7 @@ from chartab.classfun import (
     sym_alt_square,
     trivial_character,
 )
-from chartab.cyclo import Cyclo, dot, from_rational, root_of_unity
+from chartab.cyclo import Cyclo, CycloError, dot, from_rational, root_of_unity
 from chartab.permgroup import GroupMismatchError, parse_group_spec
 from chartab.tablegen import build_character_table
 
@@ -176,6 +176,12 @@ class TestProductSumConjugate:
             for row in table.rows:
                 for j in range(len(data)):
                     assert row.values[data.inverse_class[j]] == row.values[j].conj()
+
+    def test_a_float_value_is_refused(self):
+        # 0.5 would otherwise enter as its binary fraction
+        g = parse_group_spec("S3")
+        with pytest.raises(CycloError, match="float 0.5"):
+            ClassFunction(g, [1, 0.5, 0])
 
     def test_magnitude_bounded_by_degree(self, s5):
         _, table = s5
@@ -335,11 +341,22 @@ class TestDecompose:
         assert mults == [1] + [0] * (len(table.rows) - 1)
 
     def test_rejects_non_character(self):
+        # S3's classes are the identity, the 3-cycles and the transpositions;
+        # each rejection names the first row's multiplicity, word for word
         g = parse_group_spec("S3")
         table = build_character_table(g)
-        f = ClassFunction(g, [ratio(1, 2), ratio(0), ratio(0)])
-        with pytest.raises(NotACharacterError):
-            decompose(f, table)
+        cases = [
+            ([ratio(1, 2), ratio(0), ratio(0)],
+             "not a character: multiplicity 1/12 is not a nonnegative integer"),
+            ([ratio(-1), ratio(-1), ratio(-1)],
+             "not a character: multiplicity -1 is not a nonnegative integer"),
+            ([ratio(1), root_of_unity(3), ratio(0)],
+             "multiplicity 1/6 + 1/3*z(3)^1 ~ 0.0000+0.2887i is not rational"),
+        ]
+        for values, message in cases:
+            with pytest.raises(NotACharacterError) as exc:
+                decompose(ClassFunction(g, values), table)
+            assert str(exc.value) == message
 
 
 class TestRegularCharacter:

@@ -350,6 +350,14 @@ D4XD4 = "perm:8:(0,1,2,3);(0,2);(4,5,6,7);(4,6)"
      "00e929aad3d00ff82f63c200b49d98c2d556798f1952e43765ab6529d8686eb7"),
     ("fourier 30 --values=1" + ",0" * 29,
      "8b0bf4bb3afd8294cd3b40b648622dca1345fac6b5f223e4643bbd548c69b6a0"),
+    # character arithmetic on irrational rows: A7's rows 3 and 4 are its
+    # order-7 pair, and S6's row 11 (degree 16) splits onto A6's rows 4 and
+    # 5, whose values lie in Q(zeta_5)
+    ("tensor A7 --chars 3,4", "b162031455c1aee1068bbf6a0d5402547c826f4fa86728e242bff6a533ad26ac"),
+    ("symalt A7 --char 3", "14c109830c0cd88c9d2f34ba904d1eec713f44e18fdcce07f282db6a8fc49b50"),
+    ("restrict S6 --subgroup A6 --char 11",
+     "a95b0dbfd487f429442248687b548bf47b2e62d0e7e0805543bf069beb90dc5c"),
+    ("check S5", "85243e45d5e0d78fde7c3caf3359e8cb80c9ed0b455ccadb2dc90d20a2d8c73f"),
 ])
 def test_json_output_is_pinned(capsys, argv, digest):
     # sha256 of stdout re-indented: a change in how values are held inside

@@ -127,6 +127,29 @@ class TestFieldOps:
         assert v == z5
         assert v.order == 60
 
+    @pytest.mark.parametrize("compute", [
+        lambda z: from_rational(0.1),
+        lambda z: Cyclo._coerce(0.5),
+        lambda z: z * 0.5,
+        lambda z: 0.5 * z,
+        lambda z: z + 0.25,
+        lambda z: 0.25 - z,
+        lambda z: dot([0.5], [z]),
+        lambda z: dot([z, 1], [1, 0.5]),
+    ], ids=["from_rational", "coerce", "mul", "rmul", "add", "rsub", "dot", "dot-right"])
+    def test_a_float_never_enters_exact_arithmetic(self, compute):
+        # each would otherwise hold the float's binary fraction, such as
+        # 3602879701896397/36028797018963968 for 0.1, or die on .numerator
+        with pytest.raises(CycloError, match=r"^float .* is not an int or a Fraction"):
+            compute(root_of_unity(3))
+
+    def test_a_bool_is_an_int(self):
+        one = from_rational(True)
+        assert (one.order, one.nums, one.den) == (1, (1,), 1)
+        assert type(one.nums[0]) is int
+        assert (root_of_unity(3) * True).to_json() == root_of_unity(3).to_json()
+        assert dot([True, False], [root_of_unity(4), 5]) == root_of_unity(4)
+
     def test_dot_refuses_a_term_beyond_the_largest_order(self):
         # lcm(997, 991) = 988027: the term is refused before a buffer of that
         # length (8 MB) is made
@@ -487,6 +510,23 @@ def test_dot_matches_fraction_oracle(pairs):
     v = dot([x for x, _ in pairs], [y for _, y in pairs])
     assert m % v.order == 0
     assert_reduced(v.change_order(m), m, expected, drop_rational=False)
+
+
+scalars = st.one_of(
+    st.just(0),
+    st.integers(min_value=-30, max_value=30),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalars, oracle_values())
+def test_scalar_product_matches_fraction_oracle(q, v):
+    # an int or Fraction scalar scales the numerators and the denominator
+    expected = [Fraction(q) * c for c in v.coeffs]
+    for w in (q * v, v * q):
+        assert_reduced(w, v.order, expected)
+        assert_lowest_terms(w)
 
 
 def assert_lowest_terms(v):
