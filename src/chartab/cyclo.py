@@ -119,12 +119,16 @@ def _integral(coeffs: Sequence[RationalLike]) -> tuple[list[int], int]:
     """Rational coefficients as ints over one common denominator: (ints, den),
     with den the lcm of their denominators and coeffs[i] == ints[i] / den.
     Only the constructors that take rational coefficients call it;
-    arithmetic reads `nums` and `den` directly."""
+    arithmetic reads `nums` and `den` directly.  A coefficient that is not
+    an `int` (a `bool` included) or a `Fraction`, a float above all, raises
+    `CycloError`."""
+    if all(type(c) is int for c in coeffs):
+        return list(coeffs), 1
     for c in coeffs:
-        if type(c) is not int:
-            den = math.lcm(*(c.denominator for c in coeffs))
-            return [c.numerator * (den // c.denominator) for c in coeffs], den
-    return list(coeffs), 1
+        if not isinstance(c, (int, Fraction)):
+            raise _inexact(c)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _reduce(e: int, nums: list[int]) -> tuple[int, ...]:
@@ -212,11 +216,7 @@ class Cyclo:
         nums, den = _integral(coeffs)
         return _value(order, _reduce(order, nums), den)
 
-    @staticmethod
-    def from_ints(order: int, nums: Sequence[int]) -> "Cyclo":
-        """sum_k nums[k] zeta_order^k for int nums: the int form of
-        `from_powers`, which scans no coefficient."""
-        return _value(order, _reduce(order, list(nums)))
+    from_ints = from_powers  # its name where every coefficient is an int
 
     @staticmethod
     def zero() -> "Cyclo":
@@ -377,6 +377,8 @@ class Cyclo:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cyclo):
             if not isinstance(other, (int, Fraction)):
+                if isinstance(other, (float, complex)):
+                    raise _inexact(other)
                 return NotImplemented
             other = Cyclo.from_rational(other)
         a, b = _rational_last(self, other)

@@ -324,23 +324,20 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
     Each such column is checked by the integer identity sum_i n_i chi_i(g)
     = 0 for g != 1, which a single wrong value breaks.
 
-    The other classes fall into Galois orbits {g^s : gcd(s, d) = 1}.  On the
-    first class of an orbit, the multiplicities m_t of the d-th roots of
-    unity among the eigenvalues of the representing matrix are recovered by
-    an inverse DFT of chi mod p along the d entries of its power map, using
-    zeta_d = z^(e/d) for a fixed element z of order e in F_p; the DFT matrix
-    is built once per order d.  The exact value is sum_t m_t zeta_d^t, in
-    Q(zeta_d), or in Q when it is rational.  The class of g^s needs no DFT
-    of its own: chi(g^s) = sigma_s(chi(g)) for the Galois automorphism
-    sigma_s: zeta_d -> zeta_d^s, so it takes the first class's value under
-    Cyclo.galois(s).  Its chi mod p is the DFT's entry at s, so the bounds
-    checked on the m_t cover it too.
+    On every other class, the multiplicities m_t of the d-th roots of unity
+    among the eigenvalues of the representing matrix are recovered by an
+    inverse DFT of chi mod p along the d entries of the class's power map,
+    using zeta_d = z^(e/d) for a fixed element z of order e in F_p; the DFT
+    matrix is built once per order d.  The exact value is sum_t m_t
+    zeta_d^t, in Q(zeta_d), or in Q when it is rational.  Each class is
+    lifted from its own power map: chi(g^s) = sigma_s(chi(g)) holds of the
+    result, but no value is derived from another class's.
 
     A table holds few distinct values, so each is made once per call: the
-    rational value of each c, the DFT of each tuple `along` of chi mod p on
-    the power classes (which, with d and p, fixes it), and the image of each
-    first-class value under each sigma_s, each kind in a dict of its own.
-    The bounds are still checked on every entry, against that row's degree.
+    rational value of each c, and the DFT of each tuple `along` of chi mod p
+    on the power classes (which, with d and p, fixes it), each kind in a
+    dict of its own.  The bounds are still checked on every entry, against
+    that row's degree.
     """
     data = group.conjugacy_classes()
     e = group.exponent
@@ -351,18 +348,16 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
         )
     z = mp.element_of_order(e, p)
     size_inv = [pow(cl.size % p, p - 2, p) for cl in data.classes]
-    rational = []
-    orbit_of = {}  # non-rational class j -> (first class j0 of its orbit, s)
+    rational, nonrational = [], []
     for j, powers in enumerate(data.power_class):
-        units = [s for s in range(1, len(powers)) if math.gcd(s, len(powers)) == 1]
-        if all(powers[s] == j for s in units):
+        d = len(powers)
+        if all(powers[s] == j for s in range(1, d) if math.gcd(s, d) == 1):
             rational.append(j)
-        elif j not in orbit_of:
-            for s in units:
-                orbit_of.setdefault(powers[s], (j, s))
+        else:
+            nonrational.append(j)
     # dft[d][t][s] = zeta_d^-ts / d mod p, zeta_d = z^(e/d)
     dft = {}
-    for d in {len(data.power_class[j]) for j in orbit_of}:
+    for d in {len(data.power_class[j]) for j in nonrational}:
         zd_inv, d_inv = pow(z, (e // d) * (p - 2), p), pow(d, p - 2, p)
         w = [pow(zd_inv, k, p) * d_inv % p for k in range(d)]
         dft[d] = [[w[t * s % d] for s in range(d)] for t in range(d)]
@@ -370,8 +365,7 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
     rows = []
     column_sums = [0] * len(data)  # sum_i n_i chi_i(g_j) on the rational classes
     rational_values: dict[int, Cyclo] = {}  # c -> the value c
-    dft_values: dict[tuple, tuple] = {}  # along -> (max m_t, sum m_t, value)
-    galois_values: dict[tuple, Cyclo] = {}  # (order, nums, s) of a value -> its image
+    dft_values: dict[tuple, tuple] = {}  # along -> (sum m_t, value)
     for n_i, v in zip(degrees, vectors):
         chi = [n_i * x % p * r % p for x, r in zip(v, size_inv)]  # chi mod p
         values = [None] * len(chi)
@@ -386,26 +380,15 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
             if value is None:
                 value = rational_values[c] = Cyclo.from_rational(c)
             values[j] = value
-        for j, (j0, s) in orbit_of.items():
-            if j != j0:
-                first = values[j0]  # made by from_ints, so its den is 1
-                key = (first.order, first.nums, s)
-                value = galois_values.get(key)
-                if value is None:
-                    value = galois_values[key] = first.galois(s)
-                values[j] = value
-                continue
+        for j in nonrational:
             along = tuple(map(chi.__getitem__, data.power_class[j]))
             entry = dft_values.get(along)
             if entry is None:
                 d = len(along)
                 exps = [sum(map(mul, along, w)) % p for w in dft[d]]
-                entry = dft_values[along] = (max(exps), sum(exps), Cyclo.from_ints(d, exps))
-            top, total, values[j] = entry
-            if top > n_i:
-                raise TableConstructionError(
-                    f"lifted multiplicity {top} exceeds degree {n_i}"
-                )
+                entry = dft_values[along] = (sum(exps), Cyclo.from_ints(d, exps))
+            total, values[j] = entry
+            # each m_t is in [0, p), so a sum of n_i bounds every m_t by n_i
             if total != n_i:
                 raise TableConstructionError(
                     f"multiplicities sum to {total}, expected degree {n_i}"

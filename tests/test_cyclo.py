@@ -143,6 +143,31 @@ class TestFieldOps:
         with pytest.raises(CycloError, match=r"^float .* is not an int or a Fraction"):
             compute(root_of_unity(3))
 
+    @pytest.mark.parametrize("make", [
+        lambda coeffs: Cyclo(3, coeffs),
+        lambda coeffs: Cyclo.from_powers(3, coeffs),
+        lambda coeffs: Cyclo.from_ints(3, coeffs),
+    ], ids=["constructor", "from_powers", "from_ints"])
+    @pytest.mark.parametrize("bad", [0.5, "1"], ids=["float", "str"])
+    def test_a_coefficient_is_an_int_or_a_fraction(self, make, bad):
+        # the constructors died on .denominator, and from_ints kept a float
+        # coefficient inside the value
+        with pytest.raises(CycloError, match=f"^{type(bad).__name__} .* is not an int or a Fraction"):
+            make([bad, 0])
+        assert make([Fraction(1, 2), True]) == Fraction(1, 2) + root_of_unity(3)
+
+    def test_a_float_never_compares_equal_by_accident(self):
+        # 1 == 1.0 in Python, so a silent False would be a wrong answer
+        for inexact in (1.0, complex(1)):
+            with pytest.raises(CycloError, match=r"^(float|complex) .* is not an int or a Fraction"):
+                from_rational(1) == inexact
+            with pytest.raises(CycloError, match=r"^(float|complex) .* is not an int or a Fraction"):
+                inexact == from_rational(1)
+        # an unrelated type is simply not equal
+        assert (root_of_unity(3) == "x") is False
+        assert (root_of_unity(3) == None) is False  # noqa: E711
+        assert root_of_unity(3) != "x"
+
     def test_a_bool_is_an_int(self):
         one = from_rational(True)
         assert (one.order, one.nums, one.den) == (1, (1,), 1)

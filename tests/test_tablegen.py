@@ -664,8 +664,8 @@ class TestLift:
             lift_characters(g, vectors, degrees, p)
 
     def test_wrong_value_on_a_galois_conjugate_class_fails(self):
-        # the second class of 5-cycles takes sigma_2 of the first class's
-        # value, and the first class's DFT reads chi on it as well
+        # each class of 5-cycles has its own DFT, and each DFT reads chi on
+        # both classes, so a wrong value there breaks that row's lift
         g, p, vectors, degrees = self._a5_stages()
         orders = g.conjugacy_classes().element_orders
         j = len(orders) - 1 - orders[::-1].index(5)
@@ -693,7 +693,7 @@ class TestLift:
     @pytest.mark.parametrize("larger", [False, True])
     def test_bounds_are_checked_on_entries_whose_value_is_already_made(self, larger):
         # row b takes row a's vector times n_a / n_b, so chi_b = chi_a mod p:
-        # every value of row b, the DFT of each orbit included, was made for
+        # every value of row b, the DFT of each class included, was made for
         # row a, yet the bounds must hold for row b's own degree n_b
         g = parse_group_spec("A7")
         p = choose_prime(g)
@@ -705,24 +705,18 @@ class TestLift:
         vectors[b] = [x * n_a * pow(n_b, -1, p) % p for x in vectors[a]]
         # chi_b(1) = n_a: above a smaller degree at the identity class; below
         # a larger one everywhere, so the rational classes pass and the first
-        # orbit's multiplicities, those of row a, sum to n_a
+        # non-rational class's multiplicities, those of row a, sum to n_a
         message = (f"multiplicities sum to {n_a}, expected degree {n_b}" if larger
                    else f"rational value {n_a} exceeds degree {n_b}")
         with pytest.raises(TableConstructionError, match=f"^{message}$"):
             lift_characters(g, vectors, degrees, p)
 
-    def test_each_distinct_value_is_made_once(self, monkeypatch):
-        # D4xD4xC3 has 3,750 entries on its 50 non-rational classes, but few
-        # distinct values there; making one per entry reduces 3,750 times
-        g = parse_group_spec(D4_X_D4_X_C3)
+    @staticmethod
+    def _reductions_in_lift(g, monkeypatch):
+        """The number of cyclo._reduce calls lift_characters makes on g."""
         p = choose_prime(g)
         vectors = modp_eigenbasis(g, p)
         degrees = degrees_from_eigen(g, vectors, p)
-        rational = [j for j, powers in enumerate(g.conjugacy_classes().power_class)
-                    if all(powers[s] == j for s in range(len(powers))
-                           if math.gcd(s, len(powers)) == 1)]
-        entries = len(degrees) * (len(degrees) - len(rational))
-        assert entries == 3_750
         calls = [0]
         reduce = cyclo._reduce
 
@@ -732,7 +726,47 @@ class TestLift:
 
         monkeypatch.setattr(cyclo, "_reduce", counting)
         lift_characters(g, vectors, degrees, p)
-        assert 0 < calls[0] <= entries // 10
+        monkeypatch.undo()
+        return calls[0]
+
+    def test_each_distinct_value_is_made_once(self, monkeypatch):
+        # D4xD4xC3 has 3,750 entries on its 50 non-rational classes, but few
+        # distinct values there; making one per entry reduces 3,750 times
+        g = parse_group_spec(D4_X_D4_X_C3)
+        power_class = g.conjugacy_classes().power_class
+        rational = [j for j, powers in enumerate(power_class)
+                    if all(powers[s] == j for s in range(len(powers))
+                           if math.gcd(s, len(powers)) == 1)]
+        entries = len(power_class) * (len(power_class) - len(rational))
+        assert entries == 3_750
+        assert 0 < self._reductions_in_lift(g, monkeypatch) <= entries // 10
+
+    def test_one_value_per_distinct_power_map_tuple(self, monkeypatch):
+        # C7: six non-rational classes, one Galois orbit, and seven rows.  In
+        # row k the tuple along the power map of g^a depends only on ka mod 7,
+        # so the 42 non-rational entries hold 7 distinct tuples: one DFT each
+        g = parse_group_spec("C7")
+        assert 0 < self._reductions_in_lift(g, monkeypatch) <= 7
+
+    @pytest.mark.parametrize("spec", ["A7", "perm:24:(" + ",".join(map(str, range(24))) + ")"])
+    def test_no_value_is_a_galois_image_of_another(self, spec, monkeypatch):
+        # every non-rational class is lifted from its own power map, so the
+        # Galois relation between classes is left for test_galois_closure
+        g = parse_group_spec(spec)
+        p = choose_prime(g)
+        vectors = modp_eigenbasis(g, p)
+        degrees = degrees_from_eigen(g, vectors, p)
+        calls = []
+        galois = Cyclo.galois
+
+        def spying(self, t):
+            calls.append(t)
+            return galois(self, t)
+
+        monkeypatch.setattr(Cyclo, "galois", spying)
+        table = lift_characters(g, vectors, degrees, p)
+        assert calls == []
+        assert any(not v.is_rational() for row in table.rows for v in row.values)
 
     @pytest.mark.parametrize("spec", [
         "A5", "A7", "Q8",
@@ -741,6 +775,7 @@ class TestLift:
         # C24: zeta_8 and zeta_12 have the same numerators (0, 1, 0, 0), and
         # sigma_5 maps them to different values
         "perm:24:(" + ",".join(map(str, range(24))) + ")",
+        "perm:8:(0,1,2);(0,1,2,3,4);(5,6,7)",  # relabeled A5xC3: orbits at order 15
     ])
     def test_galois_closure(self, spec):
         # sigma_s: zeta -> zeta^s, s a unit mod the exponent e, permutes the
