@@ -386,7 +386,7 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
             if entry is None:
                 d = len(along)
                 exps = [sum(map(mul, along, w)) % p for w in dft[d]]
-                entry = dft_values[along] = (sum(exps), Cyclo.from_ints(d, exps))
+                entry = dft_values[along] = (sum(exps), Cyclo(d, exps))
             total, values[j] = entry
             # each m_t is in [0, p), so a sum of n_i bounds every m_t by n_i
             if total != n_i:

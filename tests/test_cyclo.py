@@ -18,7 +18,7 @@ from chartab.cyclo import (
 )
 
 
-def poly_mul_int(a, b):
+def poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -43,7 +43,7 @@ class TestCyclotomicPolynomial:
         prod = [1]
         for d in range(1, e + 1):
             if e % d == 0:
-                prod = poly_mul_int(prod, list(cyclotomic_polynomial(d)))
+                prod = poly_mul(prod, list(cyclotomic_polynomial(d)))
         expected = [0] * (e + 1)
         expected[0], expected[e] = -1, 1
         assert prod == expected
@@ -143,18 +143,37 @@ class TestFieldOps:
         with pytest.raises(CycloError, match=r"^float .* is not an int or a Fraction"):
             compute(root_of_unity(3))
 
-    @pytest.mark.parametrize("make", [
-        lambda coeffs: Cyclo(3, coeffs),
-        lambda coeffs: Cyclo.from_powers(3, coeffs),
-        lambda coeffs: Cyclo.from_ints(3, coeffs),
-    ], ids=["constructor", "from_powers", "from_ints"])
+    @pytest.mark.parametrize("place", [0, 3], ids=["constructor", "unreduced"])
     @pytest.mark.parametrize("bad", [0.5, "1"], ids=["float", "str"])
-    def test_a_coefficient_is_an_int_or_a_fraction(self, make, bad):
-        # the constructors died on .denominator, and from_ints kept a float
-        # coefficient inside the value
+    def test_a_coefficient_is_an_int_or_a_fraction(self, place, bad):
+        # the constructor died on .denominator; a coefficient past phi(3),
+        # which the reduction moves onto 1 and z, is checked as well
+        coeffs = [0] * place + [bad, True]
         with pytest.raises(CycloError, match=f"^{type(bad).__name__} .* is not an int or a Fraction"):
-            make([bad, 0])
-        assert make([Fraction(1, 2), True]) == Fraction(1, 2) + root_of_unity(3)
+            Cyclo(3, coeffs)
+        coeffs[place] = Fraction(1, 2)
+        assert Cyclo(3, coeffs) == Fraction(1, 2) + root_of_unity(3)
+
+    def test_the_constructor_gives_the_canonical_form(self):
+        z = root_of_unity(3)
+        # z^2 was held as the unreduced vector (0, 0, 1), unequal to z^2 and
+        # added as z^2 + z^2 = z^2
+        assert Cyclo(3, [0, 0, 1]) == z ** 2
+        assert Cyclo(3, [0, 0, 1]) + z ** 2 == 2 * z ** 2
+        assert Cyclo(3, [0, 0, 1]).to_json() == (z ** 2).to_json()
+        # a rational value is held at order 1, in lowest terms
+        assert Cyclo(5, [5]).to_json() == from_rational(5).to_json()
+        assert Cyclo(3, [1, 1, 1]).to_json() == from_rational(0).to_json()
+        half = Cyclo(4, [Fraction(2, 4), 0])
+        assert (half.order, half.nums, half.den) == (1, (1,), 2)
+        assert Cyclo(7, []).to_json() == from_rational(0).to_json()
+        assert Cyclo.from_json({"order": 5, "coeffs": ["1", "0", "0", "0"]}).to_json() == \
+            {"order": 1, "coeffs": ["1"]}
+
+    @pytest.mark.parametrize("order", [0, -3, 10_001, 4.0, True, "4"])
+    def test_the_constructor_refuses_an_order_outside_the_field_range(self, order):
+        with pytest.raises(CycloError, match="order"):
+            Cyclo(order, [1])
 
     def test_a_float_never_compares_equal_by_accident(self):
         # 1 == 1.0 in Python, so a silent False would be a wrong answer
@@ -299,11 +318,12 @@ def root_values(draw):
 
 @st.composite
 def field_elements(draw):
-    """A random power-basis vector of Q(zeta_n), kept at order n by the raw
-    constructor even when it is rational."""
+    """A random power-basis vector of Q(zeta_n), held at order n even when it
+    is rational: the constructor holds a rational at order 1, and
+    change_order embeds it at n again."""
     n = draw(st.sampled_from([3, 4, 5, 7, 12]))
     size = euler_phi(n)
-    return Cyclo(n, draw(st.lists(small_rationals, min_size=size, max_size=size)))
+    return Cyclo(n, draw(st.lists(small_rationals, min_size=size, max_size=size))).change_order(n)
 
 
 def cyclo_values():
@@ -379,7 +399,7 @@ def dot_operands(draw):
         return draw(dot_rationals)
     e = draw(st.sampled_from(DOT_ORDERS))
     coeffs = draw(st.lists(dot_coeffs, min_size=euler_phi(e), max_size=euler_phi(e)))
-    return Cyclo.from_powers(e, coeffs)
+    return Cyclo(e, coeffs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -476,18 +496,19 @@ oracle_coeffs = st.one_of(
 @st.composite
 def oracle_values(draw, orders=ORACLE_ORDERS):
     """A reduced vector of Q(zeta_e) with canonical coefficients, held at
-    order e by the raw constructor even when it is rational."""
+    order e even when it is rational (by change_order, since the
+    constructor holds a rational at order 1)."""
     e = draw(st.sampled_from(orders))
     size = euler_phi(e)
     coeffs = draw(st.lists(oracle_coeffs, min_size=size, max_size=size))
-    return Cyclo(e, [c.numerator if c.denominator == 1 else c for c in coeffs])
+    return Cyclo(e, coeffs).change_order(e)
 
 
 @settings(max_examples=150, deadline=None)
 @given(oracle_values(), oracle_values())
 def test_product_matches_fraction_oracle(x, y):
     m = math.lcm(x.order, y.order)
-    expected = fraction_reduce(m, poly_mul_int(fraction_embed(x, m), fraction_embed(y, m)))
+    expected = fraction_reduce(m, poly_mul(fraction_embed(x, m), fraction_embed(y, m)))
     assert_reduced(x * y, m, expected)
 
 
@@ -513,8 +534,9 @@ def test_galois_matches_fraction_oracle(x, s):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(ORACLE_ORDERS), st.data())
 def test_from_powers_matches_fraction_oracle(e, data):
+    # the constructor reduces a sum of powers of any length, phi(e) or more
     coeffs = data.draw(st.lists(oracle_coeffs, max_size=3 * e))
-    assert_reduced(Cyclo.from_powers(e, coeffs), e, fraction_reduce(e, coeffs))
+    assert_reduced(Cyclo(e, coeffs), e, fraction_reduce(e, coeffs))
 
 
 # orders whose lcm is at most 60, so that the oracle's Fraction products stay small
@@ -530,7 +552,7 @@ def test_dot_matches_fraction_oracle(pairs):
     m = math.lcm(1, *(v.order for pair in pairs for v in pair))
     expected = [Fraction(0)] * euler_phi(m)
     for x, y in pairs:
-        term = fraction_reduce(m, poly_mul_int(fraction_embed(x, m), fraction_embed(y, m)))
+        term = fraction_reduce(m, poly_mul(fraction_embed(x, m), fraction_embed(y, m)))
         expected = [a + b for a, b in zip(expected, term)]
     v = dot([x for x, _ in pairs], [y for _, y in pairs])
     assert m % v.order == 0
@@ -571,8 +593,64 @@ def test_results_are_held_in_lowest_terms(x, y, s, coeffs, data):
     pairs = data.draw(st.lists(st.tuples(oracle_values(), oracle_values()), max_size=4))
     results = [x + y, x - y, x * y, dot([x, y], [y, x]),
                dot([a for a, _ in pairs], [b for _, b in pairs]),
-               Cyclo.from_powers(x.order, coeffs)]
+               Cyclo(x.order, coeffs)]
     if math.gcd(s, x.order) == 1:
         results.append(x.galois(s))
     for v in results:
         assert_lowest_terms(v)
+
+
+# -- inverses against the extended Euclidean algorithm ---------------------------
+
+def fraction_divmod(num, den):
+    """Quotient and remainder of ascending Fraction coefficient lists."""
+    num = [Fraction(c) for c in num]
+    deg = len(den) - 1
+    quot = [Fraction(0)] * max(len(num) - deg, 1)
+    for i in range(len(num) - 1, deg - 1, -1):
+        c = quot[i - deg] = num[i] / den[-1]
+        for j, d in enumerate(den):
+            num[i - deg + j] -= c * d
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return quot, num
+
+
+def poly_sub(a, b):
+    n = max(len(a), len(b))
+    return [x - y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
+
+
+def euclid_inverse(x):
+    """x^-1 by the extended Euclidean algorithm on x and Phi_e over Fraction
+    polynomials, as `Cyclo.inverse` computed it before it used the Galois
+    norm; Phi_e is irreducible, so the gcd is a nonzero constant."""
+    a = list(x.coeffs)
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    r0, r1 = list(cyclotomic_polynomial(x.order)), a
+    s0, s1 = [0], [1]
+    while any(r1):
+        q, r = fraction_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
+    return Cyclo(x.order, [Fraction(c) / r0[-1] for c in s0])
+
+
+# the orders up to 60 of degree phi(e) <= 20: at a prime order near 60 the
+# Euclidean oracle takes seconds per value (Fraction coefficients of hundreds
+# of digits), the Galois norm under 0.1 s
+INVERSE_ORDERS = [e for e in range(1, 61) if euler_phi(e) <= 20]
+
+
+@settings(max_examples=120, deadline=None)
+@given(oracle_values(INVERSE_ORDERS), oracle_values(INVERSE_ORDERS))
+def test_inverse_matches_euclid_oracle(x, y):
+    if x.is_zero():
+        return
+    inv = euclid_inverse(x)
+    assert x.inverse().to_json() == inv.to_json()
+    assert (y / x).to_json() == (y * inv).to_json()
+    assert (x ** -2).to_json() == (inv * inv).to_json()
+    assert (1 / x).to_json() == inv.to_json()
+    assert_lowest_terms(x.inverse())
