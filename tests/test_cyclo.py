@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chartab import cyclo
 from chartab.cyclo import (
     Cyclo,
     CycloError,
@@ -275,6 +278,11 @@ class TestRendering:
         assert data["order"] == 12
         assert all(isinstance(c, str) for c in data["coeffs"])
         assert Cyclo.from_json(data) == v
+
+    def test_copy_and_pickle_rebuild_the_same_fields(self):
+        for v in (from_rational(Fraction(2, 3)) + root_of_unity(12, 7), from_rational(-5)):
+            for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+                assert (w.order, w.nums, w.den) == (v.order, v.nums, v.den)
 
     @pytest.mark.parametrize("order, n_coeffs", [
         (0, 0),  # would divide by zero in to_float
@@ -654,3 +662,34 @@ def test_inverse_matches_euclid_oracle(x, y):
     assert (x ** -2).to_json() == (inv * inv).to_json()
     assert (1 / x).to_json() == inv.to_json()
     assert_lowest_terms(x.inverse())
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("e, powers", [
+    (420, [0, 1]), (420, [1, 1]), (420, [HALF, 0, 0, HALF]),
+    (420, [-2, 0, 0, 0, 0, 0, 0, Fraction(1, 3)]),
+    (997, [0, 1]), (997, [1, 1]), (997, [HALF, 0, 0, HALF]),
+], ids=["420-z", "420-1+z", "420-(1+z^3)/2", "420-z^7/3-2",
+        "997-z", "997-1+z", "997-(1+z^3)/2"])
+def test_sparse_inverse_at_large_orders(e, powers):
+    # sums of a few roots of unity, the values the library most naturally
+    # makes: the Euclidean oracle is quick on them, since Phi_e divided by a
+    # low-degree polynomial leaves a constant or a short remainder (at 997
+    # only units, whose inverses have small coefficients)
+    x = Cyclo(e, powers)
+    inv = euclid_inverse(x)
+    assert x.inverse().to_json() == inv.to_json()
+    assert (1 / x).to_json() == inv.to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2000), st.data())
+def test_packed_products_match_the_double_loop(bits, data):
+    ints = st.integers(min_value=-(1 << bits), max_value=1 << bits)
+    a = data.draw(st.lists(ints, min_size=1, max_size=130))
+    b = data.draw(st.lists(ints, min_size=1, max_size=130))
+    # _poly_mul packs only products with many steps a coefficient, so call both
+    assert cyclo._packed_mul(a, b) == poly_mul(a, b)
+    assert cyclo._poly_mul(a, b) == poly_mul(a, b)
