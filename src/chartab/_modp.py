@@ -11,22 +11,12 @@ from __future__ import annotations
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division, {prime: multiplicity}."""
+    """Prime factorization by trial division, {prime: multiplicity}; empty
+    for n < 2."""
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:

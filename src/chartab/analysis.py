@@ -164,12 +164,12 @@ def burnside_class_test(g: PermGroup) -> BurnsideClassReport:
     which also supplies the smallest witness normal subgroup either way."""
     data = g.conjugacy_classes()
     entries = [
-        ClassSizeEntry(j, cl.size, mp.factorize(cl.size))
-        for j, cl in enumerate(data.classes)
+        ClassSizeEntry(j, size, mp.factorize(size))
+        for j, size in enumerate(data.sizes)
         if j > 0
     ]
     prime_power = any(e.is_prime_power for e in entries)
-    closures = [g.normal_closure(cl.representative) for cl in data.classes[1:]]
+    closures = [g.normal_closure(x) for x in data.representatives[1:]]
     simple = g.order > 1 and all(c.order == g.order for c in closures)
 
     best = None

@@ -80,8 +80,8 @@ def _value_cell(v: Cyclo, footnotes: dict[str, str], precision: int) -> str:
 def _render_table_text(table: CharacterTable, precision: int) -> str:
     data = table.class_data
     footnotes: dict[str, str] = {}
-    header_size = ["size"] + [str(cl.size) for cl in data.classes]
-    header_rep = ["rep"] + [cl.representative.cycle_string() for cl in data.classes]
+    header_size = ["size"] + [str(size) for size in data.sizes]
+    header_rep = ["rep"] + [rep.cycle_string() for rep in data.representatives]
     body = []
     for i, row in enumerate(table.rows):
         body.append(
@@ -103,8 +103,8 @@ def _render_table_csv(table: CharacterTable, precision: int) -> str:
     data = table.class_data
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["", "size"] + [cl.size for cl in data.classes])
-    writer.writerow(["", "rep"] + [cl.representative.cycle_string() for cl in data.classes])
+    writer.writerow(["", "size", *data.sizes])
+    writer.writerow(["", "rep"] + [rep.cycle_string() for rep in data.representatives])
     for i, row in enumerate(table.rows):
         writer.writerow([f"X{i + 1}", "exact"] + [v.exact_str() for v in row.values])
         writer.writerow(
@@ -154,16 +154,14 @@ def cmd_table(args) -> int:
 
 def cmd_classes(args) -> int:
     group = _load_group(args.spec, _cap_from(args))
-    data = group.conjugacy_classes()
+    payload = classes_json(group)
     if args.format == "json":
-        print(_json_dumps(classes_json(group)))
+        print(_json_dumps(payload))
     else:
-        print(f"group {group.spec}, order {group.order}, {len(data)} classes")
-        for j, cl in enumerate(data.classes):
-            print(
-                f"class {j + 1}: size {cl.size}, element order {cl.element_order}, "
-                f"rep {cl.representative.cycle_string()}"
-            )
+        print(f"group {group.spec}, order {group.order}, {len(payload['classes'])} classes")
+        for j, cl in enumerate(payload["classes"], 1):
+            print(f"class {j}: size {cl['size']}, element order {cl['element_order']}, "
+                  f"rep {cl['rep_cycles']}")
     return EXIT_OK
 
 

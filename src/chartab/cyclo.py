@@ -38,6 +38,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
+from ._modp import factorize
+
 MAX_ORDER = 10_000
 
 RationalLike = Union[int, Fraction]
@@ -60,18 +62,10 @@ def _divisors(n: int) -> list[int]:
 
 
 def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    """phi(n) = n prod(1 - 1/p) over the primes p dividing n."""
+    for p in factorize(n):
+        n -= n // p
+    return n
 
 
 def _check_order(order) -> None:

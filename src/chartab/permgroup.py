@@ -89,8 +89,9 @@ class Perm(tuple):
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the top bit
+                base = base * base
         return result
 
     def is_identity(self) -> bool:
@@ -131,45 +132,41 @@ class Perm(tuple):
         return f"Perm{self.cycle_string()}"
 
 
-class ConjugacyClass:
-    """One conjugacy class: least-member representative, size, members."""
-
-    __slots__ = ("representative", "size", "members", "element_order")
-
-    def __init__(self, members: list[Perm]):
-        self.members = sorted(members)
-        self.representative = self.members[0]
-        self.size = len(members)
-        self.element_order = self.representative.order()
-
-
 class ClassData:
     """Conjugacy classes in canonical order with inverse and power maps.
 
-    `power_class[j][s]` is the class of g_j^s for s < d_j, the order of g_j;
-    the class of any power g_j^s is `power_class[j][s % d_j]`."""
+    Class j holds `members[j]`, `sizes[j]`, its least member
+    `representatives[j]` and `element_orders[j]`; `member_index` maps every
+    element of the group to its class.  `power_class[j][s]` is the class of
+    g_j^s for s < d_j, the order of g_j; the class of any power g_j^s is
+    `power_class[j][s % d_j]`."""
 
-    def __init__(self, classes: list[ConjugacyClass]):
-        self.classes = classes
-        self.sizes = tuple(cl.size for cl in classes)
-        self.representatives = tuple(cl.representative for cl in classes)
-        self.element_orders = tuple(cl.element_order for cl in classes)
-        self.member_index: dict[Perm, int] = {}
-        for idx, cl in enumerate(classes):
-            for m in cl.members:
-                self.member_index[m] = idx
+    def __init__(self, orbits: list[list[Perm]], member_index: dict[Perm, Optional[int]]):
+        """`orbits` are the classes in any order and `member_index` maps each
+        element to its orbit's position; both are renumbered canonically."""
+        reps = [min(orbit) for orbit in orbits]
+        orders = [r.order() for r in reps]
+        ranked = sorted(range(len(orbits)), key=lambda c: (len(orbits[c]), orders[c], reps[c]))
+        self.members = [orbits[c] for c in ranked]
+        self.sizes = tuple(map(len, self.members))
+        self.representatives = tuple(reps[c] for c in ranked)
+        self.element_orders = tuple(orders[c] for c in ranked)
+        for j, members in enumerate(self.members):
+            for m in members:
+                member_index[m] = j
+        self.member_index = member_index
         self.power_class = []
-        for cl in classes:
-            powers, cur = [0], cl.representative  # the identity class is first
-            for _ in range(1, cl.element_order):
-                powers.append(self.member_index[cur])
-                cur = cur * cl.representative
+        for g, d in zip(self.representatives, self.element_orders):
+            powers, cur = [0], g  # the identity class is first
+            for _ in range(1, d):
+                powers.append(member_index[cur])
+                cur = cur * g
             self.power_class.append(powers)
         # g^-1 = g^(d-1), the last power
         self.inverse_class = [powers[-1] for powers in self.power_class]
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.members)
 
 
 class PermGroup:
@@ -189,7 +186,9 @@ class PermGroup:
         self.cap = cap
         self.spec = spec
         self._elements: Optional[list[Perm]] = None
-        self._element_set: Optional[set[Perm]] = None
+        # every element -> its class: None from enumeration until the classes
+        # are swept, then the canonical class index (ClassData.member_index)
+        self._index: Optional[dict[Perm, Optional[int]]] = None
         self._class_data: Optional[ClassData] = None
         self._commutator_subgroup: Optional[NormalSubgroup] = None
 
@@ -201,19 +200,18 @@ class PermGroup:
             return self._elements
         identity = Perm.identity(self.degree)
         elements = [identity]
-        element_set = {identity}
+        index: dict[Perm, Optional[int]] = {identity: None}
         for el in elements:  # the list grows while it is walked: breadth-first
             for gen in self.generators:
                 prod = el * gen
-                if prod not in element_set:
-                    element_set.add(prod)
+                if prod not in index:
+                    index[prod] = None
                     elements.append(prod)
                     if len(elements) > self.cap:
                         raise ResourceCapError(
                             f"group enumeration exceeded cap of {self.cap} elements"
                         )
-        self._elements = elements
-        self._element_set = element_set
+        self._elements, self._index = elements, index
         return elements
 
     @property
@@ -230,7 +228,7 @@ class PermGroup:
 
     def __contains__(self, p: Perm) -> bool:
         self.enumerate()
-        return p in self._element_set
+        return p in self._index
 
     # -- conjugacy classes ---------------------------------------------------
 
@@ -238,28 +236,24 @@ class PermGroup:
         if self._class_data is not None:
             return self._class_data
         elements = self.enumerate()
-        gens = [(gen, gen.inv()) for gen in self.generators]
-        assigned: set[Perm] = set()
-        raw_classes: list[list[Perm]] = []
+        index = self._index
+        gens = [(gen.__getitem__, gen.inv()) for gen in self.generators]
+        orbits: list[list[Perm]] = []
         for el in elements:
-            if el in assigned:
+            if index[el] is not None:
                 continue
-            # orbit of el under conjugation by the generators
+            # orbit of el under conjugation by the generators, walked while it
+            # grows; each step is one Perm, gen cur gen^-1
+            c = index[el] = len(orbits)
             orbit = [el]
-            assigned.add(el)
-            queue = [el]
-            while queue:
-                cur = queue.pop()
+            for cur in orbit:
                 for gen, gen_inv in gens:
-                    conj = gen * cur * gen_inv
-                    if conj not in assigned:
-                        assigned.add(conj)
+                    conj = Perm(map(gen, map(cur.__getitem__, gen_inv)))
+                    if index[conj] is None:
+                        index[conj] = c
                         orbit.append(conj)
-                        queue.append(conj)
-            raw_classes.append(orbit)
-        classes = [ConjugacyClass(members) for members in raw_classes]
-        classes.sort(key=lambda c: (c.size, c.element_order, c.representative))
-        self._class_data = ClassData(classes)
+            orbits.append(orbit)
+        self._class_data = ClassData(orbits, index)
         return self._class_data
 
     # -- subgroups ------------------------------------------------------------
@@ -303,11 +297,11 @@ class PermGroup:
         data = self.conjugacy_classes()
         index = data.member_index
         seed = set(seed)
-        xs = [y for k in seed for y in data.classes[k].members]
+        xs = [y for k in seed for y in data.members[k]]
         found = {0, *seed}
         queue = list(found)
         while queue and len(found) < len(data):
-            g_i = data.classes[queue.pop()].representative
+            g_i = data.representatives[queue.pop()]
             for y in xs:
                 l = index[g_i * y]
                 if l not in found:
@@ -317,7 +311,7 @@ class PermGroup:
 
     def center(self) -> "NormalSubgroup":
         return NormalSubgroup(
-            self, [j for j, cl in enumerate(self.conjugacy_classes().classes) if cl.size == 1]
+            self, [j for j, size in enumerate(self.conjugacy_classes().sizes) if size == 1]
         )
 
     def derived_series(self) -> list["NormalSubgroup"]:
@@ -328,12 +322,12 @@ class PermGroup:
         classes of the commutators [t, x], t a representative of a seed
         class and x in X: every [t', x'] on X is conjugate to one of these,
         so modulo that closure the members of X commute."""
-        classes = self.conjugacy_classes().classes
+        data = self.conjugacy_classes()
         seed = self._commutators(self.generators, self.generators)
         series = [self.commutator_subgroup()]
         while 1 < series[-1].order < self.order:  # a perfect G stops at G'
-            seed = self._commutators([classes[j].representative for j in seed],
-                                     [y for j in seed for y in classes[j].members])
+            seed = self._commutators([data.representatives[j] for j in seed],
+                                     [y for j in seed for y in data.members[j]])
             derived = self._normal_closure_of(seed)
             if derived.order == series[-1].order:
                 break
@@ -388,13 +382,13 @@ class NormalSubgroup:
         self.parent = parent
         self.classes = tuple(sorted(classes))
         data = parent.conjugacy_classes()
-        self.order = sum(data.classes[j].size for j in self.classes)
+        self.order = sum(data.sizes[j] for j in self.classes)
         self.index = parent.order // self.order
 
     @cached_property
     def elements(self) -> list[Perm]:
         data = self.parent.conjugacy_classes()
-        return [m for j in self.classes for m in data.classes[j].members]
+        return [m for j in self.classes for m in data.members[j]]
 
     @cached_property
     def element_set(self) -> set[Perm]:

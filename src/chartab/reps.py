@@ -112,7 +112,7 @@ def character_of(rep: MatrixRep) -> ClassFunction:
     rep.extend_to_group()
     data = rep.group.conjugacy_classes()
     return ClassFunction(
-        rep.group, [mat_trace(rep.image(cl.representative)) for cl in data.classes]
+        rep.group, [mat_trace(rep.image(g)) for g in data.representatives]
     )
 
 
@@ -120,7 +120,7 @@ def permutation_character(g: PermGroup) -> ClassFunction:
     """Fixed-point count of each class representative."""
     data = g.conjugacy_classes()
     return ClassFunction(
-        g, [from_rational(cl.representative.fixed_points()) for cl in data.classes]
+        g, [from_rational(x.fixed_points()) for x in data.representatives]
     )
 
 
@@ -129,7 +129,7 @@ def standard_character(g: PermGroup) -> ClassFunction:
     data = g.conjugacy_classes()
     return ClassFunction(
         g,
-        [from_rational(cl.representative.fixed_points() - 1) for cl in data.classes],
+        [from_rational(x.fixed_points() - 1) for x in data.representatives],
     )
 
 

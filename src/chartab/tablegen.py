@@ -41,7 +41,7 @@ def class_matrix(data: ClassData, j: int) -> list[list[int]]:
     h = len(data)
     index = data.member_index
     mat = [[0] * h for _ in range(h)]
-    for x in data.classes[j].members:
+    for x in data.members[j]:
         x_inv = x.inv()
         for l, g_l in enumerate(data.representatives):
             mat[index[x_inv * g_l]][l] += 1
@@ -235,13 +235,13 @@ def _sorted_rows(rows: list[ClassFunction]) -> list[ClassFunction]:
 
 def classes_json(group: PermGroup) -> dict:
     """The group and its classes: `chartab classes` and a table's JSON head."""
+    data = group.conjugacy_classes()
     return {
         "group": group.spec,
         "order": group.order,
         "classes": [
-            {"rep_cycles": cl.representative.cycle_string(), "size": cl.size,
-             "element_order": cl.element_order}
-            for cl in group.conjugacy_classes().classes
+            {"rep_cycles": rep.cycle_string(), "size": size, "element_order": order}
+            for rep, size, order in zip(data.representatives, data.sizes, data.element_orders)
         ],
     }
 
@@ -347,7 +347,7 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
             "so F_p has no element of order e"
         )
     z = mp.element_of_order(e, p)
-    size_inv = [pow(cl.size % p, p - 2, p) for cl in data.classes]
+    size_inv = [pow(size % p, p - 2, p) for size in data.sizes]
     rational, nonrational = [], []
     for j, powers in enumerate(data.power_class):
         d = len(powers)

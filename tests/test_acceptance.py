@@ -117,8 +117,7 @@ def test_criterion_1_golden_tables():
     degree3 = [row for row in a5.rows if row.values[0] == 3]
     assert len(degree3) == 2
     five_cols = [
-        j for j, cl in enumerate(a5_group.conjugacy_classes().classes)
-        if cl.element_order == 5
+        j for j, d in enumerate(a5_group.conjugacy_classes().element_orders) if d == 5
     ]
     seen = set()
     for row in degree3:
@@ -317,10 +316,8 @@ def test_criterion_9_oracle_equivalence():
                 for l in range(h):
                     count = sum(
                         1
-                        for x, y in iproduct(
-                            data.classes[j].members, data.classes[k].members
-                        )
-                        if x * y == data.classes[l].representative
+                        for x, y in iproduct(data.members[j], data.members[k])
+                        if x * y == data.representatives[l]
                     )
                     assert cc.a[j][k][l] == count
 

@@ -48,9 +48,7 @@ class TestRestrict:
             assert restricted.values[class_index_of(h_group, rep_text)] == val
         # both 5-cycle classes carry -1
         data = h_group.conjugacy_classes()
-        five_cycle_classes = [
-            j for j, cl in enumerate(data.classes) if cl.element_order == 5
-        ]
+        five_cycle_classes = [j for j, d in enumerate(data.element_orders) if d == 5]
         assert len(five_cycle_classes) == 2
         for j in five_cycle_classes:
             assert restricted.values[j] == -1

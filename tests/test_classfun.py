@@ -254,8 +254,8 @@ class TestSymAltSquare:
         half = Fraction(1, 2)
         for n, chi in zip(table.degrees, table.rows):
             sym, alt = sym_alt_square(chi)
-            for j, cl in enumerate(data.classes):
-                c = data.member_index[cl.representative * cl.representative]
+            for j, rep in enumerate(data.representatives):
+                c = data.member_index[rep * rep]
                 square = chi.values[j] * chi.values[j]
                 assert sym.values[j] == half * (square + chi.values[c])
                 assert alt.values[j] == half * (square - chi.values[c])

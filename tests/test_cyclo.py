@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chartab import cyclo
+from chartab import _modp, cyclo
 from chartab.cyclo import (
     Cyclo,
     CycloError,
@@ -56,6 +56,25 @@ class TestCyclotomicPolynomial:
             cyclotomic_polynomial(0)
         with pytest.raises(CycloError):
             cyclotomic_polynomial(10_001)
+
+
+def test_phi_and_primality_match_a_sieve():
+    # both read _modp.factorize; the oracle is a sieve of least prime factors
+    top = 20_000
+    least = list(range(top + 1))
+    for p in range(2, math.isqrt(top) + 1):
+        if least[p] == p:
+            for m in range(p * p, top + 1, p):
+                least[m] = min(least[m], p)
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if least[p] == p:
+            for m in range(p, top + 1, p):
+                phi[m] -= phi[m] // p
+    for n in range(-2, top + 1):
+        assert _modp.is_prime(n) == (n >= 2 and least[n] == n), n
+        if n >= 1:
+            assert euler_phi(n) == phi[n], n
 
 
 class TestRootsOfUnity:

@@ -98,6 +98,15 @@ class TestPerm:
         assert p ** -1 == p.inv()
         assert p.order() == 4
 
+    @pytest.mark.parametrize("k", range(6))
+    def test_power_of_two_squares_to_its_top_bit(self, monkeypatch, k):
+        p = Perm.from_cycles([list(range(31))], 31)
+        count = count_perm_products(monkeypatch)
+        assert p ** (2 ** k) == Perm.from_cycles([[(2 ** k * i) % 31 for i in range(31)]], 31)
+        # k squarings and one product into the identity; a square past the
+        # top bit made k + 2
+        assert count[0] == k + 1
+
     def test_cycles_round_trip(self):
         p = Perm.from_cycles([[0, 2, 4], [1, 3]], 5)
         assert p.cycle_string() == "(0,2,4)(1,3)"
@@ -173,6 +182,16 @@ class TestEnumerate:
         with pytest.raises(ResourceCapError, match="50"):
             g.enumerate()
 
+    def test_cap_exceeded_again_after_a_failed_enumeration(self):
+        # a failed enumeration keeps none of the elements it found
+        s5 = parse_group_spec("S5")
+        g = PermGroup(s5.degree, s5.generators, cap=50)
+        for _ in range(2):
+            with pytest.raises(ResourceCapError):
+                g.enumerate()
+            with pytest.raises(ResourceCapError):
+                s5.generators[0] in g
+
     def test_exponent_divides_order(self):
         for name in ["S4", "Q8", "D6", "C9", "A5"]:
             g = parse_group_spec(name)
@@ -202,14 +221,11 @@ class TestConjugacyClasses:
         data = g.conjugacy_classes()
         assert sum(data.sizes) == g.order
         assert data.sizes[0] == 1
-        assert data.classes[0].representative.is_identity()
+        assert data.representatives[0].is_identity()
 
     def test_canonical_sorted(self):
         data = parse_group_spec("S4").conjugacy_classes()
-        keys = [
-            (c.size, c.element_order, c.representative.images)
-            for c in data.classes
-        ]
+        keys = list(zip(data.sizes, data.element_orders, data.representatives))
         assert keys == sorted(keys)
 
     def test_conjugation_invariance(self):
@@ -228,13 +244,13 @@ class TestConjugacyClasses:
     def test_inverse_class_by_brute_force(self, name):
         g = parse_group_spec(name)
         data = g.conjugacy_classes()
-        for j, cl in enumerate(data.classes):
+        for j, rep in enumerate(data.representatives):
             k = data.inverse_class[j]
-            target = cl.representative.inv()
+            target = rep.inv()
             # conjugate by every element to find target's class
             assert any(
-                t * target * t.inv() == data.classes[k].representative
-                or t * data.classes[k].representative * t.inv() == target
+                t * target * t.inv() == data.representatives[k]
+                or t * data.representatives[k] * t.inv() == target
                 for t in g.elements
             )
             assert data.inverse_class[k] == j
@@ -245,20 +261,20 @@ class TestConjugacyClasses:
     def test_power_class_by_brute_force(self, name):
         g = parse_group_spec(name)
         data = g.conjugacy_classes()
-        for j, cl in enumerate(data.classes):
+        for j, (rep, order) in enumerate(zip(data.representatives, data.element_orders)):
             power = Perm.identity(g.degree)
             for s in range(g.exponent):
                 found = next(
                     idx
-                    for idx, other in enumerate(data.classes)
-                    if power in other.members
+                    for idx, members in enumerate(data.members)
+                    if power in members
                 )
-                assert data.power_class[j][s % cl.element_order] == found
-                power = power * cl.representative
+                assert data.power_class[j][s % order] == found
+                power = power * rep
         assert all(data.power_class[j][0] == 0 for j in range(len(data)))
         assert all(
-            data.power_class[j][1 % cl.element_order] == j
-            for j, cl in enumerate(data.classes)
+            data.power_class[j][1 % order] == j
+            for j, order in enumerate(data.element_orders)
         )
 
     @pytest.mark.parametrize(
@@ -280,8 +296,52 @@ class TestConjugacyClasses:
 
         assert g.exponent == math.lcm(*(order_of(el) for el in g.elements))
         data = g.conjugacy_classes()
-        for cl, powers in zip(data.classes, data.power_class):
-            assert len(powers) == cl.element_order == order_of(cl.representative)
+        for rep, order, powers in zip(data.representatives, data.element_orders,
+                                      data.power_class):
+            assert len(powers) == order == order_of(rep)
+
+
+# every builtin of order <= 120 and three relabeled direct products
+CLASS_RECORD_GROUPS = (
+    [n for n in BUILTIN_NAMES if parse_group_spec(n).order <= 120] + RELABELED_PRODUCTS
+)
+
+
+class TestClassRecord:
+    @pytest.mark.parametrize("name", CLASS_RECORD_GROUPS)
+    def test_fields_agree_with_members(self, name):
+        g = parse_group_spec(name)
+        data = g.conjugacy_classes()
+        assert sorted(m for members in data.members for m in members) == sorted(g.elements)
+        assert len(data.member_index) == g.order
+        for j, members in enumerate(data.members):
+            assert all(data.member_index[m] == j for m in members)
+            assert data.sizes[j] == len(members)
+            assert data.representatives[j] == min(members)
+            assert data.element_orders[j] == members[0].order()
+        assert None not in data.member_index.values()
+        keys = list(zip(data.sizes, data.element_orders, data.representatives))
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("name", CLASS_RECORD_GROUPS)
+    def test_membership_and_subgroups_before_and_after_classes(self, name):
+        # a group the parse cache has not seen, so its classes are not made
+        g = parse_group_spec(name)
+        fresh = PermGroup(g.degree, g.generators)
+        elements = set(g.elements)
+        transpositions = [Perm.from_cycles([[a, b]], g.degree)
+                          for b in range(g.degree) for a in range(b)]
+        outsiders = [t for t in transpositions if t not in elements]
+        gens = fresh.generators[:1]
+        for swept in (False, True):
+            assert (fresh._class_data is not None) == swept
+            assert all(el in fresh for el in g.elements)
+            assert [t in fresh for t in transpositions] == [t in elements for t in transpositions]
+            assert fresh.subgroup(gens).order == (gens[0].order() if gens else 1)
+            for t in outsiders[:3]:
+                with pytest.raises(GroupMismatchError):
+                    fresh.subgroup([t])
+            fresh.conjugacy_classes()
 
 
 class TestSubgroupMachinery:
@@ -321,9 +381,10 @@ class TestSubgroupMachinery:
     @pytest.mark.parametrize("name", NORMAL_SUBGROUP_GROUPS)
     def test_normal_closure_of_every_class(self, name):
         g = parse_group_spec(name)
-        for cl in g.conjugacy_classes().classes:
-            closure = g.normal_closure(cl.representative)
-            oracle = brute_force_closure([m.images for m in cl.members], g.degree)
+        data = g.conjugacy_classes()
+        for rep, members in zip(data.representatives, data.members):
+            closure = g.normal_closure(rep)
+            oracle = brute_force_closure([m.images for m in members], g.degree)
             assert {p.images for p in closure.elements} == oracle
             assert closure.order == len(oracle)
             assert closure.index * closure.order == g.order
@@ -415,8 +476,8 @@ class TestSubgroupMachinery:
         g = parse_group_spec("S4")
         sub = g.subgroup([perm_of(g, "(0,1,2)"), perm_of(g, "(0,1)(2,3)")])
         data = sub.conjugacy_classes()
-        for cl in data.classes:
-            assert len({data.member_index[m] for m in cl.members}) == 1
+        for members in data.members:
+            assert len({data.member_index[m] for m in members}) == 1
 
 
 class TestSolvabilityInventory:

@@ -88,8 +88,8 @@ class TestCharacterOf:
 
     def test_trace_constant_on_classes(self, q8_rep):
         data = q8_rep.group.conjugacy_classes()
-        for cl in data.classes:
-            traces = {mat_trace(q8_rep.image(m)).exact_str() for m in cl.members}
+        for members in data.members:
+            traces = {mat_trace(q8_rep.image(m)).exact_str() for m in members}
             assert len(traces) == 1
 
     def test_d5_rotation_irreducible(self):

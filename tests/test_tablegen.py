@@ -63,10 +63,10 @@ def brute_force_constants(g):
     a = [[[0] * h for _ in range(h)] for _ in range(h)]
     for j in range(h):
         for k in range(h):
-            for x, y in iproduct(data.classes[j].members, data.classes[k].members):
+            for x, y in iproduct(data.members[j], data.members[k]):
                 prod = x * y
                 for l in range(h):
-                    if prod == data.classes[l].representative:
+                    if prod == data.representatives[l]:
                         a[j][k][l] += 1
     return a
 
@@ -111,7 +111,7 @@ class TestClassConstants:
         data = g.conjugacy_classes()
         for j in range(4):
             for k in range(4):
-                prod = data.classes[j].representative * data.classes[k].representative
+                prod = data.representatives[j] * data.representatives[k]
                 target = data.member_index[prod]
                 for l in range(4):
                     assert cc.a[j][k][l] == (1 if l == target else 0)
@@ -190,10 +190,7 @@ class TestEigenbasis:
         for v in modp_eigenbasis(g, p):
             for j in range(cc.h):
                 for k in range(cc.h):
-                    l = data.member_index[
-                        data.classes[j].representative
-                        * data.classes[k].representative
-                    ]
+                    l = data.member_index[data.representatives[j] * data.representatives[k]]
                     assert v[j] * v[k] % p == v[l]
 
     def test_split_computes_only_the_matrices_it_reads(self, monkeypatch):
@@ -558,9 +555,9 @@ class TestGoldenTables:
             data = g.conjugacy_classes()
             gen = parse_group_spec(f"C{n}").generators[0]
             logs = []
-            for cl in data.classes:
+            for rep in data.representatives:
                 power, s = gen ** 0, 0
-                while power != cl.representative:
+                while power != rep:
                     power, s = power * gen, s + 1
                 logs.append(s)
             expected = [
@@ -906,7 +903,7 @@ class TestLinearCharacters:
         assert len(chars) == 4
         data = g.conjugacy_classes()
         # class 1 is the central class of the unique order-2 element
-        assert data.classes[1].size == 1
+        assert data.sizes[1] == 1
         for chi in chars:
             assert chi.values[1] == 1
 
@@ -962,10 +959,10 @@ def test_values_in_natural_field(name):
     # That holds for the lifted rows and for the linear characters of G/G'
     g = parse_group_spec(name)
     rows = build_character_table(g).rows + linear_characters(g)
-    for j, cl in enumerate(g.conjugacy_classes().classes):
+    for j, order in enumerate(g.conjugacy_classes().element_orders):
         for row in rows:
             value = row.values[j]
-            assert cl.element_order % value.order == 0
+            assert order % value.order == 0
             assert (value.order == 1) == value.is_rational()
             # character values are algebraic integers
             assert all(type(c) is int for c in value.coeffs)
