@@ -41,24 +41,17 @@ from typing import Iterable, Sequence, Union
 from ._modp import factorize
 
 MAX_ORDER = 10_000
+# `_phi_terms` keeps the terms of Phi_e for this many orders, the most
+# recently used: a workload meets few orders (the gated benchmark workloads
+# 3 and 13), and an entry at a prime order near MAX_ORDER holds about 10^4
+# terms, about 0.6 MB
+PHI_CACHE_SIZE = 32
 
 RationalLike = Union[int, Fraction]
 
 
 class CycloError(ValueError):
     """Bad cyclotomic operation (order out of range, irrational descent, ...)."""
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def euler_phi(n: int) -> int:
@@ -76,39 +69,28 @@ def _check_order(order) -> None:
         raise CycloError(f"cyclotomic order {order} outside [1, {MAX_ORDER}]")
 
 
-def _poly_divmod(num: Sequence[int], den: Sequence[int]):
-    """Quotient and remainder of ascending int coefficient lists; den is
-    monic, so the division stays in ints."""
-    num = list(num)
-    deg_d = len(den) - 1
-    quot = [0] * max(len(num) - deg_d, 1)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i]
-        if c:
-            quot[i - deg_d] = c
-            for j, dj in enumerate(den):
-                num[i - deg_d + j] -= c * dj
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_e, ascending degree, computed by dividing
-    x^e - 1 by Phi_d for every proper divisor d of e."""
+    """Integer coefficients of Phi_e, ascending degree: the product of
+    (1 - x^(e/m))^mu(m) over the squarefree divisors m of e, taken as a
+    power series to degree phi(e), negated at e = 1.  Multiplying by
+    1 - x^k is one pass over the coefficients, and so is dividing by it,
+    which multiplies by the series sum_j x^(jk)."""
     _check_order(e)
-    num = [0] * (e + 1)
-    num[0], num[e] = -1, 1
-    for d in _divisors(e):
-        if d == e:
-            continue
-        num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
-        assert rem == [0], f"Phi_{d} does not divide x^{e}-1"
-    return tuple(num)
+    deg = euler_phi(e)
+    phi = [1] + [0] * deg
+    plus, minus = [e], []  # e / m over the squarefree m | e, by the sign of mu(m)
+    for p in factorize(e):
+        plus, minus = plus + [k // p for k in minus], minus + [k // p for k in plus]
+    for k in plus:  # times 1 - x^k
+        for i in range(deg, k - 1, -1):
+            phi[i] -= phi[i - k]
+    for k in minus:  # divided by 1 - x^k
+        for i in range(k, deg + 1):
+            phi[i] += phi[i - k]
+    return tuple(phi) if e > 1 else (-1, 1)  # Phi_1 = x - 1 = -(1 - x)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PHI_CACHE_SIZE)
 def _phi_terms(e: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The degree of Phi_e and its nonzero terms (j, c) below x^degree."""
     phi = cyclotomic_polynomial(e)
@@ -537,7 +519,8 @@ def root_of_unity(e: int, k: int = 1) -> Cyclo:
 def dot(xs: Iterable, ys: Iterable) -> Cyclo:
     """sum_i xs[i] * ys[i], exactly, in one fused pass that makes no Cyclo per
     term; an operand is an `int`, a `Fraction` or a `Cyclo`, and anything
-    else raises `CycloError`.
+    else raises `CycloError`.  Operands of unequal length raise
+    `ValueError` rather than drop the terms past the shorter one.
 
     A term of two integers goes into one int accumulator.  Every other term
     goes into an unreduced int buffer of length o, o the lcm of its two
@@ -556,7 +539,7 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
     order a result was held at.  The value is the same as that sum's."""
     rational = 0
     sums: dict[int, list] = {}  # order -> [int buffer, common denominator]
-    for x, y in zip(xs, ys):
+    for x, y in zip(xs, ys, strict=True):
         # an int or a Fraction is read by its numerator and denominator
         if isinstance(x, Cyclo):
             ox, nx, dx = x.order, x.nums, x.den

@@ -17,7 +17,7 @@ from operator import mul
 from . import _modp as mp
 from .classfun import ClassFunction
 from .cyclo import Cyclo, root_of_unity
-from .permgroup import ClassData, PermGroup, Perm, ResourceCapError
+from .permgroup import ClassData, PermGroup, ResourceCapError
 
 PRIME_LIMIT = 2**31
 
@@ -414,61 +414,47 @@ def build_character_table(g: PermGroup) -> CharacterTable:
 
 
 def linear_characters(g: PermGroup) -> list[ClassFunction]:
-    """All degree-1 characters, lifted from the abelian quotient G/G'.
+    """All degree-1 characters: the homomorphisms G -> C^* trivial on G'.
 
-    Conjugates differ by a commutator, so each class lies in one coset of
-    G', and classes j and k share a coset when g_j^-1 g_k is in G': the
-    quotient is read off the class representatives.  It is peeled into a
-    chain of cyclic extensions; each partial character extends in exactly
-    d ways per relative order d, so the count is the quotient order [G:G'].
-    A character's value on a coset is zeta_e^k, e the exponent of G, made
-    once per distinct k.
+    They are extended on the classes themselves along G' = H_0 <= H_1 <=
+    ... <= G, H_i = <H_(i-1), s_i> for the generators s_i.  Each H_i holds
+    G', so it is normal and a union of classes, and so is each coset H s^a.
+    A character is held as its exponents k on the classes of H, its value
+    at g_j being zeta_e^k[j], e the exponent of G; on H_0 it is 0.
+
+    For a generator s, d is the least power with s^d in H, and class j
+    outside H lies in H s^a, 0 < a < d, when g_j s^-a is in H.  Each
+    character k on H extends in exactly d ways, by a value zeta_e^t at s
+    with d t = k(s^d) (mod e), so the count is [G:G'], and then k(g_j) =
+    k(g_j s^-a) + a t.  A value zeta_e^k is made once per distinct k.
     """
     data = g.conjugacy_classes()
     index = data.member_index
-    derived = set(g.commutator_subgroup().classes)
-    reps: list[Perm] = []  # one class representative per coset
-    coset_of: list[int] = []  # class -> coset
-    for x in data.representatives:
-        x_inv = x.inv()  # x^-1 y is in G' when y^-1 x is
-        c = next((c for c, y in enumerate(reps) if index[x_inv * y] in derived), len(reps))
-        if c == len(reps):
-            reps.append(x)
-        coset_of.append(c)
-    n_q = len(reps)
-    exponent = g.exponent
-
-    def qmul(a: int, b: int) -> int:
-        return coset_of[index[reps[a] * reps[b]]]
-
-    covered = [0]  # the cosets reached; a character is its powers k on them
-    at = {0: 0}  # coset -> its position in `covered`
-    chars = [[0]]
-    while len(covered) < n_q:
-        x = next(c for c in range(n_q) if c not in at)
-        xpow = [0]
-        cur = x
-        while cur not in at:
-            xpow.append(cur)
-            cur = qmul(cur, x)
-        d = len(xpow)  # relative order of x; xpow[a] = x^a for a < d
-        landing = at[cur]  # x^d, already covered
-        # the new cosets h x^a, a = 1..d-1, h covered, once per step
-        covered += [qmul(hcoset, xpow[a]) for a in range(1, d) for hcoset in covered]
-        at = {c: i for i, c in enumerate(covered)}
-        new_chars = []
-        for chi in chars:
-            c = chi[landing]
-            if c % d != 0:
-                raise TableConstructionError("character extension is unsolvable")
-            for t in range(d):
-                k = c // d + t * (exponent // d)
-                new_chars.append(chi + [(v + a * k) % exponent for a in range(1, d) for v in chi])
-        chars = new_chars
+    e = g.exponent
+    chars = [dict.fromkeys(g.commutator_subgroup().classes, 0)]
+    for s in g.generators:
+        in_h = chars[0]  # every character is held on the classes of H
+        inv_powers = [s.inv()]  # s^-1, s^-2, ...
+        while (landing := index[inv_powers[-1]]) not in in_h:
+            inv_powers.append(inv_powers[-1] * inv_powers[0])
+        d = len(inv_powers)  # landing is the class of s^-d
+        new = {}  # class j -> (a, class of g_j s^-a) for g_j in H s^a
+        for j, g_j in enumerate(data.representatives):
+            if j not in in_h:
+                for a, s_inv_a in enumerate(inv_powers[:-1], 1):
+                    l = index[g_j * s_inv_a]
+                    if l in in_h:
+                        new[j] = a, l
+                        break
+        # d t = k(s^d) = -k(s^-d) (mod e) has d solutions t mod e: k is the
+        # restriction of a character of the abelian G/G', so k(s^d) = d k(s)
+        chars = [{**k, **{j: (k[l] + a * t) % e for j, (a, l) in new.items()}}
+                 for k in chars
+                 for t in range(-k[landing] % e // d, e, e // d)]
 
     roots = {}  # k -> zeta_e^k = zeta_(e/g)^(k/g), g = gcd(k, e): the natural field
-    for k in {k for chi in chars for k in chi}:
-        g_k = math.gcd(k, exponent)
-        roots[k] = root_of_unity(exponent // g_k, k // g_k)
-    return _sorted_rows([ClassFunction(g, [roots[chi[at[c]]] for c in coset_of])
+    for k in {k for chi in chars for k in chi.values()}:
+        g_k = math.gcd(k, e)
+        roots[k] = root_of_unity(e // g_k, k // g_k)
+    return _sorted_rows([ClassFunction(g, [roots[chi[j]] for j in range(len(data))])
                          for chi in chars])

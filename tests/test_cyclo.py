@@ -40,7 +40,7 @@ class TestCyclotomicPolynomial:
     def test_degree_is_phi(self):
         assert len(cyclotomic_polynomial(60)) - 1 == euler_phi(60) == 16
 
-    @pytest.mark.parametrize("e", [12, 30, 60])
+    @pytest.mark.parametrize("e", [12, 30, 60, 105, 360, 997])
     def test_product_over_divisors(self, e):
         # oracle: multiplying Phi_d over all d | e recovers x^e - 1
         prod = [1]
@@ -50,6 +50,13 @@ class TestCyclotomicPolynomial:
         expected = [0] * (e + 1)
         expected[0], expected[e] = -1, 1
         assert prod == expected
+
+    def test_terms_are_kept_for_a_bounded_number_of_orders(self):
+        info = cyclo._phi_terms.cache_info
+        assert info().maxsize == cyclo.PHI_CACHE_SIZE
+        for e in range(2, cyclo.PHI_CACHE_SIZE + 40):
+            root_of_unity(e) * root_of_unity(e)
+        assert info().currsize <= cyclo.PHI_CACHE_SIZE
 
     def test_out_of_range(self):
         with pytest.raises(CycloError):
@@ -215,6 +222,15 @@ class TestFieldOps:
         assert type(one.nums[0]) is int
         assert (root_of_unity(3) * True).to_json() == root_of_unity(3).to_json()
         assert dot([True, False], [root_of_unity(4), 5]) == root_of_unity(4)
+
+    def test_dot_refuses_operands_of_unequal_length(self):
+        # zip would stop at the shorter operand, and dot would return 5
+        with pytest.raises(ValueError):
+            dot([1, 2, 3], [1, 2])
+        with pytest.raises(ValueError):
+            dot([root_of_unity(3)], [1, root_of_unity(4)])
+        with pytest.raises(ValueError):
+            dot([], [1])
 
     def test_dot_refuses_a_term_beyond_the_largest_order(self):
         # lcm(997, 991) = 988027: the term is refused before a buffer of that

@@ -32,6 +32,7 @@ from conftest import (
     A4_ROWS,
     A5_COLUMNS,
     A5_ROWS,
+    BUILTIN_NAMES,
     BUILTINS_LE_24,
     S4_COLUMNS,
     S4_ROWS,
@@ -54,6 +55,7 @@ S3_X_S3_X_C3 = "perm:9:(0,1);(0,1,2);(3,4);(3,4,5);(6,7,8)"
 D4_X_C2_X_C2_X_C2 = "perm:10:(0,1,2,3);(0,2);(4,5);(6,7);(8,9)"
 # a relabeled D4xD4xC3 (h = 75), the largest table the benchmark builds
 D4_X_D4_X_C3 = "perm:11:(1,10,3,9);(9,10);(0,8,4,7);(0,4);(2,5,6)"
+C24 = "perm:24:(" + ",".join(map(str, range(24))) + ")"
 
 
 def brute_force_constants(g):
@@ -887,6 +889,35 @@ class TestTableInvariants:
             assert list(table.degrees) == sorted(table.degrees)
 
 
+# three relabeled direct products of the benchmark's factors, C2^8, D4^3 and
+# C24 (a generator whose power first meets G' at d = 24)
+LINEAR_ORACLE_GROUPS = list(BUILTIN_NAMES) + [
+    "perm:14:(0,7,13,5)(4,8,12,9);(0,9,13,8)(4,7,12,5);(1,11,6,2);(2,11);(3,10)",  # Q8xD4xC2
+    "perm:10:(1,4,6,8);(1,6);(2,7);(2,5,7);(0,9,3)",  # D4xS3xC3
+    "perm:9:(2,3);(1,3,2,8);(4,5);(0,4,5);(6,7)",  # S4xS3xC2
+    C2_8, D4_CUBED, C24,
+]
+
+
+def held(f):
+    return tuple((v.order, v.nums, v.den) for v in f.values)
+
+
+def assert_all_linear_characters(g, chars):
+    """An oracle that reads only the group's multiplication: each row is a
+    homomorphism G -> C^*, checked as chi(s x) = chi(s) chi(x) for every
+    generator s and element x, with chi(1) = 1; the rows are distinct; and
+    there are [G:G'] of them, the number of homomorphisms, so they are all."""
+    index = g.conjugacy_classes().member_index
+    triples = {(index[s], index[x], index[s * x]) for s in g.generators for x in g.elements}
+    for chi in chars:
+        v = chi.values
+        assert v[0] == 1
+        assert all(v[a] * v[b] == v[c] for a, b, c in triples)
+    assert len({held(chi) for chi in chars}) == len(chars)
+    assert len(chars) == g.order // g.commutator_subgroup().order
+
+
 class TestLinearCharacters:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_symmetric_groups_have_two(self, n):
@@ -926,6 +957,41 @@ class TestLinearCharacters:
         assert len(linear_characters(g)) == 2
         # a few dozen; enumerating every element times G' makes 40,325
         assert count[0] < 1_000
+
+    def test_c2_8_quotient_read_off_class_representatives(self, monkeypatch):
+        c2_8 = parse_group_spec(C2_8)
+        g = PermGroup(c2_8.degree, c2_8.generators)
+        g.commutator_subgroup()
+        count = count_perm_products(monkeypatch)
+        assert len(linear_characters(g)) == 256
+        # 1,801: one per generator for its power, one per class outside
+        # each H; a search of the classes against every coset of G' found
+        # so far made 32,903
+        assert count[0] < 2_500
+
+    @pytest.mark.parametrize("name", LINEAR_ORACLE_GROUPS)
+    def test_rows_are_all_the_homomorphisms(self, name):
+        g = parse_group_spec(name)
+        assert_all_linear_characters(g, linear_characters(g))
+
+    @pytest.mark.parametrize("spec, same_as", [
+        # an identity generator: C1, and C3 with an identity beside its 3-cycle
+        ("perm:1:()", "C1"),
+        ("perm:3:();(0,1,2)", "C3"),
+        # a repeated generator
+        ("perm:4:(0,1,2,3);(1,3);(0,1,2,3)", "D4"),
+        ("perm:5:(0,1);(0,1);(0,1,2,3,4)", "S5"),
+        # a generator inside G': a 3-cycle of S4, and a double transposition
+        # of A4
+        ("perm:4:(0,1,2);(0,1);(0,1,2,3)", "S4"),
+        ("perm:4:(0,1)(2,3);(0,1,2);(1,2,3)", "A4"),
+    ])
+    def test_degenerate_generators(self, spec, same_as):
+        g = parse_group_spec(spec)
+        chars = linear_characters(g)
+        assert_all_linear_characters(g, chars)
+        expected = linear_characters(parse_group_spec(same_as))
+        assert [held(r) for r in chars] == [held(r) for r in expected]
 
     def test_each_distinct_power_is_made_once(self, monkeypatch):
         # C2^8: 256 characters on 256 classes, 65,536 values, all 1 or -1
