@@ -52,10 +52,6 @@ def element_of_order(e: int, p: int) -> int:
 Matrix = list[list[int]]
 
 
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _row_times(v: list[int], b: Matrix, p: int) -> list[int]:
     """The row vector v b, accumulated row by row of b, reduced once per entry."""
     acc = [0] * len(b[0])

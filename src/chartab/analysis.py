@@ -21,7 +21,7 @@ from .classfun import (
 )
 from .cyclo import dot
 from .permgroup import GroupMismatchError, NormalSubgroup, PermGroup, Subgroup
-from .tablegen import CharacterTable, class_matrix, linear_characters
+from .tablegen import CharacterTable, class_matrix
 
 CHECK_SEED = 0x5EED  # the seeded characters of check_all's sym-alt check
 
@@ -325,26 +325,21 @@ def check_all(table: CharacterTable) -> CheckReport:
 
     add("weighted-column-sum", all(degree_pairings), "sum_i n_i chi_i(s) = 0 off identity")
 
-    # a class function is looked up among rows by (nums, den), which is
-    # unique within a field order; one held at other orders, such as a root
-    # of unity of linear_characters at a divisor of the order the table
-    # holds it at, is compared value by value
-    def held(f: ClassFunction) -> tuple:
-        return tuple((v.order, v.nums, v.den) for v in f.values)
-
-    row_at = {held(row): k for k, row in enumerate(rows)}
-
-    derived = group.commutator_subgroup()
-    index = group.order // derived.order
+    # each degree-1 row is multiplicative on every (generator s, class
+    # representative g_j) pair, chi(s g_j) = chi(s) chi(g_j), read through
+    # the group's multiplication; [G:G'] such rows, distinct (which
+    # row-orthonormality checks), are the linear characters
+    index = group.order // group.commutator_subgroup().order
     n_linear = sum(1 for d in degrees if d == 1)
-    lin = linear_characters(group)
     table_linear = [r for r in rows if r.values[0] == 1]
-    setwise = len(lin) == len(table_linear) and all(
-        held(l) in row_at or any(l == t for t in table_linear) for l in lin
-    )
+    member = data.member_index
+    triples = {(member[s], j, member[s * g_j])
+               for s in group.generators for j, g_j in enumerate(data.representatives)}
+    multiplicative = all(v[a] * v[b] == v[c]
+                         for v in (r.values for r in table_linear) for a, b, c in triples)
     add(
         "linear-characters",
-        n_linear == index and len(lin) == index and setwise,
+        n_linear == index and multiplicative,
         f"{n_linear} degree-1 rows, [G:G'] = {index}",
     )
 
@@ -432,6 +427,15 @@ def check_all(table: CharacterTable) -> CheckReport:
         except NotACharacterError:
             symalt_ok = False
     add("sym-alt-squares", symalt_ok, "chi_S + chi_A = chi^2 on seeded characters")
+
+    # a class function is looked up among rows by (nums, den), which is
+    # unique within a field order; one held at other orders, such as a
+    # twist whose product comes back in its natural field while the table
+    # holds that row at a larger order, is compared value by value
+    def held(f: ClassFunction) -> tuple:
+        return tuple((v.order, v.nums, v.den) for v in f.values)
+
+    row_at = {held(row): k for k, row in enumerate(rows)}
 
     # each twist must be a row of norm 1, which makes it irreducible
     def is_irreducible_row(f: ClassFunction) -> bool:

@@ -1,12 +1,14 @@
 """Exact character tables via the class-matrix eigenvalue method.
 
 Pipeline: prime choice -> simultaneous eigenvectors of the class matrices
-over F_p, found by splitting F_p^h with one class matrix after another, each
-computed as the split reads it (these realize the central characters
-lambda_ij = r_j chi_i(g_j) / n_i) -> degrees from the row orthogonality
-relation -> lifting of eigenvalue multiplicities to exact cyclotomic values
-by a mod-p discrete Fourier transform over each element order.  Everything
-downstream of the prime field is exact.
+over F_p (these realize the central characters lambda_ij = r_j chi_i(g_j) /
+n_i): those of the linear characters, the characters of G/G', are seeded as
+known lines, and the space of the others, the vectors that sum to 0 over
+the classes of each coset of G', is split with one class matrix after
+another, each computed as the split reads it -> degrees from the row
+orthogonality relation -> lifting of eigenvalue multiplicities to exact
+cyclotomic values by a mod-p discrete Fourier transform over each element
+order.  Everything downstream of the prime field is exact.
 """
 
 from __future__ import annotations
@@ -60,9 +62,11 @@ def choose_prime(g: PermGroup) -> int:
 
     No build fails at this p, so no other prime is tried.  p does not divide
     |G| (every prime that does divides e), so the central characters stay
-    distinct mod p and every class matrix is diagonalizable over F_p; each
-    degree and multiplicity is below sqrt|G| < p/2, so it is read off its
-    residue; and the split's column 0 meets every eigenspace."""
+    distinct mod p and every class matrix is diagonalizable over F_p; F_p
+    holds an element of order q = exp(G/G'), a divisor of e, which seeds the
+    linear lines; each degree and multiplicity is below sqrt|G| < p/2, so it
+    is read off its residue; and the split's column 0 meets every
+    eigenspace."""
     e = g.exponent
     order = g.order
     p = e + 1 if e > 1 else 2
@@ -129,10 +133,9 @@ def _acts_as_scalar(rows: mp.Matrix, j: int, p: int) -> bool:
     rows: column j is a multiple of column 0.
 
     A space that is zero at column 0 counts as not scalar, so it goes on to
-    the split and the checks after it.  None arises, at any prime: each
-    space the split holds is the joint eigenspace of the matrices applied,
-    the functionals f on Z(F_p G) with f(C_j x) = lam_j f(x), which vanish
-    on a proper ideal and so not on 1."""
+    the split and the checks after it.  None arises at the prime
+    `choose_prime` takes: each space the split holds is spanned by central
+    characters, which are 1 at column 0."""
     r_t = next((r for r in rows if r[0]), None)
     if r_t is None:
         return False
@@ -142,15 +145,27 @@ def _acts_as_scalar(rows: mp.Matrix, j: int, p: int) -> bool:
 
 def modp_eigenbasis(g: PermGroup, p: int, read: list[int] | None = None) -> list[list[int]]:
     """Simultaneous eigenvectors of all class matrices over F_p, each
-    normalized so its identity-class coordinate is 1.  The classes whose
-    matrices are read are appended to `read`, when it is given, in order.
+    normalized so its identity-class coordinate is 1.  When `read` is
+    given, the classes whose matrices the split reads are appended to it in
+    order, then the classes that separate the lines those leave together.
 
-    F_p^h is split by the class matrices one after another, smallest class
-    first, until every space is a line.  The class matrices commute and,
-    for a prime with p = 1 (mod exponent), which does not divide |G|, are
-    diagonalized by the central characters w_i, which stay distinct mod p:
-    w_i M_j^T = w_i[j] w_i and w_i[0] = 1.  So each space held is spanned by
-    some of the w_i, and M_j acts on it as the scalar lam exactly when
+    The class matrices commute and, for a prime with p = 1 (mod exponent),
+    which does not divide |G|, are diagonalized by the central characters
+    w_i, which stay distinct mod p: w_i M_j^T = w_i[j] w_i and w_i[0] = 1.
+    Those of the linear characters are known lines, w_j = r_j lambda(g_j),
+    from `_linear_exponents`: lambda(g_j) = z^(k_j q / e), z of order q =
+    exp(G/G') in F_p.  The others are orthogonal to them under B(x, y) =
+    sum_j x_j y_inv(j) / r_j, and B(x, w_lambda) = sum_c conj(lambda(c))
+    sum_(j in c) x_j over the cosets c of G', so they span exactly the
+    vectors that sum to 0 over the classes of each coset.  Two classes share
+    a coset when every linear character agrees on them, so the cosets are
+    the classes with equal exponent columns, and the space has the basis
+    e_j - e_first(c), j not the first class of its coset c, the identity on
+    those j.  An abelian group leaves nothing to split.
+
+    That space is split by the class matrices one after another, smallest
+    class first, until every space is a line.  Each space held is spanned
+    by some of the w_i, so M_j acts on it as the scalar lam exactly when
     r[j] = lam r[0] for every basis row r.  M_j is computed only when some
     space of dimension > 1 fails that test, and only those spaces are
     split.  Lines are unique, so the result is the same whichever matrices
@@ -159,7 +174,20 @@ def modp_eigenbasis(g: PermGroup, p: int, read: list[int] | None = None) -> list
     "degenerate orthogonality sum"."""
     data = g.conjugacy_classes()
     h = len(data)
-    spaces = [(mp.identity(h), list(range(h)))]
+    chars, e = _linear_exponents(g)
+    q = e // math.gcd(e, *(k for chi in chars for k in chi))
+    if (p - 1) % q:
+        raise TableConstructionError(
+            f"F_{p} has no element of order q = {q}, the exponent of G/G' (bad prime)"
+        )
+    z = mp.element_of_order(q, p)
+    powers = [pow(z, t, p) for t in range(q)]
+    lines = [[r * powers[k * q // e] % p for r, k in zip(data.sizes, chi)] for chi in chars]
+    first: dict[tuple[int, ...], int] = {}  # exponent column -> first class of its coset
+    heads = [first.setdefault(column, j) for j, column in enumerate(zip(*chars))]
+    pivots = [j for j, head in enumerate(heads) if head != j]
+    basis = [[1 if l == j else p - 1 if l == heads[j] else 0 for l in range(h)] for j in pivots]
+    spaces = [([w], [0]) for w in lines] + ([(basis, pivots)] if basis else [])
     for j in range(1, h):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
@@ -181,6 +209,20 @@ def modp_eigenbasis(g: PermGroup, p: int, read: list[int] | None = None) -> list
         v = rows[0]
         inv = pow(v[0], p - 2, p)
         vectors.append([x * inv % p for x in v])
+    if read is not None:
+        # the classes read must separate the lines (see `split_classes`);
+        # the cosets separated the linear ones without a matrix, so a class
+        # is added wherever its column splits lines that agree on every
+        # class read so far
+        labels = [tuple(v[j] for j in read) for v in vectors]
+        blocks = len(set(labels))
+        for j in range(1, h):
+            if blocks == h:
+                break
+            finer = [(label, v[j]) for label, v in zip(labels, vectors)]
+            if len(set(finer)) > blocks:
+                labels, blocks = finer, len(set(finer))
+                read.append(j)
     return vectors
 
 
@@ -265,14 +307,17 @@ class CharacterTable:
 
     @property
     def split_classes(self) -> tuple[int, ...]:
-        """The classes whose matrices the split in `modp_eigenbasis` reads.
+        """The classes whose matrices the split in `modp_eigenbasis` reads,
+        then the classes it adds, in index order, each where its column
+        splits lines that agree on every class before it.
 
-        The split ends only when these matrices separate the central
-        characters mod p, and values that differ mod p differ in C, so with
-        the identity class they generate Z(CG).  They are group data, never
-        read off the rows: `build_character_table` keeps those of its own
-        split, and for a table made any other way the split is run once,
-        here."""
+        These classes separate the central characters mod p, and values
+        that differ mod p differ in C, so with the identity class they
+        generate Z(CG).  The split reads no matrix for the linear lines, so
+        C2^8 reads none and still has 8 split classes.  They are group
+        data, never read off the rows: `build_character_table` keeps those
+        of its own split, and for a table made any other way the split is
+        run once, here."""
         if self._split_classes is None:
             read: list[int] = []
             modp_eigenbasis(self.group, choose_prime(self.group), read)
@@ -413,20 +458,21 @@ def build_character_table(g: PermGroup) -> CharacterTable:
     return table
 
 
-def linear_characters(g: PermGroup) -> list[ClassFunction]:
-    """All degree-1 characters: the homomorphisms G -> C^* trivial on G'.
+def _linear_exponents(g: PermGroup) -> tuple[list[list[int]], int]:
+    """The linear characters, each as its exponents k_j on the classes, its
+    value at g_j being zeta_e^k_j, e the exponent of G; and e.
 
     They are extended on the classes themselves along G' = H_0 <= H_1 <=
     ... <= G, H_i = <H_(i-1), s_i> for the generators s_i.  Each H_i holds
     G', so it is normal and a union of classes, and so is each coset H s^a.
-    A character is held as its exponents k on the classes of H, its value
-    at g_j being zeta_e^k[j], e the exponent of G; on H_0 it is 0.
+    A character on H is held as a dict from H's classes to exponents; on
+    H_0 it is 0.
 
     For a generator s, d is the least power with s^d in H, and class j
     outside H lies in H s^a, 0 < a < d, when g_j s^-a is in H.  Each
     character k on H extends in exactly d ways, by a value zeta_e^t at s
     with d t = k(s^d) (mod e), so the count is [G:G'], and then k(g_j) =
-    k(g_j s^-a) + a t.  A value zeta_e^k is made once per distinct k.
+    k(g_j s^-a) + a t.
     """
     data = g.conjugacy_classes()
     index = data.member_index
@@ -451,10 +497,16 @@ def linear_characters(g: PermGroup) -> list[ClassFunction]:
         chars = [{**k, **{j: (k[l] + a * t) % e for j, (a, l) in new.items()}}
                  for k in chars
                  for t in range(-k[landing] % e // d, e, e // d)]
+    return [[k[j] for j in range(len(data))] for k in chars], e
 
+
+def linear_characters(g: PermGroup) -> list[ClassFunction]:
+    """All degree-1 characters: the homomorphisms G -> C^* trivial on G',
+    read off `_linear_exponents`.  A value zeta_e^k is made once per
+    distinct k."""
+    chars, e = _linear_exponents(g)
     roots = {}  # k -> zeta_e^k = zeta_(e/g)^(k/g), g = gcd(k, e): the natural field
-    for k in {k for chi in chars for k in chi.values()}:
+    for k in {k for chi in chars for k in chi}:
         g_k = math.gcd(k, e)
         roots[k] = root_of_unity(e // g_k, k // g_k)
-    return _sorted_rows([ClassFunction(g, [roots[chi[j]] for j in range(len(data))])
-                         for chi in chars])
+    return _sorted_rows([ClassFunction(g, [roots[k] for k in chi]) for chi in chars])

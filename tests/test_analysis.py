@@ -255,15 +255,27 @@ class TestCheckAll:
         assert report.ok, f"failing checks: {failing}"
 
     def test_commutator_subgroup_is_closed_once(self, monkeypatch):
-        # a group of its own, not one the parse cache has seen
+        # a group of its own, not one the parse cache has seen; the build
+        # closes G' to seed its split, and check_all reads the same G'
         g = PermGroup(4, parse_group_spec("S4").generators)
-        table = build_character_table(g)
         calls = []
         closure = PermGroup._normal_closure_of
         monkeypatch.setattr(PermGroup, "_normal_closure_of",
                             lambda self, seed: calls.append(seed) or closure(self, seed))
+        table = build_character_table(g)
         assert check_all(table).ok
         assert len(calls) == 1
+
+    def test_degree_one_row_that_is_not_a_homomorphism_fails(self):
+        # a linear row of C5 with its values at two classes swapped: still
+        # one of [G:G'] = 5 rows of degree 1, but chi(s g) != chi(s) chi(g)
+        # for the generator s
+        g = parse_group_spec("C5")
+        vals = [list(r.values) for r in build_character_table(g).rows]
+        vals[1][2], vals[1][3] = vals[1][3], vals[1][2]
+        report = check_all(CharacterTable(g, [ClassFunction(g, v) for v in vals]))
+        failing = {r.name for r in report.results if not r.passed}
+        assert "linear-characters" in failing
 
     @pytest.mark.parametrize("degree", [0, Fraction(1, 2)], ids=["zero", "half"])
     def test_degree_that_is_not_a_divisor_fails(self, degree):

@@ -138,15 +138,20 @@ class TestChoosePrime:
         assert p * p > 4 * g.order
 
 
-# the classes whose matrices the split reads, in order
+# the classes whose matrices the split reads, in order, and the table's
+# split classes: those, then the classes added to separate the lines
 SPLIT_READS = [
-    # 255 class matrices; the 8 of a basis of C2^8 suffice
-    (C2_8, [1, 2, 4, 8, 16, 32, 64, 128]),
-    ("A6", [1, 4]),
-    ("A7", [1, 5]),
-    ("A8", [1, 2, 7, 11]),
-    (D4_CUBED, [1, 2, 4, 8, 9, 10, 12, 16, 20]),
-    (D4_X_D4_X_C3, [1, 2, 4, 12, 13, 15, 18]),
+    # 255 class matrices, and every row linear: the split reads none, and
+    # the 8 classes of a basis of C2^8 separate the lines
+    (C2_8, [], [1, 2, 4, 8, 16, 32, 64, 128]),
+    ("A6", [1, 4], [1, 4]),
+    ("A7", [1, 5], [1, 5]),
+    ("A8", [1, 2, 7, 11], [1, 2, 7, 11]),
+    (D4_CUBED, [1, 2, 4, 8, 9, 10, 12, 16, 20], [1, 2, 4, 8, 9, 10, 12, 16, 20]),
+    (D4_X_D4_X_C3, [1, 2, 4, 12, 13, 15, 18], [1, 2, 4, 12, 13, 15, 18]),
+    # 3 matrices split the 8 nonlinear lines; 3 more classes separate the
+    # 32 linear ones
+    (D4_X_C2_X_C2_X_C2, [1, 2, 4], [1, 2, 4, 8, 16, 24]),
 ]
 
 
@@ -209,14 +214,14 @@ class TestEigenbasis:
         build_character_table(parse_group_spec("S8"))
         assert read == [1, 2]
 
-    @pytest.mark.parametrize("spec, reads", SPLIT_READS,
-                             ids=[f"{spec}-{len(reads)}" for spec, reads in SPLIT_READS])
-    def test_split_skips_covered_class_matrices(self, monkeypatch, spec, reads):
+    @pytest.mark.parametrize("spec, reads, split", SPLIT_READS,
+                             ids=[f"{spec}-{len(split)}" for spec, _, split in SPLIT_READS])
+    def test_split_skips_covered_class_matrices(self, monkeypatch, spec, reads, split):
         # a class matrix is computed only when it is not a scalar on some
         # space of dimension > 1, which the spaces show: column j of the
         # basis is not a multiple of column 0.  The classes read, in order,
-        # are pinned, so that a change in how that test is made reads the
-        # same matrices
+        # and the split classes are pinned, so that a change in how that
+        # test is made reads the same matrices
         read = []
         real = tablegen.class_matrix
 
@@ -226,8 +231,9 @@ class TestEigenbasis:
 
         monkeypatch.setattr(tablegen, "class_matrix", spy)
         g = parse_group_spec(spec)
-        assert len(modp_eigenbasis(g, choose_prime(g))) == len(g.conjugacy_classes())
+        table = build_character_table(g)
         assert read == reads
+        assert table.split_classes == tuple(split)
 
     @pytest.mark.parametrize("name", ["A6", "A7", "A8"])
     def test_every_split_refines_its_space(self, monkeypatch, name):
@@ -264,11 +270,35 @@ class TestEigenbasis:
         assert not _acts_as_scalar([same[0], other], j, p)
         assert not _acts_as_scalar([[0] + v[1:] for v in same], j, p)
 
-    def test_prime_dividing_the_order_fails_loudly(self):
-        # 3 divides |S3| = 6: the class matrix of the 3-cycles has a single
-        # eigenvalue mod 3 but is not scalar, so no split can succeed
-        with pytest.raises(TableConstructionError, match="F_3"):
-            modp_eigenbasis(parse_group_spec("S3"), 3)
+    def test_prime_dividing_the_order_fails_loudly(self, monkeypatch):
+        # 5 divides |A5| = 60, which is perfect, so the split starts from
+        # the whole space; the class matrix it reads has too few
+        # eigenvalues mod 5, and no split can succeed
+        with pytest.raises(TableConstructionError, match="F_5"):
+            modp_eigenbasis(parse_group_spec("A5"), 5)
+        # 3 divides |S3| = 6: the linear lines leave one line, the degree-2
+        # central character, which needs no split; but |G| / n^2 = 6 / 4 is
+        # 0 mod 3, so the degree stage cannot read it
+        monkeypatch.setattr(tablegen, "choose_prime", lambda g: 3)
+        with pytest.raises(TableConstructionError, match="degenerate orthogonality sum"):
+            build_character_table(parse_group_spec("S3"))
+
+    @pytest.mark.parametrize("name, q", [("A4", 3), ("C6", 6)])
+    def test_prime_without_an_element_of_order_q_fails_loudly(self, monkeypatch, name, q):
+        # the linear lines are seeded with an element of order q =
+        # exp(G/G') in F_p; q does not divide 5 - 1, so the split names p and
+        # q, and so does the build
+        g = parse_group_spec(name)
+        match = rf"^F_5 has no element of order q = {q}\b"
+        with pytest.raises(TableConstructionError, match=match):
+            modp_eigenbasis(g, 5)
+        monkeypatch.setattr(tablegen, "choose_prime", lambda g: 5)
+        with pytest.raises(TableConstructionError, match=match):
+            build_character_table(g)
+
+
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def rref(a, p):
@@ -315,7 +345,7 @@ def diagonalized(draw):
               (draw(st.integers(0, p - 1)) if j > i else 0)
               for j in range(n)] for i in range(n)]
     P = mp.mat_mul(lower, upper, p)
-    reduced, _ = rref([row + unit for row, unit in zip(P, mp.identity(n))], p)
+    reduced, _ = rref([row + unit for row, unit in zip(P, identity(n))], p)
     P_inv = [row[n:] for row in reduced]
     D = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
     A = mp.mat_mul(mp.mat_mul(P_inv, D, p), P, p)
@@ -358,7 +388,7 @@ class TestNullspaceRows:
         c = [[rnd.randrange(p) for _ in range(m)] for _ in range(rank)]
         a = mp.mat_mul(b, c, p) if rank else [[0] * m for _ in range(n)]
         rows, q = mp.nullspace_rows(a, p)
-        assert [[v[i] for i in q] for v in rows] == mp.identity(len(q))
+        assert [[v[i] for i in q] for v in rows] == identity(len(q))
         assert len(rows) == n - len(rref(a, p)[0])
         for v in rows:
             assert not any(mp.mat_mul([v], a, p)[0])
@@ -384,7 +414,7 @@ class TestSplitSpace:
         # column 0 of the basis has a minimal polynomial with a repeated
         # root, so the one pass finds eigenspaces that fall short of d
         d = len(mat)
-        rows, pivots = rref(mp.identity(d), p)
+        rows, pivots = rref(identity(d), p)
         with pytest.raises(TableConstructionError, match=rf"F_{p}.*dimension {d}"):
             _split_space(rows, pivots, mat, p)
 
@@ -394,7 +424,7 @@ class TestSplitSpace:
         # the split raises rather than return a space it did not split
         p = 13
         with pytest.raises(TableConstructionError, match=rf"F_{p}.*dimension 2"):
-            _split_space(*rref(mp.identity(2), p), [[1, 0], [0, 2]], p)
+            _split_space(*rref(identity(2), p), [[1, 0], [0, 2]], p)
 
     @pytest.mark.parametrize("name, j", [("S3", 2), ("S4", 3), ("A5", 4)])
     def test_one_pass_gives_every_eigenspace(self, name, j):
@@ -407,7 +437,7 @@ class TestSplitSpace:
         eigvecs = modp_eigenbasis(g, p)
         mat = cc.a[j]
         assert len({v[j] for v in eigvecs}) > 1
-        rows, pivots = rref(mp.identity(cc.h), p)
+        rows, pivots = rref(identity(cc.h), p)
         spaces = _split_space(rows, pivots, mat, p)
         assert sum(len(r) for r, _ in spaces) == cc.h
         assert len(spaces) == len({v[j] for v in eigvecs})
@@ -418,7 +448,9 @@ class TestSplitSpace:
             assert len(members) == len(sub)
             assert len({v[j] for v in members}) == 1
 
-    @pytest.mark.parametrize("spec", ["A4", "C6", "D6", C2_8])
+    # groups that leave a space to split after the linear lines: D4xC2^3
+    # over the small field F_17, and D4^3 (h = 125)
+    @pytest.mark.parametrize("spec", ["S4", D4_X_C2_X_C2_X_C2, "D6", D4_CUBED])
     def test_one_minimal_polynomial_per_split(self, monkeypatch, spec):
         # column 0 of each space meets every eigenspace, so no space needs
         # a second vector and a second minimal polynomial
@@ -450,15 +482,15 @@ class TestSplitSpace:
                       if sorted(cols) != echelon_pivots
                       and len(rref([[row[c] for c in cols] for row in echelon], p)[0]) == k)
         square = [[row[c] for c in pivots] for row in echelon]
-        inverse = [row[k:] for row in rref([r + u for r, u in zip(square, mp.identity(k))], p)[0]]
+        inverse = [row[k:] for row in rref([r + u for r, u in zip(square, identity(k))], p)[0]]
         other = mp.mat_mul(inverse, echelon, p)
-        assert [[row[c] for c in pivots] for row in other] == mp.identity(k)
+        assert [[row[c] for c in pivots] for row in other] == identity(k)
         assert any(row[c] for row, piv in zip(other, pivots) for c in range(piv))
 
         def split(rows, piv):
             spaces = _split_space(rows, piv, mat, p)
             for sub, sub_pivots in spaces:
-                assert [[row[c] for c in sub_pivots] for row in sub] == mp.identity(len(sub))
+                assert [[row[c] for c in sub_pivots] for row in sub] == identity(len(sub))
             return [rref(sub, p)[0] for sub, _ in spaces]
 
         spaces = split(other, pivots)
@@ -1014,6 +1046,55 @@ class TestLinearCharacters:
                     assert c1 != c2
                 prod = c1 * c2
                 assert any(prod == c for c in chars)
+
+
+def full_split(g, p):
+    """Oracle: the lines of the split from all of F_p^h, with no line known
+    in advance, each scaled to 1 at column 0, sorted."""
+    data = g.conjugacy_classes()
+    h = len(data)
+    spaces = [(identity(h), list(range(h)))]
+    for j in range(1, h):
+        is_open = [len(rows) > 1 and not _acts_as_scalar(rows, j, p) for rows, _ in spaces]
+        if any(is_open):
+            mat = tablegen.class_matrix(data, j)
+            spaces = [part for space, split in zip(spaces, is_open)
+                      for part in (_split_space(*space, mat, p) if split else [space])]
+    assert all(len(rows) == 1 for rows, _ in spaces)
+    return sorted(tuple(x * pow(v[0], p - 2, p) % p for x in v) for (v,), _ in spaces)
+
+
+class TestSeededSplit:
+    @pytest.mark.parametrize("name", LINEAR_ORACLE_GROUPS)
+    def test_lines_match_the_full_split(self, name):
+        # the linear lines seeded from their exponents and the lines split
+        # from the space that sums to 0 on each coset of G' are the lines
+        # of the split from the whole space
+        g = parse_group_spec(name)
+        p = choose_prime(g)
+        assert sorted(map(tuple, modp_eigenbasis(g, p))) == full_split(g, p)
+
+    @pytest.mark.parametrize("name", LINEAR_ORACLE_GROUPS + ["A6", "A7", "A8", "S8"])
+    def test_split_classes_separate_the_lines(self, name):
+        # with the identity class they generate Z(CG), which the central
+        # identity of check_all relies on
+        g = parse_group_spec(name)
+        p = choose_prime(g)
+        split = build_character_table(g).split_classes
+        assert len(set(split)) == len(split)
+        lines = modp_eigenbasis(g, p)
+        assert len({tuple(v[j] for j in split) for v in lines}) == len(lines)
+
+    @pytest.mark.parametrize("name, values, split", [
+        ("C1", [[1]], ()),
+        ("S1", [[1]], ()),
+        ("C2", [[1, 1], [1, -1]], (1,)),
+    ])
+    def test_smallest_tables(self, name, values, split):
+        # one class, or every row linear with no class matrix to read
+        table = build_character_table(parse_group_spec(name))
+        assert table.value_matrix() == [tuple(row) for row in values]
+        assert table.split_classes == split
 
 
 NATURAL_FIELD_NAMES = BUILTINS_LE_24 + ["S5", "A5", "A6"]
