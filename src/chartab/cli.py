@@ -32,7 +32,7 @@ from .permgroup import (
     ResourceCapError,
     parse_group_spec,
 )
-from .tablegen import CharacterTable, TableConstructionError, build_character_table, classes_json
+from .tablegen import CharacterTable, TableConstructionError, build_character_table
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -118,10 +118,23 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def classes_json(group: PermGroup) -> dict:
+    """The group and its classes: `chartab classes` and a table's JSON head."""
+    data = group.conjugacy_classes()
+    return {
+        "group": group.spec,
+        "order": group.order,
+        "classes": [
+            {"rep_cycles": rep.cycle_string(), "size": size, "element_order": order}
+            for rep, size, order in zip(data.representatives, data.sizes, data.element_orders)
+        ],
+    }
+
+
 def _render_table_json(table: CharacterTable) -> str:
-    """`_json_dumps(table.to_json())`, byte for byte, with each distinct
-    value encoded once.  A value's JSON depends only on its order, nums and
-    den, so those key the encoded texts."""
+    """The table as compact JSON, its only encoder: `classes_json`, then each
+    row's degree and values, each distinct value encoded once.  A value's
+    JSON depends only on its order, nums and den, so those key the texts."""
     key = attrgetter("order", "nums", "den")
     distinct = {key(v): v for row in table.rows for v in row.values}
     encoded = {k: _json_dumps(v.to_json()) for k, v in distinct.items()}.__getitem__

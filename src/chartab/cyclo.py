@@ -469,13 +469,19 @@ def _rational_last(a: Cyclo, b: Cyclo) -> tuple[Cyclo, Cyclo]:
 _PACK_STEPS = 16
 
 
+def _packs(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether the product of a and b is made packed: the double loop takes a
+    step per nonzero a[i] and each b[j], and those steps are many per
+    coefficient."""
+    return (len(a) - a.count(0)) * len(b) >= _PACK_STEPS * (len(a) + len(b))
+
+
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The coefficients of the product of two int polynomials.  The double
-    loop takes a step per nonzero a[i] and each b[j]; when those steps are
-    many per coefficient, the product is one big-int product by Kronecker
-    substitution instead, so that a product of two dense values of a large
-    field costs far less than len(a) len(b) int steps."""
-    if (len(a) - a.count(0)) * len(b) >= _PACK_STEPS * (len(a) + len(b)):
+    """The coefficients of the product of two int polynomials.  When `_packs`
+    says so, the product is one big-int product by Kronecker substitution
+    instead of the double loop, so that a product of two dense values of a
+    large field costs far less than len(a) len(b) int steps."""
+    if _packs(a, b):
         return _packed_mul(a, b)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -524,7 +530,9 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
 
     A term of two integers goes into one int accumulator.  Every other term
     goes into an unreduced int buffer of length o, o the lcm of its two
-    operand orders, where exponents wrap mod o since z^o = 1.  A buffer keeps
+    operand orders, where exponents wrap mod o since z^o = 1; a product of
+    two operands of one order is made packed when `_packs` says so, as in
+    `_poly_mul`, and folded into the buffer mod o.  A buffer keeps
     one common denominator, rescaled only when a term's denominator does not
     divide it, and is reduced once, at the end.  The per-order sums then
     combine in ints as well: the rational ones into one int fraction, the
@@ -573,6 +581,10 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
             buf[:] = [c * scale for c in buf]
             den = entry[1] = den * scale
         sx, sy, f = o // ox, o // oy, den // d
+        if ox == oy and _packs(nx, ny):  # a dense product, folded mod o
+            for i, c in enumerate(_packed_mul(nx, ny)):
+                buf[i % o] += c * f
+            continue
         for i, a in enumerate(nx):
             if a:
                 a *= f

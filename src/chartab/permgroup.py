@@ -290,23 +290,30 @@ class PermGroup:
     def _normal_closure_of(self, seed: Iterable[int]) -> "NormalSubgroup":
         """The smallest normal subgroup containing the classes `seed`: the
         subgroup generated by X, the members of those classes.  The classes
-        are reached from the identity's by right-multiplying the
-        representative g_i of each class reached by each y in X.  That
-        reaches every member's products too: h g_i h^-1 y = h (g_i y') h^-1
-        with y' = h^-1 y h in X, since X is closed under conjugation."""
+        are reached from the identity's by adding, for each class C_i reached
+        and each seed class C_k, the classes of C_i C_k.  Those are the
+        classes of g_i y for y in C_k, and also of x g_k for x in C_i: x y =
+        h (g_i y') h^-1 with y' = h^-1 y h in C_k when x = h g_i h^-1, and
+        likewise on the other side.  So each product is read from the
+        smaller class."""
         data = self.conjugacy_classes()
         index = data.member_index
         seed = set(seed)
-        xs = [y for k in seed for y in data.members[k]]
         found = {0, *seed}
         queue = list(found)
         while queue and len(found) < len(data):
-            g_i = data.representatives[queue.pop()]
-            for y in xs:
-                l = index[g_i * y]
-                if l not in found:
-                    found.add(l)
-                    queue.append(l)
+            i = queue.pop()
+            for k in seed:
+                if data.sizes[k] <= data.sizes[i]:
+                    g_i = data.representatives[i]
+                    products = (g_i * y for y in data.members[k])
+                else:
+                    g_k = data.representatives[k]
+                    products = (x * g_k for x in data.members[i])
+                for l in map(index.__getitem__, products):
+                    if l not in found:
+                        found.add(l)
+                        queue.append(l)
         return NormalSubgroup(self, found)
 
     def center(self) -> "NormalSubgroup":

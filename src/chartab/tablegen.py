@@ -143,11 +143,9 @@ def _acts_as_scalar(rows: mp.Matrix, j: int, p: int) -> bool:
     return all((r[j] - lam * r[0]) % p == 0 for r in rows)
 
 
-def modp_eigenbasis(g: PermGroup, p: int, read: list[int] | None = None) -> list[list[int]]:
-    """Simultaneous eigenvectors of all class matrices over F_p, each
-    normalized so its identity-class coordinate is 1.  When `read` is
-    given, the classes whose matrices the split reads are appended to it in
-    order, then the classes that separate the lines those leave together.
+def modp_eigenbasis(g: PermGroup, p: int) -> list[list[int]]:
+    """Simultaneous eigenvectors of all class matrices over F_p, the lines
+    of the split, each normalized so its identity-class coordinate is 1.
 
     The class matrices commute and, for a prime with p = 1 (mod exponent),
     which does not divide |G|, are diagonalized by the central characters
@@ -168,10 +166,10 @@ def modp_eigenbasis(g: PermGroup, p: int, read: list[int] | None = None) -> list
     by some of the w_i, so M_j acts on it as the scalar lam exactly when
     r[j] = lam r[0] for every basis row r.  M_j is computed only when some
     space of dimension > 1 fails that test, and only those spaces are
-    split.  Lines are unique, so the result is the same whichever matrices
-    split them.  A line is never 0 at column 0 (w[0] = 1); if one were, it
-    would scale to the zero vector, on which `degrees_from_eigen` raises
-    "degenerate orthogonality sum"."""
+    split.  Lines are unique, so the result, and the split classes read off
+    it, are the same whichever matrices split them.  A line is never 0 at
+    column 0 (w[0] = 1); if one were, it would scale to the zero vector, on
+    which `degrees_from_eigen` raises "degenerate orthogonality sum"."""
     data = g.conjugacy_classes()
     h = len(data)
     chars, e = _linear_exponents(g)
@@ -195,8 +193,6 @@ def modp_eigenbasis(g: PermGroup, p: int, read: list[int] | None = None) -> list
         if not any(is_open):
             continue
         mat = class_matrix(data, j)
-        if read is not None:
-            read.append(j)
         spaces = [part for space, split in zip(spaces, is_open)
                   for part in (_split_space(*space, mat, p) if split else [space])]
     if any(len(rows) > 1 for rows, _ in spaces):
@@ -209,21 +205,27 @@ def modp_eigenbasis(g: PermGroup, p: int, read: list[int] | None = None) -> list
         v = rows[0]
         inv = pow(v[0], p - 2, p)
         vectors.append([x * inv % p for x in v])
-    if read is not None:
-        # the classes read must separate the lines (see `split_classes`);
-        # the cosets separated the linear ones without a matrix, so a class
-        # is added wherever its column splits lines that agree on every
-        # class read so far
-        labels = [tuple(v[j] for j in read) for v in vectors]
-        blocks = len(set(labels))
-        for j in range(1, h):
-            if blocks == h:
-                break
-            finer = [(label, v[j]) for label, v in zip(labels, vectors)]
-            if len(set(finer)) > blocks:
-                labels, blocks = finer, len(set(finer))
-                read.append(j)
     return vectors
+
+
+def split_classes(lines: list[list[int]]) -> tuple[int, ...]:
+    """The classes, in index order, each of whose columns splits lines that
+    agree on every class before it.  Two lines first differ at one of them,
+    so they separate the central characters mod p, and in C, and with the
+    identity class generate Z(CG) = C^h: a subalgebra that holds 1 and
+    separates the coordinates is all of C^h.  That is all `check_all`'s
+    central identity asks: for a row, the x with f(xy) = f(x) f(y) for all
+    y, f(C_l) = lambda_il, form a subalgebra that holds 1, so it holds a
+    generating set exactly when it holds Z(CG): one verdict for every set."""
+    labels, blocks, split = [()] * len(lines), 1, []
+    for j in range(1, len(lines)):  # one line per class
+        if blocks == len(lines):
+            break
+        finer = [(label, v[j]) for label, v in zip(labels, lines)]
+        if len(set(finer)) > blocks:
+            labels, blocks = finer, len(set(finer))
+            split.append(j)
+    return tuple(split)
 
 
 def degrees_from_eigen(g: PermGroup, vectors: list[list[int]], p: int) -> list[int]:
@@ -275,19 +277,6 @@ def _sorted_rows(rows: list[ClassFunction]) -> list[ClassFunction]:
     return sorted(rows, key=lambda r: _row_sort_key(r.values, value_keys))
 
 
-def classes_json(group: PermGroup) -> dict:
-    """The group and its classes: `chartab classes` and a table's JSON head."""
-    data = group.conjugacy_classes()
-    return {
-        "group": group.spec,
-        "order": group.order,
-        "classes": [
-            {"rep_cycles": rep.cycle_string(), "size": size, "element_order": order}
-            for rep, size, order in zip(data.representatives, data.sizes, data.element_orders)
-        ],
-    }
-
-
 class CharacterTable:
     """The square table of irreducible characters in canonical order:
     rows by ascending degree (ties by descending value key), columns in the
@@ -307,21 +296,12 @@ class CharacterTable:
 
     @property
     def split_classes(self) -> tuple[int, ...]:
-        """The classes whose matrices the split in `modp_eigenbasis` reads,
-        then the classes it adds, in index order, each where its column
-        splits lines that agree on every class before it.
-
-        These classes separate the central characters mod p, and values
-        that differ mod p differ in C, so with the identity class they
-        generate Z(CG).  The split reads no matrix for the linear lines, so
-        C2^8 reads none and still has 8 split classes.  They are group
-        data, never read off the rows: `build_character_table` keeps those
-        of its own split, and for a table made any other way the split is
-        run once, here."""
+        """`split_classes` of the group's lines, never read off the rows:
+        `build_character_table` keeps those of its own split, and for a
+        table made any other way the split is run once, here."""
         if self._split_classes is None:
-            read: list[int] = []
-            modp_eigenbasis(self.group, choose_prime(self.group), read)
-            self._split_classes = tuple(read)
+            self._split_classes = split_classes(
+                modp_eigenbasis(self.group, choose_prime(self.group)))
         return self._split_classes
 
     def __len__(self) -> int:
@@ -342,18 +322,6 @@ class CharacterTable:
             for ra, rb in zip(self.value_matrix(), other.value_matrix())
             for a, b in zip(ra, rb)
         )
-
-    def to_json(self) -> dict:
-        return {
-            **classes_json(self.group),
-            "characters": [
-                {
-                    "degree": self.degrees[i],
-                    "values": [v.to_json() for v in row.values],
-                }
-                for i, row in enumerate(self.rows)
-            ],
-        }
 
     def __repr__(self) -> str:
         return f"CharacterTable({self.group.spec}, {len(self.rows)}x{len(self.rows)})"
@@ -450,11 +418,10 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
 def build_character_table(g: PermGroup) -> CharacterTable:
     """Full pipeline: prime -> eigenbasis -> degrees -> lift."""
     p = choose_prime(g)
-    read: list[int] = []
-    vectors = modp_eigenbasis(g, p, read)
+    vectors = modp_eigenbasis(g, p)
     degrees = degrees_from_eigen(g, vectors, p)
     table = lift_characters(g, vectors, degrees, p)
-    table._split_classes = tuple(read)
+    table._split_classes = split_classes(vectors)
     return table
 
 

@@ -4,12 +4,12 @@ Run with `pytest -s tests/test_acceptance.py` to see one PASS line per
 criterion; an assertion failure marks the criterion failed.
 """
 
-import json
 import random
 from fractions import Fraction
 from itertools import product as iproduct
 
 from chartab.analysis import burnside_class_test, burnside_solvability, restriction_report, restrict
+from chartab.cli import _render_table_json
 from chartab.classfun import (
     ClassFunction,
     decompose,
@@ -360,7 +360,7 @@ def test_criterion_10_determinism():
     for name in BUILTIN_NAMES:
         g1 = parse_group_spec(name)
         g2 = PermGroup(g1.degree, g1.generators, cap=g1.cap, spec=g1.spec)
-        first = json.dumps(build_character_table(g1).to_json(), indent=2)
-        second = json.dumps(build_character_table(g2).to_json(), indent=2)
+        first = _render_table_json(build_character_table(g1))
+        second = _render_table_json(build_character_table(g2))
         assert first == second
     passed(10, "fresh rebuilds produce byte-identical JSON for every builtin")

@@ -16,7 +16,7 @@ from chartab.cyclo import Cyclo, root_of_unity
 from chartab.permgroup import GroupMismatchError, PermGroup, parse_group_spec
 from chartab.tablegen import CharacterTable, build_character_table
 
-from conftest import BUILTINS_LE_24, class_index_of, ratio
+from conftest import BUILTINS_LE_24, class_index_of, count_perm_products, ratio
 
 
 def s5_char(table, group, degree, rep_text, value):
@@ -186,6 +186,20 @@ class TestBurnsideClassTest:
         assert factored[15] == {3: 1, 5: 1}
         assert factored[12] == {2: 2, 3: 1}
 
+    def test_s8_closures_read_each_class_product_from_the_smaller_class(self, monkeypatch):
+        # a group the parse cache has not seen, with its classes computed.
+        # Its 21 closures make about 250,000 products; about 500,000 when
+        # every member of the seed class was multiplied into each class
+        # reached, however large the seed class
+        s8 = parse_group_spec("S8")
+        g = PermGroup(s8.degree, s8.generators)
+        g.conjugacy_classes()
+        count = count_perm_products(monkeypatch)
+        report = burnside_class_test(g)
+        assert report.witness_order == 20160
+        assert not report.simple
+        assert count[0] < 300_000
+
     @pytest.mark.parametrize("name", BUILTINS_LE_24 + ["A5", "S5"])
     def test_verdict_agrees_with_is_simple(self, name):
         g = parse_group_spec(name)
@@ -306,12 +320,12 @@ class TestCheckAll:
             check_all(table)
 
     def test_central_identity_reads_only_the_split_class_matrices(self, monkeypatch):
-        # the identity is checked for j in the classes the split read, so
-        # check_all computes those class matrices and no others, and a table
-        # made by hand runs the split once to learn them
+        # the identity is checked for j in the split classes, so check_all
+        # computes those class matrices and no others, and a table made by
+        # hand runs the split once to learn them
         g = parse_group_spec(D4XS3)
         table = build_character_table(g)
-        computed, splits, cubes = [], [], []
+        computed, splits, cubes, split_reads = [], [], [], []
         real_matrix, real_split = tablegen.class_matrix, tablegen.modp_eigenbasis
 
         def matrix_spy(data, j):
@@ -320,7 +334,10 @@ class TestCheckAll:
 
         def split_spy(*args):
             splits.append(args)
-            return real_split(*args)
+            before = len(computed)
+            lines = real_split(*args)
+            split_reads.extend(computed[before:])
+            return lines
 
         # analysis holds class_matrix by value, the split looks it up in tablegen
         monkeypatch.setattr(tablegen, "class_matrix", matrix_spy)
@@ -338,8 +355,9 @@ class TestCheckAll:
         assert check_all(by_hand).ok and check_all(by_hand).ok
         assert len(splits) == 1
         assert by_hand.split_classes == table.split_classes
-        # the split's reads, then those of each check_all
-        assert computed == 3 * reads
+        # the split's own reads, then those of each check_all
+        assert split_reads
+        assert computed == split_reads + 2 * reads
         assert not cubes
 
     def test_report_rendering(self):
@@ -403,6 +421,18 @@ CORRUPTION_CASES = [
 ]
 
 
+def _classes_swapped(table, j, k):
+    """The table's rows with the values at classes j and k swapped, as a new
+    table."""
+    g = table.group
+    rows = []
+    for row in table.rows:
+        vals = list(row.values)
+        vals[j], vals[k] = vals[k], vals[j]
+        rows.append(ClassFunction(g, vals))
+    return CharacterTable(g, rows)
+
+
 # two classes of one size swapped in every row: the row and column pairings
 # and the class sizes cannot tell, only the class constants can
 CLASS_SWAPS = [
@@ -419,12 +449,7 @@ class TestCheckAllCorruptions:
         g = parse_group_spec(name)
         sizes = g.conjugacy_classes().sizes
         assert sizes[j] == sizes[k]
-        rows = []
-        for row in build_character_table(g).rows:
-            vals = list(row.values)
-            vals[j], vals[k] = vals[k], vals[j]
-            rows.append(ClassFunction(g, vals))
-        report = check_all(CharacterTable(g, rows))
+        report = check_all(_classes_swapped(build_character_table(g), j, k))
         assert {r.name for r in report.results if not r.passed} == {
             "central-character-identity"}
 
@@ -442,3 +467,27 @@ class TestCheckAllCorruptions:
         assert [r.name for r in report.results] == [
             r.name for r in check_all(build_character_table(g)).results
         ]
+
+
+VERDICT_TABLES = (
+    [("corrupt", name, kind) for name, kind in CORRUPTION_CASES]
+    + [("swap", name, (j, k)) for name, j, k in CLASS_SWAPS]
+    + [("clean", name, None)
+       for name in ["S3", "Q8", "A4", "S4", "A5", "S5", "A6", "A7", "D8", D4XS3]]
+)
+
+
+@pytest.mark.parametrize("case, name, arg", VERDICT_TABLES,
+                         ids=[f"{c}-{n}-{a}" for c, n, a in VERDICT_TABLES])
+def test_report_is_the_same_over_every_generating_set(case, name, arg):
+    # the central identity holds for j in a set S that generates Z(CG) and
+    # every k exactly when it holds for every pair, so the report is the
+    # same with every nontrivial class in place of the split classes
+    table = build_character_table(parse_group_spec(name))
+    if case == "corrupt":
+        table = _corrupted(table, arg)
+    elif case == "swap":
+        table = _classes_swapped(table, *arg)
+    report = check_all(table).to_json()
+    table._split_classes = tuple(range(1, len(table)))
+    assert check_all(table).to_json() == report

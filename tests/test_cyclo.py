@@ -728,3 +728,38 @@ def test_packed_products_match_the_double_loop(bits, data):
     # _poly_mul packs only products with many steps a coefficient, so call both
     assert cyclo._packed_mul(a, b) == poly_mul(a, b)
     assert cyclo._poly_mul(a, b) == poly_mul(a, b)
+
+
+@st.composite
+def dense_values(draw, e):
+    """A value of Q(zeta_e) with no zero coefficient, over a drawn denominator."""
+    den = draw(st.integers(min_value=1, max_value=9))
+    nums = draw(st.lists(st.integers(min_value=-50, max_value=50).filter(bool),
+                         min_size=euler_phi(e), max_size=euler_phi(e)))
+    return Cyclo(e, [Fraction(c, den) for c in nums])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([41, 97, 105]), st.data())
+def test_dot_packs_dense_terms_of_one_order(e, data):
+    # a dense product of two values of one order is made packed, by the
+    # rule of `_poly_mul`, and folded into the buffer mod e; the sum is the
+    # one the double loop gives, with terms of other orders mixed in
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    xs = [data.draw(dense_values(e)) for _ in range(n)] + [Fraction(2, 3), root_of_unity(5)]
+    ys = [data.draw(dense_values(e)) for _ in range(n)] + [root_of_unity(e), root_of_unity(3)]
+    packed = []
+    real = cyclo._packed_mul
+
+    def spy(a, b):
+        packed.append((len(a), len(b)))
+        return real(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cyclo, "_packed_mul", spy)
+        fast = dot(xs, ys)
+        patch.setattr(cyclo, "_PACK_STEPS", 10**9)
+        slow = dot(xs, ys)
+    assert packed == [(euler_phi(e), euler_phi(e))] * n
+    assert fast.to_json() == slow.to_json()
+    assert fast == sum((x * y for x, y in zip(xs, ys)), Cyclo.zero())

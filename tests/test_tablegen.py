@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from fractions import Fraction
@@ -13,6 +12,7 @@ from chartab import _modp as mp
 from chartab.classfun import inner_product, is_irreducible
 from chartab.cyclo import Cyclo, root_of_unity
 from chartab import cyclo, tablegen
+from chartab.cli import _render_table_json
 from chartab.permgroup import Perm, PermGroup, parse_group_spec
 from chartab.tablegen import (
     TableConstructionError,
@@ -139,7 +139,8 @@ class TestChoosePrime:
 
 
 # the classes whose matrices the split reads, in order, and the table's
-# split classes: those, then the classes added to separate the lines
+# split classes: in index order, each class whose column splits lines that
+# agree on every class before it
 SPLIT_READS = [
     # 255 class matrices, and every row linear: the split reads none, and
     # the 8 classes of a basis of C2^8 separate the lines
@@ -152,6 +153,9 @@ SPLIT_READS = [
     # 3 matrices split the 8 nonlinear lines; 3 more classes separate the
     # 32 linear ones
     (D4_X_C2_X_C2_X_C2, [1, 2, 4], [1, 2, 4, 8, 16, 24]),
+    # class 2 splits lines that agree on class 1, though the split reads
+    # no matrix there
+    ("D8", [1, 3], [1, 2, 3, 5]),
 ]
 
 
@@ -234,6 +238,26 @@ class TestEigenbasis:
         table = build_character_table(g)
         assert read == reads
         assert table.split_classes == tuple(split)
+
+    @pytest.mark.parametrize("spec", [spec for spec, _, _ in SPLIT_READS] + ["S5", D4_X_S3])
+    def test_split_classes_do_not_depend_on_the_classes_read(self, monkeypatch, spec):
+        # the split classes are read off the lines, which are the same
+        # whichever matrices split them: a split made to read every class
+        # matrix until each space is a line gives the same classes
+        g = parse_group_spec(spec)
+        split = build_character_table(g).split_classes
+        read = []
+        real = tablegen.class_matrix
+
+        def spy(data, j):
+            read.append(j)
+            return real(data, j)
+
+        monkeypatch.setattr(tablegen, "class_matrix", spy)
+        monkeypatch.setattr(tablegen, "_acts_as_scalar", lambda rows, j, p: False)
+        lines = modp_eigenbasis(g, choose_prime(g))
+        assert tablegen.split_classes(lines) == split
+        assert read == list(range(1, len(read) + 1))
 
     @pytest.mark.parametrize("name", ["A6", "A7", "A8"])
     def test_every_split_refines_its_space(self, monkeypatch, name):
@@ -1123,6 +1147,6 @@ class TestDeterminism:
 
         g1 = parse_group_spec(name)
         g2 = PermGroup(g1.degree, g1.generators, cap=g1.cap, spec=g1.spec)
-        first = json.dumps(build_character_table(g1).to_json(), indent=2)
-        second = json.dumps(build_character_table(g2).to_json(), indent=2)
+        first = _render_table_json(build_character_table(g1))
+        second = _render_table_json(build_character_table(g2))
         assert first == second
