@@ -2,11 +2,15 @@
 
 Groups are given by generators on 0-based points (degree <= 32) and enumerated
 by breadth-first closure, which is adequate at desk scale (default cap
-100,000 elements).  Conjugacy classes carry inverse and power maps and are
-sorted canonically: (size ascending, element order ascending, lexicographically
-least representative); the representative is the least member.  Normal
-subgroups are unions of classes (`NormalSubgroup`); `Subgroup` is a subgroup
-given by generators, a `PermGroup` of its own that knows its parent.
+100,000 elements).  Every product x * q is one C-level gather built once for
+the right factor q (`Perm.right_mul`).  Enumeration records, for each
+generator s, the position of el * s of each element, and the conjugation
+sweep runs on those positions with no product.  Conjugacy classes carry
+inverse and power maps and are sorted canonically: (size ascending, element
+order ascending, lexicographically least representative); the
+representative is the least member.  Normal subgroups are unions of
+classes (`NormalSubgroup`); `Subgroup` is a subgroup given by generators, a
+`PermGroup` of its own that knows its parent.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from itertools import repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 MAX_DEGREE = 32
 DEFAULT_CAP = 100_000
@@ -68,9 +74,18 @@ class Perm(tuple):
                 images[pt] = cycle[(i + 1) % len(cycle)]
         return Perm(images)
 
+    def right_mul(self) -> Callable[[Sequence[int]], tuple[int, ...]]:
+        """The map x -> x * self, (x * self)(i) = x(self(i)): one C-level
+        gather, built once for self.  It returns the image tuple, which
+        equals and hashes as the `Perm`, and every product of the library
+        is made by it."""
+        if len(self) > 1:
+            return itemgetter(*self)
+        return tuple  # degree 1: a gather at one point returns a bare int
+
     def __mul__(self, other: "Perm") -> "Perm":
         # function composition: (self * other)(i) = self(other(i))
-        return Perm(map(self.__getitem__, other))
+        return Perm(other.right_mul()(self))
 
     def __call__(self, point: int) -> int:
         return self[point]
@@ -132,6 +147,15 @@ class Perm(tuple):
         return f"Perm{self.cycle_string()}"
 
 
+def _powers(g: Perm) -> list[tuple[int, ...]]:
+    """g, g^2, ..., g^d = 1, d the order of g: d - 1 products by one gather."""
+    times_g, identity = g.right_mul(), tuple(range(len(g)))
+    powers = [g]
+    while powers[-1] != identity:
+        powers.append(times_g(powers[-1]))
+    return powers
+
+
 class ClassData:
     """Conjugacy classes in canonical order with inverse and power maps.
 
@@ -141,27 +165,24 @@ class ClassData:
     g_j^s for s < d_j, the order of g_j; the class of any power g_j^s is
     `power_class[j][s % d_j]`."""
 
-    def __init__(self, orbits: list[list[Perm]], member_index: dict[Perm, Optional[int]]):
-        """`orbits` are the classes in any order and `member_index` maps each
-        element to its orbit's position; both are renumbered canonically."""
+    def __init__(self, orbits: list[list[Perm]], member_index: dict[Perm, int]):
+        """`orbits` are the classes in any order and `member_index` holds
+        every element of the group; the classes are sorted canonically and
+        each element's value in `member_index` becomes its class."""
         reps = [min(orbit) for orbit in orbits]
-        orders = [r.order() for r in reps]
-        ranked = sorted(range(len(orbits)), key=lambda c: (len(orbits[c]), orders[c], reps[c]))
+        powers = [_powers(g) for g in reps]
+        ranked = sorted(range(len(orbits)),
+                        key=lambda c: (len(orbits[c]), len(powers[c]), reps[c]))
         self.members = [orbits[c] for c in ranked]
         self.sizes = tuple(map(len, self.members))
         self.representatives = tuple(reps[c] for c in ranked)
-        self.element_orders = tuple(orders[c] for c in ranked)
+        self.element_orders = tuple(len(powers[c]) for c in ranked)
         for j, members in enumerate(self.members):
-            for m in members:
-                member_index[m] = j
+            member_index.update(zip(members, repeat(j)))
         self.member_index = member_index
-        self.power_class = []
-        for g, d in zip(self.representatives, self.element_orders):
-            powers, cur = [0], g  # the identity class is first
-            for _ in range(1, d):
-                powers.append(member_index[cur])
-                cur = cur * g
-            self.power_class.append(powers)
+        # the class of g^0, the identity, is first
+        self.power_class = [[0, *map(member_index.__getitem__, powers[c][:-1])]
+                            for c in ranked]
         # g^-1 = g^(d-1), the last power
         self.inverse_class = [powers[-1] for powers in self.power_class]
 
@@ -186,32 +207,43 @@ class PermGroup:
         self.cap = cap
         self.spec = spec
         self._elements: Optional[list[Perm]] = None
-        # every element -> its class: None from enumeration until the classes
-        # are swept, then the canonical class index (ClassData.member_index)
-        self._index: Optional[dict[Perm, Optional[int]]] = None
+        # every element -> its position in `_elements` from enumeration until
+        # the classes are swept, then its canonical class (member_index)
+        self._index: Optional[dict[Perm, int]] = None
+        # per generator s, the position of el_i * s for each position i: made
+        # by enumeration, read and dropped by the sweep
+        self._right: Optional[list[list[int]]] = None
         self._class_data: Optional[ClassData] = None
         self._commutator_subgroup: Optional[NormalSubgroup] = None
 
     # -- enumeration ------------------------------------------------------
 
     def enumerate(self) -> list[Perm]:
-        """Breadth-first product closure of the generators, deterministic order."""
+        """Breadth-first product closure of the generators, deterministic
+        order.  The element index maps each element to its position in the
+        list, and `_right[t][i]` is the position of el_i * s for the t-th
+        generator s, for the conjugation sweep."""
         if self._elements is not None:
             return self._elements
         identity = Perm.identity(self.degree)
         elements = [identity]
-        index: dict[Perm, Optional[int]] = {identity: None}
+        index: dict[Perm, int] = {identity: 0}
+        gens = [(gen.right_mul(), []) for gen in self.generators]
         for el in elements:  # the list grows while it is walked: breadth-first
-            for gen in self.generators:
-                prod = el * gen
-                if prod not in index:
-                    index[prod] = None
+            for times_gen, right in gens:
+                prod = times_gen(el)
+                pos = index.get(prod)
+                if pos is None:
+                    prod = Perm(prod)
+                    pos = index[prod] = len(elements)
                     elements.append(prod)
                     if len(elements) > self.cap:
                         raise ResourceCapError(
                             f"group enumeration exceeded cap of {self.cap} elements"
                         )
+                right.append(pos)
         self._elements, self._index = elements, index
+        self._right = [right for _, right in gens]
         return elements
 
     @property
@@ -237,22 +269,32 @@ class PermGroup:
             return self._class_data
         elements = self.enumerate()
         index = self._index
-        gens = [(gen.__getitem__, gen.inv()) for gen in self.generators]
+        # inv[x] is the position of x^-1, one inversion per pair {x, x^-1}.
+        # On positions, x -> s^-1 x s is inv[R_s[inv[R_s[x]]]], through x s,
+        # s^-1 x^-1 and s^-1 x^-1 s: four list lookups and no product
+        inv = [None] * len(elements)
+        for x, el in enumerate(elements):
+            if inv[x] is None:
+                inv[x] = y = index[el.inv()]
+                inv[y] = x
+        right = self._right
+        seen = bytearray(len(elements))
         orbits: list[list[Perm]] = []
-        for el in elements:
-            if index[el] is not None:
+        for x in range(len(elements)):
+            if seen[x]:
                 continue
-            # orbit of el under conjugation by the generators, walked while it
-            # grows; each step is one Perm, gen cur gen^-1
-            c = index[el] = len(orbits)
-            orbit = [el]
-            for cur in orbit:
-                for gen, gen_inv in gens:
-                    conj = Perm(map(gen, map(cur.__getitem__, gen_inv)))
-                    if index[conj] is None:
-                        index[conj] = c
-                        orbit.append(conj)
-            orbits.append(orbit)
+            # orbit of x under conjugation by the generators, walked while
+            # it grows
+            seen[x] = 1
+            orbit = [x]
+            for y in orbit:
+                for r in right:
+                    z = inv[r[inv[r[y]]]]
+                    if not seen[z]:
+                        seen[z] = 1
+                        orbit.append(z)
+            orbits.append(list(map(elements.__getitem__, orbit)))
+        self._right = None  # read by the sweep alone
         self._class_data = ClassData(orbits, index)
         return self._class_data
 
@@ -292,10 +334,11 @@ class PermGroup:
         subgroup generated by X, the members of those classes.  The classes
         are reached from the identity's by adding, for each class C_i reached
         and each seed class C_k, the classes of C_i C_k.  Those are the
-        classes of g_i y for y in C_k, and also of x g_k for x in C_i: x y =
-        h (g_i y') h^-1 with y' = h^-1 y h in C_k when x = h g_i h^-1, and
-        likewise on the other side.  So each product is read from the
-        smaller class."""
+        classes of x g_k for x in C_i, and also of y g_i for y in C_k: x y =
+        h (x' g_k) h^-1 with x' = h^-1 x h in C_i when y = h g_k h^-1, and
+        likewise on the other side, since C_i C_k = C_k C_i.  So each
+        product is read from the smaller class, times the representative
+        of the other."""
         data = self.conjugacy_classes()
         index = data.member_index
         seed = set(seed)
@@ -304,12 +347,8 @@ class PermGroup:
         while queue and len(found) < len(data):
             i = queue.pop()
             for k in seed:
-                if data.sizes[k] <= data.sizes[i]:
-                    g_i = data.representatives[i]
-                    products = (g_i * y for y in data.members[k])
-                else:
-                    g_k = data.representatives[k]
-                    products = (x * g_k for x in data.members[i])
+                small, large = (k, i) if data.sizes[k] <= data.sizes[i] else (i, k)
+                products = map(data.representatives[large].right_mul(), data.members[small])
                 for l in map(index.__getitem__, products):
                     if l not in found:
                         found.add(l)

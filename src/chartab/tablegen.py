@@ -39,14 +39,15 @@ class ClassConstants:
 
 def class_matrix(data: ClassData, j: int) -> list[list[int]]:
     """The class matrix M_j, row k and column l holding
-    a_jkl = #{x in C_j : x^-1 g_l in C_k}, by |C_j| h membership lookups."""
+    a_jkl = #{x in C_j : x^-1 g_l in C_k}, by |C_j| h membership lookups;
+    x^-1 runs over the inverse class."""
     h = len(data)
     index = data.member_index
     mat = [[0] * h for _ in range(h)]
-    for x in data.members[j]:
-        x_inv = x.inv()
-        for l, g_l in enumerate(data.representatives):
-            mat[index[x_inv * g_l]][l] += 1
+    inverses = data.members[data.inverse_class[j]]
+    for l, g_l in enumerate(data.representatives):
+        for k in map(index.__getitem__, map(g_l.right_mul(), inverses)):
+            mat[k][l] += 1
     return mat
 
 
@@ -292,16 +293,20 @@ class CharacterTable:
         self.class_data = data
         self.rows = _sorted_rows(rows)
         self.degrees = tuple(r.values[0].as_rational() for r in self.rows)
+        # the lines of the F_p split, kept by `build_character_table`
+        self._lines = None
         self._split_classes = None
 
     @property
     def split_classes(self) -> tuple[int, ...]:
-        """`split_classes` of the group's lines, never read off the rows:
-        `build_character_table` keeps those of its own split, and for a
-        table made any other way the split is run once, here."""
+        """`split_classes` of the group's lines, never read off the rows,
+        computed on first use: from the lines `build_character_table` kept,
+        and for a table made any other way from a split run once, here."""
         if self._split_classes is None:
-            self._split_classes = split_classes(
-                modp_eigenbasis(self.group, choose_prime(self.group)))
+            lines = self._lines
+            if lines is None:
+                lines = modp_eigenbasis(self.group, choose_prime(self.group))
+            self._split_classes = split_classes(lines)
         return self._split_classes
 
     def __len__(self) -> int:
@@ -421,7 +426,7 @@ def build_character_table(g: PermGroup) -> CharacterTable:
     vectors = modp_eigenbasis(g, p)
     degrees = degrees_from_eigen(g, vectors, p)
     table = lift_characters(g, vectors, degrees, p)
-    table._split_classes = split_classes(vectors)
+    table._lines = vectors
     return table
 
 
@@ -451,11 +456,12 @@ def _linear_exponents(g: PermGroup) -> tuple[list[list[int]], int]:
         while (landing := index[inv_powers[-1]]) not in in_h:
             inv_powers.append(inv_powers[-1] * inv_powers[0])
         d = len(inv_powers)  # landing is the class of s^-d
+        times = [s_inv_a.right_mul() for s_inv_a in inv_powers[:-1]]
         new = {}  # class j -> (a, class of g_j s^-a) for g_j in H s^a
         for j, g_j in enumerate(data.representatives):
             if j not in in_h:
-                for a, s_inv_a in enumerate(inv_powers[:-1], 1):
-                    l = index[g_j * s_inv_a]
+                for a, times_s_inv_a in enumerate(times, 1):
+                    l = index[times_s_inv_a(g_j)]
                     if l in in_h:
                         new[j] = a, l
                         break

@@ -42,17 +42,24 @@ def perm_of(group, cycle_text):
 
 
 def count_perm_products(monkeypatch):
-    """Count the `Perm` products made from now on, in a one-item list."""
+    """Count the `Perm` products made from now on, in a one-item list: every
+    product, `p * q` included, is one call of a gather from
+    `Perm.right_mul`, so each gather made from now on counts its calls."""
     from chartab.permgroup import Perm
 
     count = [0]
-    mul = Perm.__mul__
+    right_mul = Perm.right_mul
 
-    def counting(a, b):
-        count[0] += 1
-        return mul(a, b)
+    def counting_right_mul(q):
+        gather = right_mul(q)
 
-    monkeypatch.setattr(Perm, "__mul__", counting)
+        def counted(x):
+            count[0] += 1
+            return gather(x)
+
+        return counted
+
+    monkeypatch.setattr(Perm, "right_mul", counting_right_mul)
     return count
 
 

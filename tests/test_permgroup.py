@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartab.permgroup import (
     GroupMismatchError,
@@ -111,6 +113,52 @@ class TestPerm:
         p = Perm.from_cycles([[0, 2, 4], [1, 3]], 5)
         assert p.cycle_string() == "(0,2,4)(1,3)"
         assert p.order() == 6
+
+
+def compose(p, q):
+    """(p q)(i) = p(q(i)) on plain image tuples."""
+    return tuple(p[i] for i in q)
+
+
+@st.composite
+def perm_pairs(draw):
+    """Two permutations of one degree in 1..32 and an exponent."""
+    degree = draw(st.integers(1, 32))
+    p, q = (Perm(draw(st.permutations(range(degree)))) for _ in range(2))
+    return p, q, draw(st.integers(-40, 40))
+
+
+class TestProductPrimitive:
+    # every product of the library is a gather from `Perm.right_mul`; at
+    # degree 1 a gather at one point would return a bare int
+    @settings(max_examples=300, deadline=None)
+    @given(perm_pairs())
+    def test_against_composition(self, pq):
+        p, q, n = pq
+        identity = tuple(range(len(p)))
+        assert p.right_mul()(q) == compose(q, p)
+        assert type(p.right_mul()(q)) is tuple
+        product = p * q
+        assert type(product) is Perm
+        assert all(product(i) == p(q(i)) for i in range(len(p)))
+        assert p * p.inv() == p.inv() * p == identity
+        power = identity
+        for _ in range(abs(n)):
+            power = compose(power, p if n >= 0 else p.inv())
+        assert p ** n == power
+        assert type(p ** n) is Perm
+
+    def test_counting_spy_sees_every_gather(self, monkeypatch):
+        # enumeration makes one product per element and generator, each a
+        # gather; the work-bound tests rest on the spy counting them
+        s5 = parse_group_spec("S5")
+        g = PermGroup(s5.degree, s5.generators)
+        count = count_perm_products(monkeypatch)
+        g.enumerate()
+        assert count[0] == 120 * 2
+        count[0] = 0
+        Perm.from_cycles([[0, 1, 2]], 5) * Perm.from_cycles([[0, 1]], 5)
+        assert count[0] == 1
 
 
 class TestParse:
@@ -307,7 +355,40 @@ CLASS_RECORD_GROUPS = (
 )
 
 
+def bfs_elements(generators, degree):
+    """The elements in the order of a breadth-first walk on plain tuples:
+    each element, as it is reached, times each generator in turn."""
+    elements = [tuple(range(degree))]
+    seen = set(elements)
+    for el in elements:
+        for gen in generators:
+            prod = compose(el, gen)
+            if prod not in seen:
+                seen.add(prod)
+                elements.append(prod)
+    return elements
+
+
 class TestClassRecord:
+    @pytest.mark.parametrize("name", CLASS_RECORD_GROUPS)
+    def test_classes_are_the_orbits_under_every_element(self, name):
+        # an oracle that shares no code with the sweep: each class is the
+        # set of t x t^-1 over every element t, on plain tuples
+        g = parse_group_spec(name)
+        elements = bfs_elements(g.generators, g.degree)
+        assert g.elements == elements
+        inverses = [tuple(sorted(range(g.degree), key=t.__getitem__)) for t in elements]
+        orbits, seen = set(), set()
+        for x in elements:
+            if x not in seen:
+                orbit = frozenset(compose(compose(t, x), t_inv)
+                                  for t, t_inv in zip(elements, inverses))
+                seen |= orbit
+                orbits.add(orbit)
+        data = g.conjugacy_classes()
+        assert {frozenset(members) for members in data.members} == orbits
+        assert len(data.members) == len(orbits)
+
     @pytest.mark.parametrize("name", CLASS_RECORD_GROUPS)
     def test_fields_agree_with_members(self, name):
         g = parse_group_spec(name)

@@ -1109,10 +1109,35 @@ class TestSeededSplit:
         lines = modp_eigenbasis(g, p)
         assert len({tuple(v[j] for j in split) for v in lines}) == len(lines)
 
+    @pytest.mark.parametrize("name", ["S5", D4_X_S3])
+    def test_split_classes_read_from_the_kept_lines_on_first_use(self, monkeypatch, name):
+        # a build reads no split classes; the first read takes them from
+        # the lines the build kept, and no split runs again
+        g = parse_group_spec(name)
+        expected = tablegen.split_classes(modp_eigenbasis(g, choose_prime(g)))
+        calls = []
+        real = tablegen.split_classes
+
+        def spy(lines):
+            calls.append(lines)
+            return real(lines)
+
+        def no_split(g, p):
+            raise AssertionError("the split ran again")
+
+        monkeypatch.setattr(tablegen, "split_classes", spy)
+        table = build_character_table(g)
+        assert not calls
+        monkeypatch.setattr(tablegen, "modp_eigenbasis", no_split)
+        assert table.split_classes == expected
+        assert table.split_classes == expected
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("name, values, split", [
         ("C1", [[1]], ()),
         ("S1", [[1]], ()),
         ("C2", [[1, 1], [1, -1]], (1,)),
+        ("perm:1:()", [[1]], ()),
     ])
     def test_smallest_tables(self, name, values, split):
         # one class, or every row linear with no class matrix to read
