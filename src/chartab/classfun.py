@@ -34,6 +34,15 @@ class ClassFunction:
         self.group = group
         self.values = tuple(Cyclo._coerce(v) for v in values)
 
+    @classmethod
+    def _of(cls, group: PermGroup, values: tuple[Cyclo, ...]) -> "ClassFunction":
+        """A class function on a tuple of h values that are already `Cyclo`,
+        made by the library itself: neither checked for length nor coerced."""
+        f = object.__new__(cls)
+        f.group = group
+        f.values = values
+        return f
+
     def degree(self) -> Cyclo:
         return self.values[0]
 

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from operator import attrgetter
 
 from .analysis import (
     burnside_class_test,
@@ -133,14 +132,16 @@ def classes_json(group: PermGroup) -> dict:
 
 def _render_table_json(table: CharacterTable) -> str:
     """The table as compact JSON, its only encoder: `classes_json`, then each
-    row's degree and values, each distinct value encoded once.  A value's
-    JSON depends only on its order, nums and den, so those key the texts."""
-    key = attrgetter("order", "nums", "den")
-    distinct = {key(v): v for row in table.rows for v in row.values}
-    encoded = {k: _json_dumps(v.to_json()) for k, v in distinct.items()}.__getitem__
+    row's degree and values, each value object encoded once.  The lift makes
+    each distinct value once, so that is each distinct value of a built
+    table; equal values that are distinct objects encode alike."""
+    distinct = {}
+    for row in table.rows:
+        distinct.update(zip(map(id, row.values), row.values))
+    encoded = {i: _json_dumps(v.to_json()) for i, v in distinct.items()}.__getitem__
     rows = []
     for n, row in zip(table.degrees, table.rows):
-        values = ",".join(map(encoded, map(key, row.values)))
+        values = ",".join(map(encoded, map(id, row.values)))
         rows.append(f'{{"degree":{_json_dumps(n)},"values":[{values}]}}')
     head = _json_dumps(classes_json(table.group))[:-1]  # without its closing brace
     return f'{head},"characters":[{",".join(rows)}]}}'

@@ -318,11 +318,16 @@ class PermGroup:
         return self._commutator_subgroup
 
     def _commutators(self, ts: Sequence[Perm], xs: Sequence[Perm]) -> set[int]:
-        """The classes of the commutators t^-1 x^-1 t x, t in ts, x in xs."""
+        """The classes of the commutators t^-1 x^-1 t x, t in ts, x in xs,
+        each read as its conjugate x^-1 t x t^-1 by t: three products, each
+        by a gather built once for its right factor."""
         index = self.conjugacy_classes().member_index
-        xs = [(x.inv(), x) for x in xs]
-        return {index[t_inv * (x_inv * t * x)]
-                for t_inv, t in [(t.inv(), t) for t in ts] for x_inv, x in xs}
+        xs = [(x.inv(), x.right_mul()) for x in xs]
+        out = set()
+        for t in ts:
+            times_t, times_t_inv = t.right_mul(), t.inv().right_mul()
+            out.update(index[times_t_inv(times_x(times_t(x_inv)))] for x_inv, times_x in xs)
+        return out
 
     def normal_closure(self, s: Perm) -> "NormalSubgroup":
         if s not in self:

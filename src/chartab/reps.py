@@ -84,9 +84,11 @@ class MatrixRep:
         if self.full_images is not None:
             return self
         full = {Perm.identity(self.group.degree): mat_identity(self.dim)}
+        gens = [(gen.right_mul(), gen_img)
+                for gen, gen_img in zip(self.group.generators, self.images)]
         for el in self.group.elements:
-            for gen, gen_img in zip(self.group.generators, self.images):
-                prod = el * gen
+            for times_gen, gen_img in gens:
+                prod = Perm(times_gen(el))
                 mat = mat_mul(full[el], gen_img)
                 seen = full.get(prod)
                 if seen is None:

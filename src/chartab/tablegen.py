@@ -80,9 +80,10 @@ def choose_prime(g: PermGroup) -> int:
 
 
 def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
-                 p: int) -> list[tuple[mp.Matrix, list[int]]]:
+                 p: int, twists=(1,)) -> list[tuple[mp.Matrix, list[int]]]:
     """Split an invariant subspace, on which one class matrix is not a
-    scalar, into that matrix's eigenspaces.
+    scalar, into that matrix's eigenspaces, one for each orbit of its
+    eigenvalues under multiplication by `twists`.
 
     The basis rows are the identity on the pivot columns, row t being 1 at
     pivots[t] and 0 at the other pivots, in any order and with any entries
@@ -95,22 +96,38 @@ def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
     column 0 of R (a column, so its Krylov rows run under C^T; C x is the
     column `_acts_as_scalar` reads).  A central character w in the space is
     c R with c C = lam c, and c . x = w[0] = 1: x meets every eigenspace, so
-    one pass splits the space.  Eigenspaces that fall short of d (a
-    repeated root, one outside F_p, or a missed eigenvalue: a bad prime)
-    raise.
+    one pass splits the space.
+
+    `twists` are the values lambda(g_j) at this matrix's class of the
+    linear characters lambda that map the space onto itself, a subgroup of
+    F_p^* (1 alone by default).  Such a lambda maps the eigenspace of mu
+    onto that of lambda(g_j) mu, so only the first eigenvalue of each orbit
+    {t mu : t in twists} has its eigenspace computed; 0 is an orbit of its
+    own.  A twist of a root that is not a root, or eigenspaces that with
+    their orbits fall short of d (a repeated root, one outside F_p, or a
+    missed eigenvalue: a bad prime) raise.
     """
     d = len(rows)
     coords = mp.mat_mul(rows, mp.transpose([mat[c] for c in pivots]), p)
     ann = mp.minimal_polynomial(mp.transpose(coords), [r[0] for r in rows], p)
-    eigvals = []
+    kept = []  # (first eigenvalue of its orbit, orbit size)
+    roots: set[int] = set()
     for lam in range(p):
-        if mp.poly_eval(ann, lam, p) == 0:
-            eigvals.append(lam)
-            if len(eigvals) == len(ann) - 1:
+        if lam not in roots and mp.poly_eval(ann, lam, p) == 0:
+            orbit = {t * lam % p for t in twists}
+            for mu in orbit:
+                if mp.poly_eval(ann, mu, p):
+                    raise TableConstructionError(
+                        f"F_{p} split: eigenvalue {lam} has the twist {mu}, which is "
+                        "not a root of the minimal polynomial (bad prime)"
+                    )
+            kept.append((lam, len(orbit)))
+            roots |= orbit
+            if len(roots) == len(ann) - 1:
                 break
     out = []
     total_dim = 0
-    for lam in eigvals:
+    for lam, orbit_size in kept:
         shifted = [
             [(coords[i][j] - (lam if i == j else 0)) % p for j in range(d)]
             for i in range(d)
@@ -119,12 +136,12 @@ def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
         # on the columns pivots, so null rows is the identity on the
         # columns pivots[q] for q in null_pivots
         null, null_pivots = mp.nullspace_rows(shifted, p)
-        total_dim += len(null)
+        total_dim += len(null) * orbit_size
         out.append((mp.mat_mul(null, rows, p), [pivots[q] for q in null_pivots]))
     if total_dim != d:
         raise TableConstructionError(
             f"class matrix not diagonalizable over F_{p} (subspace dimension {d}, "
-            f"eigenspaces fill {total_dim}: bad prime)"
+            f"eigenspaces and their twists fill {total_dim}: bad prime)"
         )
     return out
 
@@ -168,9 +185,27 @@ def modp_eigenbasis(g: PermGroup, p: int) -> list[list[int]]:
     r[j] = lam r[0] for every basis row r.  M_j is computed only when some
     space of dimension > 1 fails that test, and only those spaces are
     split.  Lines are unique, so the result, and the split classes read off
-    it, are the same whichever matrices split them.  A line is never 0 at
-    column 0 (w[0] = 1); if one were, it would scale to the zero vector, on
-    which `degrees_from_eigen` raises "degenerate orthogonality sum"."""
+    it, are the same whichever matrices split them.
+
+    A linear lambda twists a central character, chi -> lambda chi, as
+    (lambda w)_j = lambda(g_j) w_j, and the twists permute the spaces the
+    split holds before class j, the spans of the nonlinear w_i that agree on
+    every class before j.  So one space is split per orbit: each space S
+    held carries its stabiliser, the twists with lambda S = S (all of them
+    for the first space), and its copies, twists that carry it onto the
+    spaces it stands for, one per coset of the stabiliser.  When M_j splits
+    S, lambda in the stabiliser maps the eigenspace of mu onto that of
+    lambda(g_j) mu, so `_split_space` returns one eigenspace per orbit of
+    eigenvalues.  A part of eigenvalue mu != 0 keeps the twists with
+    lambda(g_j) = 1, and its copies gain one twist of the stabiliser per
+    value lambda(g_j); the part of mu = 0 keeps S's stabiliser and copies.
+    Each line w stands for c w, c over its copies.  For a perfect group the
+    only twist is 1, and every part is kept.
+
+    A line is never 0 at column 0 (w[0] = 1); if one were, it would scale to
+    the zero vector, on which `degrees_from_eigen` raises "degenerate
+    orthogonality sum".  Split lines and their twists that are not h -
+    [G:G'] distinct vectors raise."""
     data = g.conjugacy_classes()
     h = len(data)
     chars, e = _linear_exponents(g)
@@ -181,32 +216,59 @@ def modp_eigenbasis(g: PermGroup, p: int) -> list[list[int]]:
         )
     z = mp.element_of_order(q, p)
     powers = [pow(z, t, p) for t in range(q)]
-    lines = [[r * powers[k * q // e] % p for r, k in zip(data.sizes, chi)] for chi in chars]
+    lambdas = [[powers[k * q // e] for k in chi] for chi in chars]  # lambda(g_j) mod p
+    linear = [[r * t % p for r, t in zip(data.sizes, c)] for c in lambdas]
     first: dict[tuple[int, ...], int] = {}  # exponent column -> first class of its coset
     heads = [first.setdefault(column, j) for j, column in enumerate(zip(*chars))]
     pivots = [j for j, head in enumerate(heads) if head != j]
     basis = [[1 if l == j else p - 1 if l == heads[j] else 0 for l in range(h)] for j in pivots]
-    spaces = [([w], [0]) for w in lines] + ([(basis, pivots)] if basis else [])
+    # (rows, pivots, stabiliser, copies) of each space held, one per orbit
+    spaces = [(basis, pivots, lambdas, [[1] * h])] if basis else []
     for j in range(1, h):
-        if all(len(rows) == 1 for rows, _ in spaces):
+        if all(len(rows) == 1 for rows, *_ in spaces):
             break
-        is_open = [len(rows) > 1 and not _acts_as_scalar(rows, j, p) for rows, _ in spaces]
+        is_open = [len(rows) > 1 and not _acts_as_scalar(rows, j, p) for rows, *_ in spaces]
         if not any(is_open):
             continue
         mat = class_matrix(data, j)
-        spaces = [part for space, split in zip(spaces, is_open)
-                  for part in (_split_space(*space, mat, p) if split else [space])]
-    if any(len(rows) > 1 for rows, _ in spaces):
+        held = []
+        for (rows, piv, stabiliser, copies), split in zip(spaces, is_open):
+            if not split:
+                held.append((rows, piv, stabiliser, copies))
+                continue
+            by_value: dict[int, list[int]] = {}  # lambda(g_j) -> the first such lambda
+            for t in stabiliser:
+                by_value.setdefault(t[j], t)
+            # a part of eigenvalue mu != 0 keeps the twists with lambda(g_j) = 1
+            # and gains a copy per value; one value, 1, changes neither
+            fixed, twisted = stabiliser, copies
+            if len(by_value) > 1:
+                fixed = [t for t in stabiliser if t[j] == 1]
+                twisted = [[a * b % p for a, b in zip(c, t)]
+                           for c in copies for t in by_value.values()]
+            for sub, sub_pivots in _split_space(rows, piv, mat, p, by_value.keys()):
+                if any(r[j] for r in sub):  # mu != 0
+                    held.append((sub, sub_pivots, fixed, twisted))
+                else:
+                    held.append((sub, sub_pivots, stabiliser, copies))
+        spaces = held
+    if any(len(rows) > 1 for rows, *_ in spaces):
         raise TableConstructionError(
             f"failed to separate eigenspaces over F_{p} (bad prime)"
         )
 
-    vectors = []
-    for rows, _ in spaces:
-        v = rows[0]
+    lines = []
+    for (v,), _, _, copies in spaces:
         inv = pow(v[0], p - 2, p)
-        vectors.append([x * inv % p for x in v])
-    return vectors
+        v = [x * inv % p for x in v]
+        lines.extend([a * b % p for a, b in zip(c, v)] for c in copies)
+    distinct = len(set(map(tuple, lines)))
+    if not distinct == len(lines) == h - len(linear):
+        raise TableConstructionError(
+            f"F_{p} split: {len(lines)} lines with their twists, {distinct} distinct, "
+            f"for {h - len(linear)} nonlinear characters (bad prime)"
+        )
+    return linear + lines
 
 
 def split_classes(lines: list[list[int]]) -> tuple[int, ...]:
@@ -239,9 +301,7 @@ def degrees_from_eigen(g: PermGroup, vectors: list[list[int]], p: int) -> list[i
     by_residue = {n * n % p: n for n in range(1, math.isqrt(order) + 1) if order % n == 0}
     degrees = []
     for v in vectors:
-        s = 0
-        for j, k in enumerate(data.inverse_class):
-            s = (s + v[j] * v[k] % p * r_inv[j]) % p
+        s = sum(map(mul, map(mul, v, r_inv), map(v.__getitem__, data.inverse_class))) % p
         if s == 0:
             raise TableConstructionError("degenerate orthogonality sum")
         n_sq = order % p * pow(s, p - 2, p) % p
@@ -259,17 +319,17 @@ def degrees_from_eigen(g: PermGroup, vectors: list[list[int]], p: int) -> list[i
 
 def _row_sort_key(values: tuple[Cyclo, ...], value_keys: dict) -> tuple:
     """A row's place in the canonical order: its degree, then each value's
-    rounded float, descending.  value_keys memoises the float key of each
-    distinct (order, nums, den) across the rows of one sort."""
-    key = [values[0].as_rational()]
-    for v in values:
-        vkey = value_keys.get((v.order, v.nums, v.den))
-        if vkey is None:
-            fv = v.to_float()
-            vkey = value_keys[v.order, v.nums, v.den] = (
-                -int(round(fv.real * 1e9)), -int(round(fv.imag * 1e9)))
-        key.append(vkey)
-    return tuple(key)
+    rounded float, descending.  value_keys memoises the key of each value
+    object by its id, across the rows of one sort, which keep the values
+    alive; a row whose values are all keyed is read by C-level lookups."""
+    try:
+        return (values[0].as_rational(), *map(value_keys.__getitem__, map(id, values)))
+    except KeyError:  # a value not keyed yet
+        for v in values:
+            if id(v) not in value_keys:
+                fv = v.to_float()
+                value_keys[id(v)] = (-int(round(fv.real * 1e9)), -int(round(fv.imag * 1e9)))
+        return _row_sort_key(values, value_keys)
 
 
 def _sorted_rows(rows: list[ClassFunction]) -> list[ClassFunction]:
@@ -411,7 +471,7 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
                 raise TableConstructionError(
                     f"multiplicities sum to {total}, expected degree {n_i}"
                 )
-        rows.append(ClassFunction(group, values))
+        rows.append(ClassFunction._of(group, tuple(values)))
     for j in rational[1:]:  # the regular character vanishes off the identity
         if column_sums[j]:
             raise TableConstructionError(
@@ -482,4 +542,5 @@ def linear_characters(g: PermGroup) -> list[ClassFunction]:
     for k in {k for chi in chars for k in chi}:
         g_k = math.gcd(k, e)
         roots[k] = root_of_unity(e // g_k, k // g_k)
-    return _sorted_rows([ClassFunction(g, [roots[k] for k in chi]) for chi in chars])
+    return _sorted_rows([ClassFunction._of(g, tuple(map(roots.__getitem__, chi)))
+                         for chi in chars])

@@ -521,6 +521,48 @@ class TestSplitSpace:
         assert len(spaces) > 1
         assert spaces == split(echelon, echelon_pivots)
 
+    @staticmethod
+    def diagonal_space(eigenvalues):
+        """A space whose coordinates the matrix scales by the eigenvalues,
+        its basis the identity on the columns after 0 and 1 at column 0, so
+        that column 0 meets every eigenspace."""
+        d = len(eigenvalues)
+        rows = [[1] + [1 if c == t else 0 for c in range(d)] for t in range(d)]
+        mat = [[0] * (d + 1)] + [[lam if c == t + 1 else 0 for c in range(d + 1)]
+                                 for t, lam in enumerate(eigenvalues)]
+        return rows, list(range(1, d + 1)), mat
+
+    @pytest.mark.parametrize("eigenvalues, twists, kept", [
+        # -1 maps the eigenspace of 1 onto that of -1: one is computed
+        ([1, 12], (1, 12), [1]),
+        # 0 is an orbit of its own
+        ([0, 1, 12], (1, 12), [0, 1]),
+        # the twists of order 3 take 1 to 3 and 9, and 2 to 6 and 5
+        ([1, 3, 9, 2, 6, 5], (1, 3, 9), [1, 2]),
+        # no twist but 1: every eigenspace
+        ([1, 12], (1,), [1, 12]),
+    ])
+    def test_one_eigenspace_per_orbit_of_twists(self, eigenvalues, twists, kept):
+        p = 13
+        rows, pivots, mat = self.diagonal_space(eigenvalues)
+        spaces = _split_space(rows, pivots, mat, p, twists)
+        assert [[eigenvalues[c - 1] for c in piv] for _, piv in spaces] == [[lam] for lam in kept]
+        for (sub,), (c,) in spaces:
+            assert sub == rows[c - 1]
+
+    @pytest.mark.parametrize("eigenvalues, twists, match", [
+        # the twist -1 of the root 1 is not a root
+        ([1, 3], (1, 12), r"^F_13 split: eigenvalue 1 has the twist 12, which is not a root"),
+        # the eigenspace of 12 is twice that of its twist 1
+        ([1, 12, 12], (1, 12),
+         r"F_13 \(subspace dimension 3, eigenspaces and their twists fill 2"),
+    ])
+    def test_twists_that_do_not_map_eigenspaces_onto_eigenspaces_fail_loudly(
+            self, eigenvalues, twists, match):
+        rows, pivots, mat = self.diagonal_space(eigenvalues)
+        with pytest.raises(TableConstructionError, match=match):
+            _split_space(rows, pivots, mat, 13, twists)
+
 
 class TestDegrees:
     def test_s5_multiset(self):
@@ -945,12 +987,16 @@ class TestTableInvariants:
             assert list(table.degrees) == sorted(table.degrees)
 
 
-# three relabeled direct products of the benchmark's factors, C2^8, D4^3 and
-# C24 (a generator whose power first meets G' at d = 24)
+# five relabeled direct products of the benchmark's factors, C2^8, D4^3 and
+# C24 (a generator whose power first meets G' at d = 24); in D4xD4xC3 and
+# Q8xS3xC2 the twists by 48 and 16 linear characters merge the nonlinear
+# lines into orbits
 LINEAR_ORACLE_GROUPS = list(BUILTIN_NAMES) + [
     "perm:14:(0,7,13,5)(4,8,12,9);(0,9,13,8)(4,7,12,5);(1,11,6,2);(2,11);(3,10)",  # Q8xD4xC2
     "perm:10:(1,4,6,8);(1,6);(2,7);(2,5,7);(0,9,3)",  # D4xS3xC3
     "perm:9:(2,3);(1,3,2,8);(4,5);(0,4,5);(6,7)",  # S4xS3xC2
+    D4_X_D4_X_C3,
+    "perm:13:(1,2,7,6)(5,12,10,11);(1,12,7,11)(2,5,6,10);(0,3);(0,9,3);(4,8)",  # Q8xS3xC2
     C2_8, D4_CUBED, C24,
 ]
 
@@ -1146,6 +1192,49 @@ class TestSeededSplit:
         assert table.split_classes == split
 
 
+# the calls of `_split_space` and `nullspace_rows` (one per eigenspace
+# computed) of the split: one space per orbit of the twists by the linear
+# characters.  Splitting every space took 60 and 120 on D4^3, 23 and 49 on
+# D4xD4xC3, and 4 and 23 on S8, whose sign character pairs 18 of its 20
+# nonlinear lines; the perfect A8 has no twist but 1
+SPLIT_COUNTS = [(D4_CUBED, 24, 30), (D4_X_D4_X_C3, 9, 11), ("S8", 3, 13), ("A8", 4, 16)]
+
+
+class TestTwistOrbits:
+    @staticmethod
+    def count_split_calls(monkeypatch):
+        calls = []
+        for module, name in [(tablegen, "_split_space"), (mp, "nullspace_rows")]:
+            def spy(*args, real=getattr(module, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("spec, splits, eigenspaces", SPLIT_COUNTS)
+    def test_one_split_per_orbit_of_spaces(self, monkeypatch, spec, splits, eigenspaces):
+        g = parse_group_spec(spec)
+        calls = self.count_split_calls(monkeypatch)
+        assert len(modp_eigenbasis(g, choose_prime(g))) == len(g.conjugacy_classes())
+        assert calls.count("_split_space") == splits
+        assert calls.count("nullspace_rows") == eigenspaces
+
+    @pytest.mark.parametrize("spec", [D4_X_D4_X_C3, Q8_X_S3_X_C2])
+    def test_lines_that_are_not_distinct_fail_loudly(self, monkeypatch, spec):
+        # a split that returns every eigenspace, while the caller still
+        # carries the twisted copies of each part, gives some line twice and
+        # more lines than there are nonlinear characters
+        real = tablegen._split_space
+        monkeypatch.setattr(tablegen, "_split_space",
+                            lambda rows, pivots, mat, p, twists: real(rows, pivots, mat, p))
+        g = parse_group_spec(spec)
+        p = choose_prime(g)
+        with pytest.raises(TableConstructionError,
+                           match=rf"^F_{p} split: \d+ lines with their twists, \d+ distinct"):
+            modp_eigenbasis(g, p)
+
+
 NATURAL_FIELD_NAMES = BUILTINS_LE_24 + ["S5", "A5", "A6"]
 
 
@@ -1175,3 +1264,14 @@ class TestDeterminism:
         first = _render_table_json(build_character_table(g1))
         second = _render_table_json(build_character_table(g2))
         assert first == second
+
+    @pytest.mark.parametrize("name", ["A7", "S6", D4_X_D4_X_C3, C24])
+    def test_rows_sort_alike_with_the_keys_of_one_sort_or_of_each_row(self, name):
+        # the canonical order memoises each value object's key across the
+        # rows of one sort; keys made for each row on its own order the
+        # rows alike, whatever order they come in
+        rows = build_character_table(parse_group_spec(name)).rows
+        shuffled = rows[::-1]
+        random.Random(0).shuffle(shuffled)
+        assert sorted(shuffled, key=lambda r: tablegen._row_sort_key(r.values, {})) == rows
+        assert tablegen._sorted_rows(shuffled) == rows
