@@ -7,8 +7,11 @@ all-in-one invariant suite over a finished character table.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from operator import mul
+from typing import NamedTuple
 
 from . import _modp as mp
 from .classfun import (
@@ -17,9 +20,8 @@ from .classfun import (
     decompose,
     inner_product,
     regular_character,
-    sym_alt_square,
 )
-from .cyclo import dot
+from .cyclo import Cyclo, dot, kronecker_residues
 from .permgroup import GroupMismatchError, NormalSubgroup, PermGroup, Subgroup
 from .tablegen import CharacterTable, class_matrix
 
@@ -254,15 +256,78 @@ class CheckReport:
         }
 
 
+class _Ring(NamedTuple):
+    """A table's values in Z/M under `kronecker_residues`, and the bound
+    that chose M."""
+
+    modulus: int
+    scale: int  # D, the lcm of the value denominators
+    bound: int  # B, the largest 1-norm of a sum or difference the suite tests
+    rows: list[list[int]]  # row i: D chi_i(g_l) mod M
+    conj: list[list[int]]  # row i: D conj(chi_i(g_l)) mod M
+    values: dict[int, Cyclo]  # each value object of the table, by id
+
+
+def _ring(table: CharacterTable) -> _Ring:
+    """The table's residues, with B bounding the 1-norm of every identity
+    `check_all` tests, in the coordinates zeta_L^i, and of every D-scaled
+    sum it reads.  A is the largest 1-norm of a D-scaled value, so a product
+    of two has 1-norm at most A^2, and the D-scaled degree |D n_i| <= A:
+    - a row pairing against |G| D^2 delta_ij: |G| (A^2 + D^2);
+    - r_l times a column norm against |G| D^2: r_l h A^2 + |G| D^2;
+    - the central identity, times D^2, as sum_l a_jkl r_l = r_j r_k:
+      r_j r_k A^2 + |D n_i| r_j r_k A <= 2 r_j r_k A^2;
+    - a product of two values against D times a third: A^2 + D A;
+    - a sym-alt pairing sum_l r_l D chi_i(g_l) conj(2 D^2 chi_S(g_l)), its
+      seeded character at most two of each row, C = 2 h A: |G| A (C^2 + D C).
+    The cross pairings, h A^2, and the comparisons of two values, 2A or
+    A + D, stay below these."""
+    data = table.class_data
+    h, order, big = len(data), table.group.order, max(data.sizes)
+    values = {id(v): v for row in table.rows for v in row.values}
+    d = math.lcm(*(v.den for v in values.values()))
+    a = max(sum(map(abs, v.nums)) * (d // v.den) for v in values.values())
+    c = 2 * h * a
+    bound = max(order * (a * a + d * d), big * h * a * a + order * d * d,
+                2 * big * big * a * a, a * a + d * a, order * a * (c * c + d * c))
+    modulus, images, conjugates = kronecker_residues(list(values.values()), bound)
+    image, conjugate = dict(zip(values, images)), dict(zip(values, conjugates))
+    ids = [list(map(id, row.values)) for row in table.rows]
+    return _Ring(modulus, d, bound,
+                 [list(map(image.__getitem__, row)) for row in ids],
+                 [list(map(conjugate.__getitem__, row)) for row in ids], values)
+
+
+def _decomposes(ring: _Ring, weighted: list[int], unit: int) -> bool:
+    """Whether a class function psi has nonnegative integral multiplicities
+    over the table's rows, given weighted[l] = r_l u conj(psi(g_l)) mod M, where
+    unit = u D |G|.  Row i gives s = sum_l D chi_i(g_l) weighted[l] = unit
+    <chi_i, psi>, and <chi_i, psi> = m >= 0 exactly when s = unit m.  Such
+    an s lies in [0, B], so it is its own residue; a residue in [0, B]
+    differs from s by at most 2B < 2^W - 1, so it is s only when s is that
+    int."""
+    mod, bound = ring.modulus, ring.bound
+    return all(s <= bound and not s % unit
+               for s in (sum(map(mul, row, weighted)) % mod for row in ring.rows))
+
+
 def check_all(table: CharacterTable) -> CheckReport:
     """Run the invariant suite against a finished table; failures are data.
 
-    Each identity is evaluated once, on data computed once: every value is
-    conjugated once, and the row and column pairings are shared by the checks
-    that read them, the central-character identity included: it is evaluated
-    in integer form on the size-weighted conjugates of the row pairings, for
-    the classes in `table.split_classes`, which generate the centre of the
-    group algebra, so only their class matrices are computed."""
+    The identities are evaluated in one ring Z/M, built once per call by
+    `kronecker_residues`: each value v is read as D v(2^W) mod M, its
+    conjugate as D v(2^-W), and an identity between sums of products of
+    values becomes one int equation modulo M.  M is chosen so that no sum or
+    difference the suite tests, whose 1-norm is at most `_ring`'s bound B,
+    maps to 0 unless it is 0, so each such verdict is the exact one.  The
+    row and column pairings are shared by the checks that read them, the
+    central-character identity included: it is evaluated in integer form on
+    the size-weighted conjugates of the row pairings, for the classes in
+    `table.split_classes`, which generate the centre of the group algebra,
+    so only their class matrices are computed.  Three checks stay off the
+    ring: `value-magnitude-bound` compares floats, one per value object;
+    `regular-decomposition` reports what `decompose` reports; and
+    `inner-product-oracle` is the independent element-sum path."""
     group = table.group
     data = table.class_data
     h = len(data)
@@ -271,8 +336,10 @@ def check_all(table: CharacterTable) -> CheckReport:
     inverse = data.inverse_class
     rows = table.rows
     values = [row.values for row in rows]
-    conj = [[v.conj() for v in vals] for vals in values]
-    cols = list(zip(*values))
+    ring = _ring(table)
+    mod, scale = ring.modulus, ring.scale
+    img, conj = ring.rows, ring.conj
+    cols = list(zip(*img))
     conj_cols = list(zip(*conj))
     results: list[CheckResult] = []
 
@@ -281,7 +348,7 @@ def check_all(table: CharacterTable) -> CheckReport:
 
     add("square-table", len(rows) == h, f"{len(rows)} rows, {h} classes")
 
-    trivial_ok = all(v == 1 for v in rows[0].values) if rows else False
+    trivial_ok = all(v == scale for v in img[0]) if rows else False
     add("first-row-trivial", trivial_ok, "row 1 is the trivial character")
 
     degrees = table.degrees
@@ -298,26 +365,27 @@ def check_all(table: CharacterTable) -> CheckReport:
     divisors_ok = all(isinstance(d, int) and d and order % d == 0 for d in degrees)
     add("degree-divides-order", divisors_ok, f"every n_i divides {order}")
 
-    # |G| <chi_i, chi_j> = sum_l r_l chi_i(g_l) conj(chi_j(g_l))
-    weighted = [[r * c for r, c in zip(sizes, cv)] for cv in conj]
-    irreducible = [dot(values[i], weighted[i]) == order for i in range(h)]
+    # |G| D^2 <chi_i, chi_j> = sum_l D chi_i(g_l) r_l D conj(chi_j(g_l))
+    weighted = [[r * c % mod for r, c in zip(sizes, cv)] for cv in conj]
+    unit = order * scale * scale % mod
+    irreducible = [sum(map(mul, img[i], weighted[i])) % mod == unit for i in range(h)]
     ortho_ok = all(irreducible) and all(
-        dot(values[i], weighted[j]).is_zero()
+        not sum(map(mul, img[i], weighted[j])) % mod
         for i in range(h)
         for j in range(i + 1, h)
     )
     add("row-orthonormality", ortho_ok, "<chi_i, chi_j> = delta_ij exactly")
 
     col_ok = all(
-        dot(cols[l], conj_cols[l]) * sizes[l] == order for l in range(h)
+        sum(map(mul, cols[l], conj_cols[l])) * sizes[l] % mod == unit for l in range(h)
     )
     add("column-norms", col_ok, "sum_i |chi_i(g_l)|^2 = |G| / r_l exactly")
 
     # column 1 holds the degrees, which are rational, so its pairing with
     # column l is the conjugate of the weighted column sum sum_i n_i chi_i(g_l)
-    degree_pairings = [dot(cols[0], conj_cols[l]).is_zero() for l in range(1, h)]
+    degree_pairings = [not sum(map(mul, cols[0], conj_cols[l])) % mod for l in range(1, h)]
     cross_ok = all(degree_pairings) and all(
-        dot(cols[l], conj_cols[m]).is_zero()
+        not sum(map(mul, cols[l], conj_cols[m])) % mod
         for l in range(1, h)
         for m in range(l + 1, h)
     )
@@ -328,15 +396,17 @@ def check_all(table: CharacterTable) -> CheckReport:
     # each degree-1 row is multiplicative on every (generator s, class
     # representative g_j) pair, chi(s g_j) = chi(s) chi(g_j), read through
     # the group's multiplication; [G:G'] such rows, distinct (which
-    # row-orthonormality checks), are the linear characters
+    # row-orthonormality checks), are the linear characters.  A product of
+    # two residues is D^2 times a value, so it is compared with D times one
     index = group.order // group.commutator_subgroup().order
     n_linear = sum(1 for d in degrees if d == 1)
-    table_linear = [r for r in rows if r.values[0] == 1]
+    scaled = [tuple(map(mod.__rmod__, map(scale.__mul__, row))) for row in img]
+    linear = [i for i in range(h) if img[i][0] == scale]
     member = data.member_index
     triples = {(member[s], j, member[s * g_j])
                for s in group.generators for j, g_j in enumerate(data.representatives)}
-    multiplicative = all(v[a] * v[b] == v[c]
-                         for v in (r.values for r in table_linear) for a, b, c in triples)
+    multiplicative = all(img[i][a] * img[i][b] % mod == scaled[i][c]
+                         for i in linear for a, b, c in triples)
     add(
         "linear-characters",
         n_linear == index and multiplicative,
@@ -355,46 +425,38 @@ def check_all(table: CharacterTable) -> CheckReport:
         )
 
     # lambda_ij lambda_ik = sum_l a_jkl lambda_il, lambda_ij = r_j chi_i(g_j) / n_i,
-    # times n_i^2 and conjugated: w_j w_k = n_i sum_l a_jkl w_l, w = weighted[i],
-    # a_jkl in row k of the class matrix M_j.  It is checked for j in the split
-    # classes S and every k, which covers every pair: the x of Z(CG) with
-    # f(xy) = f(x) f(y) for every y, f(C_l) = lambda_il, form a subalgebra that
-    # holds 1 (lambda_i1 = 1) and S, and S generates Z(CG).  At a zero degree
-    # every pair asks w_j w_k = 0, which holds exactly when the row is zero
+    # times D^2 n_i^2 and conjugated: w_j w_k = D n_i sum_l a_jkl w_l, w =
+    # weighted[i], a_jkl in row k of the class matrix M_j, D n_i = img[i][0].
+    # It is checked for j in the split classes S and every k, which covers
+    # every pair: the x of Z(CG) with f(xy) = f(x) f(y) for every y, f(C_l) =
+    # lambda_il, form a subalgebra that holds 1 (lambda_i1 = 1) and S, and S
+    # generates Z(CG).  At a zero degree every pair asks w_j w_k = 0, which
+    # holds exactly when the row is zero
     identities = [
-        (j, k, [(l, a) for l, a in enumerate(a_jk) if a])
+        (j, k, [l for l, a in enumerate(a_jk) if a], [a for a in a_jk if a])
         for j in table.split_classes
         for k, a_jk in enumerate(class_matrix(data, j))
     ]
 
-    def central_identity_holds(n, w: list) -> bool:
+    def central_identity_holds(n: int, w: list[int]) -> bool:
         if not n:
-            return all(v.is_zero() for v in w)
+            return not any(w)
         return all(
-            dot([w[j]] + [-n * a for _, a in support],
-                [w[k]] + [w[l] for l, _ in support]).is_zero()
-            for j, k, support in identities
+            not (w[j] * w[k] - n * sum(map(mul, coeffs, map(w.__getitem__, support)))) % mod
+            for j, k, support, coeffs in identities
         )
 
-    central_ok = all(central_identity_holds(n, w) for n, w in zip(degrees, weighted))
+    central_ok = all(central_identity_holds(row[0], w) for row, w in zip(img, weighted))
     add(
         "central-character-identity",
         central_ok,
         "lambda_ij lambda_ik = sum_l a_jkl lambda_il exactly",
     )
 
-    distinct_ok = all(
-        any(a != b for a, b in zip(cols[l], cols[m]))
-        for l in range(h)
-        for m in range(l + 1, h)
-    )
-    add("columns-distinct", distinct_ok, "no two classes share a column")
+    add("columns-distinct", len(set(cols)) == h, "no two classes share a column")
 
     # at j = inverse[j] the comparison of column j is chi(g) = conj(chi(g))
-    inverse_ok = [
-        all(vals[inverse[j]] == cv[j] for vals, cv in zip(values, conj))
-        for j in range(h)
-    ]
+    inverse_ok = [cols[inverse[j]] == conj_cols[j] for j in range(h)]
     add("inverse-class-conjugation", all(inverse_ok), "chi(g^-1) = conj(chi(g))")
     add(
         "self-inverse-classes-real",
@@ -402,50 +464,40 @@ def check_all(table: CharacterTable) -> CheckReport:
         "classes conjugate to their inverse have real entries",
     )
 
+    magnitude = {key: abs(v.to_float()) for key, v in ring.values.items()}
     bound_ok = all(
-        abs(v.to_float()) <= top + 1e-9
+        max(map(magnitude.__getitem__, map(id, vals))) <= top + 1e-9
         for top, vals in zip(degrees, values)
-        for v in vals
     )
     add("value-magnitude-bound", bound_ok, "|chi(g)| <= chi(1) numerically")
 
     add("rows-irreducible", all(irreducible), "<chi, chi> = 1 for every row")
 
+    # chi = sum_i c_i chi_i for seeded c_i in {0, 1, 2}; its conjugate is
+    # read in the ring, and 2 D^2 conj(chi_S) and 2 D^2 conj(chi_A) are
+    # conj(D chi)^2 +- D conj(D chi(g^2)), chi_S + chi_A = chi^2 by their
+    # construction.  Each must have nonnegative integral multiplicities
     rng = random.Random(CHECK_SEED)
-    symalt_ok = True
+    squares = [powers[2 % len(powers)] for powers in data.power_class]
+    parts = []
     for _ in range(3):
-        coeffs = [rng.randrange(0, 3) for _ in range(h)]
+        coeffs = [rng.choice((0, 1, 2)) for _ in range(h)]  # the draws of randrange(0, 3)
         if not any(coeffs):
             coeffs[0] = 1
-        chi = ClassFunction(group, [dot(coeffs, col) for col in cols])
-        sym, alt = sym_alt_square(chi)
-        if sym + alt != chi * chi:
-            symalt_ok = False
-        try:
-            decompose(sym, table)
-            decompose(alt, table)
-        except NotACharacterError:
-            symalt_ok = False
+        bar = [sum(map(mul, coeffs, col)) % mod for col in conj_cols]
+        parts += ([r * (v * v + sign * scale * bar[s]) % mod
+                   for r, v, s in zip(sizes, bar, squares)] for sign in (1, -1))
+    unit_s = 2 * scale ** 3 * order
+    symalt_ok = all(_decomposes(ring, part, unit_s) for part in parts)
     add("sym-alt-squares", symalt_ok, "chi_S + chi_A = chi^2 on seeded characters")
 
-    # a class function is looked up among rows by (nums, den), which is
-    # unique within a field order; one held at other orders, such as a
-    # twist whose product comes back in its natural field while the table
-    # holds that row at a larger order, is compared value by value
-    def held(f: ClassFunction) -> tuple:
-        return tuple((v.order, v.nums, v.den) for v in f.values)
-
-    row_at = {held(row): k for k, row in enumerate(rows)}
-
-    # each twist must be a row of norm 1, which makes it irreducible
-    def is_irreducible_row(f: ClassFunction) -> bool:
-        k = row_at.get(held(f))
-        if k is None:
-            return any(irreducible[k] and f == rows[k] for k in range(h))
-        return irreducible[k]
-
+    # each twist must be a row of norm 1, which makes it irreducible; a
+    # twist's residues are D^2 times its values, so the rows are keyed by
+    # D times theirs
+    row_at = dict(zip(scaled, irreducible))
     prod_ok = all(
-        is_irreducible_row(lin_row * row) for lin_row in table_linear for row in rows
+        row_at.get(tuple(map(mod.__rmod__, map(mul, img[i], row))), False)
+        for i in linear for row in img
     )
     add(
         "linear-twist-irreducible",
@@ -455,11 +507,12 @@ def check_all(table: CharacterTable) -> CheckReport:
 
     if order <= 60:
         classes = [data.member_index[t] for t in group.elements]
+        bar = [v.conj() for v in values[-1]]
         oracle_ok = all(
             Fraction(1, order) * dot([values[a][j] for j in classes],
-                                     [conj[b][j] for j in classes])
-            == inner_product(rows[a], rows[b])
-            for a, b in [(0, -1), (-1, -1)]
+                                     [bar[j] for j in classes])
+            == inner_product(rows[a], rows[-1])
+            for a in (0, -1)
         )
         add(
             "inner-product-oracle",

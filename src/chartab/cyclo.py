@@ -20,7 +20,9 @@ appears only in `coeffs`, in constructor input and as the scalar 1/N(a).
 `Fraction` whose denominator is greater than 1) that rendering and JSON
 print.  `dot` collects a sum of products in one int vector per field order,
 makes no `Cyclo` per term, and combines its per-order sums in ints too,
-making one `Cyclo` per call.
+making one `Cyclo` per call.  `kronecker_residues` maps a set of values
+into Z/M by zeta_L -> 2^W, with M large enough that the sums `check_all`
+tests map to 0 only when they are 0.
 Arithmetic returns a rational result at order 1, and an order-1 operand, or
 an `int` or `Fraction` scalar, scales the other operand's numerators and
 denominator directly, so rational values never pay for the coefficient
@@ -619,6 +621,39 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
                 vec[i * step] += c * f
         vec = _reduce(order, vec)
     return _value(order, tuple(vec), common)
+
+
+def kronecker_residues(values: Sequence[Cyclo], bound: int) -> tuple[int, list[int], list[int]]:
+    """The ring map zeta_L -> x = 2^W of Z[zeta_L] onto Z/M: (M, images,
+    conjugate images), with L the lcm of the value orders, D the lcm of
+    their denominators, W = bits(bound) + 2 and M = |Phi_L(x)|.  A value v
+    maps to D v(x) mod M, and its conjugate to D v(x^-1) mod M, where x^-1
+    = x^(L-1) since x^L = 1 mod M; each residue is in [0, M).
+
+    The map is a ring homomorphism, and its kernel is an ideal of norm M.
+    So a nonzero algebraic integer alpha = sum_i c_i zeta_L^i in it has M
+    dividing N(alpha), while |N(alpha)| <= ||c||_1^phi(L) < (x - 1)^phi(L)
+    <= M whenever ||c||_1 < x - 1.  Since x >= 4 (bound + 1), a sum of
+    products of D-scaled values whose coefficients on the powers of zeta_L
+    have 1-norm at most 2 bound maps to 0 exactly when it is 0: an identity
+    between such sums is one int equation modulo M (Kronecker substitution,
+    as in D. Harvey, J. Symbolic Comput. 44 (2009))."""
+    order = math.lcm(*(v.order for v in values))
+    den = math.lcm(*(v.den for v in values))
+    w = bound.bit_length() + 2
+    deg, terms = _phi_terms(order)
+    modulus = abs((1 << (w * deg)) + sum(c << (w * j) for j, c in terms))
+    images, conjugates = [], []
+    for v in values:
+        step, f = w * (order // v.order), den // v.den
+        image = conjugate = 0
+        for i, c in enumerate(v.nums):
+            if c:
+                image += c * f << step * i
+                conjugate += c * f << step * (-i % v.order)
+        images.append(image % modulus)
+        conjugates.append(conjugate % modulus)
+    return modulus, images, conjugates
 
 
 def _root_sums(values: Sequence[Cyclo], n: int, sign: int, divisor: int = 1) -> list[Cyclo]:

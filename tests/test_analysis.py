@@ -304,20 +304,18 @@ class TestCheckAll:
 
     def test_fault_in_sym_alt_decomposition_is_raised(self, monkeypatch):
         # only a rejected multiplicity fails sym-alt-squares; a fault in the
-        # program is not a failed check
+        # program where the check decomposes its squares is not a failed check
         table = build_character_table(parse_group_spec("S4"))
         calls = []
-        real = analysis.decompose
 
-        def faulty(chi, tab):
-            calls.append(chi)
-            if len(calls) > 1:
-                raise RuntimeError("fault after the regular decomposition")
-            return real(chi, tab)
+        def faulty(*args):
+            calls.append(args)
+            raise RuntimeError("fault in the sym-alt decomposition")
 
-        monkeypatch.setattr(analysis, "decompose", faulty)
+        monkeypatch.setattr(analysis, "_decomposes", faulty)
         with pytest.raises(RuntimeError):
             check_all(table)
+        assert len(calls) == 1
 
     def test_central_identity_reads_only_the_split_class_matrices(self, monkeypatch):
         # the identity is checked for j in the split classes, so check_all
@@ -394,6 +392,14 @@ def _corrupted(table, kind):
     elif kind == "times-zeta3":
         j = next(j for j in range(1, h) if not last[j].is_zero())
         last[j] = last[j] * root_of_unity(3)
+    elif kind == "halve":
+        # the last entry off column 1 whose half has a denominator
+        i, j = next((i, j) for i in reversed(range(h)) for j in range(1, h)
+                    if (vals[i][j] * Fraction(1, 2)).den > 1)
+        vals[i][j] = vals[i][j] * Fraction(1, 2)
+    elif kind == "plus-modulus":
+        # the modulus check_all reads the clean table in
+        last[1] = last[1] + analysis._ring(table).modulus
     return CharacterTable(g, [ClassFunction(g, v) for v in vals])
 
 
@@ -408,6 +414,15 @@ CORRUPTION_FAILURES = {
     "duplicate-row": {"row-orthonormality", "column-norms", "degree-squares-sum"},
     "times-zeta3": {"row-orthonormality", "column-cross-orthogonality",
                     "inverse-class-conjugation", "central-character-identity"},
+    # every identity that reads the entry fails, and no comparison of two
+    # values; plus-modulus fails the magnitude bound too
+    "halve": {"row-orthonormality", "column-norms", "column-cross-orthogonality",
+              "weighted-column-sum", "central-character-identity", "rows-irreducible",
+              "sym-alt-squares", "linear-twist-irreducible"},
+    "plus-modulus": {"row-orthonormality", "column-norms", "column-cross-orthogonality",
+                     "weighted-column-sum", "central-character-identity",
+                     "value-magnitude-bound", "rows-irreducible", "sym-alt-squares",
+                     "linear-twist-irreducible"},
 }
 
 D4XS3 = "perm:7:(1,3,0,2);(0,1);(4,6,5);(4,6)"
@@ -463,7 +478,14 @@ class TestCheckAllCorruptions:
             # a nontrivial linear character twisted by another one gives the
             # trivial character, whose row is now its negative
             expected.add("linear-twist-irreducible")
-        assert expected <= failing
+        if kind == "halve" and name == "Q8":
+            # Q8's one row of degree 2 holds only even entries, so the
+            # halved entry is in a linear row
+            expected.add("linear-characters")
+        if kind in ("halve", "plus-modulus"):
+            assert failing == expected
+        else:
+            assert expected <= failing
         assert [r.name for r in report.results] == [
             r.name for r in check_all(build_character_table(g)).results
         ]
@@ -491,3 +513,31 @@ def test_report_is_the_same_over_every_generating_set(case, name, arg):
     report = check_all(table).to_json()
     table._split_classes = tuple(range(1, len(table)))
     assert check_all(table).to_json() == report
+
+
+M11 = "perm:11:(0,1,2,3,4,5,6,7,8,9,10);(2,6,10,7)(3,9,4,5)"
+M12 = M11.replace("perm:11:", "perm:12:") + ";(0,11)(1,10)(2,5)(3,7)(4,8)(6,9)"
+
+# the ATLAS tables (Conway et al., 1985): degrees, class sizes and the orders
+# of the fields the values are held in
+MATHIEU = [
+    (M11, 7920, (1, 10, 10, 10, 11, 16, 16, 44, 45, 55),
+     [1, 165, 440, 720, 720, 990, 990, 990, 1320, 1584], {1, 8, 11}),
+    (M12, 95040, (1, 11, 11, 16, 16, 45, 54, 55, 55, 55, 66, 99, 120, 144, 176),
+     [1, 396, 495, 1760, 2640, 2970, 2970, 7920, 8640, 8640, 9504, 9504, 11880,
+      11880, 15840], {1, 11}),
+]
+
+
+@pytest.mark.parametrize("spec, order, degrees, sizes, orders", MATHIEU,
+                         ids=["M11", "M12"])
+def test_mathieu_groups_at_the_cap_edge(spec, order, degrees, sizes, orders):
+    # M12 is the largest group in the tests under the default cap of 100,000
+    g = parse_group_spec(spec)
+    assert g.order == order
+    table = build_character_table(g)
+    assert table.degrees == degrees
+    assert sorted(table.class_data.sizes) == sizes
+    assert {v.order for row in table.rows for v in row.values} == orders
+    report = check_all(table)
+    assert report.ok, [r.name for r in report.results if not r.passed]

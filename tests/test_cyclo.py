@@ -17,6 +17,7 @@ from chartab.cyclo import (
     dot,
     euler_phi,
     from_rational,
+    kronecker_residues,
     root_of_unity,
 )
 
@@ -763,3 +764,83 @@ def test_dot_packs_dense_terms_of_one_order(e, data):
     assert packed == [(euler_phi(e), euler_phi(e))] * n
     assert fast.to_json() == slow.to_json()
     assert fast == sum((x * y for x, y in zip(xs, ys)), Cyclo.zero())
+
+
+RING_ORDERS = [1, 4, 5, 12, 15]
+
+
+def one_norm(v):
+    return sum(map(abs, v.nums))
+
+
+class TestKroneckerResidues:
+    """The ring map zeta_L -> x = 2^W of Z[zeta_L] onto Z/M, M = |Phi_L(x)|."""
+
+    @pytest.mark.parametrize("e", RING_ORDERS)
+    def test_the_modulus_is_phi_at_two_to_the_w(self, e):
+        bound = 1000
+        x = 2 ** (bound.bit_length() + 2)
+        modulus, _, _ = kronecker_residues([root_of_unity(e)], bound)
+        assert modulus == abs(sum(c * x**i for i, c in enumerate(cyclotomic_polynomial(e))))
+
+    @pytest.mark.parametrize("e", RING_ORDERS)
+    def test_a_nonzero_difference_under_the_limit_maps_to_a_nonzero_residue(self, e):
+        # 1-norms below 2^W - 1: differences of two roots, 1-norm at most
+        # 2 phi(L), and zeta^k - (x - 3) for zeta^k in the power basis,
+        # 1-norm x - 2, each nonzero.  At the limit the map is not
+        # injective: zeta - x maps to 0, and so does x - 1 at L = 1
+        bound = 1000
+        x = 2 ** (bound.bit_length() + 2)
+        near = [root_of_unity(e, k) - (x - 3) for k in range(euler_phi(e))]
+        small = [root_of_unity(e, k) - 1 for k in range(1, e)]
+        limit = [root_of_unity(e) - x] if e > 1 else [from_rational(x - 1)]
+        assert all(one_norm(v) < x - 1 for v in near + small)
+        _, images, _ = kronecker_residues(near + small + limit, bound)
+        assert all(images[:-1])
+        assert images[-1] == 0
+
+    @pytest.mark.parametrize("e", RING_ORDERS)
+    def test_a_value_plus_the_modulus_is_told_apart(self, e):
+        # the bound grows with the values, so the modulus does too: a value
+        # plus the modulus chosen without it maps apart from the value
+        values = [root_of_unity(e, k) + k for k in range(e)]
+
+        def bound(vals):
+            return 2 * max(map(one_norm, vals))
+
+        modulus, _, _ = kronecker_residues(values, bound(values))
+        shifted = values + [values[-1] + modulus]
+        _, images, _ = kronecker_residues(shifted, bound(shifted))
+        assert images[-1] != images[-2]
+
+    @pytest.mark.parametrize("e", RING_ORDERS)
+    def test_the_map_is_a_ring_map_with_conjugates_at_two_to_the_minus_w(self, e):
+        values = [root_of_unity(e, k) - 2 * root_of_unity(e, 2 * k + 1) + k for k in range(e)]
+        pairs = [(a, b) for a in values for b in values]
+        bound = max(one_norm(a) * one_norm(b) for a, b in pairs)
+        sums = [a + b for a, b in pairs]
+        products = [a * b for a, b in pairs]
+        conj = [v.conj() for v in values]
+        modulus, images, conjugates = kronecker_residues(
+            values + sums + products + conj, bound)
+        n, k = len(values), len(pairs)
+        image, sum_image = images[:n], images[n:n + k]
+        product_image, conj_image = images[n + k:n + 2 * k], images[n + 2 * k:]
+        for (i, j), s, p in zip([(i, j) for i in range(n) for j in range(n)],
+                                sum_image, product_image):
+            assert s == (image[i] + image[j]) % modulus
+            assert p == image[i] * image[j] % modulus
+        assert conjugates[:n] == conj_image
+        if e > 2:
+            assert conjugates[:n] != image
+
+    def test_values_are_scaled_by_the_lcm_of_their_denominators(self):
+        # D = 6: 1/2 maps to 3 and 1/3 to 2, and zeta_4 / 2 to 3 x
+        bound = 100
+        x = 2 ** (bound.bit_length() + 2)
+        values = [from_rational(Fraction(1, 2)), from_rational(Fraction(1, 3)),
+                  root_of_unity(4) * Fraction(1, 2)]
+        modulus, images, conjugates = kronecker_residues(values, bound)
+        assert modulus == x * x + 1
+        assert images == [3, 2, 3 * x]
+        assert conjugates == [3, 2, modulus - 3 * x]
