@@ -144,9 +144,7 @@ def decompose(chi: ClassFunction, table) -> list[int]:
     to its conjugate: the sum is then nums[0] / den at order 1, and one
     `divmod(nums[0], den |G|)` reads the multiplicity off it, making no
     `Fraction` unless a rejection prints one.  The irrational value a rejection
-    reports is held where `dot` holds it, at the lcm of the orders of its
-    irrational per-order sums; earlier versions could hold it elsewhere,
-    depending on the order of the terms, but its value is unchanged."""
+    reports is held where `dot` holds it, at the lcm of its terms' orders."""
     sizes = chi.group.conjugacy_classes().sizes
     weighted = [r * v.conj() for r, v in zip(sizes, chi.values)]
     order = chi.group.order

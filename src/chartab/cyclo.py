@@ -18,11 +18,13 @@ other Galois conjugates divided by the rational norm, so a `Fraction`
 appears only in `coeffs`, in constructor input and as the scalar 1/N(a).
 `coeffs` derives the canonical coefficient tuple (each an `int`, or a
 `Fraction` whose denominator is greater than 1) that rendering and JSON
-print.  `dot` collects a sum of products in one int vector per field order,
-makes no `Cyclo` per term, and combines its per-order sums in ints too,
-making one `Cyclo` per call.  `kronecker_residues` maps a set of values
-into Z/M by zeta_L -> 2^W, with M large enough that the sums `check_all`
-tests map to 0 only when they are 0.
+print.  `dot` collects a sum of products in one int vector, makes no `Cyclo`
+per term and one `Cyclo` per call.  Every sum, whether `+`, `dot` or a
+cyclic transform (`_root_sums`), is held by one rule: at order 1 when it is
+rational, else at the lcm of its terms' orders, which `dot` grows as terms
+bring new orders.  `kronecker_residues` maps a set of values into Z/M by
+zeta_L -> 2^W, with M large enough that the sums `check_all` tests map to
+0 only when they are 0.
 Arithmetic returns a rational result at order 1, and an order-1 operand, or
 an `int` or `Fraction` scalar, scales the other operand's numerators and
 denominator directly, so rational values never pay for the coefficient
@@ -531,24 +533,21 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
     `ValueError` rather than drop the terms past the shorter one.
 
     A term of two integers goes into one int accumulator.  Every other term
-    goes into an unreduced int buffer of length o, o the lcm of its two
-    operand orders, where exponents wrap mod o since z^o = 1; a product of
-    two operands of one order is made packed when `_packs` says so, as in
-    `_poly_mul`, and folded into the buffer mod o.  A buffer keeps
-    one common denominator, rescaled only when a term's denominator does not
-    divide it, and is reduced once, at the end.  The per-order sums then
-    combine in ints as well: the rational ones into one int fraction, the
-    irrational ones embedded at the lcm of their orders into one numerator
-    vector over a common denominator, which is reduced once more only when
-    more than one order is irrational, and the result is brought to lowest
-    terms once.  The result is held at order 1 when it is rational, else at
-    the lcm of the orders whose reduced sums are irrational, so the order of
-    the terms never decides it.  That rule is deliberate: the left-to-right
-    sum of Cyclo products this kernel replaced dropped to order 1 whenever a
-    running sum turned rational, so the order of the terms could decide the
-    order a result was held at.  The value is the same as that sum's."""
+    goes into one unreduced int buffer over one common denominator, rescaled
+    only when a term's denominator does not divide it.  The buffer's order
+    is the lcm of the term orders seen so far, a term's order being the lcm
+    of its two operand orders (a term with a zero rational operand adds
+    nothing and brings no order).  A term that brings a new order embeds the
+    buffer at stride new // old into a buffer of the larger order, which
+    must not pass MAX_ORDER.  Exponents wrap mod the order, since z^o = 1; a
+    product of two operands of one order is made packed when `_packs` says
+    so, as in `_poly_mul`, and folded into the buffer.  The accumulator is
+    added into coefficient 0 and the buffer reduced once, at the end.  So
+    the result is held by the rule of `+` and the cyclic transforms: at
+    order 1 when it is rational, else at the lcm of its terms' orders,
+    whatever the order of the terms."""
     rational = 0
-    sums: dict[int, list] = {}  # order -> [int buffer, common denominator]
+    order, buf, den = 1, [0], 1  # order and den stay 1 until a term reaches buf
     for x, y in zip(xs, ys, strict=True):
         # an int or a Fraction is read by its numerator and denominator
         if isinstance(x, Cyclo):
@@ -571,21 +570,20 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
             ox, nx, oy, ny = oy, ny, ox, nx
         if ox == 1 and not nx[0]:
             continue
-        o = math.lcm(ox, oy)
-        entry = sums.get(o)
-        if entry is None:
-            if o > MAX_ORDER:
-                raise CycloError(f"cyclotomic order {o} outside [1, {MAX_ORDER}]")
-            entry = sums[o] = [[0] * o, d]
-        buf, den = entry
+        o = math.lcm(order, ox, oy)
+        if o != order:  # embed the buffer at stride o // order
+            _check_order(o)
+            grown = [0] * o
+            grown[::o // order] = buf
+            order, buf = o, grown
         if den % d:
             scale = d // math.gcd(den, d)
-            buf[:] = [c * scale for c in buf]
-            den = entry[1] = den * scale
-        sx, sy, f = o // ox, o // oy, den // d
-        if ox == oy and _packs(nx, ny):  # a dense product, folded mod o
+            buf = [c * scale for c in buf]
+            den *= scale
+        sx, sy, f = order // ox, order // oy, den // d
+        if ox == oy and _packs(nx, ny):  # a dense product, folded at stride sx
             for i, c in enumerate(_packed_mul(nx, ny)):
-                buf[i % o] += c * f
+                buf[i * sx % order] += c * f
             continue
         for i, a in enumerate(nx):
             if a:
@@ -593,34 +591,11 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
                 shift = i * sx
                 for j, b in enumerate(ny):
                     if b:
-                        buf[(shift + j * sy) % o] += a * b
-    if not sums:
+                        buf[(shift + j * sy) % order] += a * b
+    if order == den == 1:  # every term stayed in the int accumulator
         return _held(1, (rational,), 1)
-    num, den = rational, 1  # the rational per-order sums, as num / den
-    irrational = []
-    for o, (buf, d) in sums.items():
-        nums = _reduce(o, buf)
-        if any(nums[1:]):
-            irrational.append((o, nums, d))
-        else:
-            num, den = num * d + nums[0] * den, den * d
-    if not irrational:
-        return _value(1, (num,), den)
-    if len(irrational) == 1:  # already reduced at its own order
-        order, nums, d = irrational[0]
-        common = math.lcm(den, d)
-        vec = [c * (common // d) for c in nums]
-        vec[0] += num * (common // den)
-    else:
-        order = math.lcm(*(o for o, _, _ in irrational))
-        common = math.lcm(den, *(d for _, _, d in irrational))
-        vec = [num * (common // den)] + [0] * (order - 1)
-        for o, nums, d in irrational:
-            step, f = order // o, common // d
-            for i, c in enumerate(nums):
-                vec[i * step] += c * f
-        vec = _reduce(order, vec)
-    return _value(order, tuple(vec), common)
+    buf[0] += rational * den
+    return _value(order, _reduce(order, buf), den)
 
 
 def kronecker_residues(values: Sequence[Cyclo], bound: int) -> tuple[int, list[int], list[int]]:

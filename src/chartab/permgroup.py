@@ -109,9 +109,6 @@ class Perm(tuple):
                 base = base * base
         return result
 
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting from its least point."""
         seen = [False] * len(self)

@@ -372,22 +372,6 @@ class CharacterTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def value_matrix(self) -> list[tuple[Cyclo, ...]]:
-        return [row.values for row in self.rows]
-
-    def same_abstract_table(self, other: "CharacterTable") -> bool:
-        """Abstract-table equality: canonical value matrices and class-size
-        vectors agree.  Does not imply the groups are isomorphic."""
-        if self.class_data.sizes != other.class_data.sizes:
-            return False
-        if len(self.rows) != len(other.rows):
-            return False
-        return all(
-            a == b
-            for ra, rb in zip(self.value_matrix(), other.value_matrix())
-            for a, b in zip(ra, rb)
-        )
-
     def __repr__(self) -> str:
         return f"CharacterTable({self.group.spec}, {len(self.rows)}x{len(self.rows)})"
 

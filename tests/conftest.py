@@ -143,6 +143,15 @@ def rows_match_as_sets(table, expected_rows) -> bool:
     return not remaining
 
 
+def same_abstract_table(a, b) -> bool:
+    """Abstract-table equality: the class sizes and the value matrices, in
+    canonical class and row order, agree.  Does not imply the groups are
+    isomorphic."""
+    if a.class_data.sizes != b.class_data.sizes or len(a.rows) != len(b.rows):
+        return False
+    return all(x == y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra.values, rb.values))
+
+
 @pytest.fixture(scope="session")
 def s5_group():
     return parse_group_spec("S5")

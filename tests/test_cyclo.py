@@ -139,23 +139,41 @@ class TestFieldOps:
                 if 2 * k % e == 0:
                     assert z.to_json() == from_rational(-1 if k else 1).to_json()
 
-    def test_dot_holds_the_lcm_of_its_irrational_sums(self):
+    def test_dot_holds_the_lcm_of_its_terms_orders(self):
         z3, z4, z5 = root_of_unity(3), root_of_unity(4), root_of_unity(5)
         assert dot([], []).to_json() == from_rational(0).to_json()
         assert dot([2, z3], [z4, z4]) == 2 * z4 + z3 * z4
-        # the order-3 terms cancel, so only the order-4 sum is irrational,
-        # wherever the order-4 term stands
-        assert dot([1, 1, 1], [z3, -z3, z4]).order == 4
-        assert dot([1, 1, 1], [z3, z4, -z3]).order == 4
+        # the order-3 terms cancel, yet the sum is held at lcm(3, 4), as the
+        # transforms and z3 + z4 - z3 hold it, wherever the order-4 term stands
+        for ys in ([z3, -z3, z4], [z3, z4, -z3], [z4, z3, -z3]):
+            v = dot([1, 1, 1], ys)
+            assert v == z4
+            assert v.order == 12
+        assert (z3 + z4 - z3).order == 12
         # a rational result has order 1, though no term is rational
         assert dot([z3, z4], [z3.conj(), z4.conj()]).to_json() == from_rational(2).to_json()
-        # z4 is summed at order 4 and -z4 = z3 (-z3^2 z4) at order 12, both
-        # irrational; they cancel, but the result is held at lcm(4, 12, 5)
+        assert dot([z3, z3, 2], [1, -1, Fraction(1, 4)]).to_json() == \
+            from_rational(Fraction(1, 2)).to_json()
+        # z4 and -z4 = z3 (-z3^2 z4) cancel; z5 is left, held at lcm(4, 12, 5)
         w = -z3.conj() * z4
         assert w.order == 12
         v = dot([1, z3, 1], [z4, w, z5])
         assert v == z5
         assert v.order == 60
+
+    def test_dot_grows_its_buffer_at_each_new_order(self):
+        # terms at orders 3, then 4, then 5: the buffer holds nonconstant
+        # sums when it grows, and each growing term brings a new denominator
+        xs = [Cyclo(3, [1, Fraction(2, 3)]), Cyclo(3, [0, 1]), Cyclo(4, [Fraction(1, 2), -1]),
+              Fraction(3, 5), Cyclo(4, [0, 2])]
+        ys = [Cyclo(3, [0, 5]), 7, Cyclo(4, [1, Fraction(3, 7)]), root_of_unity(5, 2),
+              Cyclo(5, [1, 0, -2, Fraction(1, 5)])]
+        total = Cyclo.zero()
+        for x, y in zip(xs, ys):
+            total = total + x * y
+        v = dot(xs, ys)
+        assert total.order == 60
+        assert v.to_json() == total.to_json()
 
     @pytest.mark.parametrize("compute", [
         lambda z: from_rational(0.1),
@@ -234,17 +252,22 @@ class TestFieldOps:
             dot([], [1])
 
     def test_dot_refuses_a_term_beyond_the_largest_order(self):
-        # lcm(997, 991) = 988027: the term is refused before a buffer of that
-        # length (8 MB) is made
+        # lcm(997, 991) = 988027: the term that brings it is refused before a
+        # buffer of that length (8 MB) is made, whether it is one product or
+        # the second of two terms, and even when a later term would cancel
+        # it, as z997 + z991 - z997 is refused
         x, y = root_of_unity(997), root_of_unity(991)
-        tracemalloc.start()
-        try:
-            with pytest.raises(CycloError, match="988027"):
-                dot([x], [y])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10**6
+        for xs, ys in [([x], [y]), ([x, y], [1, 1]), ([x, y, x], [1, 1, -1])]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(CycloError, match="988027"):
+                    dot(xs, ys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10**6, (len(xs), peak)
+        with pytest.raises(CycloError, match="988027"):
+            x + y - x
 
     def test_mixed_order_arithmetic(self):
         # zeta_4 + zeta_3 lands in Q(zeta_12)
@@ -744,11 +767,14 @@ def dense_values(draw, e):
 @given(st.sampled_from([41, 97, 105]), st.data())
 def test_dot_packs_dense_terms_of_one_order(e, data):
     # a dense product of two values of one order is made packed, by the
-    # rule of `_poly_mul`, and folded into the buffer mod e; the sum is the
-    # one the double loop gives, with terms of other orders mixed in
+    # rule of `_poly_mul`, and folded into a buffer that already holds an
+    # order-4 term, at stride lcm(4, e) // e; the sum is the one the double
+    # loop gives, with terms of other orders mixed in
     n = data.draw(st.integers(min_value=1, max_value=3))
-    xs = [data.draw(dense_values(e)) for _ in range(n)] + [Fraction(2, 3), root_of_unity(5)]
-    ys = [data.draw(dense_values(e)) for _ in range(n)] + [root_of_unity(e), root_of_unity(3)]
+    xs = ([root_of_unity(4)] + [data.draw(dense_values(e)) for _ in range(n)]
+          + [Fraction(2, 3), root_of_unity(5)])
+    ys = ([Fraction(1, 7)] + [data.draw(dense_values(e)) for _ in range(n)]
+          + [root_of_unity(e), root_of_unity(3)])
     packed = []
     real = cyclo._packed_mul
 
