@@ -21,7 +21,7 @@ from .classfun import (
     inner_product,
     regular_character,
 )
-from .cyclo import Cyclo, dot, kronecker_residues
+from .cyclo import dot, kronecker_residues
 from .permgroup import GroupMismatchError, NormalSubgroup, PermGroup, Subgroup
 from .tablegen import CharacterTable, class_matrix
 
@@ -265,7 +265,6 @@ class _Ring(NamedTuple):
     bound: int  # B, the largest 1-norm of a sum or difference the suite tests
     rows: list[list[int]]  # row i: D chi_i(g_l) mod M
     conj: list[list[int]]  # row i: D conj(chi_i(g_l)) mod M
-    values: dict[int, Cyclo]  # each value object of the table, by id
 
 
 def _ring(table: CharacterTable) -> _Ring:
@@ -284,18 +283,16 @@ def _ring(table: CharacterTable) -> _Ring:
     A + D, stay below these."""
     data = table.class_data
     h, order, big = len(data), table.group.order, max(data.sizes)
-    values = {id(v): v for row in table.rows for v in row.values}
-    d = math.lcm(*(v.den for v in values.values()))
-    a = max(sum(map(abs, v.nums)) * (d // v.den) for v in values.values())
+    values = table.values
+    d = math.lcm(*(v.den for v in values))
+    a = max(sum(map(abs, v.nums)) * (d // v.den) for v in values)
     c = 2 * h * a
     bound = max(order * (a * a + d * d), big * h * a * a + order * d * d,
                 2 * big * big * a * a, a * a + d * a, order * a * (c * c + d * c))
-    modulus, images, conjugates = kronecker_residues(list(values.values()), bound)
-    image, conjugate = dict(zip(values, images)), dict(zip(values, conjugates))
-    ids = [list(map(id, row.values)) for row in table.rows]
+    modulus, images, conjugates = kronecker_residues(values, bound)
     return _Ring(modulus, d, bound,
-                 [list(map(image.__getitem__, row)) for row in ids],
-                 [list(map(conjugate.__getitem__, row)) for row in ids], values)
+                 [list(map(images.__getitem__, cells)) for cells in table.cells],
+                 [list(map(conjugates.__getitem__, cells)) for cells in table.cells])
 
 
 def _decomposes(ring: _Ring, weighted: list[int], unit: int) -> bool:
@@ -335,7 +332,6 @@ def check_all(table: CharacterTable) -> CheckReport:
     sizes = data.sizes
     inverse = data.inverse_class
     rows = table.rows
-    values = [row.values for row in rows]
     ring = _ring(table)
     mod, scale = ring.modulus, ring.scale
     img, conj = ring.rows, ring.conj
@@ -464,10 +460,10 @@ def check_all(table: CharacterTable) -> CheckReport:
         "classes conjugate to their inverse have real entries",
     )
 
-    magnitude = {key: abs(v.to_float()) for key, v in ring.values.items()}
+    magnitude = [abs(v.to_float()) for v in table.values]
     bound_ok = all(
-        max(map(magnitude.__getitem__, map(id, vals))) <= top + 1e-9
-        for top, vals in zip(degrees, values)
+        max(map(magnitude.__getitem__, cells)) <= top + 1e-9
+        for top, cells in zip(degrees, table.cells)
     )
     add("value-magnitude-bound", bound_ok, "|chi(g)| <= chi(1) numerically")
 
@@ -507,9 +503,9 @@ def check_all(table: CharacterTable) -> CheckReport:
 
     if order <= 60:
         classes = [data.member_index[t] for t in group.elements]
-        bar = [v.conj() for v in values[-1]]
+        bar = [v.conj() for v in rows[-1].values]
         oracle_ok = all(
-            Fraction(1, order) * dot([values[a][j] for j in classes],
+            Fraction(1, order) * dot([rows[a].values[j] for j in classes],
                                      [bar[j] for j in classes])
             == inner_product(rows[a], rows[-1])
             for a in (0, -1)

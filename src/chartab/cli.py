@@ -132,16 +132,12 @@ def classes_json(group: PermGroup) -> dict:
 
 def _render_table_json(table: CharacterTable) -> str:
     """The table as compact JSON, its only encoder: `classes_json`, then each
-    row's degree and values, each value object encoded once.  The lift makes
-    each distinct value once, so that is each distinct value of a built
-    table; equal values that are distinct objects encode alike."""
-    distinct = {}
-    for row in table.rows:
-        distinct.update(zip(map(id, row.values), row.values))
-    encoded = {i: _json_dumps(v.to_json()) for i, v in distinct.items()}.__getitem__
+    row's degree and values, each of `table.values` encoded once and each
+    row joined by its cells."""
+    encoded = [_json_dumps(v.to_json()) for v in table.values]
     rows = []
-    for n, row in zip(table.degrees, table.rows):
-        values = ",".join(map(encoded, map(id, row.values)))
+    for n, cells in zip(table.degrees, table.cells):
+        values = ",".join(map(encoded.__getitem__, cells))
         rows.append(f'{{"degree":{_json_dumps(n)},"values":[{values}]}}')
     head = _json_dumps(classes_json(table.group))[:-1]  # without its closing brace
     return f'{head},"characters":[{",".join(rows)}]}}'

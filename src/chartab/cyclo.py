@@ -328,6 +328,8 @@ class Cyclo:
         return Cyclo._coerce(other) * self.inverse()
 
     def __pow__(self, n: int) -> "Cyclo":
+        if not isinstance(n, int):  # a float or a Fraction power is not exact
+            raise CycloError(f"exponent {n!r} is not an int")
         if n < 0:
             return self.inverse() ** (-n)
         result = Cyclo.one()
@@ -344,6 +346,8 @@ class Cyclo:
 
     def galois(self, t: int) -> "Cyclo":
         """Apply the automorphism zeta -> zeta^t; t must be coprime to the order."""
+        if not isinstance(t, int):
+            raise CycloError(f"galois exponent {t!r} is not an int")
         e = self.order
         if math.gcd(t, e) != 1:
             raise CycloError(f"galois exponent {t} not coprime to order {e}")
@@ -523,6 +527,8 @@ def _packed_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def root_of_unity(e: int, k: int = 1) -> Cyclo:
     """zeta_e^k as an exact value of Q(zeta_e); a rational power has order 1."""
     _check_order(e)
+    if not isinstance(k, int):
+        raise CycloError(f"exponent {k!r} is not an int")
     return Cyclo(e, [0] * (k % e) + [1])
 
 

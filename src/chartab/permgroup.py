@@ -438,10 +438,6 @@ class NormalSubgroup:
         data = self.parent.conjugacy_classes()
         return [m for j in self.classes for m in data.members[j]]
 
-    @cached_property
-    def element_set(self) -> set[Perm]:
-        return set(self.elements)
-
     def __contains__(self, p: Perm) -> bool:
         return self.parent.conjugacy_classes().member_index.get(p) in self.classes
 

@@ -317,31 +317,34 @@ def degrees_from_eigen(g: PermGroup, vectors: list[list[int]], p: int) -> list[i
     return degrees
 
 
-def _row_sort_key(values: tuple[Cyclo, ...], value_keys: dict) -> tuple:
-    """A row's place in the canonical order: its degree, then each value's
-    rounded float, descending.  value_keys memoises the key of each value
-    object by its id, across the rows of one sort, which keep the values
-    alive; a row whose values are all keyed is read by C-level lookups."""
-    try:
-        return (values[0].as_rational(), *map(value_keys.__getitem__, map(id, values)))
-    except KeyError:  # a value not keyed yet
-        for v in values:
-            if id(v) not in value_keys:
-                fv = v.to_float()
-                value_keys[id(v)] = (-int(round(fv.real * 1e9)), -int(round(fv.imag * 1e9)))
-        return _row_sort_key(values, value_keys)
-
-
-def _sorted_rows(rows: list[ClassFunction]) -> list[ClassFunction]:
-    """Rows in canonical order: ascending degree, ties by descending values."""
-    value_keys: dict = {}
-    return sorted(rows, key=lambda r: _row_sort_key(r.values, value_keys))
+def _indexed(rows: list[ClassFunction]) -> tuple[list[ClassFunction], list[Cyclo], list[list[int]]]:
+    """The rows in canonical order, each distinct value object of the rows
+    once (by identity), and each sorted row's values as positions in that
+    list.  The order is ascending degree, then each value's float rounded to
+    1e-9, descending, then each value's held form (order, nums, den): rows
+    whose floats all tie are ordered exactly, never by the order they come
+    in.  Each key is made once per value object."""
+    by_id: dict[int, Cyclo] = {}
+    for row in rows:
+        by_id.update(zip(map(id, row.values), row.values))
+    values = list(by_id.values())
+    position = dict(zip(by_id, range(len(values))))
+    cells = [list(map(position.__getitem__, map(id, row.values))) for row in rows]
+    rounded = [(-int(round(f.real * 1e9)), -int(round(f.imag * 1e9)))
+               for f in map(Cyclo.to_float, values)]
+    held = [(v.order, v.nums, v.den) for v in values]
+    order = sorted(range(len(rows)), key=lambda i: (
+        rows[i].values[0].as_rational(),
+        *map(rounded.__getitem__, cells[i]), *map(held.__getitem__, cells[i])))
+    return [rows[i] for i in order], values, [cells[i] for i in order]
 
 
 class CharacterTable:
     """The square table of irreducible characters in canonical order:
-    rows by ascending degree (ties by descending value key), columns in the
-    group's canonical class order."""
+    rows by ascending degree (ties by `_indexed`'s value keys), columns in the
+    group's canonical class order.  `values` holds each distinct value object
+    of the rows once, and `cells[i][j]` is the position of `rows[i].values[j]`
+    in it: the one index of every reader that handles each value once."""
 
     def __init__(self, group: PermGroup, rows: list[ClassFunction]):
         data = group.conjugacy_classes()
@@ -351,7 +354,7 @@ class CharacterTable:
             )
         self.group = group
         self.class_data = data
-        self.rows = _sorted_rows(rows)
+        self.rows, self.values, self.cells = _indexed(rows)
         self.degrees = tuple(r.values[0].as_rational() for r in self.rows)
         # the lines of the F_p split, kept by `build_character_table`
         self._lines = None
@@ -526,5 +529,5 @@ def linear_characters(g: PermGroup) -> list[ClassFunction]:
     for k in {k for chi in chars for k in chi}:
         g_k = math.gcd(k, e)
         roots[k] = root_of_unity(e // g_k, k // g_k)
-    return _sorted_rows([ClassFunction._of(g, tuple(map(roots.__getitem__, chi)))
-                         for chi in chars])
+    rows = [ClassFunction._of(g, tuple(map(roots.__getitem__, chi))) for chi in chars]
+    return _indexed(rows)[0]

@@ -8,9 +8,14 @@ ordering.
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, settings
 
 from chartab.cyclo import from_rational, root_of_unity
 from chartab.permgroup import parse_group_spec
+
+# tests/mutants.py runs its tests under this profile: a kill needs a failing
+# example, not a shrunk one, and a mutant's examples are not kept
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate), database=None)
 
 # every builtin group of order <= 120
 BUILTIN_NAMES = (
@@ -141,6 +146,28 @@ def rows_match_as_sets(table, expected_rows) -> bool:
         else:
             return False
     return not remaining
+
+
+def documented_row_key(values):
+    """A row's place in the canonical order as README states it, row by row:
+    its degree, then each value's float rounded to 1e-9, descending, then
+    each value's held form (order, nums, den)."""
+    rounded = []
+    for v in values:
+        fv = v.to_float()
+        rounded.append((-int(round(fv.real * 1e9)), -int(round(fv.imag * 1e9))))
+    return (values[0].as_rational(), *rounded, *((v.order, v.nums, v.den) for v in values))
+
+
+def assert_value_index(table):
+    """`table.values` holds each value object of the rows once, and
+    `table.cells[i][j]` is the position of `table.rows[i].values[j]` in it."""
+    assert len(table.cells) == len(table.rows)
+    for row, cells in zip(table.rows, table.cells):
+        assert len(cells) == len(row.values)
+        assert all(table.values[c] is v for c, v in zip(cells, row.values))
+    assert len({id(v) for v in table.values}) == len(table.values)
+    assert {id(v) for row in table.rows for v in row.values} == {id(v) for v in table.values}
 
 
 def same_abstract_table(a, b) -> bool:

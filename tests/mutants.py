@@ -1,0 +1,171 @@
+"""Mutation run: small edits of `src/` that named tests must catch.
+
+    python tests/mutants.py
+
+Each mutant names a file under `src/chartab/`, an exact old text, the new
+text that replaces it, and the tests that must fail.  For each mutant the
+script copies `src/` to a temporary directory, makes the one replacement
+there and runs only the named tests against the copy, which `PYTHONPATH`
+puts ahead of any installed chartab.  The run fails when a mutant survives
+(its tests pass), when its old text does not occur exactly once (a refactor
+must carry its mutants along), or when the named tests do not all pass on an
+unchanged copy first, so that no kill is a test that fails anyway.  The
+tests run under the `mutants` hypothesis profile of `tests/conftest.py`,
+which does not shrink a failing example.
+
+The file is not named `test_*.py`, so the tier-1 suite does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/chartab/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+VALUE_INDEX = "tests/test_tablegen.py::TestValueIndex"
+BUILTINS_PASS = "tests/test_analysis.py::TestCheckAll::test_builtin_tables_pass"
+KRONECKER = "tests/test_cyclo.py::TestKroneckerResidues"
+
+MUTANTS = [
+    # the table's value index and the row order
+    Mutant("cells-of-the-unsorted-rows", "tablegen.py",
+           "return [rows[i] for i in order], values, [cells[i] for i in order]",
+           "return [rows[i] for i in order], values, cells",
+           (f"{VALUE_INDEX}::test_cells_point_at_each_value_object_of_a_built_table",)),
+    Mutant("row-order-by-floats-alone", "tablegen.py",
+           "*map(rounded.__getitem__, cells[i]), *map(held.__getitem__, cells[i])))",
+           "*map(rounded.__getitem__, cells[i])))",
+           (f"{VALUE_INDEX}::test_a_tie_of_floats_is_broken_by_the_held_form",)),
+    Mutant("row-order-held-form-beside-each-float", "tablegen.py",
+           "*map(rounded.__getitem__, cells[i]), *map(held.__getitem__, cells[i])))",
+           "*zip(map(rounded.__getitem__, cells[i]), map(held.__getitem__, cells[i]))))",
+           (f"{VALUE_INDEX}::test_held_forms_are_read_after_every_float",)),
+    Mutant("ring-conjugates-read-from-the-images", "analysis.py",
+           "[list(map(conjugates.__getitem__, cells)) for cells in table.cells])",
+           "[list(map(images.__getitem__, cells)) for cells in table.cells])",
+           (BUILTINS_PASS,)),
+    Mutant("json-joins-the-cells-of-another-row", "cli.py",
+           "for n, cells in zip(table.degrees, table.cells):",
+           "for n, cells in zip(table.degrees, table.cells[::-1]):",
+           ("tests/test_cli.py::test_json_output_is_pinned",)),
+    Mutant("pow-takes-a-float-exponent", "cyclo.py",
+           "if not isinstance(n, int):  # a float or a Fraction power is not exact",
+           "if isinstance(n, str):  # a float or a Fraction power is not exact",
+           ("tests/test_cyclo.py::TestFieldOps::test_pow_by_a_non_int_raises_cyclo_error",)),
+    # check_all's residue ring, `kronecker_residues`
+    Mutant("modulus-two-to-the-w-minus-one", "cyclo.py",
+           "modulus = abs((1 << (w * deg)) + sum(c << (w * j) for j, c in terms))",
+           "modulus = (1 << w) - 1",
+           (f"{KRONECKER}::test_the_modulus_is_phi_at_two_to_the_w", BUILTINS_PASS)),
+    Mutant("conjugates-read-at-two-to-the-w", "cyclo.py",
+           "conjugate += c * f << step * (-i % v.order)",
+           "conjugate += c * f << step * i",
+           (f"{KRONECKER}::test_the_map_is_a_ring_map_with_conjugates_at_two_to_the_minus_w",
+            BUILTINS_PASS)),
+    Mutant("values-not-scaled-by-d", "cyclo.py",
+           "step, f = w * (order // v.order), den // v.den",
+           "step, f = w * (order // v.order), 1",
+           (f"{KRONECKER}::test_values_are_scaled_by_the_lcm_of_their_denominators",
+            "tests/test_analysis.py::TestCheckAllCorruptions::test_named_checks_fail")),
+    Mutant("w-fixed-at-64", "cyclo.py",
+           "w = bound.bit_length() + 2",
+           "w = 64",
+           (f"{KRONECKER}::test_a_value_plus_the_modulus_is_told_apart",)),
+    # `dot`'s one buffer at the lcm of its terms' orders
+    Mutant("buffer-grown-by-a-prefix-copy", "cyclo.py",
+           "grown[::o // order] = buf",
+           "grown[:order] = buf",
+           ("tests/test_cyclo.py::TestFieldOps::test_dot_grows_its_buffer_at_each_new_order",)),
+    Mutant("buffer-grown-to-one-operand-order", "cyclo.py",
+           "o = math.lcm(order, ox, oy)",
+           "o = math.lcm(order, oy)",
+           ("tests/test_cyclo.py::TestFieldOps::test_dot_holds_the_lcm_of_its_terms_orders",)),
+    Mutant("no-rescale-after-growth", "cyclo.py",
+           "        if den % d:\n",
+           "        elif den % d:\n",
+           ("tests/test_cyclo.py::TestFieldOps::test_dot_grows_its_buffer_at_each_new_order",)),
+    Mutant("packed-fold-at-stride-one", "cyclo.py",
+           "buf[i * sx % order] += c * f",
+           "buf[i % order] += c * f",
+           ("tests/test_cyclo.py::test_dot_packs_dense_terms_of_one_order",)),
+]
+
+
+def env_for(src: Path) -> dict[str, str]:
+    """The environment that imports chartab from src and writes no bytecode."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+def pytest_run(src: Path, tests: tuple[str, ...]) -> int:
+    """pytest's exit code for the tests, importing chartab from src."""
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               "--hypothesis-profile=mutants", *tests]
+    return subprocess.run(command, cwd=REPO, env=env_for(src), stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def copy_of_src(into: Path, mutant: Mutant | None = None) -> Path:
+    """A copy of src/ under into, with the mutant's one replacement made."""
+    src = into / "src"
+    shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    if mutant is not None:
+        path = src / "chartab" / mutant.file
+        path.write_text(path.read_text().replace(mutant.old, mutant.new))
+    return src
+
+
+def main() -> int:
+    stale = [m.name for m in MUTANTS
+             if (REPO / "src" / "chartab" / m.file).read_text().count(m.old) != 1]
+    if stale:
+        print(f"old text not found exactly once: {', '.join(stale)}")
+        return 1
+    tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    with tempfile.TemporaryDirectory() as tmp:
+        src = copy_of_src(Path(tmp) / "clean")
+        where = subprocess.run([sys.executable, "-c", "import chartab; print(chartab.__file__)"],
+                               env=env_for(src), capture_output=True, text=True).stdout
+        if not where.startswith(str(src)):
+            print(f"chartab is not imported from the copy: {where.strip()}")
+            return 1
+        code = pytest_run(src, tests)
+        if code:
+            print(f"the named tests do not pass on an unchanged copy (pytest exit {code})")
+            return 1
+        survivors, errors = [], []
+        for m in MUTANTS:
+            start = time.perf_counter()
+            code = pytest_run(copy_of_src(Path(tmp) / m.name, m), m.tests)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            print(f"{verdict:>8}  {m.name}  ({time.perf_counter() - start:.1f} s)")
+            if code == 0:
+                survivors.append(m.name)
+            elif code != 1:
+                errors.append(m.name)
+    if survivors or errors:
+        print(f"survived: {survivors}; errors: {errors}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -114,6 +114,11 @@ class TestRootsOfUnity:
         with pytest.raises(CycloError):
             root_of_unity(0, 1)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, Fraction(3, 2)])
+    def test_non_int_exponent_raises_cyclo_error(self, k):
+        with pytest.raises(CycloError, match=r"^exponent .* is not an int"):
+            root_of_unity(5, k)
+
 
 class TestFieldOps:
     def test_zero_division(self):
@@ -129,6 +134,13 @@ class TestFieldOps:
         z = root_of_unity(7, 2)
         assert z ** -1 == z.inverse()
         assert z ** 7 == 1
+
+    @pytest.mark.parametrize("n", [2.0, -1.0, Fraction(1, 2), Fraction(2)],
+                             ids=["float", "negative-float", "fraction", "whole-fraction"])
+    def test_pow_by_a_non_int_raises_cyclo_error(self, n):
+        # an exponent is an int; the loop would otherwise meet n & 1
+        with pytest.raises(CycloError, match=r"^exponent .* is not an int"):
+            root_of_unity(5) ** n
 
     def test_rational_powers_have_order_one(self):
         # zeta_e^k is held as arithmetic holds it: at order 1 when rational
@@ -296,6 +308,11 @@ class TestGalois:
     def test_galois_requires_coprime(self):
         with pytest.raises(CycloError):
             root_of_unity(6, 1).galois(2)
+
+    @pytest.mark.parametrize("t", [2.0, Fraction(2)])
+    def test_galois_by_a_non_int_raises_cyclo_error(self, t):
+        with pytest.raises(CycloError, match=r"^galois exponent .* is not an int"):
+            root_of_unity(5).galois(t)
 
 
 class TestPredicates:

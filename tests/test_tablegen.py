@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chartab import _modp as mp
-from chartab.classfun import inner_product, is_irreducible
+from chartab.classfun import ClassFunction, inner_product, is_irreducible
 from chartab.cyclo import Cyclo, root_of_unity
 from chartab import cyclo, tablegen
 from chartab.cli import _render_table_json
 from chartab.permgroup import Perm, PermGroup, parse_group_spec
 from chartab.tablegen import (
+    CharacterTable,
     TableConstructionError,
     _acts_as_scalar,
     _split_space,
@@ -38,7 +39,9 @@ from conftest import (
     S4_ROWS,
     S5_COLUMNS,
     S5_ROWS,
+    assert_value_index,
     count_perm_products,
+    documented_row_key,
     expected_row_set,
     rows_match_as_sets,
     same_abstract_table,
@@ -1266,11 +1269,54 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", ["A7", "S6", D4_X_D4_X_C3, C24])
     def test_rows_sort_alike_with_the_keys_of_one_sort_or_of_each_row(self, name):
-        # the canonical order memoises each value object's key across the
-        # rows of one sort; keys made for each row on its own order the
-        # rows alike, whatever order they come in
-        rows = build_character_table(parse_group_spec(name)).rows
+        # the canonical order keys each value object once, through the
+        # table's index; keys made for each row on its own order the rows
+        # alike, whatever order they come in
+        g = parse_group_spec(name)
+        rows = build_character_table(g).rows
         shuffled = rows[::-1]
         random.Random(0).shuffle(shuffled)
-        assert sorted(shuffled, key=lambda r: tablegen._row_sort_key(r.values, {})) == rows
-        assert tablegen._sorted_rows(shuffled) == rows
+        assert sorted(shuffled, key=lambda r: documented_row_key(r.values)) == rows
+        assert CharacterTable(g, shuffled).rows == rows
+
+
+class TestValueIndex:
+    @pytest.mark.parametrize("name", ["S3", "A4", "A5", "A7", D4_X_D4_X_C3, C24])
+    def test_cells_point_at_each_value_object_of_a_built_table(self, name):
+        table = build_character_table(parse_group_spec(name))
+        assert_value_index(table)
+        # the lift makes each distinct value once, so the index is small
+        assert len(table.values) < len(table) ** 2 or len(table) == 1
+
+    def test_equal_values_that_are_distinct_objects_are_indexed_apart(self):
+        # ClassFunction makes a value of each int, so the four 1s are four
+        # objects; a row made of another row's objects shares their cells
+        g = parse_group_spec("C2")
+        first = ClassFunction(g, [1, 1])
+        second = ClassFunction(g, [1, -1])
+        table = CharacterTable(g, [second, first])
+        assert_value_index(table)
+        assert len(table.values) == 4
+        shared = CharacterTable(g, [first, ClassFunction(g, first.values)])
+        assert_value_index(shared)
+        assert len(shared.values) == 2
+        assert shared.cells[0] == shared.cells[1]
+
+    def test_a_tie_of_floats_is_broken_by_the_held_form(self):
+        # 1 and 1 + 10^-12 round alike, so the rows tie on every float;
+        # their held forms order them, whichever comes first
+        g = parse_group_spec("C2")
+        near = [1, 1 + Fraction(1, 10**12)]
+        for rows in ([[1, 1], near], [near, [1, 1]]):
+            table = CharacterTable(g, [ClassFunction(g, r) for r in rows])
+            assert [list(r.values) for r in table.rows] == [[1, 1], near]
+            assert_value_index(table)
+
+    def test_held_forms_are_read_after_every_float(self):
+        # the rows tie at class 2 by their floats but not by their held
+        # forms; class 3 orders them, larger values first, as documented
+        g = parse_group_spec("C3")
+        rows = [[1, 1, 2], [1, 1 + Fraction(1, 10**12), 3], [1, 1, 1]]
+        table = CharacterTable(g, [ClassFunction(g, r) for r in rows])
+        assert [list(r.values) for r in table.rows] == [rows[1], rows[0], rows[2]]
+        assert sorted(table.rows, key=lambda r: documented_row_key(r.values)) == table.rows
