@@ -23,8 +23,8 @@ per term and one `Cyclo` per call.  Every sum, whether `+`, `dot` or a
 cyclic transform (`_root_sums`), is held by one rule: at order 1 when it is
 rational, else at the lcm of its terms' orders, which `dot` grows as terms
 bring new orders.  `kronecker_residues` maps a set of values into Z/M by
-zeta_L -> 2^W, with M large enough that the sums `check_all` tests map to
-0 only when they are 0.
+zeta_L -> 2^W, with M large enough that the sums `check_all` and `reps`
+test map to 0 only when they are 0.
 Arithmetic returns a rational result at order 1, and an order-1 operand, or
 an `int` or `Fraction` scalar, scales the other operand's numerators and
 denominator directly, so rational values never pay for the coefficient

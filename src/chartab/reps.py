@@ -1,19 +1,26 @@
 """Explicit matrix representations over cyclotomics.
 
 A representation is given by generator images and extended to the whole
-group along the group's own breadth-first element enumeration, verifying
-the homomorphism property on every Cayley-graph edge.  Matrix arithmetic is
-naive and exact; dimensions in scope are tiny.
+group along the group's own breadth-first element enumeration.  Exact
+`Cyclo` products are made only on the |G| - 1 edges el -> el s of the
+discovery tree.  Every other Cayley-graph edge, rho(el) rho(s) = rho(el s),
+and every Schur pairing is one int equation modulo M in a residue ring of
+`kronecker_residues` (v -> D v(2^W) mod M).  M is chosen from A, the largest
+1-norm of a D-scaled image value: d A^2 + D A bounds an edge in dimension d,
+and n1 |G| A^2 + |G| D^2 a pairing, so no bound grows with the tree's depth.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from operator import mul
+from typing import Callable, Sequence
 
 from .classfun import ClassFunction
-from .cyclo import Cyclo, dot, from_rational, root_of_unity
+from .cyclo import Cyclo, dot, from_rational, kronecker_residues, root_of_unity
 from .permgroup import GroupMismatchError, ParseError, Perm, PermGroup, parse_group_spec
 
 CycloMatrix = tuple[tuple[Cyclo, ...], ...]
@@ -39,10 +46,6 @@ def mat_mul(a: CycloMatrix, b: CycloMatrix) -> CycloMatrix:
     return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
-def mat_eq(a: CycloMatrix, b: CycloMatrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def mat_trace(a: CycloMatrix) -> Cyclo:
     return sum((a[i][i] for i in range(len(a))), Cyclo.zero())
 
@@ -57,6 +60,22 @@ def mat_det(a: CycloMatrix) -> Cyclo:
         for j in range(n)
     )
     return dot([(-1) ** j for j in range(n)], cofactors)
+
+
+def _residues(mats: list[CycloMatrix], bound: Callable[[int, int], int]) -> tuple:
+    """(M, D, the matrices in Z/M) under `kronecker_residues`, each distinct
+    value mapped once, with M chosen for bound(A, D): D the lcm of the value
+    denominators and A the largest 1-norm of a D-scaled value."""
+    distinct = {}  # a value's held form -> the first entry that holds it
+    firsts = [distinct.setdefault((v.order, v.nums, v.den), v)
+              for m in mats for row in m for v in row]
+    values = list(distinct.values())
+    d = math.lcm(*(v.den for v in values))
+    a = max(sum(map(abs, v.nums)) * (d // v.den) for v in values)
+    modulus, images, _ = kronecker_residues(values, bound(a, d))
+    residue = dict(zip(map(id, values), images))
+    flat = map(residue.__getitem__, map(id, firsts))
+    return modulus, d, [[list(islice(flat, len(row))) for row in m] for m in mats]
 
 
 class MatrixRep:
@@ -79,25 +98,35 @@ class MatrixRep:
 
     def extend_to_group(self) -> "MatrixRep":
         """Fill images for every element along the group's breadth-first
-        enumeration, checking every Cayley-graph edge; raises when two words
-        for the same element disagree."""
+        enumeration, an exact product on the edge that first reaches each
+        element, then check every other Cayley-graph edge in the residue
+        ring; raises at the first edge, in enumeration order, where two
+        words for the same element disagree."""
         if self.full_images is not None:
             return self
         full = {Perm.identity(self.group.degree): mat_identity(self.dim)}
         gens = [(gen.right_mul(), gen_img)
                 for gen, gen_img in zip(self.group.generators, self.images)]
+        edges = []  # (el, k, el s_k) off the discovery tree, in enumeration order
         for el in self.group.elements:
-            for times_gen, gen_img in gens:
-                prod = Perm(times_gen(el))
-                mat = mat_mul(full[el], gen_img)
-                seen = full.get(prod)
-                if seen is None:
-                    full[prod] = mat
-                elif not mat_eq(seen, mat):
-                    raise InconsistentRepError(
-                        f"images are not a homomorphism at element "
-                        f"{prod.cycle_string()}"
-                    )
+            for k, (times_gen, gen_img) in enumerate(gens):
+                prod = times_gen(el)  # a tuple, which a Perm key equals
+                if prod in full:
+                    edges.append((el, k, prod))
+                else:
+                    full[Perm(prod)] = mat_mul(full[el], gen_img)
+        modulus, d, res = _residues([*full.values(), *self.images],
+                                    lambda a, d: self.dim * a * a + d * a)
+        image = dict(zip(full, res))
+        gen_cols = [list(zip(*m)) for m in res[len(full):]]
+        for el, k, prod in edges:
+            if any((sum(map(mul, row, col)) - d * t) % modulus
+                   for row, target in zip(image[el], image[prod])
+                   for col, t in zip(gen_cols[k], target)):
+                raise InconsistentRepError(
+                    f"images are not a homomorphism at element "
+                    f"{Perm(prod).cycle_string()}"
+                )
         self.full_images = full
         return self
 
@@ -157,31 +186,37 @@ class OrthogonalityReport:
 def check_matrix_orthogonality(rep1: MatrixRep, rep2: MatrixRep) -> OrthogonalityReport:
     """Evaluate (a_il, b_mj) = (1/|G|) sum_t a_il(t) b_mj(t^-1) on all index
     tuples; for rep1 = rep2 the expected value is delta_ij delta_lm / dim,
-    across distinct irreducibles it is 0.  Lists every violation."""
+    across distinct irreducibles it is 0.  Each pairing is decided in the
+    residue ring of both reps' image values, as n1 sum_t D a_il(t) D b_mj(t^-1)
+    = |G| D^2 or 0; lists every violation with its exact value."""
     if rep1.group is not rep2.group:
         raise GroupMismatchError("representations of different groups")
-    rep1.extend_to_group()
-    rep2.extend_to_group()
+    full1 = rep1.extend_to_group().full_images
+    full2 = rep2.extend_to_group().full_images
     group = rep1.group
     same = rep1 is rep2
-    inv_order = Fraction(1, group.order)
-    # pair each element with its inverse's images once
-    pairs = [(rep1.full_images[t], rep2.full_images[t.inv()]) for t in group.elements]
+    order, n1, n2 = group.order, rep1.dim, rep2.dim
+    modulus, d, res = _residues([*full1.values(), *full2.values()],
+                                lambda a, d: n1 * order * a * a + order * d * d)
+    res1, res2 = dict(zip(full1, res)), dict(zip(full2, res[len(full1):]))
+    elements = group.elements
+    inverses = [t.inv() for t in elements]
+    # D a_il(t) and D b_mj(t^-1) mod M, as vectors over t
+    a_vecs = [[[res1[t][i][l] for t in elements] for l in range(n1)] for i in range(n1)]
+    b_vecs = [[[res2[u][m][j] for u in inverses] for j in range(n2)] for m in range(n2)]
     violations = []
     checked = 0
-    n1, n2 = rep1.dim, rep2.dim
     for i in range(n1):
         for l in range(n1):
             for m in range(n2):
                 for j in range(n2):
-                    value = inv_order * dot((a[i][l] for a, _ in pairs),
-                                            (b[m][j] for _, b in pairs))
-                    if same and i == j and l == m:
-                        expected = from_rational(Fraction(1, n1))
-                    else:
-                        expected = Cyclo.zero()
+                    diagonal = same and i == j and l == m
                     checked += 1
-                    if value != expected:
+                    if (n1 * sum(map(mul, a_vecs[i][l], b_vecs[m][j]))
+                            - (order * d * d if diagonal else 0)) % modulus:
+                        value = Fraction(1, order) * dot([full1[t][i][l] for t in elements],
+                                                         [full2[u][m][j] for u in inverses])
+                        expected = from_rational(Fraction(1, n1)) if diagonal else Cyclo.zero()
                         violations.append(((i, l, m, j), value, expected))
     return OrthogonalityReport(same, n1, checked, violations)
 
@@ -192,7 +227,8 @@ _DIHEDRAL_REP_RE = re.compile(r"^dihedral-rot:([1-9]\d*):(-?\d+)$")
 
 
 def builtin_rep(name: str) -> MatrixRep:
-    """`q8-2dim` or `dihedral-rot:<n>:<r>` (rotation by 2 pi r / n)."""
+    """`q8-2dim` or `dihedral-rot:<n>:<r>` (rotation by 2 pi r / n of D<n>,
+    the builtin dihedral group, so 3 <= n <= 9)."""
     name = name.strip()
     if name == "q8-2dim":
         group = parse_group_spec("Q8")
@@ -205,8 +241,8 @@ def builtin_rep(name: str) -> MatrixRep:
     m = _DIHEDRAL_REP_RE.match(name)
     if m:
         n, r = int(m.group(1)), int(m.group(2))
-        if n < 3:
-            raise ParseError("dihedral-rot requires n >= 3")
+        if not 3 <= n <= 9:
+            raise ParseError(f"dihedral-rot requires 3 <= n <= 9, got n = {n}")
         group = parse_group_spec(f"D{n}")
         z = root_of_unity(n, r % n)
         zbar = root_of_unity(n, (-r) % n)

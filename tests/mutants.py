@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 VALUE_INDEX = "tests/test_tablegen.py::TestValueIndex"
 BUILTINS_PASS = "tests/test_analysis.py::TestCheckAll::test_builtin_tables_pass"
 KRONECKER = "tests/test_cyclo.py::TestKroneckerResidues"
+ORTHOGONALITY = "tests/test_reps.py::TestMatrixOrthogonality"
 
 MUTANTS = [
     # the table's value index and the row order
@@ -103,7 +104,27 @@ MUTANTS = [
     Mutant("packed-fold-at-stride-one", "cyclo.py",
            "buf[i * sx % order] += c * f",
            "buf[i % order] += c * f",
-           ("tests/test_cyclo.py::test_dot_packs_dense_terms_of_one_order",)),
+           ("tests/test_cyclo.py::test_dot_packs_seeded_dense_terms_of_one_order",
+            "tests/test_cyclo.py::test_dot_packs_dense_terms_of_one_order")),
+    # `reps`: exact images along the discovery tree, every other identity
+    # an int equation in a residue ring
+    Mutant("non-tree-edges-never-checked", "reps.py",
+           "for el, k, prod in edges:",
+           "for el, k, prod in edges[:0]:",
+           ("tests/test_reps.py::test_first_failing_edge_is_pinned",
+            "tests/test_reps.py::TestExtension::test_inconsistent_images_rejected")),
+    Mutant("edge-without-its-d-factor", "reps.py",
+           "(sum(map(mul, row, col)) - d * t) % modulus",
+           "(sum(map(mul, row, col)) - t) % modulus",
+           ("tests/test_reps.py::test_full_images_are_pinned",)),
+    Mutant("pairing-without-its-n1-factor", "reps.py",
+           "if (n1 * sum(map(mul, a_vecs[i][l], b_vecs[m][j]))",
+           "if (sum(map(mul, a_vecs[i][l], b_vecs[m][j]))",
+           (f"{ORTHOGONALITY}::test_q8_self_pairings",)),
+    Mutant("pairing-bound-without-the-group-order", "reps.py",
+           "lambda a, d: n1 * order * a * a + order * d * d",
+           "lambda a, d: n1 * a * a + d * d",
+           (f"{ORTHOGONALITY}::test_a_pairing_sum_of_the_group_order_is_told_apart_from_zero",)),
 ]
 
 

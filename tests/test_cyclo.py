@@ -2,6 +2,7 @@ import cmath
 import copy
 import math
 import pickle
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -780,18 +781,10 @@ def dense_values(draw, e):
     return Cyclo(e, [Fraction(c, den) for c in nums])
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from([41, 97, 105]), st.data())
-def test_dot_packs_dense_terms_of_one_order(e, data):
-    # a dense product of two values of one order is made packed, by the
-    # rule of `_poly_mul`, and folded into a buffer that already holds an
-    # order-4 term, at stride lcm(4, e) // e; the sum is the one the double
-    # loop gives, with terms of other orders mixed in
-    n = data.draw(st.integers(min_value=1, max_value=3))
-    xs = ([root_of_unity(4)] + [data.draw(dense_values(e)) for _ in range(n)]
-          + [Fraction(2, 3), root_of_unity(5)])
-    ys = ([Fraction(1, 7)] + [data.draw(dense_values(e)) for _ in range(n)]
-          + [root_of_unity(e), root_of_unity(3)])
+def assert_dense_terms_packed(e, dense_xs, dense_ys):
+    n = len(dense_xs)
+    xs = [root_of_unity(4)] + dense_xs + [Fraction(2, 3), root_of_unity(5)]
+    ys = [Fraction(1, 7)] + dense_ys + [root_of_unity(e), root_of_unity(3)]
     packed = []
     real = cyclo._packed_mul
 
@@ -807,6 +800,32 @@ def test_dot_packs_dense_terms_of_one_order(e, data):
     assert packed == [(euler_phi(e), euler_phi(e))] * n
     assert fast.to_json() == slow.to_json()
     assert fast == sum((x * y for x, y in zip(xs, ys)), Cyclo.zero())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([41, 97, 105]), st.data())
+def test_dot_packs_dense_terms_of_one_order(e, data):
+    # a dense product of two values of one order is made packed, by the
+    # rule of `_poly_mul`, and folded into a buffer that already holds an
+    # order-4 term, at stride lcm(4, e) // e; the sum is the one the double
+    # loop gives, with terms of other orders mixed in
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    assert_dense_terms_packed(e, [data.draw(dense_values(e)) for _ in range(n)],
+                              [data.draw(dense_values(e)) for _ in range(n)])
+
+
+@pytest.mark.parametrize("e", [41, 97, 105])
+def test_dot_packs_seeded_dense_terms_of_one_order(e):
+    # the test above on three seeded pairs of dense values: a failure is
+    # reported in well under a second, where hypothesis shrinks for minutes
+    rng = random.Random(e)
+
+    def dense():
+        den = rng.randint(1, 9)
+        return Cyclo(e, [Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), den)
+                         for _ in range(euler_phi(e))])
+
+    assert_dense_terms_packed(e, [dense() for _ in range(3)], [dense() for _ in range(3)])
 
 
 RING_ORDERS = [1, 4, 5, 12, 15]

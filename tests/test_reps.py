@@ -179,6 +179,16 @@ class TestMatrixOrthogonality:
         assert not report.ok
         assert report.violations
 
+    def test_a_pairing_sum_of_the_group_order_is_told_apart_from_zero(self):
+        # two trivial reps of the cyclic group of order 15, held as two
+        # objects, so the expected cross pairing is 0; it is
+        # (1/15) sum_t 1 = 1, and n1 sum_t 1 = |G| = 15 = 2^4 - 1 is the
+        # modulus that a bound without its |G| factor would choose
+        g = parse_group_spec("perm:8:(0,1,2)(3,4,5,6,7)")
+        rep1, rep2 = (MatrixRep(g, [((Cyclo.one(),),)]) for _ in range(2))
+        report = check_matrix_orthogonality(rep1, rep2)
+        assert report.violations == [((0, 0, 0, 0), 1, 0)]
+
     def test_group_mismatch(self, q8_rep):
         g = parse_group_spec("C3")
         other = MatrixRep(g, [((Cyclo.one(),),)]).extend_to_group()
@@ -192,8 +202,14 @@ class TestBuiltinReps:
             builtin_rep("nonsense")
 
     def test_dihedral_needs_three(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="3 <= n <= 9"):
             builtin_rep("dihedral-rot:2:1")
+
+    def test_dihedral_stops_at_nine(self):
+        # D<n> is builtin for n <= 9 only, so the error names that range,
+        # not the group spec D10
+        with pytest.raises(ParseError, match="3 <= n <= 9"):
+            builtin_rep("dihedral-rot:10:1")
 
     def test_dihedral_relations(self):
         rep = builtin_rep("dihedral-rot:6:1")
@@ -258,3 +274,38 @@ def test_orthogonality_report_is_pinned(n):
         f"[((0, 0, 1, 1), {half}, {zero}), ((0, 1, 0, 1), {half}, {zero}), "
         f"((1, 0, 1, 0), {half}, {zero}), ((1, 1, 0, 0), {half}, {zero})]"
     )
+
+
+@pytest.mark.parametrize("n, digest", [
+    (3, "cb7f8ff2aba6757c0a179808e0965ac4fffb2c017ce632ce920c293faf249151"),
+    (4, "fa8404b78c81391deee1cc286b21d2c396119cc9ab81ee105f67328c341c570d"),
+    (5, "46d540db652f48a259ef9ae72489549ad4dbebd8c2f7df3df984aa2b92377f30"),
+    (6, "2cf53ff862eded8c38a4ecd037e5036af021cdd706d3a221c6ca34d43617c47e"),
+    (7, "855504df0b93963ec3c262efa5c42c21ab7f04d024d6f4ab259036df884b7dce"),
+    (8, "d667fcf9c7d4b2d8b941d2c928dafda54c08589da96c39635b3d1c15313a7ec4"),
+    (9, "e86386920a9d3bcce89f1153b634a429556469a4696ab3ebfbf246264922898e"),
+])
+def test_orthogonality_reports_over_all_rotations_are_pinned(n, digest):
+    # sha256 of every report, with its violations, of dihedral-rot:n:r1
+    # against dihedral-rot:n:r2 for r1, r2 in 0..n-1, rep2 the same object
+    # as rep1 when r1 == r2; r = 0 and 2r = 0 (mod n) give reducible reps,
+    # so the violations and their exact values are pinned too
+    reps = [builtin_rep(f"dihedral-rot:{n}:{r}") for r in range(n)]
+    reports = [check_matrix_orthogonality(rep1, rep2) for rep1 in reps for rep2 in reps]
+    text = "".join(f"{report!r} {report.violations!r}\n" for report in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("reverse, text", [
+    (False, "images are not a homomorphism at element (0,4,3,2,1)"),
+    (True, "images are not a homomorphism at element ()"),
+])
+def test_first_failing_edge_is_pinned(reverse, text):
+    # the rotation by 2 pi / 7 does not have order 5; the first Cayley edge
+    # that fails, in the breadth-first order of D5's elements and of its
+    # generators, names the element
+    images = builtin_rep("dihedral-rot:7:1").images
+    rep = MatrixRep(parse_group_spec("D5"), images[::-1] if reverse else images)
+    with pytest.raises(InconsistentRepError) as info:
+        rep.extend_to_group()
+    assert str(info.value) == text
