@@ -7,11 +7,9 @@ all-in-one invariant suite over a finished character table.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
 
 from . import _modp as mp
 from .classfun import (
@@ -256,22 +254,13 @@ class CheckReport:
         }
 
 
-class _Ring(NamedTuple):
-    """A table's values in Z/M under `kronecker_residues`, and the bound
-    that chose M."""
-
-    modulus: int
-    scale: int  # D, the lcm of the value denominators
-    bound: int  # B, the largest 1-norm of a sum or difference the suite tests
-    rows: list[list[int]]  # row i: D chi_i(g_l) mod M
-    conj: list[list[int]]  # row i: D conj(chi_i(g_l)) mod M
-
-
-def _ring(table: CharacterTable) -> _Ring:
-    """The table's residues, with B bounding the 1-norm of every identity
-    `check_all` tests, in the coordinates zeta_L^i, and of every D-scaled
-    sum it reads.  A is the largest 1-norm of a D-scaled value, so a product
-    of two has 1-norm at most A^2, and the D-scaled degree |D n_i| <= A:
+def _ring(table: CharacterTable) -> tuple[int, int, int, list[list[int]], list[list[int]]]:
+    """The table's values in the ring of `kronecker_residues`: (M, D, B, row
+    i of D chi_i(g_l) mod M, row i of D conj(chi_i(g_l)) mod M), with B
+    bounding the 1-norm of every identity `check_all` tests, in the
+    coordinates zeta_L^i, and of every D-scaled sum it reads.  A is the
+    largest 1-norm of a D-scaled value, so a product of two has 1-norm at
+    most A^2, and the D-scaled degree |D n_i| <= A:
     - a row pairing against |G| D^2 delta_ij: |G| (A^2 + D^2);
     - r_l times a column norm against |G| D^2: r_l h A^2 + |G| D^2;
     - the central identity, times D^2, as sum_l a_jkl r_l = r_j r_k:
@@ -283,19 +272,18 @@ def _ring(table: CharacterTable) -> _Ring:
     A + D, stay below these."""
     data = table.class_data
     h, order, big = len(data), table.group.order, max(data.sizes)
-    values = table.values
-    d = math.lcm(*(v.den for v in values))
-    a = max(sum(map(abs, v.nums)) * (d // v.den) for v in values)
-    c = 2 * h * a
-    bound = max(order * (a * a + d * d), big * h * a * a + order * d * d,
-                2 * big * big * a * a, a * a + d * a, order * a * (c * c + d * c))
-    modulus, images, conjugates = kronecker_residues(values, bound)
-    return _Ring(modulus, d, bound,
-                 [list(map(images.__getitem__, cells)) for cells in table.cells],
-                 [list(map(conjugates.__getitem__, cells)) for cells in table.cells])
+
+    def bound(a: int, d: int) -> int:
+        c = 2 * h * a
+        return max(order * (a * a + d * d), big * h * a * a + order * d * d,
+                   2 * big * big * a * a, a * a + d * a, order * a * (c * c + d * c))
+
+    modulus, d, b, images, conjugates = kronecker_residues(table.values, bound)
+    return (modulus, d, b, [list(map(images.__getitem__, cells)) for cells in table.cells],
+            [list(map(conjugates.__getitem__, cells)) for cells in table.cells])
 
 
-def _decomposes(ring: _Ring, weighted: list[int], unit: int) -> bool:
+def _decomposes(ring: tuple, weighted: list[int], unit: int) -> bool:
     """Whether a class function psi has nonnegative integral multiplicities
     over the table's rows, given weighted[l] = r_l u conj(psi(g_l)) mod M, where
     unit = u D |G|.  Row i gives s = sum_l D chi_i(g_l) weighted[l] = unit
@@ -303,20 +291,19 @@ def _decomposes(ring: _Ring, weighted: list[int], unit: int) -> bool:
     an s lies in [0, B], so it is its own residue; a residue in [0, B]
     differs from s by at most 2B < 2^W - 1, so it is s only when s is that
     int."""
-    mod, bound = ring.modulus, ring.bound
+    mod, _, bound, rows, _ = ring
     return all(s <= bound and not s % unit
-               for s in (sum(map(mul, row, weighted)) % mod for row in ring.rows))
+               for s in (sum(map(mul, row, weighted)) % mod for row in rows))
 
 
 def check_all(table: CharacterTable) -> CheckReport:
     """Run the invariant suite against a finished table; failures are data.
 
-    The identities are evaluated in one ring Z/M, built once per call by
-    `kronecker_residues`: each value v is read as D v(2^W) mod M, its
-    conjugate as D v(2^-W), and an identity between sums of products of
-    values becomes one int equation modulo M.  M is chosen so that no sum or
-    difference the suite tests, whose 1-norm is at most `_ring`'s bound B,
-    maps to 0 unless it is 0, so each such verdict is the exact one.  The
+    The identities are evaluated in the residue ring Z/M of
+    `kronecker_residues`, built once per call under `_ring`'s bound B on
+    every sum or difference the suite tests: an identity between sums of
+    products of values is one int equation modulo M, and its verdict is the
+    exact one.  The
     row and column pairings are shared by the checks that read them, the
     central-character identity included: it is evaluated in integer form on
     the size-weighted conjugates of the row pairings, for the classes in
@@ -332,9 +319,7 @@ def check_all(table: CharacterTable) -> CheckReport:
     sizes = data.sizes
     inverse = data.inverse_class
     rows = table.rows
-    ring = _ring(table)
-    mod, scale = ring.modulus, ring.scale
-    img, conj = ring.rows, ring.conj
+    mod, scale, _, img, conj = ring = _ring(table)
     cols = list(zip(*img))
     conj_cols = list(zip(*conj))
     results: list[CheckResult] = []

@@ -22,9 +22,9 @@ print.  `dot` collects a sum of products in one int vector, makes no `Cyclo`
 per term and one `Cyclo` per call.  Every sum, whether `+`, `dot` or a
 cyclic transform (`_root_sums`), is held by one rule: at order 1 when it is
 rational, else at the lcm of its terms' orders, which `dot` grows as terms
-bring new orders.  `kronecker_residues` maps a set of values into Z/M by
-zeta_L -> 2^W, with M large enough that the sums `check_all` and `reps`
-test map to 0 only when they are 0.
+bring new orders.  `kronecker_residues` maps values into Z/M by zeta_L
+-> 2^W, with M chosen from the bound its caller (`check_all`, `reps`)
+states, so the sums they test map to 0 only when they are 0.
 Arithmetic returns a rational result at order 1, and an order-1 operand, or
 an `int` or `Fraction` scalar, scales the other operand's numerators and
 denominator directly, so rational values never pay for the coefficient
@@ -40,7 +40,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from ._modp import factorize
 
@@ -604,37 +604,49 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
     return _value(order, _reduce(order, buf), den)
 
 
-def kronecker_residues(values: Sequence[Cyclo], bound: int) -> tuple[int, list[int], list[int]]:
-    """The ring map zeta_L -> x = 2^W of Z[zeta_L] onto Z/M: (M, images,
-    conjugate images), with L the lcm of the value orders, D the lcm of
-    their denominators, W = bits(bound) + 2 and M = |Phi_L(x)|.  A value v
-    maps to D v(x) mod M, and its conjugate to D v(x^-1) mod M, where x^-1
-    = x^(L-1) since x^L = 1 mod M; each residue is in [0, M).
+def kronecker_residues(values: Sequence[Cyclo], bound: Callable[[int, int], int]
+                       ) -> tuple[int, int, int, list[int], list[int]]:
+    """The one residue ring of the exact checks: the ring map zeta_L -> x =
+    2^W of Z[zeta_L] onto Z/M, and the values in it.  Returns (M, D, B,
+    images, conjugates), one image and one conjugate image per input value,
+    in input order.
+
+    L is the lcm of the value orders, D the lcm of their denominators and A
+    the largest 1-norm of a D-scaled value's numerators, each read once per
+    distinct held form (order, nums, den).  The caller states its bound as a
+    function of A and D: B = bound(A, D) bounds the 1-norm of every sum it
+    tests.  W = bits(B) + 2 and M = |Phi_L(x)|.  A value v maps to D v(x)
+    mod M, and its conjugate to D v(x^-1) mod M, where x^-1 = x^(L-1) since
+    x^L = 1 mod M; each residue is in [0, M), and each distinct held form is
+    mapped once, so equal values held as distinct objects share residues.
 
     The map is a ring homomorphism, and its kernel is an ideal of norm M.
     So a nonzero algebraic integer alpha = sum_i c_i zeta_L^i in it has M
     dividing N(alpha), while |N(alpha)| <= ||c||_1^phi(L) < (x - 1)^phi(L)
-    <= M whenever ||c||_1 < x - 1.  Since x >= 4 (bound + 1), a sum of
-    products of D-scaled values whose coefficients on the powers of zeta_L
-    have 1-norm at most 2 bound maps to 0 exactly when it is 0: an identity
-    between such sums is one int equation modulo M (Kronecker substitution,
-    as in D. Harvey, J. Symbolic Comput. 44 (2009))."""
-    order = math.lcm(*(v.order for v in values))
-    den = math.lcm(*(v.den for v in values))
-    w = bound.bit_length() + 2
+    <= M whenever ||c||_1 < x - 1.  Since x >= 4 (B + 1), a sum of products
+    of D-scaled values whose coefficients on the powers of zeta_L have 1-norm
+    at most 2 B maps to 0 exactly when it is 0: an identity between such
+    sums is one int equation modulo M (Kronecker substitution, as in D.
+    Harvey, J. Symbolic Comput. 44 (2009))."""
+    held = [(v.order, v.nums, v.den) for v in values]
+    distinct = dict(zip(held, values))  # each held form -> a value that holds it
+    order = math.lcm(*(v.order for v in distinct.values()))
+    den = math.lcm(*(v.den for v in distinct.values()))
+    b = bound(max(sum(map(abs, v.nums)) * (den // v.den) for v in distinct.values()), den)
+    w = b.bit_length() + 2
     deg, terms = _phi_terms(order)
     modulus = abs((1 << (w * deg)) + sum(c << (w * j) for j, c in terms))
-    images, conjugates = [], []
-    for v in values:
+    residues = {}
+    for key, v in distinct.items():
         step, f = w * (order // v.order), den // v.den
         image = conjugate = 0
         for i, c in enumerate(v.nums):
             if c:
                 image += c * f << step * i
                 conjugate += c * f << step * (-i % v.order)
-        images.append(image % modulus)
-        conjugates.append(conjugate % modulus)
-    return modulus, images, conjugates
+        residues[key] = image % modulus, conjugate % modulus
+    images, conjugates = map(list, zip(*map(residues.__getitem__, held)))
+    return modulus, den, b, images, conjugates
 
 
 def _root_sums(values: Sequence[Cyclo], n: int, sign: int, divisor: int = 1) -> list[Cyclo]:

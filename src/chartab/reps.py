@@ -4,15 +4,14 @@ A representation is given by generator images and extended to the whole
 group along the group's own breadth-first element enumeration.  Exact
 `Cyclo` products are made only on the |G| - 1 edges el -> el s of the
 discovery tree.  Every other Cayley-graph edge, rho(el) rho(s) = rho(el s),
-and every Schur pairing is one int equation modulo M in a residue ring of
-`kronecker_residues` (v -> D v(2^W) mod M).  M is chosen from A, the largest
-1-norm of a D-scaled image value: d A^2 + D A bounds an edge in dimension d,
-and n1 |G| A^2 + |G| D^2 a pairing, so no bound grows with the tree's depth.
+and every Schur pairing is one int equation modulo M in the residue ring of
+`kronecker_residues`, under a bound stated in its A and D: d A^2 + D A for
+an edge in dimension d, and n1 |G| A^2 + |G| D^2 for a pairing, so no bound
+grows with the tree's depth.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from itertools import islice
@@ -51,30 +50,20 @@ def mat_trace(a: CycloMatrix) -> Cyclo:
 
 
 def mat_det(a: CycloMatrix) -> Cyclo:
-    """Determinant by cofactor expansion; dimensions in scope are <= 4."""
+    """Determinant by cofactor expansion along the first row, each level one
+    `dot` of the signed row with its minors; dimensions in scope are <= 4."""
     n = len(a)
     if n == 1:
         return a[0][0]
-    cofactors = (
-        a[0][j] * mat_det(tuple(row[:j] + row[j + 1:] for row in a[1:]))
-        for j in range(n)
-    )
-    return dot([(-1) ** j for j in range(n)], cofactors)
+    return dot([-v if j % 2 else v for j, v in enumerate(a[0])],
+               [mat_det(tuple(row[:j] + row[j + 1:] for row in a[1:])) for j in range(n)])
 
 
 def _residues(mats: list[CycloMatrix], bound: Callable[[int, int], int]) -> tuple:
-    """(M, D, the matrices in Z/M) under `kronecker_residues`, each distinct
-    value mapped once, with M chosen for bound(A, D): D the lcm of the value
-    denominators and A the largest 1-norm of a D-scaled value."""
-    distinct = {}  # a value's held form -> the first entry that holds it
-    firsts = [distinct.setdefault((v.order, v.nums, v.den), v)
-              for m in mats for row in m for v in row]
-    values = list(distinct.values())
-    d = math.lcm(*(v.den for v in values))
-    a = max(sum(map(abs, v.nums)) * (d // v.den) for v in values)
-    modulus, images, _ = kronecker_residues(values, bound(a, d))
-    residue = dict(zip(map(id, values), images))
-    flat = map(residue.__getitem__, map(id, firsts))
+    """(M, D, the matrices in Z/M) of `kronecker_residues` under bound."""
+    modulus, d, _, images, _ = kronecker_residues([v for m in mats for row in m for v in row],
+                                                  bound)
+    flat = iter(images)
     return modulus, d, [[list(islice(flat, len(row))) for row in m] for m in mats]
 
 

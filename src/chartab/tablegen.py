@@ -400,9 +400,11 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
 
     A table holds few distinct values, so each is made once per call: the
     rational value of each c, and the DFT of each tuple `along` of chi mod p
-    on the power classes (which, with d and p, fixes it), each kind in a
-    dict of its own.  The bounds are still checked on every entry, against
-    that row's degree.
+    on the power classes (which, with d and p, fixes it).  Each distinct
+    value is one object, kept in one dict: a rational value by its int,
+    which a DFT result that is rational looks up too, and an irrational one
+    by (order, nums), so two tuples with one value share it.  The bounds are
+    still checked on every entry, against that row's degree.
     """
     data = group.conjugacy_classes()
     e = group.exponent
@@ -429,7 +431,7 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
     half = p // 2
     rows = []
     column_sums = [0] * len(data)  # sum_i n_i chi_i(g_j) on the rational classes
-    rational_values: dict[int, Cyclo] = {}  # c -> the value c
+    made: dict = {}  # c -> the rational value c; (order, nums) -> an irrational value
     dft_values: dict[tuple, tuple] = {}  # along -> (sum m_t, value)
     for n_i, v in zip(degrees, vectors):
         chi = [n_i * x % p * r % p for x, r in zip(v, size_inv)]  # chi mod p
@@ -441,9 +443,9 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
             if abs(c) > n_i:
                 raise TableConstructionError(f"rational value {c} exceeds degree {n_i}")
             column_sums[j] += n_i * c
-            value = rational_values.get(c)
+            value = made.get(c)
             if value is None:
-                value = rational_values[c] = Cyclo.from_rational(c)
+                value = made[c] = Cyclo.from_rational(c)
             values[j] = value
         for j in nonrational:
             along = tuple(map(chi.__getitem__, data.power_class[j]))
@@ -451,7 +453,9 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
             if entry is None:
                 d = len(along)
                 exps = [sum(map(mul, along, w)) % p for w in dft[d]]
-                entry = dft_values[along] = (sum(exps), Cyclo(d, exps))
+                value = Cyclo(d, exps)
+                key = value.nums[0] if value.order == 1 else (value.order, value.nums)
+                entry = dft_values[along] = (sum(exps), made.setdefault(key, value))
             total, values[j] = entry
             # each m_t is in [0, p), so a sum of n_i bounds every m_t by n_i
             if total != n_i:

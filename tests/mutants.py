@@ -44,7 +44,8 @@ KRONECKER = "tests/test_cyclo.py::TestKroneckerResidues"
 ORTHOGONALITY = "tests/test_reps.py::TestMatrixOrthogonality"
 
 MUTANTS = [
-    # the table's value index and the row order
+    # the lift's one object per value, the table's value index and the row
+    # order
     Mutant("cells-of-the-unsorted-rows", "tablegen.py",
            "return [rows[i] for i in order], values, [cells[i] for i in order]",
            "return [rows[i] for i in order], values, cells",
@@ -57,10 +58,6 @@ MUTANTS = [
            "*map(rounded.__getitem__, cells[i]), *map(held.__getitem__, cells[i])))",
            "*zip(map(rounded.__getitem__, cells[i]), map(held.__getitem__, cells[i]))))",
            (f"{VALUE_INDEX}::test_held_forms_are_read_after_every_float",)),
-    Mutant("ring-conjugates-read-from-the-images", "analysis.py",
-           "[list(map(conjugates.__getitem__, cells)) for cells in table.cells])",
-           "[list(map(images.__getitem__, cells)) for cells in table.cells])",
-           (BUILTINS_PASS,)),
     Mutant("json-joins-the-cells-of-another-row", "cli.py",
            "for n, cells in zip(table.degrees, table.cells):",
            "for n, cells in zip(table.degrees, table.cells[::-1]):",
@@ -69,7 +66,30 @@ MUTANTS = [
            "if not isinstance(n, int):  # a float or a Fraction power is not exact",
            "if isinstance(n, str):  # a float or a Fraction power is not exact",
            ("tests/test_cyclo.py::TestFieldOps::test_pow_by_a_non_int_raises_cyclo_error",)),
-    # check_all's residue ring, `kronecker_residues`
+    Mutant("lift-keeps-a-dft-value-apart", "tablegen.py",
+           "entry = dft_values[along] = (sum(exps), made.setdefault(key, value))",
+           "entry = dft_values[along] = (sum(exps), value)",
+           (f"{VALUE_INDEX}::test_a_built_table_holds_one_object_per_distinct_value",)),
+    # the linear characters, the twisted copies of the F_p split's lines and
+    # the normal closures' class products
+    Mutant("linear-extension-without-its-multiplier", "tablegen.py",
+           "(k[l] + a * t) % e",
+           "(k[l] + t) % e",
+           ("tests/test_tablegen.py::TestLinearCharacters::test_matches_table_rows",)),
+    Mutant("lines-without-their-twisted-copies", "tablegen.py",
+           "lines.extend([a * b % p for a, b in zip(c, v)] for c in copies)",
+           "lines.append(v)",
+           ("tests/test_tablegen.py::TestTwistOrbits",)),
+    Mutant("closure-reads-the-class-products-in-one-order", "permgroup.py",
+           "small, large = (k, i) if data.sizes[k] <= data.sizes[i] else (i, k)",
+           "small, large = (k, i)",
+           ("tests/test_analysis.py::TestBurnsideClassTest::"
+            "test_s8_closures_read_each_class_product_from_the_smaller_class",)),
+    # the one residue ring, `kronecker_residues`, and its readers
+    Mutant("ring-conjugates-read-from-the-images", "analysis.py",
+           "[list(map(conjugates.__getitem__, cells)) for cells in table.cells])",
+           "[list(map(images.__getitem__, cells)) for cells in table.cells])",
+           (BUILTINS_PASS,)),
     Mutant("modulus-two-to-the-w-minus-one", "cyclo.py",
            "modulus = abs((1 << (w * deg)) + sum(c << (w * j) for j, c in terms))",
            "modulus = (1 << w) - 1",
@@ -85,9 +105,21 @@ MUTANTS = [
            (f"{KRONECKER}::test_values_are_scaled_by_the_lcm_of_their_denominators",
             "tests/test_analysis.py::TestCheckAllCorruptions::test_named_checks_fail")),
     Mutant("w-fixed-at-64", "cyclo.py",
-           "w = bound.bit_length() + 2",
+           "w = b.bit_length() + 2",
            "w = 64",
            (f"{KRONECKER}::test_a_value_plus_the_modulus_is_told_apart",)),
+    Mutant("a-read-without-the-d-scale", "cyclo.py",
+           "sum(map(abs, v.nums)) * (den // v.den) for v in distinct.values()",
+           "sum(map(abs, v.nums)) for v in distinct.values()",
+           (f"{KRONECKER}::test_values_are_scaled_by_the_lcm_of_their_denominators",)),
+    Mutant("held-form-keyed-without-den", "cyclo.py",
+           "held = [(v.order, v.nums, v.den) for v in values]",
+           "held = [(v.order, v.nums) for v in values]",
+           (f"{KRONECKER}::test_values_are_scaled_by_the_lcm_of_their_denominators",)),
+    Mutant("residues-handed-back-in-distinct-order", "cyclo.py",
+           "zip(*map(residues.__getitem__, held))",
+           "zip(*residues.values())",
+           (f"{KRONECKER}::test_equal_values_held_as_distinct_objects_share_residues",)),
     # `dot`'s one buffer at the lcm of its terms' orders
     Mutant("buffer-grown-by-a-prefix-copy", "cyclo.py",
            "grown[::o // order] = buf",
@@ -106,8 +138,16 @@ MUTANTS = [
            "buf[i % order] += c * f",
            ("tests/test_cyclo.py::test_dot_packs_seeded_dense_terms_of_one_order",
             "tests/test_cyclo.py::test_dot_packs_dense_terms_of_one_order")),
-    # `reps`: exact images along the discovery tree, every other identity
-    # an int equation in a residue ring
+    Mutant("packed-fold-without-the-denominator-factor", "cyclo.py",
+           "buf[i * sx % order] += c * f",
+           "buf[i * sx % order] += c",
+           ("tests/test_cyclo.py::test_dot_packs_seeded_dense_terms_of_one_order",)),
+    # `reps`: the determinant, exact images along the discovery tree, every
+    # other identity an int equation in a residue ring
+    Mutant("det-without-its-cofactor-signs", "reps.py",
+           "[-v if j % 2 else v for j, v in enumerate(a[0])]",
+           "list(a[0])",
+           ("tests/test_reps.py::TestExtension::test_det_of_a_vandermonde_matrix",)),
     Mutant("non-tree-edges-never-checked", "reps.py",
            "for el, k, prod in edges:",
            "for el, k, prod in edges[:0]:",

@@ -405,7 +405,7 @@ def _corrupted(table, kind):
         vals[i][j] = vals[i][j] * Fraction(1, 2)
     elif kind == "plus-modulus":
         # the modulus check_all reads the clean table in
-        last[1] = last[1] + analysis._ring(table).modulus
+        last[1] = last[1] + analysis._ring(table)[0]
     return CharacterTable(g, [ClassFunction(g, v) for v in vals])
 
 

@@ -12,6 +12,7 @@ from chartab.reps import (
     builtin_rep,
     character_of,
     check_matrix_orthogonality,
+    mat_det,
     mat_mul,
     mat_trace,
     permutation_character,
@@ -19,7 +20,7 @@ from chartab.reps import (
 )
 from chartab.tablegen import build_character_table, linear_characters
 
-from conftest import class_index_of
+from conftest import class_index_of, ratio, zeta
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,28 @@ class TestExtension:
         g = parse_group_spec("C2")
         with pytest.raises(InconsistentRepError):
             MatrixRep(g, [((Cyclo.zero(),),)])
+
+    @pytest.mark.parametrize("points", [
+        [1, zeta(5), zeta(5, 3)],
+        [2, zeta(12), ratio(1, 2), zeta(12, 7) + zeta(3)],
+    ])
+    def test_det_of_a_vandermonde_matrix(self, points):
+        # det (x_i^j) = prod_{i < j} (x_j - x_i), in dimensions 3 and 4
+        n = len(points)
+        vandermonde = tuple(tuple(x ** j for j in range(n)) for x in points)
+        expected = from_rational(1)
+        for i in range(n):
+            for j in range(i + 1, n):
+                expected = expected * (points[j] - points[i])
+        assert not expected.is_rational()
+        assert mat_det(vandermonde) == expected
+
+    def test_singular_image_of_dimension_three_rejected(self):
+        # the third row is the sum of the first two
+        z = zeta(5)
+        rows = [[1, z, 0], [z, 2, 1], [1 + z, 2 + z, 1]]
+        with pytest.raises(InconsistentRepError, match="^generator image is singular$"):
+            MatrixRep(parse_group_spec("C2"), [rows])
 
     def test_homomorphism_on_random_pairs(self, q8_rep):
         rng = random.Random(3)

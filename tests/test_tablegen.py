@@ -1288,6 +1288,14 @@ class TestValueIndex:
         # the lift makes each distinct value once, so the index is small
         assert len(table.values) < len(table) ** 2 or len(table) == 1
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + ["A6", "A7", D4_X_D4_X_C3, C24])
+    def test_a_built_table_holds_one_object_per_distinct_value(self, name):
+        # the lift keeps one object per value, whether the rational path or
+        # the DFT made it, so the index holds each value once
+        table = build_character_table(parse_group_spec(name))
+        held = {(v.order, v.nums, v.den) for v in table.values}
+        assert len(held) == len(table.values)
+
     def test_equal_values_that_are_distinct_objects_are_indexed_apart(self):
         # ClassFunction makes a value of each int, so the four 1s are four
         # objects; a row made of another row's objects shares their cells
