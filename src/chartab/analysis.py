@@ -273,12 +273,12 @@ def _ring(table: CharacterTable) -> tuple[int, int, int, list[list[int]], list[l
     data = table.class_data
     h, order, big = len(data), table.group.order, max(data.sizes)
 
-    def bound(a: int, d: int) -> int:
+    def bound(a: int, d: int, _: int) -> int:
         c = 2 * h * a
         return max(order * (a * a + d * d), big * h * a * a + order * d * d,
                    2 * big * big * a * a, a * a + d * a, order * a * (c * c + d * c))
 
-    modulus, d, b, images, conjugates = kronecker_residues(table.values, bound)
+    modulus, d, b, _, images, conjugates = kronecker_residues(table.values, bound)
     return (modulus, d, b, [list(map(images.__getitem__, cells)) for cells in table.cells],
             [list(map(conjugates.__getitem__, cells)) for cells in table.cells])
 

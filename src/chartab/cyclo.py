@@ -24,7 +24,9 @@ cyclic transform (`_root_sums`), is held by one rule: at order 1 when it is
 rational, else at the lcm of its terms' orders, which `dot` grows as terms
 bring new orders.  `kronecker_residues` maps values into Z/M by zeta_L
 -> 2^W, with M chosen from the bound its caller (`check_all`, `reps`)
-states, so the sums they test map to 0 only when they are 0.
+states, so the sums they test map to 0 only when they are 0;
+`kronecker_window` reads a residue as n base-2^W digits, for the range
+test of `reps`.
 Arithmetic returns a rational result at order 1, and an order-1 operand, or
 an `int` or `Fraction` scalar, scales the other operand's numerators and
 denominator directly, so rational values never pay for the coefficient
@@ -604,21 +606,28 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
     return _value(order, _reduce(order, buf), den)
 
 
-def kronecker_residues(values: Sequence[Cyclo], bound: Callable[[int, int], int]
-                       ) -> tuple[int, int, int, list[int], list[int]]:
+def _width(b: int) -> int:
+    """W, the bits of x = 2^W in the ring under bound B: x >= 4 (B + 1)."""
+    return b.bit_length() + 2
+
+
+def kronecker_residues(values: Sequence[Cyclo], bound: Callable[[int, int, int], int]
+                       ) -> tuple[int, int, int, int, list[int], list[int]]:
     """The one residue ring of the exact checks: the ring map zeta_L -> x =
-    2^W of Z[zeta_L] onto Z/M, and the values in it.  Returns (M, D, B,
-    images, conjugates), one image and one conjugate image per input value,
-    in input order.
+    2^W of Z[zeta_L] onto Z/M, and the values in it.  Returns (M, D, B, n,
+    images, conjugates), with n = phi(L) the ring's degree, and one image
+    and one conjugate image per input value, in input order.
 
     L is the lcm of the value orders, D the lcm of their denominators and A
     the largest 1-norm of a D-scaled value's numerators, each read once per
     distinct held form (order, nums, den).  The caller states its bound as a
-    function of A and D: B = bound(A, D) bounds the 1-norm of every sum it
-    tests.  W = bits(B) + 2 and M = |Phi_L(x)|.  A value v maps to D v(x)
-    mod M, and its conjugate to D v(x^-1) mod M, where x^-1 = x^(L-1) since
-    x^L = 1 mod M; each residue is in [0, M), and each distinct held form is
-    mapped once, so equal values held as distinct objects share residues.
+    function of A, D and n: B = bound(A, D, n) bounds the 1-norm of every
+    sum it tests (n serves a caller that bounds a value by its n
+    coefficients on 1, zeta_L, ..., zeta_L^(n-1)).  W = bits(B) + 2 and M =
+    |Phi_L(x)|.  A value v maps to D v(x) mod M, and its conjugate to
+    D v(x^-1) mod M, where x^-1 = x^(L-1) since x^L = 1 mod M; each residue
+    is in [0, M), and each distinct held form is mapped once, so equal
+    values held as distinct objects share residues.
 
     The map is a ring homomorphism, and its kernel is an ideal of norm M.
     So a nonzero algebraic integer alpha = sum_i c_i zeta_L^i in it has M
@@ -632,9 +641,9 @@ def kronecker_residues(values: Sequence[Cyclo], bound: Callable[[int, int], int]
     distinct = dict(zip(held, values))  # each held form -> a value that holds it
     order = math.lcm(*(v.order for v in distinct.values()))
     den = math.lcm(*(v.den for v in distinct.values()))
-    b = bound(max(sum(map(abs, v.nums)) * (den // v.den) for v in distinct.values()), den)
-    w = b.bit_length() + 2
     deg, terms = _phi_terms(order)
+    b = bound(max(sum(map(abs, v.nums)) * (den // v.den) for v in distinct.values()), den, deg)
+    w = _width(b)
     modulus = abs((1 << (w * deg)) + sum(c << (w * j) for j, c in terms))
     residues = {}
     for key, v in distinct.items():
@@ -646,7 +655,20 @@ def kronecker_residues(values: Sequence[Cyclo], bound: Callable[[int, int], int]
                 conjugate += c * f << step * (-i % v.order)
         residues[key] = image % modulus, conjugate % modulus
     images, conjugates = map(list, zip(*map(residues.__getitem__, held)))
-    return modulus, den, b, images, conjugates
+    return modulus, den, b, deg, images, conjugates
+
+
+def kronecker_window(b: int, n: int, k: int) -> tuple[int, int]:
+    """(bias, outside) of the range test in the ring of `kronecker_residues`
+    under bound B and degree n, for k + 1 < W: bias = 2^k sum_{i<n} x^i, and
+    outside has the bits of each of the n base-x digits above its k + 1
+    lowest, and every bit past them.  If (R + bias) mod M has no bit of
+    outside set, it is sum_{i<n} u_i x^i with 0 <= u_i < 2^(k+1), so R is
+    the image of sum_{i<n} (u_i - 2^k) zeta_L^i: an algebraic integer with
+    every coefficient in [-2^k, 2^k), of 1-norm at most n 2^k."""
+    w = _width(b)
+    ones = ((1 << w * n) - 1) // ((1 << w) - 1)  # sum_{i < n} x^i
+    return ones << k, ~(ones * ((2 << k) - 1))
 
 
 def _root_sums(values: Sequence[Cyclo], n: int, sign: int, divisor: int = 1) -> list[Cyclo]:

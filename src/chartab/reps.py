@@ -1,13 +1,16 @@
 """Explicit matrix representations over cyclotomics.
 
-A representation is given by generator images and extended to the whole
-group along the group's own breadth-first element enumeration.  Exact
-`Cyclo` products are made only on the |G| - 1 edges el -> el s of the
-discovery tree.  Every other Cayley-graph edge, rho(el) rho(s) = rho(el s),
-and every Schur pairing is one int equation modulo M in the residue ring of
-`kronecker_residues`, under a bound stated in its A and D: d A^2 + D A for
-an edge in dimension d, and n1 |G| A^2 + |G| D^2 for a pairing, so no bound
-grows with the tree's depth.
+A representation is given by generator images.  Every identity it is
+checked on, each Cayley-graph edge rho(el) rho(s) = rho(el s) of the
+group's breadth-first enumeration and each Schur pairing, is one int
+equation modulo M in the residue ring of `kronecker_residues`.  That ring
+is built from the images of the identity and the generators alone, and the
+image of every other element is made in it, one int matrix product per edge
+of the discovery tree; a coefficient-range test on each such residue, with
+the tree, proves a bound on every image that no depth enters (`_ring`).
+Exact `Cyclo` images are made along the same tree, and only when asked:
+`full_images`, `image`, `character_of`, the value of a violated pairing, or
+a ring whose guess a residue fails.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .classfun import ClassFunction
-from .cyclo import Cyclo, dot, from_rational, kronecker_residues, root_of_unity
+from .cyclo import (Cyclo, dot, from_rational, kronecker_residues, kronecker_window,
+                    root_of_unity)
 from .permgroup import GroupMismatchError, ParseError, Perm, PermGroup, parse_group_spec
 
 CycloMatrix = tuple[tuple[Cyclo, ...], ...]
@@ -59,12 +63,121 @@ def mat_det(a: CycloMatrix) -> Cyclo:
                [mat_det(tuple(row[:j] + row[j + 1:] for row in a[1:])) for j in range(n)])
 
 
-def _residues(mats: list[CycloMatrix], bound: Callable[[int, int], int]) -> tuple:
-    """(M, D, the matrices in Z/M) of `kronecker_residues` under bound."""
-    modulus, d, _, images, _ = kronecker_residues([v for m in mats for row in m for v in row],
-                                                  bound)
-    flat = iter(images)
-    return modulus, d, [[list(islice(flat, len(row))) for row in m] for m in mats]
+def _edges(group: PermGroup) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
+    """The Cayley graph of the group's generators, walked in the group's
+    breadth-first enumeration order, which is the order it reaches the
+    elements in: for each element after the identity, (position of el,
+    generator) of the edge el -> el s that first reaches it, and every other
+    edge as (position of el, generator, position of el s)."""
+    elements = group.elements
+    position = {el: i for i, el in enumerate(elements)}
+    gens = [gen.right_mul() for gen in group.generators]
+    tree, others = [], []
+    for i, el in enumerate(elements):
+        for k, times_gen in enumerate(gens):
+            j = position[times_gen(el)]  # a tuple, which a Perm key equals
+            if j > len(tree):
+                tree.append((i, k))
+            else:
+                others.append((i, k, j))
+    return tree, others
+
+
+def _coefficient_bits(d: int) -> int:
+    """k of the guess that every D rho(el) has its coefficients in [-2^k,
+    2^k): 2^k > 2D, which bounds those of a unitary rep over a prime L."""
+    return d.bit_length() + 1
+
+
+def _shaped(flat: list[int], mats: list[list[CycloMatrix]]) -> list[list[list[list[int]]]]:
+    """The flat residues of the entries of mats, as matrices like theirs."""
+    it = iter(flat)
+    return [[[list(islice(it, len(row))) for row in m] for m in ms] for ms in mats]
+
+
+def _tree_residues(tree: list[tuple[int, int]], rings: list, modulus: int, d: int,
+                   bias: int, outside: int) -> list | None:
+    """Each rep's (D rho(el) mod M for each el in enumeration order, its
+    generator residues), from its [D 1, D rho(s) for each generator s] mod M
+    along the tree; None if D has no inverse mod M or a residue fails the
+    range test of `kronecker_window`."""
+    try:
+        inverse = pow(d, -1, modulus)
+    except ValueError:  # an odd D that shares a factor with M
+        return None
+    out = []
+    for root, *gens in rings:
+        # rho(s) = D rho(s) D^-1 mod M: one sum of d products per tree entry
+        cols = [list(zip(*[[t * inverse % modulus for t in row] for row in m])) for m in gens]
+        res = [root]
+        for i, g in tree:
+            image = [[(sum(map(mul, row, col)) + bias) % modulus for col in cols[g]]
+                     for row in res[i]]
+            if any(t & outside for row in image for t in row):
+                return None
+            res.append([[t - bias for t in row] for row in image])
+        out.append((res, gens))
+    return out
+
+
+def _ring(reps: Sequence["MatrixRep"], bound: Callable[[int, int], int] = lambda a, d: 0
+          ) -> tuple[int, int, list[list[list[list[int]]]]]:
+    """The reps' images in one ring of `kronecker_residues`: (M, D, [D rho(el)
+    mod M for each el in enumeration order, for each rep]).  It checks every
+    Cayley edge of each rep not checked yet, and raises at the first that
+    fails.  The caller states what else the ring decides as bound(A', D),
+    with A' a bound on the 1-norm of every D rho(el).
+
+    The ring is built from the images of the identity and the generators,
+    A_s their largest D-scaled 1-norm, under the guess that every D rho(el)
+    has its n = phi(L) coefficients in [-2^k, 2^k), k from
+    `_coefficient_bits`; A' = n 2^k.  Along each tree edge, R(el s) =
+    R(el) R(s) D^-1 mod M, and R(el s) must pass the range test of
+    `kronecker_window`, one add and one AND, which makes it the image of an
+    algebraic integer beta with those coefficients, so ||beta||_1 <= A'.
+    By induction from R(1) = D 1: if R(el) is the image of D rho(el), then
+    D beta - D rho(el) D rho(s) maps to 0 and has 1-norm at most
+    D A' + d A' A_s, which the ring's bound covers, so it is 0 and
+    beta = D rho(el s).  So A' is a proven bound with no depth in it, and a
+    non-tree edge, D rho(el) D rho(s) = D D rho(el s), is decided under it.
+
+    If a residue fails (an image whose denominator passes the generators'
+    D, or a coefficient past 2^k), or D has no inverse mod M (M is odd, so
+    only an odd D can share a factor with it), the ring is built once more,
+    from the exact images along the tree, with A' = A_s = the A read off
+    them."""
+    tree, others = _edges(reps[0].group)
+    dim = max(rep.dim for rep in reps)
+
+    def stated(a: int, a_s: int, d: int) -> int:
+        return max(d * a + dim * a * a_s, bound(a, d))
+
+    roots = [[mat_identity(rep.dim), *rep.images] for rep in reps]
+    modulus, d, b, n, flat, _ = kronecker_residues(
+        [v for mats in roots for m in mats for row in m for v in row],
+        lambda a_s, d, n: stated(n << _coefficient_bits(d), a_s, d))
+    rings = _tree_residues(tree, _shaped(flat, roots), modulus, d,
+                           *kronecker_window(b, n, _coefficient_bits(d)))
+    if rings is None:
+        exact = [[*rep._exact_images().values(), *rep.images] for rep in reps]
+        modulus, d, _, _, flat, _ = kronecker_residues(
+            [v for mats in exact for m in mats for row in m for v in row],
+            lambda a, d, n: stated(a, a, d))
+        rings = [(mats[:len(tree) + 1], mats[len(tree) + 1:]) for mats in _shaped(flat, exact)]
+    for rep, (res, gens) in zip(reps, rings):
+        if rep._checked:
+            continue
+        gen_cols = [list(zip(*m)) for m in gens]
+        for i, g, j in others:
+            if any((sum(map(mul, row, col)) - d * t) % modulus
+                   for row, target in zip(res[i], res[j])
+                   for col, t in zip(gen_cols[g], target)):
+                raise InconsistentRepError(
+                    f"images are not a homomorphism at element "
+                    f"{rep.group.elements[j].cycle_string()}"
+                )
+        rep._checked = True
+    return modulus, d, [res for res, _ in rings]
 
 
 class MatrixRep:
@@ -83,44 +196,35 @@ class MatrixRep:
                 raise ValueError("generator images must be square of equal size")
             if mat_det(m).is_zero():
                 raise InconsistentRepError("generator image is singular")
-        self.full_images: dict[Perm, CycloMatrix] | None = None
+        self._checked = False  # every Cayley edge holds
+        self._exact: dict[Perm, CycloMatrix] | None = None
 
     def extend_to_group(self) -> "MatrixRep":
-        """Fill images for every element along the group's breadth-first
-        enumeration, an exact product on the edge that first reaches each
-        element, then check every other Cayley-graph edge in the residue
-        ring; raises at the first edge, in enumeration order, where two
-        words for the same element disagree."""
-        if self.full_images is not None:
-            return self
-        full = {Perm.identity(self.group.degree): mat_identity(self.dim)}
-        gens = [(gen.right_mul(), gen_img)
-                for gen, gen_img in zip(self.group.generators, self.images)]
-        edges = []  # (el, k, el s_k) off the discovery tree, in enumeration order
-        for el in self.group.elements:
-            for k, (times_gen, gen_img) in enumerate(gens):
-                prod = times_gen(el)  # a tuple, which a Perm key equals
-                if prod in full:
-                    edges.append((el, k, prod))
-                else:
-                    full[Perm(prod)] = mat_mul(full[el], gen_img)
-        modulus, d, res = _residues([*full.values(), *self.images],
-                                    lambda a, d: self.dim * a * a + d * a)
-        image = dict(zip(full, res))
-        gen_cols = [list(zip(*m)) for m in res[len(full):]]
-        for el, k, prod in edges:
-            if any((sum(map(mul, row, col)) - d * t) % modulus
-                   for row, target in zip(image[el], image[prod])
-                   for col, t in zip(gen_cols[k], target)):
-                raise InconsistentRepError(
-                    f"images are not a homomorphism at element "
-                    f"{Perm(prod).cycle_string()}"
-                )
-        self.full_images = full
+        """Check that the images define a homomorphism on every Cayley-graph
+        edge, in the residue ring of `_ring`, which makes exact images only
+        when its guess fails; raises at the first edge, in enumeration
+        order, where two words for the same element disagree."""
+        if not self._checked:
+            _ring([self])
         return self
 
+    @property
+    def full_images(self) -> dict[Perm, CycloMatrix]:
+        """Every element's exact image, in enumeration order, once the
+        images are checked."""
+        return self.extend_to_group()._exact_images()
+
+    def _exact_images(self) -> dict[Perm, CycloMatrix]:
+        """The one routine that makes exact images, once: rho(el s) =
+        rho(el) rho(s) along the discovery tree, |G| - 1 products."""
+        if self._exact is None:
+            full = [mat_identity(self.dim)]
+            for i, k in _edges(self.group)[0]:
+                full.append(mat_mul(full[i], self.images[k]))
+            self._exact = dict(zip(self.group.elements, full))
+        return self._exact
+
     def image(self, el: Perm) -> CycloMatrix:
-        self.extend_to_group()
         return self.full_images[el]
 
     def __repr__(self) -> str:
@@ -175,20 +279,19 @@ class OrthogonalityReport:
 def check_matrix_orthogonality(rep1: MatrixRep, rep2: MatrixRep) -> OrthogonalityReport:
     """Evaluate (a_il, b_mj) = (1/|G|) sum_t a_il(t) b_mj(t^-1) on all index
     tuples; for rep1 = rep2 the expected value is delta_ij delta_lm / dim,
-    across distinct irreducibles it is 0.  Each pairing is decided in the
-    residue ring of both reps' image values, as n1 sum_t D a_il(t) D b_mj(t^-1)
-    = |G| D^2 or 0; lists every violation with its exact value."""
+    across distinct irreducibles it is 0.  Both reps' images are made in one
+    ring of `_ring` (which checks each rep's Cayley edges first), and each
+    pairing is decided there as n1 sum_t D a_il(t) D b_mj(t^-1) = |G| D^2 or
+    0; lists every violation with its exact value."""
     if rep1.group is not rep2.group:
         raise GroupMismatchError("representations of different groups")
-    full1 = rep1.extend_to_group().full_images
-    full2 = rep2.extend_to_group().full_images
     group = rep1.group
     same = rep1 is rep2
     order, n1, n2 = group.order, rep1.dim, rep2.dim
-    modulus, d, res = _residues([*full1.values(), *full2.values()],
-                                lambda a, d: n1 * order * a * a + order * d * d)
-    res1, res2 = dict(zip(full1, res)), dict(zip(full2, res[len(full1):]))
+    modulus, d, res = _ring([rep1] if same else [rep1, rep2],
+                            lambda a, d: n1 * order * a * a + order * d * d)
     elements = group.elements
+    res1, res2 = (dict(zip(elements, r)) for r in (res[0], res[-1]))
     inverses = [t.inv() for t in elements]
     # D a_il(t) and D b_mj(t^-1) mod M, as vectors over t
     a_vecs = [[[res1[t][i][l] for t in elements] for l in range(n1)] for i in range(n1)]
@@ -203,6 +306,7 @@ def check_matrix_orthogonality(rep1: MatrixRep, rep2: MatrixRep) -> Orthogonalit
                     checked += 1
                     if (n1 * sum(map(mul, a_vecs[i][l], b_vecs[m][j]))
                             - (order * d * d if diagonal else 0)) % modulus:
+                        full1, full2 = rep1.full_images, rep2.full_images
                         value = Fraction(1, order) * dot([full1[t][i][l] for t in elements],
                                                          [full2[u][m][j] for u in inverses])
                         expected = from_rational(Fraction(1, n1)) if diagonal else Cyclo.zero()

@@ -42,6 +42,7 @@ VALUE_INDEX = "tests/test_tablegen.py::TestValueIndex"
 BUILTINS_PASS = "tests/test_analysis.py::TestCheckAll::test_builtin_tables_pass"
 KRONECKER = "tests/test_cyclo.py::TestKroneckerResidues"
 ORTHOGONALITY = "tests/test_reps.py::TestMatrixOrthogonality"
+ORACLE = "tests/test_reps.py::TestExactOracle"
 
 MUTANTS = [
     # the lift's one object per value, the table's value index and the row
@@ -105,8 +106,8 @@ MUTANTS = [
            (f"{KRONECKER}::test_values_are_scaled_by_the_lcm_of_their_denominators",
             "tests/test_analysis.py::TestCheckAllCorruptions::test_named_checks_fail")),
     Mutant("w-fixed-at-64", "cyclo.py",
-           "w = b.bit_length() + 2",
-           "w = 64",
+           "return b.bit_length() + 2",
+           "return 64",
            (f"{KRONECKER}::test_a_value_plus_the_modulus_is_told_apart",)),
     Mutant("a-read-without-the-d-scale", "cyclo.py",
            "sum(map(abs, v.nums)) * (den // v.den) for v in distinct.values()",
@@ -142,15 +143,16 @@ MUTANTS = [
            "buf[i * sx % order] += c * f",
            "buf[i * sx % order] += c",
            ("tests/test_cyclo.py::test_dot_packs_seeded_dense_terms_of_one_order",)),
-    # `reps`: the determinant, exact images along the discovery tree, every
-    # other identity an int equation in a residue ring
+    # `reps`: the determinant, the tree images made and certified in a ring
+    # built from the generators, its fallback to exact images, and every
+    # identity an int equation in that ring
     Mutant("det-without-its-cofactor-signs", "reps.py",
            "[-v if j % 2 else v for j, v in enumerate(a[0])]",
            "list(a[0])",
            ("tests/test_reps.py::TestExtension::test_det_of_a_vandermonde_matrix",)),
     Mutant("non-tree-edges-never-checked", "reps.py",
-           "for el, k, prod in edges:",
-           "for el, k, prod in edges[:0]:",
+           "for i, g, j in others:",
+           "for i, g, j in others[:0]:",
            ("tests/test_reps.py::test_first_failing_edge_is_pinned",
             "tests/test_reps.py::TestExtension::test_inconsistent_images_rejected")),
     Mutant("edge-without-its-d-factor", "reps.py",
@@ -164,7 +166,20 @@ MUTANTS = [
     Mutant("pairing-bound-without-the-group-order", "reps.py",
            "lambda a, d: n1 * order * a * a + order * d * d",
            "lambda a, d: n1 * a * a + d * d",
-           (f"{ORTHOGONALITY}::test_a_pairing_sum_of_the_group_order_is_told_apart_from_zero",)),
+           (f"{ORTHOGONALITY}::test_a_pairing_sum_of_the_group_order_is_told_apart_from_zero",
+            f"{ORACLE}::test_report_matches_the_exact_oracle[trivial-pair-of-order-255]")),
+    Mutant("range-test-accepts-every-residue", "cyclo.py",
+           "return ones << k, ~(ones * ((2 << k) - 1))",
+           "return ones << k, 0",
+           (f"{ORACLE}::test_first_failing_element_matches_the_exact_oracle",)),
+    Mutant("tree-product-without-its-d-inverse", "reps.py",
+           "[[t * inverse % modulus for t in row] for row in m]",
+           "[list(row) for row in m]",
+           (f"{ORACLE}::test_an_ok_report_makes_no_exact_image",)),
+    Mutant("fallback-reuses-the-guessed-bound", "reps.py",
+           "lambda a, d, n: stated(a, a, d))",
+           "lambda a, d, n: stated(n << _coefficient_bits(d), a, d))",
+           (f"{ORACLE}::test_first_failing_element_matches_the_exact_oracle",)),
 ]
 
 

@@ -843,7 +843,7 @@ class TestKroneckerResidues:
     def test_the_modulus_is_phi_at_two_to_the_w(self, e):
         bound = 1000
         x = 2 ** (bound.bit_length() + 2)
-        modulus, _, _, _, _ = kronecker_residues([root_of_unity(e)], lambda a, d: bound)
+        modulus, _, _, _, _, _ = kronecker_residues([root_of_unity(e)], lambda a, d, n: bound)
         assert modulus == abs(sum(c * x**i for i, c in enumerate(cyclotomic_polynomial(e))))
 
     @pytest.mark.parametrize("e", RING_ORDERS)
@@ -858,7 +858,7 @@ class TestKroneckerResidues:
         small = [root_of_unity(e, k) - 1 for k in range(1, e)]
         limit = [root_of_unity(e) - x] if e > 1 else [from_rational(x - 1)]
         assert all(one_norm(v) < x - 1 for v in near + small)
-        _, _, _, images, _ = kronecker_residues(near + small + limit, lambda a, d: bound)
+        _, _, _, _, images, _ = kronecker_residues(near + small + limit, lambda a, d, n: bound)
         assert all(images[:-1])
         assert images[-1] == 0
 
@@ -871,9 +871,9 @@ class TestKroneckerResidues:
         def bound(vals):
             return 2 * max(map(one_norm, vals))
 
-        modulus, _, _, _, _ = kronecker_residues(values, lambda a, d: bound(values))
+        modulus, _, _, _, _, _ = kronecker_residues(values, lambda a, d, n: bound(values))
         shifted = values + [values[-1] + modulus]
-        _, _, _, images, _ = kronecker_residues(shifted, lambda a, d: bound(shifted))
+        _, _, _, _, images, _ = kronecker_residues(shifted, lambda a, d, n: bound(shifted))
         assert images[-1] != images[-2]
 
     @pytest.mark.parametrize("e", RING_ORDERS)
@@ -884,8 +884,8 @@ class TestKroneckerResidues:
         sums = [a + b for a, b in pairs]
         products = [a * b for a, b in pairs]
         conj = [v.conj() for v in values]
-        modulus, _, _, images, conjugates = kronecker_residues(
-            values + sums + products + conj, lambda a, d: bound)
+        modulus, _, _, _, images, conjugates = kronecker_residues(
+            values + sums + products + conj, lambda a, d, n: bound)
         n, k = len(values), len(pairs)
         image, sum_image = images[:n], images[n:n + k]
         product_image, conj_image = images[n + k:n + 2 * k], images[n + 2 * k:]
@@ -900,23 +900,23 @@ class TestKroneckerResidues:
     def test_values_are_scaled_by_the_lcm_of_their_denominators(self):
         # D = 6: 1/2 maps to 3 and 1/3 to 2, and zeta_4 / 2 to 3 x.  1/2 and
         # 1/3 differ only in den, and the D-scaled values have largest
-        # 1-norm A = 3, which the bound receives with D
+        # 1-norm A = 3, which the bound receives with D and n = phi(4) = 2
         bound = 100
         x = 2 ** (bound.bit_length() + 2)
         values = [from_rational(Fraction(1, 2)), from_rational(Fraction(1, 3)),
                   root_of_unity(4) * Fraction(1, 2)]
         seen = []
 
-        def bound_of(a, d):
-            seen.append((a, d))
+        def bound_of(a, d, n):
+            seen.append((a, d, n))
             return bound
 
-        modulus, scale, b, images, conjugates = kronecker_residues(values, bound_of)
+        modulus, scale, b, n, images, conjugates = kronecker_residues(values, bound_of)
         assert modulus == x * x + 1
         assert images == [3, 2, 3 * x]
         assert conjugates == [3, 2, modulus - 3 * x]
-        assert seen == [(3, 6)]
-        assert (scale, b) == (6, bound)
+        assert seen == [(3, 6, 2)]
+        assert (scale, b, n) == (6, bound, 2)
 
     @pytest.mark.parametrize("e", RING_ORDERS)
     def test_equal_values_held_as_distinct_objects_share_residues(self, e):
@@ -928,9 +928,9 @@ class TestKroneckerResidues:
 
         first, second = made(), made()
         assert first == second and not any(map(operator.is_, first, second))
-        _, _, _, images, conjugates = kronecker_residues(first, lambda a, d: 100)
+        _, _, _, _, images, conjugates = kronecker_residues(first, lambda a, d, n: 100)
         assert len(set(images)) == 3
         picks = [(1, second), (0, first), (2, second), (0, second), (1, first), (2, first)]
-        ring = kronecker_residues([vals[i] for i, vals in picks], lambda a, d: 100)
-        assert ring[3] == [images[i] for i, _ in picks]
-        assert ring[4] == [conjugates[i] for i, _ in picks]
+        ring = kronecker_residues([vals[i] for i, vals in picks], lambda a, d, n: 100)
+        assert ring[4] == [images[i] for i, _ in picks]
+        assert ring[5] == [conjugates[i] for i, _ in picks]

@@ -1,11 +1,15 @@
 import hashlib
+import itertools
 import random
+import signal
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
 from chartab.classfun import is_irreducible, trivial_character
-from chartab.cyclo import Cyclo, from_rational
-from chartab.permgroup import GroupMismatchError, ParseError, parse_group_spec
+from chartab.cyclo import Cyclo, dot, from_rational
+from chartab.permgroup import GroupMismatchError, ParseError, Perm, parse_group_spec
 from chartab.reps import (
     InconsistentRepError,
     MatrixRep,
@@ -13,6 +17,7 @@ from chartab.reps import (
     character_of,
     check_matrix_orthogonality,
     mat_det,
+    mat_identity,
     mat_mul,
     mat_trace,
     permutation_character,
@@ -332,3 +337,198 @@ def test_first_failing_edge_is_pinned(reverse, text):
     with pytest.raises(InconsistentRepError) as info:
         rep.extend_to_group()
     assert str(info.value) == text
+
+
+# -- the residue ring against exact arithmetic ----------------------------------
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def permutation_matrix(s):
+    # X e_i = e_s(i), so that X_(x * s) = X_x X_s
+    return [[int(s[j] == i) for j in range(len(s))] for i in range(len(s))]
+
+
+def conjugated(group, images, p):
+    """The representation s -> P^-1 X_s P over Q, X_s the integer images."""
+    n = len(p)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(p)]
+    for c in range(n):  # Gauss-Jordan on [P | 1]
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
+    inverse = [row[n:] for row in rows]
+
+    def times(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    return MatrixRep(group, [times(times(inverse, x), p) for x in images])
+
+
+S3 = parse_group_spec("S3")
+# P^-1 X P has generator denominators with lcm 4, and one element's image
+# has denominator 8
+S3_PAST_THE_GENERATORS_DENOMINATORS = ((2, 2, -1), (2, -2, 0), (0, 0, 2))
+# det P = -1: every image is integral, the generators' coefficients are at
+# most 3 in absolute value and one element's reach 5
+S3_PAST_THE_GENERATORS_COEFFICIENTS = ((-2, -2, -1), (-2, -1, -1), (-1, 0, -1))
+# the standard representation of S3 on the basis P, det P = -3: D = 3, and
+# 3 divides M = 2^W - 1 for the even W of both its rings
+S3_STANDARD = ([[0, 1], [1, 0]], [[0, -1], [1, -1]])
+S3_STANDARD_OVER_THIRDS = ((1, 1), (1, -2))
+
+
+def s3_permutation_rep(p):
+    return conjugated(S3, [permutation_matrix(s) for s in S3.generators], p)
+
+
+def oracle_images(rep):
+    """The exact algorithm, kept as an oracle: exact images along the
+    breadth-first discovery tree, and every other Cayley edge an exact
+    matrix equation, the first that fails in enumeration order named."""
+    group = rep.group
+    full = {Perm.identity(group.degree): mat_identity(rep.dim)}
+    edges = []
+    for el in group.elements:
+        for gen, image in zip(group.generators, rep.images):
+            prod = el * gen
+            if prod in full:
+                edges.append((el, image, prod))
+            else:
+                full[prod] = mat_mul(full[el], image)
+    for el, image, prod in edges:
+        if mat_mul(full[el], image) != full[prod]:
+            raise InconsistentRepError(
+                f"images are not a homomorphism at element {prod.cycle_string()}")
+    return full
+
+
+def oracle_report(rep1, rep2):
+    """The report's text, each pairing an exact `dot` over the oracle's images."""
+    full1, full2 = oracle_images(rep1), oracle_images(rep2)
+    elements = rep1.group.elements
+    inverses = [t.inv() for t in elements]
+    n1, n2 = rep1.dim, rep2.dim
+    violations = []
+    for i, l, m, j in itertools.product(range(n1), range(n1), range(n2), range(n2)):
+        diagonal = rep1 is rep2 and i == j and l == m
+        value = Fraction(1, len(elements)) * dot([full1[t][i][l] for t in elements],
+                                                 [full2[u][m][j] for u in inverses])
+        expected = from_rational(Fraction(1, n1)) if diagonal else Cyclo.zero()
+        if value != expected:
+            violations.append(((i, l, m, j), value, expected))
+    state = f"{len(violations)} violations" if violations else "ok"
+    return f"OrthogonalityReport({n1 * n1 * n2 * n2} pairings, {state}) {violations!r}"
+
+
+def report_text(rep1, rep2):
+    report = check_matrix_orthogonality(rep1, rep2)
+    return f"{report!r} {report.violations!r}"
+
+
+def trivial_pair_of_order_255():
+    # the cross pairing of two 2-dim trivial reps, held as two objects, sums
+    # n1 |G| = 510 where 0 is expected; 255 = 2^8 - 1 is the modulus that the
+    # pairing bound without its |G| factor, 2 A'^2 + D^2 = 33 with A' = 4,
+    # would give the ring
+    g = parse_group_spec("perm:25:(0,1,2)(3,4,5,6,7)"
+                         "(8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24)")
+    return tuple(MatrixRep(g, [((1, 0), (0, 1))]) for _ in range(2))
+
+
+def same_rep_twice(rep):
+    return rep, rep
+
+
+ORACLE_PAIRS = {
+    "q8-2dim": lambda: same_rep_twice(builtin_rep("q8-2dim")),
+    "s3-denominators-past-the-generators": lambda: same_rep_twice(
+        s3_permutation_rep(S3_PAST_THE_GENERATORS_DENOMINATORS)),
+    "s3-coefficients-past-the-generators": lambda: same_rep_twice(
+        s3_permutation_rep(S3_PAST_THE_GENERATORS_COEFFICIENTS)),
+    "s3-standard-over-thirds": lambda: same_rep_twice(
+        conjugated(S3, S3_STANDARD, S3_STANDARD_OVER_THIRDS)),
+    "trivial-pair-of-order-255": trivial_pair_of_order_255,
+}
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("name", ORACLE_PAIRS)
+    def test_report_matches_the_exact_oracle(self, name):
+        rep1, rep2 = ORACLE_PAIRS[name]()
+        assert report_text(rep1, rep2) == oracle_report(*ORACLE_PAIRS[name]())
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_dihedral_reports_match_the_exact_oracle(self, n):
+        # every pair dihedral-rot:n:r1, dihedral-rot:n:r2, one object when
+        # r1 == r2, reducible reps (r = 0, 2r = 0 mod n) among them
+        reps = [builtin_rep(f"dihedral-rot:{n}:{r}") for r in range(n)]
+        for rep1, rep2 in itertools.product(reps, repeat=2):
+            assert report_text(rep1, rep2) == oracle_report(rep1, rep2), (n, rep1, rep2)
+
+    @pytest.mark.parametrize("group, images", [
+        pytest.param("D5", builtin_rep("dihedral-rot:7:1").images, id="rotation-of-D7-on-D5"),
+        pytest.param("D5", builtin_rep("dihedral-rot:7:1").images[::-1],
+                     id="rotation-of-D7-on-D5-reversed"),
+        # rho(s)^2 - 1 = 32^2 - 1 = 2^10 - 1, the modulus of the ring guessed
+        # from the generator: D = 1 and A_s = 32, and the guess A' = 4
+        # gives D A' + d A' A_s = 132, W = 10.  The residue 32 fails the
+        # range test, and the ring read off the exact images tells the edge
+        # apart from 0
+        pytest.param("C2", [((32,),)], id="edge-sum-is-the-guessed-modulus"),
+        # D = 3 and the guessed ring's M = 2^8 - 1: D has no inverse mod M
+        pytest.param("C2", [((Fraction(1, 3),),)], id="a-third-on-c2"),
+    ])
+    def test_first_failing_element_matches_the_exact_oracle(self, group, images):
+        g = parse_group_spec(group)
+        with pytest.raises(InconsistentRepError) as ours:
+            MatrixRep(g, images).extend_to_group()
+        with pytest.raises(InconsistentRepError) as theirs:
+            oracle_images(MatrixRep(g, images))
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("name", ["q8-2dim", *(f"dihedral-rot:{n}:1" for n in range(3, 10))])
+    def test_an_ok_report_makes_no_exact_image(self, name):
+        rep = builtin_rep(name)
+        assert check_matrix_orthogonality(rep, rep).ok
+        assert rep._exact is None
+
+
+class TestFallback:
+    def test_images_whose_denominators_pass_the_generators(self):
+        # no coefficient bound holds for D rho with D = 4, the generators'
+        # lcm: the residues of the image with denominator 8 fail the range
+        # test at every k, so the ring is built once more from exact images
+        rep = s3_permutation_rep(S3_PAST_THE_GENERATORS_DENOMINATORS)
+        assert max(v.den for m in rep.images for row in m for v in row) == 4
+        with time_limit(1):
+            report = check_matrix_orthogonality(rep, rep)
+            chi = character_of(rep)
+        assert max(v.den for m in rep.full_images.values() for row in m for v in row) == 8
+        assert repr(report) == "OrthogonalityReport(81 pairings, 49 violations)"
+        text = f"{report!r} {report.violations!r}"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9b597b13b27ac2c929b280302c0c6803b9121404dc1b570618fcabb4b6569631")
+        assert repr(chi) == "ClassFunction[3, 0, 1]"
+
+    def test_a_group_with_no_generators(self):
+        rep = MatrixRep(parse_group_spec("S3").subgroup([]), [])
+        assert repr(check_matrix_orthogonality(rep, rep)) == "OrthogonalityReport(1 pairings, ok)"
+        assert repr(character_of(rep)) == "ClassFunction[1]"
