@@ -67,7 +67,9 @@ def restriction_report(chi: ClassFunction, h: Subgroup,
     norm_val = inner_product(restricted, restricted)
     norm = norm_val.as_rational()
     if sum(d * d for d in mults) != norm:
-        raise GroupMismatchError("multiplicities inconsistent with restriction norm")
+        raise AssertionError(
+            f"multiplicities {mults} inconsistent with restriction norm {norm}"
+        )
     if norm > h.index:
         raise AssertionError(
             f"restriction norm {norm} exceeds subgroup index {h.index}"

@@ -43,9 +43,6 @@ class ClassFunction:
         f.values = values
         return f
 
-    def degree(self) -> Cyclo:
-        return self.values[0]
-
     def _check_group(self, other: "ClassFunction") -> None:
         if self.group is not other.group:
             raise GroupMismatchError("class functions on different groups")

@@ -3,8 +3,8 @@
 A value is held as int numerators over one positive denominator: nums[i]
 / den is its coordinate on z^i, z = zeta_e, in the power basis 1, z, ...,
 z^(phi(e)-1) modulo the e-th cyclotomic polynomial, and gcd(den, *nums)
-is 1.  That form is unique, so equality is equality of (nums, den), after
-embedding both operands into the lcm order when the orders differ.  The
+is 1.  That form is unique, so equality at one order is equality of
+(nums, den); across orders it is a zero difference.  The
 power basis is an integral basis of Z[zeta_e], and character values are
 algebraic integers, so a character value has den 1; a denominator greater
 than 1 appears only where a division makes one.
@@ -18,15 +18,17 @@ other Galois conjugates divided by the rational norm, so a `Fraction`
 appears only in `coeffs`, in constructor input and as the scalar 1/N(a).
 `coeffs` derives the canonical coefficient tuple (each an `int`, or a
 `Fraction` whose denominator is greater than 1) that rendering and JSON
-print.  `dot` collects a sum of products in one int vector, makes no `Cyclo`
-per term and one `Cyclo` per call.  Every sum, whether `+`, `dot` or a
-cyclic transform (`_root_sums`), is held by one rule: at order 1 when it is
-rational, else at the lcm of its terms' orders, which `dot` grows as terms
-bring new orders.  `kronecker_residues` maps values into Z/M by zeta_L
--> 2^W, with M chosen from the bound its caller (`check_all`, `reps`)
-states, so the sums they test map to 0 only when they are 0;
-`kronecker_window` reads a residue as n base-2^W digits, for the range
-test of `reps`.
+print.  `dot` is the one product kernel: every product of two irrational
+values, and every sum, difference or comparison of irrational values of
+different orders, is one `dot`, which collects a sum of products in one
+int vector, makes no `Cyclo` per term and one `Cyclo` per call.  Every sum,
+whether `+`, `dot` or a cyclic transform (`_root_sums`), is held by one
+rule: at order 1 when it is rational, else at the lcm of its terms' orders,
+which `dot` grows as terms bring new orders.  `kronecker_residues` maps
+values into Z/M by zeta_L -> 2^W, with M chosen from the bound its caller
+(`check_all`, `reps`) states, so the sums they test map to 0 only when they
+are 0; `kronecker_window` reads a residue as n base-2^W digits, for the
+range test of `reps`.
 Arithmetic returns a rational result at order 1, and an order-1 operand, or
 an `int` or `Fraction` scalar, scales the other operand's numerators and
 denominator directly, so rational values never pay for the coefficient
@@ -42,12 +44,14 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul
 from typing import Callable, Iterable, Sequence, Union
 
 from ._modp import factorize
 
 MAX_ORDER = 10_000
-# `_phi_terms` keeps the terms of Phi_e for this many orders, the most
+# `_phi_terms` keeps the reduction stages for this many orders, the most
 # recently used: a workload meets few orders (the gated benchmark workloads
 # 3 and 13), and an entry at a prime order near MAX_ORDER holds about 10^4
 # terms, about 0.6 MB
@@ -97,10 +101,19 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=PHI_CACHE_SIZE)
-def _phi_terms(e: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The degree of Phi_e and its nonzero terms (j, c) below x^degree."""
-    phi = cyclotomic_polynomial(e)
-    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+def _phi_terms(e: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The stages of `_reduce`: for q = 1, p_1, p_1 p_2, ..., rad(e), p_1 <
+    p_2 < ... the primes of e, the degree d of Phi_q(x^(e/q)) and its nonzero
+    terms (j, c) below x^d.  Phi_e divides each, as zeta_e^(e/q) is a
+    primitive q-th root of unity, and is the last."""
+    _check_order(e)
+    stages, q = [], 1
+    for p in (1, *factorize(e)):
+        q *= p
+        phi, s = cyclotomic_polynomial(q), e // q
+        terms = tuple((j * s, c) for j, c in enumerate(phi[:-1]) if c)
+        stages.append(((len(phi) - 1) * s, terms))
+    return tuple(stages)
 
 
 def _integral(coeffs: Sequence[RationalLike]) -> tuple[list[int], int]:
@@ -122,25 +135,23 @@ def _reduce(e: int, nums: list[int]) -> tuple[int, ...]:
     """The phi(e) power-basis coordinates of the int polynomial
     sum_i nums[i] z^i in z = zeta_e, reduced modulo Phi_e in place.
 
-    Exponents of e and above first wrap, since z^e = 1, so a product at a
-    prime order, where Phi_e has e terms, leaves one power to reduce rather
-    than phi(e) - 1.  Phi_e is monic with integer coefficients, so every step
-    stays in ints.  A step subtracts only the nonzero terms of Phi_e, which
-    is sparse when a prime divides e twice (x^4 - x^2 + 1 for e = 12, x^160 -
-    x^120 + x^80 - x^40 + 1 for e = 400)."""
-    deg, terms = _phi_terms(e)
-    if len(nums) > e:
-        for i in range(e, len(nums)):
-            nums[i % e] += nums[i]
-        del nums[e:]
-    for i in range(len(nums) - 1, deg - 1, -1):
-        c = nums[i]
-        if c:
-            for j, p in terms:
-                nums[i - deg + j] -= c * p
+    It divides by Phi_q(x^(e/q)) for q = 1, p_1, p_1 p_2, ..., rad(e) in turn
+    (`_phi_terms`), each monic with integer coefficients, so every step stays
+    in ints and subtracts only its nonzero terms.  The first, x^e - 1, wraps
+    the exponents of e and above, so a product at a prime order leaves one
+    power to reduce rather than phi(e) - 1; at e = 420 the sparse x^210 + 1,
+    x^140 - x^70 + 1 and Phi_30(x^14) take 420 powers down to 112 before 16
+    meet the 32 terms of Phi_420 = Phi_210(x^2)."""
+    for deg, terms in _phi_terms(e):
+        for i in range(len(nums) - 1, deg - 1, -1):
+            c = nums[i]
+            if c:
+                for j, p in terms:
+                    nums[i - deg + j] -= c * p
+        del nums[deg:]
     if len(nums) < deg:
         nums += [0] * (deg - len(nums))
-    return tuple(nums[:deg] if len(nums) > deg else nums)
+    return tuple(nums)
 
 
 def _held(order: int, nums: tuple[int, ...], den: int) -> "Cyclo":
@@ -242,18 +253,12 @@ class Cyclo:
         # denominator stays the same
         return _held(new_order, _reduce(new_order, raised), self.den)
 
-    def _match(self, other: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
-        if self.order == other.order:
-            return self, other
-        m = math.lcm(self.order, other.order)
-        return self.change_order(m), other.change_order(m)
-
     # -- ring/field operations ----------------------------------------------
 
     def __add__(self, other):
         a, b = _rational_last(self, Cyclo._coerce(other))
-        if b.order != 1:
-            a, b = a._match(b)
+        if b.order not in (1, a.order):
+            return dot((a, b), (1, 1))
         den = a.den if a.den == b.den else math.lcm(a.den, b.den)
         fa, fb = den // a.den, den // b.den
         if b.order == 1:
@@ -275,11 +280,9 @@ class Cyclo:
 
     def __mul__(self, other):
         if isinstance(other, Cyclo):
+            if self.order != 1 != other.order:
+                return dot((self,), (other,))
             a, b = _rational_last(self, other)
-            if b.order != 1:
-                a, b = a._match(b)
-                return _value(a.order, _reduce(a.order, _poly_mul(a.nums, b.nums)),
-                              a.den * b.den)
             q, d = b.nums[0], b.den
         elif isinstance(other, (int, Fraction)):
             a, q, d = self, other.numerator, other.denominator
@@ -396,7 +399,8 @@ class Cyclo:
         a, b = _rational_last(self, other)
         if b.order == 1:
             return a.den == b.den and a.nums[0] == b.nums[0] and a.is_rational()
-        a, b = a._match(b)
+        if a.order != b.order:
+            return dot((a, b), (1, -1)).is_zero()
         return a.den == b.den and a.nums == b.nums
 
     # -- rendering -------------------------------------------------------------
@@ -468,12 +472,12 @@ def _inexact(q) -> CycloError:
 
 def _rational_last(a: Cyclo, b: Cyclo) -> tuple[Cyclo, Cyclo]:
     """The operands of a symmetric operation, an order-1 one (if any) last,
-    so that it can act on the other's numerators without change_order."""
+    so that it can act on the other's numerators directly."""
     return (b, a) if a.order == 1 else (a, b)
 
 
-# `_poly_mul` packs when its double loop would take this many steps or more
-# per coefficient packed: packing and reading back one coefficient costs
+# `dot` packs a product when its double loop would take this many steps or
+# more per coefficient packed: packing and reading back one coefficient costs
 # about 8-16 steps (dense 16 x 16 terms at par, 32 x 32 1.4-2.3x faster
 # packed, a monomial times 2,000 terms 3x slower packed)
 _PACK_STEPS = 16
@@ -486,23 +490,6 @@ def _packs(a: Sequence[int], b: Sequence[int]) -> bool:
     return (len(a) - a.count(0)) * len(b) >= _PACK_STEPS * (len(a) + len(b))
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The coefficients of the product of two int polynomials.  When `_packs`
-    says so, the product is one big-int product by Kronecker substitution
-    instead of the double loop, so that a product of two dense values of a
-    large field costs far less than len(a) len(b) int steps."""
-    if _packs(a, b):
-        return _packed_mul(a, b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
 def _pack(v: Sequence[int], w: int) -> int:
     """sum_i v[i] 2^(8 w i), for ints with |v[i]| < 2^(8 w - 1)."""
     pos = b"".join((c if c > 0 else 0).to_bytes(w, "little") for c in v)
@@ -511,7 +498,7 @@ def _pack(v: Sequence[int], w: int) -> int:
 
 
 def _packed_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """`_poly_mul` by Kronecker substitution.  Every product coefficient is
+    """The int polynomial a b by Kronecker substitution.  Every coefficient is
     at most min(len) max|a| max|b| in absolute value, so w bytes hold it,
     and every input coefficient, with its sign; adding 2^(8 w - 1) to every
     slot of the packed product makes each slot nonnegative, so the bytes
@@ -538,7 +525,9 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
     """sum_i xs[i] * ys[i], exactly, in one fused pass that makes no Cyclo per
     term; an operand is an `int`, a `Fraction` or a `Cyclo`, and anything
     else raises `CycloError`.  Operands of unequal length raise
-    `ValueError` rather than drop the terms past the shorter one.
+    `ValueError` rather than drop the terms past the shorter one.  It is the
+    one product kernel: `x * y` of two irrational values is `dot((x,), (y,))`,
+    and `+`, `-` and `==` of irrational values of different orders are dots.
 
     A term of two integers goes into one int accumulator.  Every other term
     goes into one unreduced int buffer over one common denominator, rescaled
@@ -547,13 +536,13 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
     of its two operand orders (a term with a zero rational operand adds
     nothing and brings no order).  A term that brings a new order embeds the
     buffer at stride new // old into a buffer of the larger order, which
-    must not pass MAX_ORDER.  Exponents wrap mod the order, since z^o = 1; a
+    must not pass MAX_ORDER.  The buffer grows to the highest power a term
+    reaches, at most 2 o - 2 at order o, so no exponent wraps per step; a
     product of two operands of one order is made packed when `_packs` says
-    so, as in `_poly_mul`, and folded into the buffer.  The accumulator is
-    added into coefficient 0 and the buffer reduced once, at the end.  So
-    the result is held by the rule of `+` and the cyclic transforms: at
-    order 1 when it is rational, else at the lcm of its terms' orders,
-    whatever the order of the terms."""
+    so, and added at its stride.  The accumulator is added into coefficient
+    0 and the buffer reduced once, at the end.  So the result is held by the
+    rule of `+` and the cyclic transforms: at order 1 when it is rational,
+    else at the lcm of its terms' orders, whatever the order of the terms."""
     rational = 0
     order, buf, den = 1, [0], 1  # order and den stay 1 until a term reaches buf
     for x, y in zip(xs, ys, strict=True):
@@ -581,17 +570,20 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
         o = math.lcm(order, ox, oy)
         if o != order:  # embed the buffer at stride o // order
             _check_order(o)
-            grown = [0] * o
-            grown[::o // order] = buf
+            stride = o // order
+            grown = [0] * ((len(buf) - 1) * stride + 1)
+            grown[::stride] = buf
             order, buf = o, grown
         if den % d:
             scale = d // math.gcd(den, d)
             buf = [c * scale for c in buf]
             den *= scale
         sx, sy, f = order // ox, order // oy, den // d
-        if ox == oy and _packs(nx, ny):  # a dense product, folded at stride sx
-            for i, c in enumerate(_packed_mul(nx, ny)):
-                buf[i * sx % order] += c * f
+        top = (len(nx) - 1) * sx + (len(ny) - 1) * sy + 1  # one past the highest power
+        if top > len(buf):
+            buf += [0] * (top - len(buf))
+        if ox == oy and _packs(nx, ny):  # one dense product, added at stride sx
+            buf[:top:sx] = map(add, buf[:top:sx], map(mul, _packed_mul(nx, ny), repeat(f)))
             continue
         for i, a in enumerate(nx):
             if a:
@@ -599,7 +591,7 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
                 shift = i * sx
                 for j, b in enumerate(ny):
                     if b:
-                        buf[(shift + j * sy) % order] += a * b
+                        buf[shift + j * sy] += a * b
     if order == den == 1:  # every term stayed in the int accumulator
         return _held(1, (rational,), 1)
     buf[0] += rational * den
@@ -641,7 +633,7 @@ def kronecker_residues(values: Sequence[Cyclo], bound: Callable[[int, int, int],
     distinct = dict(zip(held, values))  # each held form -> a value that holds it
     order = math.lcm(*(v.order for v in distinct.values()))
     den = math.lcm(*(v.den for v in distinct.values()))
-    deg, terms = _phi_terms(order)
+    deg, terms = _phi_terms(order)[-1]
     b = bound(max(sum(map(abs, v.nums)) * (den // v.den) for v in distinct.values()), den, deg)
     w = _width(b)
     modulus = abs((1 << (w * deg)) + sum(c << (w * j) for j, c in terms))

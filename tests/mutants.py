@@ -43,6 +43,7 @@ BUILTINS_PASS = "tests/test_analysis.py::TestCheckAll::test_builtin_tables_pass"
 KRONECKER = "tests/test_cyclo.py::TestKroneckerResidues"
 ORTHOGONALITY = "tests/test_reps.py::TestMatrixOrthogonality"
 ORACLE = "tests/test_reps.py::TestExactOracle"
+RECIPROCITY = "tests/test_analysis.py::test_frobenius_reciprocity"
 
 MUTANTS = [
     # the lift's one object per value, the table's value index and the row
@@ -86,6 +87,11 @@ MUTANTS = [
            "small, large = (k, i)",
            ("tests/test_analysis.py::TestBurnsideClassTest::"
             "test_s8_closures_read_each_class_product_from_the_smaller_class",)),
+    # the reduction modulo Phi_e in stages, Phi_q(x^(e/q)) over a chain of q
+    Mutant("stages-read-one-prime-at-a-time", "cyclo.py",
+           "        q *= p\n",
+           "        q = p\n",
+           ("tests/test_cyclo.py::test_reduction_in_stages_matches_one_division_by_phi",)),
     # the one residue ring, `kronecker_residues`, and its readers
     Mutant("ring-conjugates-read-from-the-images", "analysis.py",
            "[list(map(conjugates.__getitem__, cells)) for cells in table.cells])",
@@ -121,10 +127,12 @@ MUTANTS = [
            "zip(*map(residues.__getitem__, held))",
            "zip(*residues.values())",
            (f"{KRONECKER}::test_equal_values_held_as_distinct_objects_share_residues",)),
-    # `dot`'s one buffer at the lcm of its terms' orders
+    # `dot`, the one product kernel: one unreduced buffer at the lcm of its
+    # terms' orders, which every product of two irrational values and every
+    # sum or comparison across orders goes through
     Mutant("buffer-grown-by-a-prefix-copy", "cyclo.py",
-           "grown[::o // order] = buf",
-           "grown[:order] = buf",
+           "grown[::stride] = buf",
+           "grown[:len(buf)] = buf",
            ("tests/test_cyclo.py::TestFieldOps::test_dot_grows_its_buffer_at_each_new_order",)),
     Mutant("buffer-grown-to-one-operand-order", "cyclo.py",
            "o = math.lcm(order, ox, oy)",
@@ -134,15 +142,36 @@ MUTANTS = [
            "        if den % d:\n",
            "        elif den % d:\n",
            ("tests/test_cyclo.py::TestFieldOps::test_dot_grows_its_buffer_at_each_new_order",)),
+    Mutant("buffer-not-grown-by-one-power", "cyclo.py",
+           "if top > len(buf):",
+           "if top > len(buf) + 1:",
+           ("tests/test_cyclo.py::TestFieldOps::test_dot_grows_its_buffer_at_each_new_order",
+            "tests/test_cyclo.py::test_dot_packs_seeded_dense_terms_of_one_order")),
     Mutant("packed-fold-at-stride-one", "cyclo.py",
-           "buf[i * sx % order] += c * f",
-           "buf[i % order] += c * f",
+           "buf[:top:sx] = map(add, buf[:top:sx],",
+           "buf[:top] = map(add, buf[:top],",
            ("tests/test_cyclo.py::test_dot_packs_seeded_dense_terms_of_one_order",
             "tests/test_cyclo.py::test_dot_packs_dense_terms_of_one_order")),
     Mutant("packed-fold-without-the-denominator-factor", "cyclo.py",
-           "buf[i * sx % order] += c * f",
-           "buf[i * sx % order] += c",
+           "map(mul, _packed_mul(nx, ny), repeat(f))",
+           "map(mul, _packed_mul(nx, ny), repeat(1))",
            ("tests/test_cyclo.py::test_dot_packs_seeded_dense_terms_of_one_order",)),
+    Mutant("mixed-order-eq-on-raw-numerators", "cyclo.py",
+           "return dot((a, b), (1, -1)).is_zero()",
+           "return a.den == b.den and a.nums == b.nums",
+           ("tests/test_cyclo.py::TestFieldOps::test_dot_holds_the_lcm_of_its_terms_orders",
+            "tests/test_cyclo.py::test_operations_across_orders_match_the_common_order")),
+    # restriction and the fusion map, against induction by Frobenius
+    # reciprocity between two tables built on their own
+    Mutant("fusion-reads-a-neighbouring-class", "permgroup.py",
+           "return [parent_index[g] for g in self.conjugacy_classes().representatives]",
+           "return [parent_index[g] - 1 for g in self.conjugacy_classes().representatives]",
+           (f"{RECIPROCITY}[A5<S5]",)),
+    Mutant("restrict-reads-the-inverse-class", "analysis.py",
+           "return ClassFunction(h, [chi.values[j] for j in fusion])",
+           "return ClassFunction(h, [chi.values[chi.group.conjugacy_classes().inverse_class[j]]"
+           " for j in fusion])",
+           (f"{RECIPROCITY}[M11<M12]",)),
     # `reps`: the determinant, the tree images made and certified in a ring
     # built from the generators, its fallback to exact images, and every
     # identity an int equation in that ring

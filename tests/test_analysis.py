@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from chartab import analysis, tablegen
+from chartab import analysis, cli, tablegen
 from chartab.analysis import (
     burnside_class_test,
     burnside_solvability,
@@ -11,7 +11,13 @@ from chartab.analysis import (
     restrict,
     restriction_report,
 )
-from chartab.classfun import ClassFunction, inner_product, regular_character, trivial_character
+from chartab.classfun import (
+    ClassFunction,
+    decompose,
+    inner_product,
+    regular_character,
+    trivial_character,
+)
 from chartab.cyclo import Cyclo, root_of_unity
 from chartab.permgroup import GroupMismatchError, PermGroup, parse_group_spec
 from chartab.tablegen import CharacterTable, build_character_table
@@ -21,6 +27,7 @@ from conftest import (
     assert_value_index,
     class_index_of,
     count_perm_products,
+    perm_of,
     ratio,
 )
 
@@ -136,6 +143,26 @@ class TestRestrictionReport:
             assert direct.multiplicities == wrapped.multiplicities
             assert (direct.norm, direct.case, direct.vanishes_off_subgroup) == (
                 wrapped.norm, wrapped.case, wrapped.vanishes_off_subgroup)
+
+    def test_inconsistent_multiplicities_are_a_consistency_failure(self, monkeypatch, capsys):
+        # a subgroup table of <(0,1)> < S3 that holds the trivial row twice:
+        # the multiplicities (1, 1) disagree with the norm 1 of the trivial
+        # restriction.  That is a consistency failure, not a group mismatch
+        g = parse_group_spec("S3")
+        h = g.subgroup([perm_of(g, "(0,1)")])
+        doubled = CharacterTable(h, [trivial_character(h), trivial_character(h)])
+        with pytest.raises(AssertionError, match="inconsistent with restriction norm"):
+            restriction_report(trivial_character(g), h, doubled)
+        built = cli.build_character_table
+
+        def doubled_for_the_subgroup(group):
+            if group.order != 2:
+                return built(group)
+            return CharacterTable(group, [trivial_character(group)] * 2)
+
+        monkeypatch.setattr(cli, "build_character_table", doubled_for_the_subgroup)
+        assert cli.main(["restrict", "S3", "--subgroup", "perm:2:(0,1)", "--char", "1"]) == 1
+        assert "consistency failure: multiplicities" in capsys.readouterr().err
 
     def test_regular_restriction_pairing_s4(self):
         g = parse_group_spec("S4")
@@ -554,3 +581,41 @@ def test_mathieu_groups_at_the_cap_edge(spec, order, degrees, sizes, orders):
     assert {v.order for row in table.rows for v in row.values} == orders
     report = check_all(table)
     assert report.ok, [r.name for r in report.results if not r.passed]
+
+
+def induce(psi, group):
+    """Ind_H^G psi for psi on the subgroup H of group G: at the G-class j of
+    size r_j, |G| / (r_j |H|) times the sum, over the H-classes k that fuse
+    into j, of s_k psi(h_k), with s_k the size of H-class k."""
+    h = psi.group
+    sums = [0] * len(group.conjugacy_classes())
+    for size, j, value in zip(h.conjugacy_classes().sizes, h.fusion_to_parent(), psi.values):
+        sums[j] += size * value
+    return ClassFunction(group, [s * Fraction(group.order, r * h.order)
+                                 for s, r in zip(sums, group.conjugacy_classes().sizes)])
+
+
+def alternating_subgroup(g):
+    return g.subgroup(list(parse_group_spec(f"A{g.degree}").generators))
+
+
+@pytest.mark.parametrize("spec, subgroup", [
+    ("S5", alternating_subgroup),
+    ("S6", alternating_subgroup),
+    ("S7", alternating_subgroup),
+    (M12, lambda g: g.subgroup(list(g.generators[:2]))),
+], ids=["A5<S5", "A6<S6", "A7<S7", "M11<M12"])
+def test_frobenius_reciprocity(spec, subgroup):
+    # <Ind psi, chi>_G = <psi, Res chi>_H (Isaacs, ch. 5): the restriction
+    # multiplicities are the transpose of the induction multiplicities, with
+    # each table built on its own.  A5 has values in Q(zeta_5), and M12 is
+    # the one parent here with non-real values, which restricting from the
+    # inverse class would conjugate
+    g = parse_group_spec(spec)
+    h = subgroup(g)
+    table, sub_table = build_character_table(g), build_character_table(h)
+    restriction = [decompose(restrict(chi, h), sub_table) for chi in table.rows]
+    induction = [decompose(induce(psi, g), table) for psi in sub_table.rows]
+    assert restriction == [list(column) for column in zip(*induction)]
+    for psi in sub_table.rows:
+        assert induce(psi, g).values[0] == h.index * psi.values[0]

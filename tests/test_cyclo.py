@@ -68,6 +68,30 @@ class TestCyclotomicPolynomial:
             cyclotomic_polynomial(10_001)
 
 
+def remainder_by_phi(e, v):
+    """v modulo Phi_e by one long division, every top power at a time."""
+    phi = cyclotomic_polynomial(e)
+    deg, v = len(phi) - 1, list(v)
+    for i in range(len(v) - 1, deg - 1, -1):
+        c = v[i]
+        for j, p in enumerate(phi):
+            v[i - deg + j] -= c * p
+    return tuple(v[:deg] + [0] * (deg - len(v)))
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 12, 60, 97, 105, 210, 400, 420])
+def test_reduction_in_stages_matches_one_division_by_phi(e):
+    # `_reduce` divides by Phi_q(x^(e/q)) for q = 1, p_1, p_1 p_2, ...,
+    # rad(e) in turn; the remainder must be the one a single division by
+    # Phi_e leaves, for vectors of up to 2e powers, dense and sparse
+    rng = random.Random(e)
+    for size in (0, 1, euler_phi(e), e, e + 1, 2 * e - 1, 2 * e):
+        dense = [rng.randint(-9, 9) for _ in range(size)]
+        sparse = [rng.choice((0, 0, 0, 1, -2)) for _ in range(size)]
+        for v in (dense, sparse):
+            assert cyclo._reduce(e, list(v)) == remainder_by_phi(e, v)
+
+
 def test_phi_and_primality_match_a_sieve():
     # both read _modp.factorize; the oracle is a sieve of least prime factors
     top = 20_000
@@ -503,6 +527,34 @@ def test_dot_is_the_sum_whatever_the_order_of_the_terms(pairs, data):
     assert (w.order, w.coeffs) == (v.order, v.coeffs)
 
 
+CROSS_ORDERS = [1, 3, 4, 5, 7, 12, 15, 60]
+
+
+@st.composite
+def cross_order_values(draw):
+    e = draw(st.sampled_from(CROSS_ORDERS))
+    return Cyclo(e, draw(st.lists(dot_coeffs, min_size=euler_phi(e), max_size=euler_phi(e))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cross_order_values(), cross_order_values(), st.sampled_from(CROSS_ORDERS), st.booleans())
+def test_operations_across_orders_match_the_common_order(x, y, e, same):
+    # a product, sum or comparison of operands of different orders is one
+    # `dot`; each must be the operation on both operands embedded at the lcm
+    # of their orders, and hold the same order.  With `same`, y is x held
+    # at a multiple of its order, so that == meets equal values
+    if same:
+        y = x.change_order(math.lcm(x.order, e))
+    m = math.lcm(x.order, y.order)
+    xm, ym = x.change_order(m), y.change_order(m)
+    for op in (operator.mul, operator.add, operator.sub):
+        got, expected = op(x, y), op(xm, ym)
+        assert (got.order, got.nums, got.den) == (expected.order, expected.nums, expected.den)
+    assert (x == y) == (y == x) == (xm == ym) == (x - y).is_zero()
+    if same:
+        assert x == y
+
+
 @settings(max_examples=60, deadline=None)
 @given(cyclo_values())
 def test_conj_is_involution(a):
@@ -763,14 +815,19 @@ def test_sparse_inverse_at_large_orders(e, powers):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2000), st.data())
-def test_packed_products_match_the_double_loop(bits, data):
+@given(st.integers(min_value=0, max_value=2000), st.sampled_from([3, 12, 41, 105]), st.data())
+def test_packed_products_match_the_double_loop(bits, e, data):
     ints = st.integers(min_value=-(1 << bits), max_value=1 << bits)
     a = data.draw(st.lists(ints, min_size=1, max_size=130))
     b = data.draw(st.lists(ints, min_size=1, max_size=130))
-    # _poly_mul packs only products with many steps a coefficient, so call both
     assert cyclo._packed_mul(a, b) == poly_mul(a, b)
-    assert cyclo._poly_mul(a, b) == poly_mul(a, b)
+    # a product of two values is one `dot`, which packs only products with
+    # many steps a coefficient, so make it with packing forced and with none
+    expected = Cyclo(e, poly_mul(a, b)).to_json()
+    for steps in (0, 10**9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cyclo, "_PACK_STEPS", steps)
+            assert (Cyclo(e, a) * Cyclo(e, b)).to_json() == expected
 
 
 @st.composite
