@@ -83,12 +83,6 @@ class ClassFunction:
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
 
-    def to_json(self) -> dict:
-        return {
-            "group_spec": self.group.spec,
-            "values": [v.to_json() for v in self.values],
-        }
-
     def __repr__(self) -> str:
         vals = ", ".join(v.exact_str() for v in self.values)
         return f"ClassFunction[{vals}]"

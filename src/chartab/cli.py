@@ -150,48 +150,35 @@ def _sum_of(mults: list[int], label: str) -> str:
     ) or "0"
 
 
-def cmd_table(args) -> int:
-    group = _load_group(args.spec, _cap_from(args))
+def cmd_table(args, group: PermGroup) -> tuple[int, str]:
     table = build_character_table(group)
     if args.format == "json":
-        print(_render_table_json(table))
-    elif args.format == "csv":
-        print(_render_table_csv(table, args.precision))
-    else:
-        print(_render_table_text(table, args.precision))
-    return EXIT_OK
+        return EXIT_OK, _render_table_json(table)
+    if args.format == "csv":
+        return EXIT_OK, _render_table_csv(table, args.precision)
+    return EXIT_OK, _render_table_text(table, args.precision)
 
 
-def cmd_classes(args) -> int:
-    group = _load_group(args.spec, _cap_from(args))
+def cmd_classes(args, group: PermGroup) -> tuple[int, str]:
     payload = classes_json(group)
     if args.format == "json":
-        print(_json_dumps(payload))
-    else:
-        print(f"group {group.spec}, order {group.order}, {len(payload['classes'])} classes")
-        for j, cl in enumerate(payload["classes"], 1):
-            print(f"class {j}: size {cl['size']}, element order {cl['element_order']}, "
-                  f"rep {cl['rep_cycles']}")
-    return EXIT_OK
+        return EXIT_OK, _json_dumps(payload)
+    lines = [f"group {group.spec}, order {group.order}, {len(payload['classes'])} classes"]
+    lines += [f"class {j}: size {cl['size']}, element order {cl['element_order']}, "
+              f"rep {cl['rep_cycles']}" for j, cl in enumerate(payload["classes"], 1)]
+    return EXIT_OK, "\n".join(lines)
 
 
-def cmd_check(args) -> int:
-    group = _load_group(args.spec, _cap_from(args))
-    table = build_character_table(group)
-    report = check_all(table)
-    if args.format == "json":
-        print(_json_dumps(report.to_json()))
-    else:
-        for line in report.lines():
-            print(line)
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+def cmd_check(args, group: PermGroup) -> tuple[int, str]:
+    report = check_all(build_character_table(group))
+    text = _json_dumps(report.to_json()) if args.format == "json" else "\n".join(report.lines())
+    return (EXIT_OK if report.ok else EXIT_CHECK_FAILED), text
 
 
-def cmd_simple(args) -> int:
-    group = _load_group(args.spec, _cap_from(args))
+def cmd_simple(args, group: PermGroup) -> tuple[int, str]:
     report = burnside_class_test(group)
     if args.format == "json":
-        payload = {
+        return EXIT_OK, _json_dumps({
             "group": group.spec,
             "classes": [
                 {"size": e.size, "factorization": e.factor_str(),
@@ -202,36 +189,26 @@ def cmd_simple(args) -> int:
             "is_simple": report.simple,
             "witness_order": report.witness_order,
             "witness_index": report.witness_index,
-        }
-        print(_json_dumps(payload))
-    else:
-        print(f"group {group.spec}, order {group.order}")
-        for line in report.lines():
-            print(line)
-    return EXIT_OK
+        })
+    return EXIT_OK, "\n".join([f"group {group.spec}, order {group.order}", *report.lines()])
 
 
-def cmd_solvable(args) -> int:
-    group = _load_group(args.spec, _cap_from(args))
+def cmd_solvable(args, group: PermGroup) -> tuple[int, str]:
     report = burnside_solvability(group)
     if args.format == "json":
-        payload = {
+        return EXIT_OK, _json_dumps({
             "group": group.spec,
             "order": report.order,
             "theorem_applies": report.theorem_applies,
             "solvable": report.solvable,
             "derived_series_orders": report.series_orders,
-        }
-        print(_json_dumps(payload))
-    else:
-        print(f"group {group.spec}: " + ("solvable" if report.solvable else "not solvable"))
-        for line in report.lines():
-            print(line)
-    return EXIT_OK
+        })
+    verdict = "solvable" if report.solvable else "not solvable"
+    return EXIT_OK, "\n".join([f"group {group.spec}: {verdict}", *report.lines()])
 
 
-def _embed_subgroup(parent: PermGroup, sub_spec: str, cap: int):
-    sub = parse_group_spec(sub_spec, cap=cap)
+def _embed_subgroup(parent: PermGroup, sub_spec: str):
+    sub = parse_group_spec(sub_spec, cap=parent.cap)
     if sub.degree > parent.degree:
         raise ParseError(
             f"subgroup degree {sub.degree} exceeds parent degree {parent.degree}"
@@ -251,18 +228,16 @@ def _char_by_index(table: CharacterTable, one_based: int):
     return table.rows[one_based - 1]
 
 
-def cmd_restrict(args) -> int:
-    cap = _cap_from(args)
-    group = _load_group(args.spec, cap)
+def cmd_restrict(args, group: PermGroup) -> tuple[int, str]:
     if not args.subgroup:
         raise CliError("restrict requires --subgroup", EXIT_USAGE)
-    sub = _embed_subgroup(group, args.subgroup, cap)
+    sub = _embed_subgroup(group, args.subgroup)
     table = build_character_table(group)
     sub_table = build_character_table(sub)
     chi = _char_by_index(table, args.char)
     report = restriction_report(chi, sub, sub_table, char_index=args.char - 1)
     if args.format == "json":
-        payload = {
+        return EXIT_OK, _json_dumps({
             "group": group.spec,
             "subgroup": args.subgroup,
             "char": args.char,
@@ -271,65 +246,60 @@ def cmd_restrict(args) -> int:
             "multiplicities": report.multiplicities,
             "vanishes_off_subgroup": report.vanishes_off_subgroup,
             "restricted_values": [v.to_json() for v in report.restricted.values],
-        }
-        print(_json_dumps(payload))
-    else:
-        print(f"X{args.char} of {group.spec} restricted to index-{sub.index} subgroup")
-        print(f"norm = {report.norm}")
-        print(f"{report.case}: {_sum_of(report.multiplicities, 'H')}")
-        print(f"vanishes off subgroup: {report.vanishes_off_subgroup}")
-    return EXIT_OK
+        })
+    return EXIT_OK, "\n".join([
+        f"X{args.char} of {group.spec} restricted to index-{sub.index} subgroup",
+        f"norm = {report.norm}",
+        f"{report.case}: {_sum_of(report.multiplicities, 'H')}",
+        f"vanishes off subgroup: {report.vanishes_off_subgroup}",
+    ])
 
 
-def cmd_tensor(args) -> int:
+def cmd_tensor(args, group: PermGroup) -> tuple[int, str]:
     if not args.chars:
         raise CliError("tensor requires --chars i,j", EXIT_USAGE)
-    group = _load_group(args.spec, _cap_from(args))
-    table = build_character_table(group)
     try:
         i_str, j_str = args.chars.split(",")
         i, j = int(i_str), int(j_str)
     except ValueError as exc:
         raise CliError(f"bad --chars value {args.chars!r}", EXIT_USAGE) from exc
+    table = build_character_table(group)
     chi = _char_by_index(table, i) * _char_by_index(table, j)
     mults = decompose(chi, table)
     if args.format == "json":
-        print(_json_dumps({
+        return EXIT_OK, _json_dumps({
             "group": group.spec,
             "chars": [i, j],
             "multiplicities": mults,
             "product_values": [v.to_json() for v in chi.values],
-        }))
-    else:
-        print(f"X{i}*X{j} = {_sum_of(mults, 'X')}")
-        print(f"values: {[v.exact_str() for v in chi.values]}")
-    return EXIT_OK
+        })
+    return EXIT_OK, (f"X{i}*X{j} = {_sum_of(mults, 'X')}\n"
+                     f"values: {[v.exact_str() for v in chi.values]}")
 
 
-def cmd_symalt(args) -> int:
-    group = _load_group(args.spec, _cap_from(args))
+def cmd_symalt(args, group: PermGroup) -> tuple[int, str]:
     table = build_character_table(group)
     chi = _char_by_index(table, args.char)
     sym, alt = sym_alt_square(chi)
     sym_mults, alt_mults = decompose(sym, table), decompose(alt, table)
     if args.format == "json":
-        print(_json_dumps({
+        return EXIT_OK, _json_dumps({
             "group": group.spec,
             "char": args.char,
             "sym": {"values": [v.to_json() for v in sym.values],
                     "multiplicities": sym_mults},
             "alt": {"values": [v.to_json() for v in alt.values],
                     "multiplicities": alt_mults},
-        }))
-    else:
-        for tag, f, mults in (("chi_S", sym, sym_mults), ("chi_A", alt, alt_mults)):
-            irr = " (irreducible)" if not f.is_zero() and is_irreducible(f) else ""
-            print(f"{tag} = {_sum_of(mults, 'X')}{irr}")
-            print(f"  values: {[v.exact_str() for v in f.values]}")
-    return EXIT_OK
+        })
+    lines = []
+    for tag, f, mults in (("chi_S", sym, sym_mults), ("chi_A", alt, alt_mults)):
+        irr = " (irreducible)" if not f.is_zero() and is_irreducible(f) else ""
+        lines += [f"{tag} = {_sum_of(mults, 'X')}{irr}",
+                  f"  values: {[v.exact_str() for v in f.values]}"]
+    return EXIT_OK, "\n".join(lines)
 
 
-def cmd_fourier(args) -> int:
+def cmd_fourier(args, _) -> tuple[int, str]:
     try:
         n = int(args.spec)
     except ValueError as exc:
@@ -346,21 +316,20 @@ def cmd_fourier(args) -> int:
     if len(values) != n:
         raise CliError(f"expected {n} values, got {len(values)}", EXIT_USAGE)
     fhat = dft_cyclic(values, n)
-    back = inverse_dft_cyclic(fhat, n)
+    roundtrip = all(a == b for a, b in zip(inverse_dft_cyclic(fhat, n), values))
     lhs, rhs = plancherel_check(values, n)
     if args.format == "json":
-        print(_json_dumps({
+        return EXIT_OK, _json_dumps({
             "n": n,
             "transform": [v.to_json() for v in fhat],
-            "inverse_roundtrip": all(a == b for a, b in zip(back, values)),
+            "inverse_roundtrip": roundtrip,
             "plancherel": {"time_side": lhs.to_json(), "freq_side": rhs.to_json()},
-        }))
-    else:
-        for q, v in enumerate(fhat):
-            print(f"fhat({q}) = {v}")
-        print(f"inverse transform recovers input: {all(a == b for a, b in zip(back, values))}")
-        print(f"plancherel: (1/n) sum |f|^2 = {lhs.exact_str()} = sum |fhat|^2 = {rhs.exact_str()}")
-    return EXIT_OK
+        })
+    return EXIT_OK, "\n".join([
+        *(f"fhat({q}) = {v}" for q, v in enumerate(fhat)),
+        f"inverse transform recovers input: {roundtrip}",
+        f"plancherel: (1/n) sum |f|^2 = {lhs.exact_str()} = sum |fhat|^2 = {rhs.exact_str()}",
+    ])
 
 
 def non_negative_int(text: str) -> int:
@@ -388,7 +357,9 @@ OPTIONS = {
 
 TEXT_JSON = ("text", "json")
 
-# each command: its handler, its output formats, and the other options it reads
+# each command: its handler, its output formats, and the other options it
+# reads.  A handler takes (args, group), the group of the spec when it reads
+# --cap and None when it does not, prints nothing and returns (exit code, text)
 COMMANDS = {
     "table": (cmd_table, ("text", "json", "csv"), {"--cap", "--precision"}),
     "classes": (cmd_classes, TEXT_JSON, {"--cap"}),
@@ -424,8 +395,12 @@ PARSER = build_parser()  # parse_args keeps no state between calls
 
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
+    command, _, reads = COMMANDS[args.command]
     try:
-        code = COMMANDS[args.command][0](args)
+        # every command that takes --cap reads a group from its spec, first
+        group = _load_group(args.spec, _cap_from(args)) if "--cap" in reads else None
+        code, text = command(args, group)
+        print(text)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -209,6 +209,21 @@ MUTANTS = [
            "lambda a, d, n: stated(a, a, d))",
            "lambda a, d, n: stated(n << _coefficient_bits(d), a, d))",
            (f"{ORACLE}::test_first_failing_element_matches_the_exact_oracle",)),
+    # the CLI: `main` reads the group of each command that takes --cap and
+    # writes what the command returns; a command checks its own options
+    # before it builds anything
+    Mutant("main-reads-a-group-for-every-command", "cli.py",
+           'group = _load_group(args.spec, _cap_from(args)) if "--cap" in reads else None',
+           "group = _load_group(args.spec, _cap_from(args))",
+           ("tests/test_cli.py::TestFourier",)),
+    Mutant("check-exits-zero-on-a-failed-report", "cli.py",
+           "return (EXIT_OK if report.ok else EXIT_CHECK_FAILED), text",
+           "return EXIT_OK, text",
+           ("tests/test_cli.py::TestCheck::test_check_failure_exits_one",)),
+    Mutant("tensor-builds-before-it-parses-chars", "cli.py",
+           "    try:\n        i_str, j_str = args.chars.split(\",\")\n",
+           "    build_character_table(group)\n    try:\n        i_str, j_str = args.chars.split(\",\")\n",
+           ("tests/test_cli.py::TestRestrictTensorSymalt::test_malformed_chars_build_no_table",)),
 ]
 
 

@@ -155,6 +155,15 @@ class TestProductSumConjugate:
         assert paper_chi(table, 2, g) * paper_chi(table, 3, g) == paper_chi(table, 4, g)
         assert paper_chi(table, 2, g) * paper_chi(table, 6, g) == paper_chi(table, 7, g)
 
+    def test_difference_undoes_the_sum(self, s5):
+        g, table = s5
+        a, b = table.rows[1], table.rows[4]
+        assert (a + b) - b == a
+        assert (a - b) + b == a
+        assert (a - a).is_zero() and not (a - b).is_zero()
+        with pytest.raises(GroupMismatchError):
+            a - trivial_character(parse_group_spec("S4"))
+
     def test_trivial_is_identity(self, s5):
         g, table = s5
         t = trivial_character(g)

@@ -167,6 +167,21 @@ class TestRestrictTensorSymalt:
         assert "chi_S = X1 + X3 + X5" in out
         assert "chi_A = X7 (irreducible)" in out
 
+    def test_symalt_of_a_linear_character_has_no_alternating_part(self, capsys):
+        # the alternating square of a linear character is 0, which its
+        # decomposition prints as "0", not as an empty sum
+        code, out, _ = run_cli(capsys, "symalt", "S3", "--char", "1")
+        assert code == 0
+        assert out.splitlines()[2:] == ["chi_A = 0", "  values: ['0', '0', '0']"]
+
+    def test_malformed_chars_build_no_table(self, capsys, monkeypatch):
+        def no_build(group):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(cli, "build_character_table", no_build)
+        code, out, err = run_cli(capsys, "tensor", "S4", "--chars", "1;2")
+        assert (code, out, err) == (2, "", "error: bad --chars value '1;2'\n")
+
     def test_bad_char_index(self, capsys):
         code, _, err = run_cli(capsys, "symalt", "S3", "--char", "9")
         assert code == 2
@@ -233,6 +248,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("consistency failure:")
         assert "violate sum of squares = 120" in err
+
+    @pytest.mark.parametrize("argv, code, err", [
+        ("tensor S4 --chars 1,2,3", 2, "error: bad --chars value '1,2,3'"),
+        ("fourier x --values 1", 2, "error: fourier needs an integer modulus, got 'x'"),
+        ("fourier 4", 2, "error: fourier requires --values"),
+        ("fourier 2 --values 1,a", 2, "error: bad --values '1,a'"),
+        ("restrict S5 --subgroup S6", 2,
+         "parse error: subgroup degree 6 exceeds parent degree 5"),
+        # a command reads its spec before its own options: an over-cap
+        # spec is a cap error, whether or not --chars or --subgroup is given
+        ("tensor S9", 3, "resource cap: group enumeration exceeded cap of 100000 elements"),
+        ("restrict S9", 3, "resource cap: group enumeration exceeded cap of 100000 elements"),
+    ])
+    def test_usage_and_cap_errors(self, capsys, argv, code, err):
+        assert run_cli(capsys, *argv.split()) == (code, "", err + "\n")
 
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("CHARTAB_CAP", "10")

@@ -185,11 +185,23 @@ class TestParse:
     @pytest.mark.parametrize(
         "bad",
         ["X3", "S0", "S10", "perm:4", "perm:4:(0,1", "perm:4:(0,4)",
-         "perm:4:(0,0)", "perm:x:(0,1)", "perm:33:(0,1)", "Q9", ""],
+         "perm:4:(0,0)", "perm:x:(0,1)", "perm:33:(0,1)", "Q9", "",
+         # an empty cycle list, an empty generator, a point that is no int
+         "perm:4:", "perm:4:(0,1);", "perm:4:(0,a)"],
     )
     def test_malformed(self, bad):
         with pytest.raises(ParseError):
             parse_group_spec(bad)
+
+    @pytest.mark.parametrize("degree, gens, match", [
+        (0, [], r"^degree 0 outside \[1, 32\]$"),
+        (33, [], r"^degree 33 outside \[1, 32\]$"),
+        (3, [Perm((1, 0))], "^generator degree does not match group degree$"),
+        (3, [Perm((0, 0, 1))], r"^generator \(0, 0, 1\) is not a bijection$"),
+    ])
+    def test_constructor_rejects(self, degree, gens, match):
+        with pytest.raises(ParseError, match=match):
+            PermGroup(degree, gens)
 
     def test_out_of_range_degree_is_rejected_before_any_cycle(self, monkeypatch):
         # each cycle is a list of `degree` images, so the degree is checked

@@ -52,6 +52,15 @@ class TestExtension:
         with pytest.raises(InconsistentRepError):
             MatrixRep(g, [((Cyclo.zero(),),)])
 
+    @pytest.mark.parametrize("images, match", [
+        ([], "^expected 1 generator images, got 0$"),
+        ([((1, 0),)], "^generator images must be square of equal size$"),
+        ([((1, 0), (0,))], "^generator images must be square of equal size$"),
+    ])
+    def test_malformed_images_rejected(self, images, match):
+        with pytest.raises(ValueError, match=match):
+            MatrixRep(parse_group_spec("C2"), images)
+
     @pytest.mark.parametrize("points", [
         [1, zeta(5), zeta(5, 3)],
         [2, zeta(12), ratio(1, 2), zeta(12, 7) + zeta(3)],
@@ -222,6 +231,18 @@ class TestMatrixOrthogonality:
         other = MatrixRep(g, [((Cyclo.one(),),)]).extend_to_group()
         with pytest.raises(GroupMismatchError):
             check_matrix_orthogonality(q8_rep, other)
+
+    def test_reps_of_one_group_survive_the_parse_cache_dropping_it(self):
+        # builtin_rep parses D5 itself; the 35 other builtin specs push it
+        # out of the parse cache between the two calls, so the second rep
+        # holds a new group object of the same degree and generators
+        a = builtin_rep("dihedral-rot:5:1")
+        for spec in (f + str(n) for f in "SACD" for n in range(1, 10)):
+            if spec != "D5":
+                parse_group_spec(spec)
+        b = builtin_rep("dihedral-rot:5:2")
+        assert a.group is not b.group
+        assert repr(check_matrix_orthogonality(a, b)) == "OrthogonalityReport(16 pairings, ok)"
 
 
 class TestBuiltinReps:

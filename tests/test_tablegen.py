@@ -612,6 +612,13 @@ def test_build_with_a_bad_prime_fails_loudly(monkeypatch):
         build_character_table(parse_group_spec("S5"))
 
 
+def test_a_table_with_fewer_rows_than_classes_is_refused():
+    g = parse_group_spec("S3")
+    rows = build_character_table(g).rows[:-1]
+    with pytest.raises(TableConstructionError, match="^table is not square: 2 rows, 3 classes$"):
+        CharacterTable(g, rows)
+
+
 class TestGoldenTables:
     def test_s3(self):
         table = build_character_table(parse_group_spec("S3"))
