@@ -27,8 +27,9 @@ CHECK_SEED = 0x5EED  # the seeded characters of check_all's sym-alt check
 
 
 def restrict(chi: ClassFunction, h: Subgroup) -> ClassFunction:
-    """View a class function of G as one of the subgroup H."""
-    if h.parent is not chi.group:
+    """View a class function of G as one of the subgroup H, whose parent
+    must equal G (`PermGroup`'s equality)."""
+    if h.parent != chi.group:
         raise GroupMismatchError("subgroup does not belong to the function's group")
     fusion = h.fusion_to_parent()
     return ClassFunction(h, [chi.values[j] for j in fusion])
@@ -59,8 +60,10 @@ def restriction_report(chi: ClassFunction, h: Subgroup,
     """Decompose chi|_H over the subgroup's own table and verify the norm
     bound sum d_i^2 <= [G:H]; for index-2 subgroups, classify per the
     splitting dichotomy and check it against the vanishing off H, which is
-    read off the fusion map and the class sizes, not off the elements."""
-    if subgroup_table.group is not h:
+    read off the fusion map and the class sizes, not off the elements.
+    The table's group must equal H, and H's parent chi's group
+    (`PermGroup`'s equality)."""
+    if subgroup_table.group != h:
         raise GroupMismatchError("table does not belong to the subgroup")
     restricted = restrict(chi, h)
     mults = decompose(restricted, subgroup_table)

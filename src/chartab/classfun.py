@@ -44,13 +44,13 @@ class ClassFunction:
         return f
 
     def _check_group(self, other: "ClassFunction") -> None:
-        if self.group is not other.group:
+        if self.group != other.group:
             raise GroupMismatchError("class functions on different groups")
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ClassFunction)
-            and self.group is other.group
+            and self.group == other.group
             and all(a == b for a, b in zip(self.values, other.values))
         )
 
@@ -135,13 +135,16 @@ def decompose(chi: ClassFunction, table) -> list[int]:
     to its conjugate: the sum is then nums[0] / den at order 1, and one
     `divmod(nums[0], den |G|)` reads the multiplicity off it, making no
     `Fraction` unless a rejection prints one.  The irrational value a rejection
-    reports is held where `dot` holds it, at the lcm of its terms' orders."""
+    reports is held where `dot` holds it, at the lcm of its terms' orders.
+    chi's group must equal the table's (`PermGroup`'s equality), which the
+    table holds its rows to, so it is checked once, not per row."""
+    if chi.group != table.group:
+        raise GroupMismatchError("class functions on different groups")
     sizes = chi.group.conjugacy_classes().sizes
     weighted = [r * v.conj() for r, v in zip(sizes, chi.values)]
     order = chi.group.order
     mults = []
     for row in table.rows:
-        chi._check_group(row)
         s = dot(row.values, weighted)
         if not s.is_rational():
             m = s * Fraction(1, order)

@@ -188,7 +188,12 @@ class ClassData:
 
 
 class PermGroup:
-    """A finite permutation group, enumerated on demand."""
+    """A finite permutation group, enumerated on demand.
+
+    A group is its degree and generators: two groups are equal, and hash
+    alike, when those are equal, since the enumeration, and so every
+    element position and class index, depends on nothing else.  Every
+    check that two operands are on one group reads this rule."""
 
     def __init__(self, degree: int, generators: Iterable[Perm],
                  cap: int = DEFAULT_CAP, spec: Optional[str] = None):
@@ -212,6 +217,16 @@ class PermGroup:
         self._right: Optional[list[list[int]]] = None
         self._class_data: Optional[ClassData] = None
         self._commutator_subgroup: Optional[NormalSubgroup] = None
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, PermGroup):
+            return NotImplemented
+        return self.degree == other.degree and self.generators == other.generators
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.generators))
 
     # -- enumeration ------------------------------------------------------
 

@@ -282,11 +282,10 @@ def check_matrix_orthogonality(rep1: MatrixRep, rep2: MatrixRep) -> Orthogonalit
     across distinct irreducibles it is 0.  Both reps' images are made in one
     ring of `_ring` (which checks each rep's Cayley edges first), and each
     pairing is decided there as n1 sum_t D a_il(t) D b_mj(t^-1) = |G| D^2 or
-    0; lists every violation with its exact value.  The reps may hold two
-    group objects of equal degree and generators: the enumeration, and so
-    every position the ring and the pairings read, depends on nothing else."""
-    group, other = rep1.group, rep2.group
-    if (group.degree, group.generators) != (other.degree, other.generators):
+    0; lists every violation with its exact value.  The reps' groups must
+    be equal (`PermGroup`'s equality)."""
+    group = rep1.group
+    if group != rep2.group:
         raise GroupMismatchError("representations of different groups")
     same = rep1 is rep2
     order, n1, n2 = group.order, rep1.dim, rep2.dim

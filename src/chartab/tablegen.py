@@ -19,7 +19,7 @@ from operator import mul
 from . import _modp as mp
 from .classfun import ClassFunction
 from .cyclo import Cyclo, root_of_unity
-from .permgroup import ClassData, PermGroup, ResourceCapError
+from .permgroup import ClassData, GroupMismatchError, PermGroup, ResourceCapError
 
 PRIME_LIMIT = 2**31
 
@@ -344,7 +344,8 @@ class CharacterTable:
     rows by ascending degree (ties by `_indexed`'s value keys), columns in the
     group's canonical class order.  `values` holds each distinct value object
     of the rows once, and `cells[i][j]` is the position of `rows[i].values[j]`
-    in it: the one index of every reader that handles each value once."""
+    in it: the one index of every reader that handles each value once.
+    Every row is on a group equal to the table's."""
 
     def __init__(self, group: PermGroup, rows: list[ClassFunction]):
         data = group.conjugacy_classes()
@@ -352,6 +353,8 @@ class CharacterTable:
             raise TableConstructionError(
                 f"table is not square: {len(rows)} rows, {len(data)} classes"
             )
+        if any(row.group != group for row in rows):
+            raise GroupMismatchError("table rows on a different group")
         self.group = group
         self.class_data = data
         self.rows, self.values, self.cells = _indexed(rows)

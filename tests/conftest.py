@@ -31,6 +31,22 @@ BUILTINS_LE_24 = [
 ]
 
 
+def parse_again(spec):
+    """A new parse of spec, made after more than `PARSE_CACHE_SIZE` other
+    builtin specs have pushed its first parse out of the parse cache: a
+    group object of the same degree and generators, not the same object."""
+    from chartab.permgroup import PARSE_CACHE_SIZE
+
+    first = parse_group_spec(spec)
+    others = [f + str(n) for f in "SACD" for n in range(1, 10) if f + str(n) != spec]
+    assert len(others) > PARSE_CACHE_SIZE
+    for other in others:
+        parse_group_spec(other)
+    again = parse_group_spec(spec)
+    assert again is not first
+    return again
+
+
 def ratio(p, q=1):
     return from_rational(Fraction(p, q))
 

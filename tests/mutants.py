@@ -209,6 +209,33 @@ MUTANTS = [
            "lambda a, d, n: stated(a, a, d))",
            "lambda a, d, n: stated(n << _coefficient_bits(d), a, d))",
            (f"{ORACLE}::test_first_failing_element_matches_the_exact_oracle",)),
+    # a group is its degree and generators, and a table's rows are on its
+    # group
+    Mutant("group-equality-by-identity", "permgroup.py",
+           "return self.degree == other.degree and self.generators == other.generators",
+           "return False",
+           ("tests/test_classfun.py::TestProductSumConjugate"
+            "::test_a_group_parsed_again_meets_a_table_of_the_first_parse",
+            "tests/test_analysis.py::TestRestrict::test_equal_subgroups_and_parents_meet",
+            "tests/test_analysis.py::TestRestrictionReport"
+            "::test_a_table_of_an_equal_subgroup_is_its_table",
+            "tests/test_analysis.py::TestCheckAll::test_a_table_on_a_group_parsed_again_passes",
+            f"{ORTHOGONALITY}::test_reps_of_one_group_survive_the_parse_cache_dropping_it")),
+    Mutant("group-equality-reads-degree-only", "permgroup.py",
+           "return self.degree == other.degree and self.generators == other.generators",
+           "return self.degree == other.degree",
+           ("tests/test_classfun.py::TestProductSumConjugate"
+            "::test_a_group_of_the_same_degree_and_other_generators_is_refused",
+            "tests/test_classfun.py::TestProductSumConjugate"
+            "::test_a_group_of_the_same_degree_and_other_generators_is_unequal",
+            "tests/test_analysis.py::TestRestrict"
+            "::test_a_group_of_the_same_degree_and_other_generators_is_refused",
+            "tests/test_analysis.py::TestRestrictionReport::test_a_table_of_another_subgroup_is_refused",
+            f"{ORTHOGONALITY}::test_a_group_of_the_same_degree_and_other_generators_is_refused")),
+    Mutant("table-accepts-rows-of-another-group", "tablegen.py",
+           "if any(row.group != group for row in rows):",
+           "if False:",
+           ("tests/test_tablegen.py::test_a_table_with_rows_of_another_group_is_refused",)),
     # the CLI: `main` reads the group of each command that takes --cap and
     # writes what the command returns; a command checks its own options
     # before it builds anything

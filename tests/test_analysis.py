@@ -27,6 +27,7 @@ from conftest import (
     assert_value_index,
     class_index_of,
     count_perm_products,
+    parse_again,
     perm_of,
     ratio,
 )
@@ -75,6 +76,26 @@ class TestRestrict:
         foreign = trivial_character(parse_group_spec("S4"))
         with pytest.raises(GroupMismatchError):
             restrict(foreign, a5_subgroup)
+
+    @pytest.mark.parametrize("parent", ["the same", "parsed again"])
+    def test_equal_subgroups_and_parents_meet(self, s5_group, s5_table, a5_subgroup, parent):
+        # a second subgroup call with A5's generators, on S5 itself or on S5
+        # parsed again: a new object of the same degree and generators, with
+        # the same enumeration and class order
+        g = s5_group if parent == "the same" else parse_again("S5")
+        h = g.subgroup(list(a5_subgroup.generators))
+        assert h is not a5_subgroup
+        for row in s5_table.rows:
+            assert restrict(row, h) == restrict(row, a5_subgroup)
+
+    def test_a_group_of_the_same_degree_and_other_generators_is_refused(self):
+        # S3 and C3 both act on 3 points and have 3 classes: only their
+        # generators tell them apart
+        s3 = parse_group_spec("S3")
+        h = s3.subgroup([perm_of(s3, "(0,1,2)")])
+        with pytest.raises(GroupMismatchError,
+                           match="^subgroup does not belong to the function's group$"):
+            restrict(trivial_character(parse_group_spec("C3")), h)
 
 
 class TestRestrictionReport:
@@ -143,6 +164,31 @@ class TestRestrictionReport:
             assert direct.multiplicities == wrapped.multiplicities
             assert (direct.norm, direct.case, direct.vanishes_off_subgroup) == (
                 wrapped.norm, wrapped.case, wrapped.vanishes_off_subgroup)
+
+    @pytest.mark.parametrize("parent", ["the same", "parsed again"])
+    def test_a_table_of_an_equal_subgroup_is_its_table(
+            self, s5_group, s5_table, a5_subgroup, a5_table, parent):
+        # the subgroup made again, by a second subgroup call with A5's
+        # generators, on S5 itself or on S5 parsed again, reads a5_table,
+        # built on the first subgroup
+        g = s5_group if parent == "the same" else parse_again("S5")
+        h = g.subgroup(list(a5_subgroup.generators))
+        assert h is not a5_subgroup
+        for i, row in enumerate(s5_table.rows):
+            again = restriction_report(row, h, a5_table, char_index=i)
+            first = restriction_report(row, a5_subgroup, a5_table, char_index=i)
+            assert again.restricted == first.restricted
+            assert (again.multiplicities, again.norm, again.case, again.vanishes_off_subgroup) == (
+                first.multiplicities, first.norm, first.case, first.vanishes_off_subgroup)
+
+    def test_a_table_of_another_subgroup_is_refused(self):
+        # <(0,1,2)> in S3 and C3 both act on 3 points, with one generator
+        # each, which the two groups spell differently
+        s3 = parse_group_spec("S3")
+        h = s3.subgroup([perm_of(s3, "(0,1,2)")])
+        c3_table = build_character_table(parse_group_spec("perm:3:(0,2,1)"))
+        with pytest.raises(GroupMismatchError, match="^table does not belong to the subgroup$"):
+            restriction_report(trivial_character(s3), h, c3_table)
 
     def test_inconsistent_multiplicities_are_a_consistency_failure(self, monkeypatch, capsys):
         # a subgroup table of <(0,1)> < S3 that holds the trivial row twice:
@@ -288,6 +334,13 @@ class TestCheckAll:
         assert not report.ok
         names = {r.name for r in report.results if not r.passed}
         assert "row-orthonormality" in names
+
+    def test_a_table_on_a_group_parsed_again_passes(self):
+        # the rows are on S3's first parse, the table on its second
+        rows = build_character_table(parse_group_spec("S3")).rows
+        report = check_all(CharacterTable(parse_again("S3"), rows))
+        failing = [r.name for r in report.results if not r.passed]
+        assert report.ok, f"failing checks: {failing}"
 
     def test_values_held_at_a_larger_order_pass(self):
         # every value re-embedded in Q(zeta_6), rationals included: products

@@ -22,7 +22,7 @@ from chartab.cyclo import Cyclo, CycloError, dot, from_rational, root_of_unity
 from chartab.permgroup import GroupMismatchError, parse_group_spec
 from chartab.tablegen import build_character_table
 
-from conftest import BUILTINS_LE_24, class_index_of, ratio
+from conftest import BUILTINS_LE_24, class_index_of, parse_again, ratio
 
 
 def row_by_degree_and_value(table, degree, col, value):
@@ -149,7 +149,45 @@ class TestBilinearForm:
         assert brute == Fraction(1, 9)
 
 
+# each operation of a class function f with the rows of a table: the
+# pairings and the arithmetic read the rows' values at f's class positions
+WITH_A_TABLE = {
+    "eq": lambda f, table: f == table.rows[0],
+    "mul": lambda f, table: [(f * row).values for row in table.rows],
+    "add": lambda f, table: [(f + row).values for row in table.rows],
+    "sub": lambda f, table: [(f - row).values for row in table.rows],
+    "inner_product": lambda f, table: [inner_product(f, row) for row in table.rows],
+    "bilinear_form": lambda f, table: [bilinear_form(f, row) for row in table.rows],
+    "decompose": decompose,
+}
+
+
 class TestProductSumConjugate:
+    @pytest.mark.parametrize("op", WITH_A_TABLE)
+    def test_a_group_parsed_again_meets_a_table_of_the_first_parse(self, op):
+        # S3 parsed twice, with its first parse dropped from the parse cache
+        # between: the two group objects have one degree and one generator
+        # tuple, so one enumeration and one class order
+        g = parse_group_spec("S3")
+        table = build_character_table(g)
+        same = WITH_A_TABLE[op](trivial_character(g), table)
+        assert WITH_A_TABLE[op](trivial_character(parse_again("S3")), table) == same
+        if op == "eq":
+            assert same is True
+
+    @pytest.mark.parametrize("op", ["mul", "sub", "inner_product", "decompose"])
+    def test_a_group_of_the_same_degree_and_other_generators_is_refused(self, op):
+        # S3 and C3 both act on 3 points and have 3 classes: only their
+        # generators tell them apart
+        table = build_character_table(parse_group_spec("S3"))
+        with pytest.raises(GroupMismatchError, match="^class functions on different groups$"):
+            WITH_A_TABLE[op](trivial_character(parse_group_spec("C3")), table)
+
+    def test_a_group_of_the_same_degree_and_other_generators_is_unequal(self):
+        s3, c3 = parse_group_spec("S3"), parse_group_spec("C3")
+        assert trivial_character(c3) != trivial_character(s3)
+        assert trivial_character(c3).values == trivial_character(s3).values
+
     def test_s5_products(self, s5):
         g, table = s5
         assert paper_chi(table, 2, g) * paper_chi(table, 3, g) == paper_chi(table, 4, g)

@@ -213,6 +213,21 @@ class TestParse:
         with pytest.raises(ParseError, match="outside"):
             parse_group_spec("perm:1000000:()")
 
+    def test_a_group_is_its_degree_and_generators(self):
+        s3 = parse_group_spec("S3")
+        for same in (parse_group_spec("perm:3:(0,1);(0,1,2)"), PermGroup(3, s3.generators),
+                     s3.subgroup(list(s3.generators))):
+            assert same is not s3
+            assert same == s3 and hash(same) == hash(s3)
+
+    @pytest.mark.parametrize("left, right", [
+        ("S3", "C3"),  # one degree, other generators
+        ("S1", "A2"),  # no generators, other degrees
+        ("S3", "perm:3:(0,1,2);(0,1)"),  # S3's generators in another order
+    ])
+    def test_another_degree_or_generator_tuple_is_another_group(self, left, right):
+        assert parse_group_spec(left) != parse_group_spec(right)
+
     def test_parse_cache_is_bounded(self):
         from chartab.permgroup import PARSE_CACHE_SIZE, _parse_group_spec_cached
 

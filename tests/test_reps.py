@@ -232,6 +232,14 @@ class TestMatrixOrthogonality:
         with pytest.raises(GroupMismatchError):
             check_matrix_orthogonality(q8_rep, other)
 
+    def test_a_group_of_the_same_degree_and_other_generators_is_refused(self):
+        # S3 and C3 both act on 3 points and have 3 classes: only their
+        # generators tell them apart
+        s3 = MatrixRep(parse_group_spec("S3"), [((Cyclo.one(),),)] * 2)
+        c3 = MatrixRep(parse_group_spec("C3"), [((Cyclo.one(),),)])
+        with pytest.raises(GroupMismatchError, match="^representations of different groups$"):
+            check_matrix_orthogonality(s3, c3)
+
     def test_reps_of_one_group_survive_the_parse_cache_dropping_it(self):
         # builtin_rep parses D5 itself; the 35 other builtin specs push it
         # out of the parse cache between the two calls, so the second rep

@@ -13,7 +13,7 @@ from chartab.classfun import ClassFunction, inner_product, is_irreducible
 from chartab.cyclo import Cyclo, root_of_unity
 from chartab import cyclo, tablegen
 from chartab.cli import _render_table_json
-from chartab.permgroup import Perm, PermGroup, parse_group_spec
+from chartab.permgroup import GroupMismatchError, Perm, PermGroup, parse_group_spec
 from chartab.tablegen import (
     CharacterTable,
     TableConstructionError,
@@ -617,6 +617,14 @@ def test_a_table_with_fewer_rows_than_classes_is_refused():
     rows = build_character_table(g).rows[:-1]
     with pytest.raises(TableConstructionError, match="^table is not square: 2 rows, 3 classes$"):
         CharacterTable(g, rows)
+
+
+def test_a_table_with_rows_of_another_group_is_refused():
+    # C3's rows on S3: both act on 3 points and have 3 classes, so only the
+    # groups' generators tell the rows apart
+    rows = build_character_table(parse_group_spec("C3")).rows
+    with pytest.raises(GroupMismatchError, match="^table rows on a different group$"):
+        CharacterTable(parse_group_spec("S3"), rows)
 
 
 class TestGoldenTables:
