@@ -21,7 +21,7 @@ from .classfun import (
 )
 from .cyclo import dot, kronecker_residues
 from .permgroup import GroupMismatchError, NormalSubgroup, PermGroup, Subgroup
-from .tablegen import CharacterTable, class_matrix
+from .tablegen import CharacterTable
 
 CHECK_SEED = 0x5EED  # the seeded characters of check_all's sym-alt check
 
@@ -308,13 +308,13 @@ def check_all(table: CharacterTable) -> CheckReport:
     `kronecker_residues`, built once per call under `_ring`'s bound B on
     every sum or difference the suite tests: an identity between sums of
     products of values is one int equation modulo M, and its verdict is the
-    exact one.  The
-    row and column pairings are shared by the checks that read them, the
-    central-character identity included: it is evaluated in integer form on
-    the size-weighted conjugates of the row pairings, for the classes in
-    `table.split_classes`, which generate the centre of the group algebra,
-    so only their class matrices are computed.  Three checks stay off the
-    ring: `value-magnitude-bound` compares floats, one per value object;
+    exact one.  The row and column pairings are shared by the checks that
+    read them, the central-character identity included: it is evaluated in
+    integer form on the size-weighted conjugates of the row pairings, for
+    the classes in `table.split_classes`, which generate the centre of the
+    group algebra, so only their class matrices are read, from the table,
+    which makes only those its split did not read.  Three checks stay off
+    the ring: `value-magnitude-bound` compares floats, one per value object;
     `regular-decomposition` reports what `decompose` reports; and
     `inner-product-oracle` is the independent element-sum path."""
     group = table.group
@@ -421,7 +421,7 @@ def check_all(table: CharacterTable) -> CheckReport:
     identities = [
         (j, k, [l for l, a in enumerate(a_jk) if a], [a for a in a_jk if a])
         for j in table.split_classes
-        for k, a_jk in enumerate(class_matrix(data, j))
+        for k, a_jk in enumerate(table._split_matrices[j])
     ]
 
     def central_identity_holds(n: int, w: list[int]) -> bool:

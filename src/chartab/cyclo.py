@@ -539,7 +539,8 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
     must not pass MAX_ORDER.  The buffer grows to the highest power a term
     reaches, at most 2 o - 2 at order o, so no exponent wraps per step; a
     product of two operands of one order is made packed when `_packs` says
-    so, and added at its stride.  The accumulator is added into coefficient
+    so, and added at its stride, or, when no term has reached the buffer
+    yet, taken as the buffer.  The accumulator is added into coefficient
     0 and the buffer reduced once, at the end.  So the result is held by the
     rule of `+` and the cyclic transforms: at order 1 when it is rational,
     else at the lcm of its terms' orders, whatever the order of the terms."""
@@ -580,10 +581,16 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
             den *= scale
         sx, sy, f = order // ox, order // oy, den // d
         top = (len(nx) - 1) * sx + (len(ny) - 1) * sy + 1  # one past the highest power
+        packed = ox == oy and _packs(nx, ny)
+        if packed and f == 1 and buf == [0]:  # buf holds nothing, so it is at order ox
+            buf = _packed_mul(nx, ny)
+            continue
         if top > len(buf):
             buf += [0] * (top - len(buf))
-        if ox == oy and _packs(nx, ny):  # one dense product, added at stride sx
-            buf[:top:sx] = map(add, buf[:top:sx], map(mul, _packed_mul(nx, ny), repeat(f)))
+        if packed:  # one dense product, added at stride sx
+            product = _packed_mul(nx, ny)
+            buf[:top:sx] = map(add, buf[:top:sx],
+                               product if f == 1 else map(mul, product, repeat(f)))
             continue
         for i, a in enumerate(nx):
             if a:

@@ -161,7 +161,7 @@ def _acts_as_scalar(rows: mp.Matrix, j: int, p: int) -> bool:
     return all((r[j] - lam * r[0]) % p == 0 for r in rows)
 
 
-def modp_eigenbasis(g: PermGroup, p: int) -> list[list[int]]:
+def modp_eigenbasis(g: PermGroup, p: int, matrices: dict | None = None) -> list[list[int]]:
     """Simultaneous eigenvectors of all class matrices over F_p, the lines
     of the split, each normalized so its identity-class coordinate is 1.
 
@@ -185,7 +185,8 @@ def modp_eigenbasis(g: PermGroup, p: int) -> list[list[int]]:
     r[j] = lam r[0] for every basis row r.  M_j is computed only when some
     space of dimension > 1 fails that test, and only those spaces are
     split.  Lines are unique, so the result, and the split classes read off
-    it, are the same whichever matrices split them.
+    it, are the same whichever matrices split them.  Each matrix computed
+    is put in `matrices` by class, when a dict is given.
 
     A linear lambda twists a central character, chi -> lambda chi, as
     (lambda w)_j = lambda(g_j) w_j, and the twists permute the spaces the
@@ -208,6 +209,7 @@ def modp_eigenbasis(g: PermGroup, p: int) -> list[list[int]]:
     [G:G'] distinct vectors raise."""
     data = g.conjugacy_classes()
     h = len(data)
+    matrices = {} if matrices is None else matrices
     chars, e = _linear_exponents(g)
     q = e // math.gcd(e, *(k for chi in chars for k in chi))
     if (p - 1) % q:
@@ -230,7 +232,7 @@ def modp_eigenbasis(g: PermGroup, p: int) -> list[list[int]]:
         is_open = [len(rows) > 1 and not _acts_as_scalar(rows, j, p) for rows, *_ in spaces]
         if not any(is_open):
             continue
-        mat = class_matrix(data, j)
+        mat = matrices[j] = class_matrix(data, j)
         held = []
         for (rows, piv, stabiliser, copies), split in zip(spaces, is_open):
             if not split:
@@ -279,7 +281,8 @@ def split_classes(lines: list[list[int]]) -> tuple[int, ...]:
     separates the coordinates is all of C^h.  That is all `check_all`'s
     central identity asks: for a row, the x with f(xy) = f(x) f(y) for all
     y, f(C_l) = lambda_il, form a subalgebra that holds 1, so it holds a
-    generating set exactly when it holds Z(CG): one verdict for every set."""
+    generating set exactly when it holds Z(CG): one verdict for every set.
+    A table keeps their class matrices for it (`CharacterTable.split_classes`)."""
     labels, blocks, split = [()] * len(lines), 1, []
     for j in range(1, len(lines)):  # one line per class
         if blocks == len(lines):
@@ -345,7 +348,9 @@ class CharacterTable:
     group's canonical class order.  `values` holds each distinct value object
     of the rows once, and `cells[i][j]` is the position of `rows[i].values[j]`
     in it: the one index of every reader that handles each value once.
-    Every row is on a group equal to the table's."""
+    Every row is on a group equal to the table's.  A built table also holds
+    the lines of the F_p split and the class matrices it read, h^2 ints each,
+    until `split_classes` is first read, and then the split classes' alone."""
 
     def __init__(self, group: PermGroup, rows: list[ClassFunction]):
         data = group.conjugacy_classes()
@@ -359,21 +364,24 @@ class CharacterTable:
         self.class_data = data
         self.rows, self.values, self.cells = _indexed(rows)
         self.degrees = tuple(r.values[0].as_rational() for r in self.rows)
-        # the lines of the F_p split, kept by `build_character_table`
-        self._lines = None
-        self._split_classes = None
+        # the split's lines and its matrices by class, kept by `build_character_table`
+        self._lines, self._read = None, {}
+        self._split_matrices = None  # S's class matrices, by class, once read
 
     @property
     def split_classes(self) -> tuple[int, ...]:
         """`split_classes` of the group's lines, never read off the rows,
         computed on first use: from the lines `build_character_table` kept,
-        and for a table made any other way from a split run once, here."""
-        if self._split_classes is None:
-            lines = self._lines
-            if lines is None:
-                lines = modp_eigenbasis(self.group, choose_prime(self.group))
-            self._split_classes = split_classes(lines)
-        return self._split_classes
+        and for a table made any other way from a split run once, here.  The
+        table keeps each one's class matrix, the split's or, for a class the
+        split did not read, one made here, and drops the lines and the rest."""
+        if self._split_matrices is None:
+            read = self._read
+            lines = self._lines or modp_eigenbasis(self.group, choose_prime(self.group), read)
+            self._split_matrices = {j: read[j] if j in read else class_matrix(self.class_data, j)
+                                    for j in split_classes(lines)}
+            self._lines = self._read = None
+        return tuple(self._split_matrices)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -477,10 +485,11 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
 def build_character_table(g: PermGroup) -> CharacterTable:
     """Full pipeline: prime -> eigenbasis -> degrees -> lift."""
     p = choose_prime(g)
-    vectors = modp_eigenbasis(g, p)
+    read: dict[int, list[list[int]]] = {}
+    vectors = modp_eigenbasis(g, p, read)
     degrees = degrees_from_eigen(g, vectors, p)
     table = lift_characters(g, vectors, degrees, p)
-    table._lines = vectors
+    table._lines, table._read = vectors, read
     return table
 
 

@@ -82,6 +82,17 @@ MUTANTS = [
            "lines.extend([a * b % p for a, b in zip(c, v)] for c in copies)",
            "lines.append(v)",
            ("tests/test_tablegen.py::TestTwistOrbits",)),
+    # one maker of class matrices: the split hands each matrix it computes to
+    # the table, which keeps the split classes' matrices for check_all
+    Mutant("table-hands-over-a-neighbouring-class-matrix", "tablegen.py",
+           "mat = matrices[j] = class_matrix(data, j)",
+           "mat = matrices[j - 1] = class_matrix(data, j)",
+           (BUILTINS_PASS, "tests/test_analysis.py::test_mathieu_groups_at_the_cap_edge[M12]")),
+    Mutant("table-remakes-the-split-matrices", "tablegen.py",
+           "read[j] if j in read else class_matrix(self.class_data, j)",
+           "class_matrix(self.class_data, j)",
+           ("tests/test_analysis.py::TestCheckAll"
+            "::test_central_identity_reads_only_the_split_class_matrices",)),
     Mutant("closure-reads-the-class-products-in-one-order", "permgroup.py",
            "small, large = (k, i) if data.sizes[k] <= data.sizes[i] else (i, k)",
            "small, large = (k, i)",
@@ -153,8 +164,8 @@ MUTANTS = [
            ("tests/test_cyclo.py::test_dot_packs_seeded_dense_terms_of_one_order",
             "tests/test_cyclo.py::test_dot_packs_dense_terms_of_one_order")),
     Mutant("packed-fold-without-the-denominator-factor", "cyclo.py",
-           "map(mul, _packed_mul(nx, ny), repeat(f))",
-           "map(mul, _packed_mul(nx, ny), repeat(1))",
+           "map(mul, product, repeat(f))",
+           "map(mul, product, repeat(1))",
            ("tests/test_cyclo.py::test_dot_packs_seeded_dense_terms_of_one_order",)),
     Mutant("mixed-order-eq-on-raw-numerators", "cyclo.py",
            "return dot((a, b), (1, -1)).is_zero()",

@@ -404,12 +404,12 @@ class TestCheckAll:
         assert len(calls) == 1
 
     def test_central_identity_reads_only_the_split_class_matrices(self, monkeypatch):
-        # the identity is checked for j in the split classes, so check_all
-        # computes those class matrices and no others, and a table made by
-        # hand runs the split once to learn them
-        g = parse_group_spec(D4XS3)
-        table = build_character_table(g)
-        computed, splits, cubes, split_reads = [], [], [], []
+        # the identity is checked for j in the split classes S.  A built
+        # table holds the matrices its split read, R, so check_all computes
+        # S \ R alone: none on D4xS3, and classes 2 and 5 on D8, whose split
+        # reads [1, 3] (SPLIT_READS).  A table made by hand runs the split
+        # once, which computes R, and then S \ R: each matrix is made once
+        computed, splits, cubes = [], [], []
         real_matrix, real_split = tablegen.class_matrix, tablegen.modp_eigenbasis
 
         def matrix_spy(data, j):
@@ -418,30 +418,30 @@ class TestCheckAll:
 
         def split_spy(*args):
             splits.append(args)
-            before = len(computed)
-            lines = real_split(*args)
-            split_reads.extend(computed[before:])
-            return lines
+            return real_split(*args)
 
-        # analysis holds class_matrix by value, the split looks it up in tablegen
         monkeypatch.setattr(tablegen, "class_matrix", matrix_spy)
-        monkeypatch.setattr(analysis, "class_matrix", matrix_spy)
         monkeypatch.setattr(tablegen, "modp_eigenbasis", split_spy)
         monkeypatch.setattr(tablegen, "class_constants", lambda g: cubes.append(g))
-        reads = list(table.split_classes)
-        assert 0 < len(reads) < len(table) - 1
-        assert check_all(table).ok
-        assert computed == reads
-        assert not splits and not cubes
+        for spec, missing in [(D4XS3, []), ("D8", [2, 5])]:
+            g = parse_group_spec(spec)
+            table = build_character_table(g)
+            reads = list(computed)
+            assert 0 < len(reads) < len(table) - 1
+            computed.clear()
+            splits.clear()
+            assert check_all(table).ok and check_all(table).ok
+            split = table.split_classes
+            assert computed == missing == [j for j in split if j not in reads]
+            assert not splits
 
-        computed.clear()
-        by_hand = CharacterTable(g, [ClassFunction(g, r.values) for r in table.rows])
-        assert check_all(by_hand).ok and check_all(by_hand).ok
-        assert len(splits) == 1
-        assert by_hand.split_classes == table.split_classes
-        # the split's own reads, then those of each check_all
-        assert split_reads
-        assert computed == split_reads + 2 * reads
+            computed.clear()
+            by_hand = CharacterTable(g, [ClassFunction(g, r.values) for r in table.rows])
+            assert check_all(by_hand).ok and check_all(by_hand).ok
+            assert len(splits) == 1
+            assert by_hand.split_classes == split
+            assert computed == reads + missing
+            computed.clear()
         assert not cubes
 
     def test_report_rendering(self):
@@ -604,8 +604,17 @@ def test_report_is_the_same_over_every_generating_set(case, name, arg):
     elif case == "swap":
         table = _classes_swapped(table, *arg)
     report = check_all(table).to_json()
-    table._split_classes = tuple(range(1, len(table)))
+    read = []
+
+    class Handed(dict):  # every nontrivial class's matrix, noting each read
+        def __getitem__(self, j):
+            read.append(j)
+            return super().__getitem__(j)
+
+    data = table.class_data
+    table._split_matrices = Handed((j, tablegen.class_matrix(data, j)) for j in range(1, len(table)))
     assert check_all(table).to_json() == report
+    assert sorted(read) == list(range(1, len(table)))
 
 
 M11 = "perm:11:(0,1,2,3,4,5,6,7,8,9,10);(2,6,10,7)(3,9,4,5)"
