@@ -31,8 +31,7 @@ def restrict(chi: ClassFunction, h: Subgroup) -> ClassFunction:
     must equal G (`PermGroup`'s equality)."""
     if h.parent != chi.group:
         raise GroupMismatchError("subgroup does not belong to the function's group")
-    fusion = h.fusion_to_parent()
-    return ClassFunction(h, [chi.values[j] for j in fusion])
+    return ClassFunction._of(h, tuple(map(chi.values.__getitem__, h.fusion_to_parent())))
 
 
 class RestrictionReport:

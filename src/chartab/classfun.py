@@ -10,9 +10,10 @@ with exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Sequence
 
-from .cyclo import Cyclo, _root_sums, dot, from_rational
+from .cyclo import Cyclo, Split, _root_sums, _value, dot, from_rational, split, split_dot
 from .permgroup import GroupMismatchError, PermGroup
 
 
@@ -23,7 +24,7 @@ class NotACharacterError(ValueError):
 class ClassFunction:
     """Values on conjugacy classes, in the group's canonical class order."""
 
-    __slots__ = ("group", "values")
+    __slots__ = ("group", "values", "_split")
 
     def __init__(self, group: PermGroup, values: Sequence[Cyclo]):
         n_classes = len(group.conjugacy_classes())
@@ -33,6 +34,7 @@ class ClassFunction:
             )
         self.group = group
         self.values = tuple(Cyclo._coerce(v) for v in values)
+        self._split = None
 
     @classmethod
     def _of(cls, group: PermGroup, values: tuple[Cyclo, ...]) -> "ClassFunction":
@@ -41,7 +43,17 @@ class ClassFunction:
         f = object.__new__(cls)
         f.group = group
         f.values = values
+        f._split = None
         return f
+
+    @property
+    def split(self) -> Split:
+        """The values' split form (`cyclo.split`), made on first read and kept
+        with the function, whose values do not change; a table hands each of
+        its rows the form it made from its value index."""
+        if self._split is None:
+            self._split = split(self.values)
+        return self._split
 
     def _check_group(self, other: "ClassFunction") -> None:
         if self.group != other.group:
@@ -57,28 +69,29 @@ class ClassFunction:
     __hash__ = None
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
+        """The pointwise product: one int product per class where both values
+        are ints, and a `Cyclo` product elsewhere."""
         self._check_group(other)
-        return ClassFunction(
-            self.group, [a * b for a, b in zip(self.values, other.values)]
-        )
+        _, x_ints, x_rest = self.split
+        _, y_ints, y_rest = other.split
+        values = list(map(Cyclo.from_rational, map(mul, x_ints, y_ints)))
+        for j in {*x_rest, *y_rest}:
+            values[j] = self.values[j] * other.values[j]
+        return ClassFunction._of(self.group, tuple(values))
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         self._check_group(other)
-        return ClassFunction(
-            self.group, [a + b for a, b in zip(self.values, other.values)]
-        )
+        return ClassFunction._of(self.group, tuple(map(add, self.values, other.values)))
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
         self._check_group(other)
-        return ClassFunction(
-            self.group, [a - b for a, b in zip(self.values, other.values)]
-        )
+        return ClassFunction._of(self.group, tuple(map(sub, self.values, other.values)))
 
     def conjugate(self) -> "ClassFunction":
-        return ClassFunction(self.group, [v.conj() for v in self.values])
+        return ClassFunction._of(self.group, tuple(v.conj() for v in self.values))
 
     def scaled(self, c) -> "ClassFunction":
-        return ClassFunction(self.group, [c * v for v in self.values])
+        return ClassFunction._of(self.group, tuple(c * v for v in self.values))
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
@@ -88,37 +101,60 @@ class ClassFunction:
         return f"ClassFunction[{vals}]"
 
 
+def _sized(f: ClassFunction, conjugate: bool) -> Split:
+    """r_j conj(f(g_j)), or r_j f(g_j) when not `conjugate`, over the classes
+    j, as a split form made from f's: an int is its own conjugate, so only
+    f's other values make a `Cyclo`."""
+    sizes = f.group.conjugacy_classes().sizes
+    _, f_ints, rest = f.split
+    ints = list(map(mul, sizes, f_ints))
+    values = ints.copy()
+    for j in rest:
+        v = f.values[j]
+        values[j] = sizes[j] * (v.conj() if conjugate else v)
+    return values, ints, rest
+
+
 def inner_product(f1: ClassFunction, f2: ClassFunction) -> Cyclo:
-    """<f1,f2> = (1/|G|) sum_j r_j f1(g_j) conj(f2(g_j)), exact."""
+    """<f1,f2> = (1/|G|) sum_j r_j f1(g_j) conj(f2(g_j)), exact; the sum is
+    divided by |G| as `* Fraction(1, |G|)` would, with no `Fraction`."""
     f1._check_group(f2)
-    sizes = f1.group.conjugacy_classes().sizes
-    weighted = [r * b.conj() for r, b in zip(sizes, f2.values)]
-    return dot(f1.values, weighted) * Fraction(1, f1.group.order)
+    s = split_dot(f1.split, _sized(f2, True))
+    return _value(s.order, s.nums, s.den * f1.group.order)
 
 
 def bilinear_form(f1: ClassFunction, f2: ClassFunction) -> Cyclo:
     """(f1,f2) = (1/|G|) sum_j r_j f1(g_j) f2(g_j^-1); symmetric."""
     f1._check_group(f2)
-    data = f1.group.conjugacy_classes()
-    weighted = [r * f2.values[j] for r, j in zip(data.sizes, data.inverse_class)]
-    return dot(f1.values, weighted) * Fraction(1, f1.group.order)
+    inverse = f2.group.conjugacy_classes().inverse_class
+    f2_inv = ClassFunction._of(f2.group, tuple(map(f2.values.__getitem__, inverse)))
+    s = split_dot(f1.split, _sized(f2_inv, False))
+    return _value(s.order, s.nums, s.den * f1.group.order)
+
+
+def _half(n: int) -> Cyclo:
+    return from_rational(n >> 1 if n % 2 == 0 else Fraction(n, 2))
 
 
 def sym_alt_square(chi: ClassFunction) -> tuple[ClassFunction, ClassFunction]:
     """Characters of the symmetric and alternating squares:
     chi_S(g) = (chi(g)^2 + chi(g^2)) / 2, chi_A(g) = (chi(g)^2 - chi(g^2)) / 2.
-    """
+
+    Where chi(g) = c and chi(g^2) = s are both ints, each is (c c +- s) / 2,
+    made from chi's split form in C-level maps; every other class takes
+    `Cyclo` arithmetic."""
     group = chi.group
-    data = group.conjugacy_classes()
-    half = Fraction(1, 2)
-    sym_vals = []
-    alt_vals = []
-    for j, powers in enumerate(data.power_class):
-        square_value = chi.values[powers[2 % len(powers)]]
-        chi_sq = chi.values[j] * chi.values[j]
-        sym_vals.append(half * (chi_sq + square_value))
-        alt_vals.append(half * (chi_sq - square_value))
-    return ClassFunction(group, sym_vals), ClassFunction(group, alt_vals)
+    values, c, rest = chi.split
+    square = [p[2 % len(p)] for p in group.conjugacy_classes().power_class]
+    sq_values, s, sq_rest = split(tuple(map(values.__getitem__, square)))  # chi(g^2)
+    cc = list(map(mul, c, c))
+    sym_vals = list(map(_half, map(add, cc, s)))
+    alt_vals = list(map(_half, map(sub, cc, s)))
+    for j in {*rest, *sq_rest}:
+        chi_sq = values[j] * values[j]
+        sym_vals[j] = (chi_sq + sq_values[j]) * Fraction(1, 2)
+        alt_vals[j] = (chi_sq - sq_values[j]) * Fraction(1, 2)
+    return ClassFunction._of(group, tuple(sym_vals)), ClassFunction._of(group, tuple(alt_vals))
 
 
 def is_irreducible(chi: ClassFunction) -> bool:
@@ -129,23 +165,24 @@ def decompose(chi: ClassFunction, table) -> list[int]:
     """Multiplicities <chi, chi_i> over the table rows; rejects non-characters.
 
     Each is evaluated as its conjugate (1/|G|) sum_j chi_i(g_j) r_j conj(chi(g_j)):
-    conj(chi) is weighted by the class sizes once, and each row takes one
-    fused `dot` with that vector, which makes no product per term and
-    conjugates no table value.  An accepted multiplicity is rational, so equal
-    to its conjugate: the sum is then nums[0] / den at order 1, and one
-    `divmod(nums[0], den |G|)` reads the multiplicity off it, making no
-    `Fraction` unless a rejection prints one.  The irrational value a rejection
-    reports is held where `dot` holds it, at the lcm of its terms' orders.
-    chi's group must equal the table's (`PermGroup`'s equality), which the
-    table holds its rows to, so it is checked once, not per row."""
+    conj(chi) is weighted by the class sizes once, as a split form made from
+    chi's, and each row's form, which the table keeps, takes one `split_dot`
+    with it: one C-level int sum where both values are ints and one `dot`
+    over the other classes, conjugating no table value.  An accepted
+    multiplicity is rational, so equal to its conjugate: the sum is then
+    nums[0] / den at order 1, and one `divmod(nums[0], den |G|)` reads the
+    multiplicity off it, making no `Fraction` unless a rejection prints one.
+    The irrational value a rejection reports is held where `dot` holds it,
+    at the lcm of its terms' orders.  chi's group must equal the table's
+    (`PermGroup`'s equality), which the table holds its rows to, so it is
+    checked once, not per row."""
     if chi.group != table.group:
         raise GroupMismatchError("class functions on different groups")
-    sizes = chi.group.conjugacy_classes().sizes
-    weighted = [r * v.conj() for r, v in zip(sizes, chi.values)]
+    weighted = _sized(chi, True)
     order = chi.group.order
     mults = []
-    for row in table.rows:
-        s = dot(row.values, weighted)
+    for row in table.splits:
+        s = split_dot(row, weighted)
         if not s.is_rational():
             m = s * Fraction(1, order)
             raise NotACharacterError(f"multiplicity {m.conj()} is not rational")

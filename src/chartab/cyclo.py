@@ -24,7 +24,11 @@ different orders, is one `dot`, which collects a sum of products in one
 int vector, makes no `Cyclo` per term and one `Cyclo` per call.  Every sum,
 whether `+`, `dot` or a cyclic transform (`_root_sums`), is held by one
 rule: at order 1 when it is rational, else at the lcm of its terms' orders,
-which `dot` grows as terms bring new orders.  `kronecker_residues` maps
+which `dot` grows as terms bring new orders.  A sequence of values that
+is paired often is split once (`split`) into its int parts and the
+positions of its other values; `split_dot` pairs two such forms with one
+C-level int sum and one `dot` over the other positions, so a pairing of
+integer-valued characters makes no `Cyclo` per term.  `kronecker_residues` maps
 values into Z/M by zeta_L -> 2^W, with M chosen from the bound its caller
 (`check_all`, `reps`) states, so the sums they test map to 0 only when they
 are 0; `kronecker_window` reads a residue as n base-2^W digits, for the
@@ -44,7 +48,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, count, repeat
 from operator import add, mul
 from typing import Callable, Iterable, Sequence, Union
 
@@ -603,6 +607,65 @@ def dot(xs: Iterable, ys: Iterable) -> Cyclo:
         return _held(1, (rational,), 1)
     buf[0] += rational * den
     return _value(order, _reduce(order, buf), den)
+
+
+# The split form of a sequence of values, made once for the pairings that
+# read it: (values, ints, rest), where ints[i] is values[i] when that is held
+# as an int (order 1, den 1) and 0 otherwise, and rest lists the other
+# positions, ascending.  A value at a position outside rest may be the int
+# itself rather than a `Cyclo`.
+Split = tuple[Sequence, list[int], list[int]]
+
+
+def split(values: Sequence[Cyclo]) -> Split:
+    """The split form of one sequence of `Cyclo` values."""
+    ints, rest = [], []
+    for i, v in enumerate(values):
+        if v.order == v.den == 1:
+            ints.append(v.nums[0])
+        else:
+            ints.append(0)
+            rest.append(i)
+    return values, ints, rest
+
+
+def split_rows(distinct: Sequence[Cyclo], cells: Iterable[Sequence[int]],
+               rows: Iterable[Sequence[Cyclo]]) -> list[Split]:
+    """The split form of each row, given as positions `cells` in `distinct`:
+    each distinct value is classified once, and each row takes one gather of
+    its int parts and one `compress` of its other positions."""
+    _, ints, rest = split(distinct)
+    other = [False] * len(distinct)
+    for i in rest:
+        other[i] = True
+    return [(values, list(map(ints.__getitem__, at)), list(compress(count(), map(other.__getitem__, at))))
+            for values, at in zip(rows, cells)]
+
+
+def split_dot(x: Split, y: Split) -> Cyclo:
+    """sum_i xs[i] * ys[i] over the values xs of x and ys of y, exactly, as
+    `dot` holds it: the int parts' products in one C-level sum, and one
+    `dot` over the positions where either operand holds a value that is not
+    an int, with that sum as one more int term; when only one operand holds
+    such values, the positions where the other holds 0 add nothing and are
+    left out, as `dot` leaves out a term with a zero rational operand.  So a
+    sum of int values makes no `Cyclo` but its result, and `dot` stays the
+    one kernel of every other product.  Operands of unequal length raise
+    `ValueError`."""
+    xs, x_ints, x_rest = x
+    ys, y_ints, y_rest = y
+    if len(x_ints) != len(y_ints):
+        raise ValueError(f"operands of length {len(x_ints)} and {len(y_ints)}")
+    n = sum(map(mul, x_ints, y_ints))
+    if x_rest and y_rest:
+        rest = sorted({*x_rest, *y_rest})
+    elif x_rest:  # ys are ints alone, and a term with an int 0 adds nothing
+        rest = [j for j in x_rest if y_ints[j]]
+    else:
+        rest = [j for j in y_rest if x_ints[j]]
+    if not rest:
+        return _held(1, (n,), 1)
+    return dot([*map(xs.__getitem__, rest), n], [*map(ys.__getitem__, rest), 1])
 
 
 def _width(b: int) -> int:

@@ -177,13 +177,24 @@ def documented_row_key(values):
 
 def assert_value_index(table):
     """`table.values` holds each value object of the rows once, and
-    `table.cells[i][j]` is the position of `table.rows[i].values[j]` in it."""
+    `table.cells[i][j]` is the position of `table.rows[i].values[j]` in it.
+    The rows' split forms, which the table makes from that index, are each
+    row's `split` of its own values, and a table made by hand from the same
+    rows makes the same forms."""
+    from chartab.cyclo import split
+    from chartab.tablegen import CharacterTable
+
     assert len(table.cells) == len(table.rows)
     for row, cells in zip(table.rows, table.cells):
         assert len(cells) == len(row.values)
         assert all(table.values[c] is v for c, v in zip(cells, row.values))
     assert len({id(v) for v in table.values}) == len(table.values)
     assert {id(v) for row in table.rows for v in row.values} == {id(v) for v in table.values}
+    forms = table.splits
+    assert [form[0] for form in forms] == [row.values for row in table.rows]
+    assert [form[1:] for form in forms] == [split(row.values)[1:] for row in table.rows]
+    again = CharacterTable(table.group, list(table.rows))
+    assert [form[1:] for form in again.splits] == [form[1:] for form in forms]
 
 
 def same_abstract_table(a, b) -> bool:

@@ -11,7 +11,9 @@ puts ahead of any installed chartab.  The run fails when a mutant survives
 must carry its mutants along), or when the named tests do not all pass on an
 unchanged copy first, so that no kill is a test that fails anyway.  The
 tests run under the `mutants` hypothesis profile of `tests/conftest.py`,
-which does not shrink a failing example.
+which does not shrink a failing example, and with `--assert=plain`: a kill
+is pytest's exit code 1 either way, and no test module's assertions are
+rewritten for a message nobody reads.
 
 The file is not named `test_*.py`, so the tier-1 suite does not collect it.
 """
@@ -179,10 +181,28 @@ MUTANTS = [
            "return [parent_index[g] - 1 for g in self.conjugacy_classes().representatives]",
            (f"{RECIPROCITY}[A5<S5]",)),
     Mutant("restrict-reads-the-inverse-class", "analysis.py",
-           "return ClassFunction(h, [chi.values[j] for j in fusion])",
-           "return ClassFunction(h, [chi.values[chi.group.conjugacy_classes().inverse_class[j]]"
-           " for j in fusion])",
+           "tuple(map(chi.values.__getitem__, h.fusion_to_parent()))",
+           "tuple(chi.values[chi.group.conjugacy_classes().inverse_class[j]]"
+           " for j in h.fusion_to_parent())",
            (f"{RECIPROCITY}[M11<M12]",)),
+    # the split form: a pairing is one int sum over the int parts and one
+    # dot over the positions of either operand's other values, and sym/alt
+    # halves an int sum exactly
+    Mutant("split-dot-drops-the-rest", "cyclo.py",
+           "return dot([*map(xs.__getitem__, rest), n], [*map(ys.__getitem__, rest), 1])",
+           "return _held(1, (n,), 1)",
+           ("tests/test_cyclo.py::test_split_dot_on_fixed_mixes",
+            "tests/test_classfun.py::test_decompose_rejections_on_an_irrational_table_are_pinned",
+            "tests/test_classfun.py::test_row_pairings_match_the_per_term_code[A5]")),
+    Mutant("split-dot-reads-the-rest-of-one-operand", "cyclo.py",
+           "rest = sorted({*x_rest, *y_rest})",
+           "rest = sorted(x_rest)",
+           ("tests/test_cyclo.py::test_split_dot_on_fixed_mixes",)),
+    Mutant("sym-alt-floors-an-odd-half", "classfun.py",
+           "n >> 1 if n % 2 == 0 else Fraction(n, 2)",
+           "n >> 1",
+           ("tests/test_classfun.py::test_sym_alt_halves_an_odd_int_exactly",
+            "tests/test_classfun.py::test_class_functions_match_the_per_term_code")),
     # `reps`: the determinant, the tree images made and certified in a ring
     # built from the generators, its fallback to exact images, and every
     # identity an int equation in that ring
@@ -275,7 +295,7 @@ def env_for(src: Path) -> dict[str, str]:
 def pytest_run(src: Path, tests: tuple[str, ...]) -> int:
     """pytest's exit code for the tests, importing chartab from src."""
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-               "--hypothesis-profile=mutants", *tests]
+               "--assert=plain", "--hypothesis-profile=mutants", *tests]
     return subprocess.run(command, cwd=REPO, env=env_for(src), stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
 

@@ -1,8 +1,11 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartab.classfun import (
     ClassFunction,
@@ -404,6 +407,189 @@ class TestDecompose:
             with pytest.raises(NotACharacterError) as exc:
                 decompose(ClassFunction(g, values), table)
             assert str(exc.value) == message
+
+
+# -- the split forms against the per-term code they replaced -------------------
+#
+# These are the pairings and the squares as they were computed before the
+# split form, one `Cyclo` operation per class: each result of the library
+# must be the oracle's, in the same held form (order, nums, den), and each
+# rejection must carry the oracle's message.
+
+
+def per_term_inner_product(f1, f2):
+    sizes = f1.group.conjugacy_classes().sizes
+    weighted = [r * b.conj() for r, b in zip(sizes, f2.values)]
+    return dot(f1.values, weighted) * Fraction(1, f1.group.order)
+
+
+def per_term_bilinear_form(f1, f2):
+    data = f1.group.conjugacy_classes()
+    weighted = [r * f2.values[j] for r, j in zip(data.sizes, data.inverse_class)]
+    return dot(f1.values, weighted) * Fraction(1, f1.group.order)
+
+
+def per_term_sym_alt_square(chi):
+    data = chi.group.conjugacy_classes()
+    half = Fraction(1, 2)
+    sym_vals, alt_vals = [], []
+    for j, powers in enumerate(data.power_class):
+        square_value = chi.values[powers[2 % len(powers)]]
+        chi_sq = chi.values[j] * chi.values[j]
+        sym_vals.append(half * (chi_sq + square_value))
+        alt_vals.append(half * (chi_sq - square_value))
+    return sym_vals, alt_vals
+
+
+def per_term_decompose(chi, table):
+    sizes = chi.group.conjugacy_classes().sizes
+    weighted = [r * v.conj() for r, v in zip(sizes, chi.values)]
+    order = chi.group.order
+    mults = []
+    for row in table.rows:
+        s = dot(row.values, weighted)
+        if not s.is_rational():
+            m = s * Fraction(1, order)
+            raise NotACharacterError(f"multiplicity {m.conj()} is not rational")
+        q, rem = divmod(s.nums[0], s.den * order)
+        if rem or q < 0:
+            raise NotACharacterError(
+                "not a character: multiplicity "
+                f"{Fraction(s.nums[0], s.den * order)} is not a nonnegative integer"
+            )
+        mults.append(q)
+    return mults
+
+
+def held(values):
+    return [(v.order, v.nums, v.den) for v in values]
+
+
+def decompose_outcome(decomposer, chi, table):
+    """The multiplicities, or the message of the rejection."""
+    try:
+        return decomposer(chi, table)
+    except NotACharacterError as exc:
+        return str(exc)
+
+
+def assert_matches_the_per_term_code(f1, f2, table):
+    assert held([inner_product(f1, f2)]) == held([per_term_inner_product(f1, f2)])
+    assert held([bilinear_form(f1, f2)]) == held([per_term_bilinear_form(f1, f2)])
+    assert held((f1 * f2).values) == held(a * b for a, b in zip(f1.values, f2.values))
+    sym, alt = sym_alt_square(f1)
+    assert [held(sym.values), held(alt.values)] == list(map(held, per_term_sym_alt_square(f1)))
+    for chi in (f1, f1 * f2, sym, alt):
+        assert (decompose_outcome(decompose, chi, table)
+                == decompose_outcome(per_term_decompose, chi, table))
+
+
+# rational and irrational tables: S4 and S5 hold only ints, A4 holds values
+# in Q(zeta_3) and A5 in Q(zeta_5)
+SPLIT_TABLES = ["S4", "A4", "A5", "S5"]
+
+
+@functools.lru_cache(maxsize=None)
+def split_table(name):
+    return build_character_table(parse_group_spec(name))
+
+
+@pytest.mark.parametrize("name", SPLIT_TABLES)
+def test_row_pairings_match_the_per_term_code(name):
+    table = split_table(name)
+    for f1 in table.rows:
+        for f2 in table.rows:
+            assert_matches_the_per_term_code(f1, f2, table)
+
+
+@st.composite
+def class_functions(draw, table):
+    """A class function on the table's group: a character (a nonnegative
+    combination of the rows), a character with one value changed, or any
+    values, each an int (zero included), a Fraction or an irrational value."""
+    h = len(table.rows)
+    values = st.one_of(
+        st.integers(min_value=-6, max_value=6).map(from_rational),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).map(from_rational),
+        st.tuples(st.sampled_from([3, 4, 5, 12]), st.integers(min_value=0, max_value=11),
+                  st.integers(min_value=-2, max_value=2))
+        .map(lambda t: t[2] * root_of_unity(t[0], t[1]) + 1),
+    )
+    kind = draw(st.sampled_from(["character", "changed", "values"]))
+    if kind == "values":
+        return ClassFunction(table.group, [draw(values) for _ in range(h)])
+    chi = ClassFunction(table.group, [0] * h)
+    for row in table.rows:
+        chi = chi + row.scaled(draw(st.integers(min_value=0, max_value=2)))
+    if kind == "changed":
+        vals = list(chi.values)
+        vals[draw(st.integers(min_value=0, max_value=h - 1))] = draw(values)
+        chi = ClassFunction(table.group, vals)
+    return chi
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SPLIT_TABLES).flatmap(
+    lambda name: st.tuples(st.just(name), class_functions(split_table(name)),
+                           class_functions(split_table(name)))))
+def test_class_functions_match_the_per_term_code(case):
+    name, f1, f2 = case
+    assert_matches_the_per_term_code(f1, f2, split_table(name))
+
+
+def test_sym_alt_halves_an_odd_int_exactly():
+    # on S3 (identity, 3-cycles, transpositions) f = (1, 0, 0) has f(t) = 0
+    # and f(t^2) = 1 at a transposition t, so both squares are -+1/2 there
+    g = parse_group_spec("S3")
+    f = ClassFunction(g, [1, 0, 0])
+    sym, alt = sym_alt_square(f)
+    assert held(sym.values) == held([ratio(1), ratio(0), ratio(1, 2)])
+    assert held(alt.values) == held([ratio(0), ratio(0), ratio(-1, 2)])
+    assert [held(sym.values), held(alt.values)] == list(map(held, per_term_sym_alt_square(f)))
+
+
+def test_decompose_rejections_on_an_irrational_table_are_pinned():
+    # A4's classes: the identity, the double transpositions and the two
+    # classes of 3-cycles, where two rows take the values zeta_3^(+-1)
+    g = parse_group_spec("A4")
+    table = build_character_table(g)
+    cases = [
+        ([ratio(1, 2), ratio(0), ratio(0), ratio(0)],
+         "not a character: multiplicity 1/24 is not a nonnegative integer"),
+        ([ratio(-1), ratio(-1), ratio(-1), ratio(-1)],
+         "not a character: multiplicity -1 is not a nonnegative integer"),
+        ([ratio(1), ratio(0), root_of_unity(3), ratio(0)],
+         "multiplicity 1/12 + 1/3*z(3)^1 ~ -0.0833+0.2887i is not rational"),
+    ]
+    for values, message in cases:
+        chi = ClassFunction(g, values)
+        for decomposer in (decompose, per_term_decompose):
+            with pytest.raises(NotACharacterError) as exc:
+                decomposer(chi, table)
+            assert str(exc.value) == message
+
+
+def test_arithmetic_makes_no_checked_class_function(monkeypatch):
+    # the sums, differences, products, conjugates, multiples, squares and
+    # restrictions of class functions hold `Cyclo` values already, so none
+    # goes through the coercing, length-checking constructor
+    from chartab.analysis import restrict
+
+    g = parse_group_spec("S5")
+    table = build_character_table(g)
+    h = g.subgroup(list(parse_group_spec("A5").generators))
+    a, b = table.rows[3], table.rows[5]
+    expected = [(a + b).values, (a - b).values, (a * b).values, a.conjugate().values,
+                a.scaled(3).values, sym_alt_square(a)[0].values, restrict(a, h).values]
+
+    def refused(self, group, values):
+        raise AssertionError("a checked class function was made")
+
+    monkeypatch.setattr(ClassFunction, "__init__", refused)
+    got = [(a + b).values, (a - b).values, (a * b).values, a.conjugate().values,
+           a.scaled(3).values, sym_alt_square(a)[0].values, restrict(a, h).values]
+    assert list(map(held, got)) == list(map(held, expected))
+    assert all(type(v) is Cyclo for values in got for v in values)
 
 
 class TestRegularCharacter:

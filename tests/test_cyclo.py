@@ -21,6 +21,8 @@ from chartab.cyclo import (
     from_rational,
     kronecker_residues,
     root_of_unity,
+    split,
+    split_dot,
 )
 
 
@@ -696,6 +698,85 @@ def test_dot_matches_fraction_oracle(pairs):
     assert m % v.order == 0
     assert_reduced(v.change_order(m), m, expected, drop_rational=False)
 
+
+
+# -- the split form against dot and the Fraction oracle ---------------------------
+
+SPLIT_ORDERS = [3, 4, 5, 12]  # held at these orders even when rational
+split_ints = st.one_of(st.just(0), st.integers(min_value=-30, max_value=30)).map(from_rational)
+split_others = st.one_of(
+    oracle_values(SPLIT_ORDERS),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9)
+    .filter(lambda q: q.denominator > 1).map(from_rational),
+)
+
+
+@st.composite
+def split_sequences(draw, n):
+    """n values, all ints, all not ints (irrational, or held at an order
+    above 1, or Fractions), ints with one other value, or a mix."""
+    shape = draw(st.sampled_from(["ints", "others", "one-other", "mixed"]))
+    if shape == "others":
+        return [draw(split_others) for _ in range(n)]
+    if shape == "mixed":
+        return [draw(st.one_of(split_ints, split_others)) for _ in range(n)]
+    values = [draw(split_ints) for _ in range(n)]
+    if shape == "one-other" and n:
+        values[draw(st.integers(min_value=0, max_value=n - 1))] = draw(split_others)
+    return values
+
+
+def assert_split_form(values):
+    form = split(values)
+    int_held = [v.order == v.den == 1 for v in values]
+    assert form[0] is values
+    assert form[1] == [v.nums[0] if held else 0 for v, held in zip(values, int_held)]
+    assert form[2] == [i for i, held in enumerate(int_held) if not held]
+    return form
+
+
+def assert_split_dot_is_dot(xs, ys):
+    v = split_dot(assert_split_form(xs), assert_split_form(ys))
+    w = dot(xs, ys)
+    assert (v.order, v.nums, v.den) == (w.order, w.nums, w.den)
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.tuples(split_sequences(n), split_sequences(n))))
+def test_split_dot_matches_dot_and_the_fraction_oracle(pair):
+    xs, ys = pair
+    v = assert_split_dot_is_dot(xs, ys)
+    m = math.lcm(1, *(v.order for v in xs + ys))
+    expected = [Fraction(0)] * euler_phi(m)
+    for x, y in zip(xs, ys):
+        term = fraction_reduce(m, poly_mul(fraction_embed(x, m), fraction_embed(y, m)))
+        expected = [a + b for a, b in zip(expected, term)]
+    assert m % v.order == 0
+    assert_reduced(v.change_order(m), m, expected, drop_rational=False)
+
+
+def test_split_dot_on_fixed_mixes():
+    # the seeded companion of the hypothesis test: the other values of each
+    # operand at its own positions, at both, and at neither
+    z3, z5, half = root_of_unity(3), root_of_unity(5), from_rational(Fraction(1, 2))
+    n = [from_rational(k) for k in range(-2, 5)]
+    cases = [
+        ([n[3], n[4], n[0]], [n[5], n[1], n[6]], 1 * 3 + 2 * -1 + -2 * 4),
+        ([n[3], z3, n[4]], [n[5], n[6], n[0]], 3 + 4 * z3 - 4),
+        ([n[3], n[6], n[4]], [n[5], z5, half], 3 + 4 * z5 + 1),
+        ([z3, n[6], half], [n[5], z5, z3], 3 * z3 + 4 * z5 + half * z3),
+        ([n[2], z3, n[2]], [z5, n[2], n[2]], 0),
+    ]
+    for xs, ys, expected in cases:
+        assert assert_split_dot_is_dot(xs, ys) == expected
+        assert assert_split_dot_is_dot(ys, xs) == expected
+
+
+def test_split_dot_refuses_operands_of_unequal_length():
+    with pytest.raises(ValueError, match="length 2 and 3"):
+        split_dot(split([Cyclo.one()] * 2), split([Cyclo.one()] * 3))
 
 scalars = st.one_of(
     st.just(0),

@@ -324,6 +324,18 @@ class TestEigenbasis:
         with pytest.raises(TableConstructionError, match=match):
             build_character_table(g)
 
+    @pytest.mark.parametrize("name", ["S4", "A5"])
+    def test_a_space_left_whole_fails_loudly(self, monkeypatch, name):
+        # a split that hands every space back whole leaves spaces of
+        # dimension > 1 after the last class: the split names its prime and
+        # raises, rather than fail to unpack a space as one line
+        monkeypatch.setattr(tablegen, "_split_space", lambda rows, pivots, *_: [(rows, pivots)])
+        g = parse_group_spec(name)
+        p = choose_prime(g)
+        with pytest.raises(TableConstructionError,
+                           match=rf"^failed to separate eigenspaces over F_{p} \(bad prime\)$"):
+            modp_eigenbasis(g, p)
+
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -1293,6 +1305,37 @@ class TestDeterminism:
         random.Random(0).shuffle(shuffled)
         assert sorted(shuffled, key=lambda r: documented_row_key(r.values)) == rows
         assert CharacterTable(g, shuffled).rows == rows
+
+
+class TestSplitForms:
+    def test_the_build_path_makes_no_split_form(self, monkeypatch):
+        # the forms are made on first read, as the split classes are, so a
+        # build and `chartab table` make none
+        from chartab import classfun
+        from chartab.cli import main
+
+        def refused(*args):
+            raise AssertionError("a split form was made")
+
+        monkeypatch.setattr(tablegen, "split_rows", refused)
+        monkeypatch.setattr(classfun, "split", refused)
+        table = build_character_table(parse_group_spec("A5"))
+        assert table._splits is None
+        assert all(row._split is None for row in table.rows)
+        assert main(["table", "A5", "--format", "json"]) == 0
+
+    def test_the_table_keeps_its_forms_and_hands_each_row_its_own(self):
+        # A5's two rows of degree 3 hold (1 +- sqrt 5) / 2 at the two classes
+        # of 5-cycles, and no other row holds a value that is not an int
+        table = build_character_table(parse_group_spec("A5"))
+        forms = table.splits
+        assert table.splits is forms
+        assert all(row.split is form for row, form in zip(table.rows, forms))
+        assert all(form[0] is row.values for row, form in zip(table.rows, forms))
+        fives = [j for j, d in enumerate(table.class_data.element_orders) if d == 5]
+        assert [form[2] for form in forms] == [[], fives, fives, [], []]
+        for form in forms:
+            assert all(form[1][j] == 0 for j in form[2])
 
 
 class TestValueIndex:
