@@ -49,8 +49,8 @@ class ClassFunction:
     @property
     def split(self) -> Split:
         """The values' split form (`cyclo.split`), made on first read and kept
-        with the function, whose values do not change; a table hands each of
-        its rows the form it made from its value index."""
+        with the function, whose values do not change: a table's rows keep
+        theirs as long as the table, and no build makes one."""
         if self._split is None:
             self._split = split(self.values)
         return self._split
@@ -101,34 +101,31 @@ class ClassFunction:
         return f"ClassFunction[{vals}]"
 
 
-def _sized(f: ClassFunction, conjugate: bool) -> Split:
-    """r_j conj(f(g_j)), or r_j f(g_j) when not `conjugate`, over the classes
-    j, as a split form made from f's: an int is its own conjugate, so only
-    f's other values make a `Cyclo`."""
-    sizes = f.group.conjugacy_classes().sizes
-    _, f_ints, rest = f.split
-    ints = list(map(mul, sizes, f_ints))
-    values = ints.copy()
+def _sized(values: Sequence[Cyclo], sizes: Sequence[int]) -> Split:
+    """r_j v_j over the classes j, as a split form of the values v: only the
+    values that are not ints make a `Cyclo`."""
+    values, ints, rest = split(values)
+    sized = list(map(mul, sizes, ints))
+    weighted = sized.copy()
     for j in rest:
-        v = f.values[j]
-        values[j] = sizes[j] * (v.conj() if conjugate else v)
-    return values, ints, rest
+        weighted[j] = sizes[j] * values[j]
+    return weighted, sized, rest
 
 
 def inner_product(f1: ClassFunction, f2: ClassFunction) -> Cyclo:
     """<f1,f2> = (1/|G|) sum_j r_j f1(g_j) conj(f2(g_j)), exact; the sum is
     divided by |G| as `* Fraction(1, |G|)` would, with no `Fraction`."""
     f1._check_group(f2)
-    s = split_dot(f1.split, _sized(f2, True))
+    sizes = f2.group.conjugacy_classes().sizes
+    s = split_dot(f1.split, _sized([*map(Cyclo.conj, f2.values)], sizes))
     return _value(s.order, s.nums, s.den * f1.group.order)
 
 
 def bilinear_form(f1: ClassFunction, f2: ClassFunction) -> Cyclo:
     """(f1,f2) = (1/|G|) sum_j r_j f1(g_j) f2(g_j^-1); symmetric."""
     f1._check_group(f2)
-    inverse = f2.group.conjugacy_classes().inverse_class
-    f2_inv = ClassFunction._of(f2.group, tuple(map(f2.values.__getitem__, inverse)))
-    s = split_dot(f1.split, _sized(f2_inv, False))
+    data = f2.group.conjugacy_classes()
+    s = split_dot(f1.split, _sized([*map(f2.values.__getitem__, data.inverse_class)], data.sizes))
     return _value(s.order, s.nums, s.den * f1.group.order)
 
 
@@ -165,10 +162,10 @@ def decompose(chi: ClassFunction, table) -> list[int]:
     """Multiplicities <chi, chi_i> over the table rows; rejects non-characters.
 
     Each is evaluated as its conjugate (1/|G|) sum_j chi_i(g_j) r_j conj(chi(g_j)):
-    conj(chi) is weighted by the class sizes once, as a split form made from
-    chi's, and each row's form, which the table keeps, takes one `split_dot`
-    with it: one C-level int sum where both values are ints and one `dot`
-    over the other classes, conjugating no table value.  An accepted
+    conj(chi) is weighted by the class sizes once, as a split form, and each
+    row's form, which the row keeps, takes one `split_dot` with it: one
+    C-level int sum where both values are ints and one `dot` over the other
+    classes, conjugating no table value.  An accepted
     multiplicity is rational, so equal to its conjugate: the sum is then
     nums[0] / den at order 1, and one `divmod(nums[0], den |G|)` reads the
     multiplicity off it, making no `Fraction` unless a rejection prints one.
@@ -178,11 +175,11 @@ def decompose(chi: ClassFunction, table) -> list[int]:
     checked once, not per row."""
     if chi.group != table.group:
         raise GroupMismatchError("class functions on different groups")
-    weighted = _sized(chi, True)
+    weighted = _sized([*map(Cyclo.conj, chi.values)], chi.group.conjugacy_classes().sizes)
     order = chi.group.order
     mults = []
-    for row in table.splits:
-        s = split_dot(row, weighted)
+    for row in table.rows:
+        s = split_dot(row.split, weighted)
         if not s.is_rational():
             m = s * Fraction(1, order)
             raise NotACharacterError(f"multiplicity {m.conj()} is not rational")

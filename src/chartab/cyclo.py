@@ -48,7 +48,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count, repeat
+from itertools import repeat
 from operator import add, mul
 from typing import Callable, Iterable, Sequence, Union
 
@@ -627,19 +627,6 @@ def split(values: Sequence[Cyclo]) -> Split:
             ints.append(0)
             rest.append(i)
     return values, ints, rest
-
-
-def split_rows(distinct: Sequence[Cyclo], cells: Iterable[Sequence[int]],
-               rows: Iterable[Sequence[Cyclo]]) -> list[Split]:
-    """The split form of each row, given as positions `cells` in `distinct`:
-    each distinct value is classified once, and each row takes one gather of
-    its int parts and one `compress` of its other positions."""
-    _, ints, rest = split(distinct)
-    other = [False] * len(distinct)
-    for i in rest:
-        other[i] = True
-    return [(values, list(map(ints.__getitem__, at)), list(compress(count(), map(other.__getitem__, at))))
-            for values, at in zip(rows, cells)]
 
 
 def split_dot(x: Split, y: Split) -> Cyclo:

@@ -18,7 +18,7 @@ from operator import mul
 
 from . import _modp as mp
 from .classfun import ClassFunction
-from .cyclo import Cyclo, Split, root_of_unity, split_rows
+from .cyclo import Cyclo, root_of_unity
 from .permgroup import ClassData, GroupMismatchError, PermGroup, ResourceCapError
 
 PRIME_LIMIT = 2**31
@@ -350,8 +350,7 @@ class CharacterTable:
     in it: the one index of every reader that handles each value once.
     Every row is on a group equal to the table's.  A built table also holds
     the lines of the F_p split and the class matrices it read, h^2 ints each,
-    until `split_classes` is first read, and then the split classes' alone.
-    Once `splits` is read, it keeps each row's split form too."""
+    until `split_classes` is first read, and then the split classes' alone."""
 
     def __init__(self, group: PermGroup, rows: list[ClassFunction]):
         data = group.conjugacy_classes()
@@ -368,7 +367,6 @@ class CharacterTable:
         # the split's lines and its matrices by class, kept by `build_character_table`
         self._lines, self._read = None, {}
         self._split_matrices = None  # S's class matrices, by class, once read
-        self._splits = None  # the rows' split forms, once read
 
     @property
     def split_classes(self) -> tuple[int, ...]:
@@ -384,18 +382,6 @@ class CharacterTable:
                                     for j in split_classes(lines)}
             self._lines = self._read = None
         return tuple(self._split_matrices)
-
-    @property
-    def splits(self) -> tuple[Split, ...]:
-        """Each row's split form (`cyclo.split`), made on first read from
-        `values` and `cells`, each distinct value classified once
-        (`split_rows`), and kept: the table hands each row its form, so a
-        pairing of rows reads it whether or not it is handed the table."""
-        if self._splits is None:
-            self._splits = tuple(split_rows(self.values, self.cells, (r.values for r in self.rows)))
-            for row, form in zip(self.rows, self._splits):
-                row._split = form
-        return self._splits
 
     def __len__(self) -> int:
         return len(self.rows)

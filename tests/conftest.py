@@ -178,10 +178,9 @@ def documented_row_key(values):
 def assert_value_index(table):
     """`table.values` holds each value object of the rows once, and
     `table.cells[i][j]` is the position of `table.rows[i].values[j]` in it.
-    The rows' split forms, which the table makes from that index, are each
-    row's `split` of its own values, and a table made by hand from the same
-    rows makes the same forms."""
-    from chartab.cyclo import split
+    Each row's split form holds its own values, and a table made by hand
+    from rows with the same values gives equal forms."""
+    from chartab.classfun import ClassFunction
     from chartab.tablegen import CharacterTable
 
     assert len(table.cells) == len(table.rows)
@@ -190,11 +189,10 @@ def assert_value_index(table):
         assert all(table.values[c] is v for c, v in zip(cells, row.values))
     assert len({id(v) for v in table.values}) == len(table.values)
     assert {id(v) for row in table.rows for v in row.values} == {id(v) for v in table.values}
-    forms = table.splits
-    assert [form[0] for form in forms] == [row.values for row in table.rows]
-    assert [form[1:] for form in forms] == [split(row.values)[1:] for row in table.rows]
-    again = CharacterTable(table.group, list(table.rows))
-    assert [form[1:] for form in again.splits] == [form[1:] for form in forms]
+    forms = [row.split for row in table.rows]
+    assert all(form[0] is row.values for form, row in zip(forms, table.rows))
+    again = CharacterTable(table.group, [ClassFunction(table.group, row.values) for row in table.rows])
+    assert [row.split[1:] for row in again.rows] == [form[1:] for form in forms]
 
 
 def same_abstract_table(a, b) -> bool:

@@ -1309,27 +1309,24 @@ class TestDeterminism:
 
 class TestSplitForms:
     def test_the_build_path_makes_no_split_form(self, monkeypatch):
-        # the forms are made on first read, as the split classes are, so a
-        # build and `chartab table` make none
+        # a row's form is made on its first read, as the split classes are,
+        # so a build and `chartab table` make none
         from chartab import classfun
         from chartab.cli import main
 
         def refused(*args):
             raise AssertionError("a split form was made")
 
-        monkeypatch.setattr(tablegen, "split_rows", refused)
         monkeypatch.setattr(classfun, "split", refused)
         table = build_character_table(parse_group_spec("A5"))
-        assert table._splits is None
         assert all(row._split is None for row in table.rows)
         assert main(["table", "A5", "--format", "json"]) == 0
 
-    def test_the_table_keeps_its_forms_and_hands_each_row_its_own(self):
+    def test_each_row_keeps_its_form(self):
         # A5's two rows of degree 3 hold (1 +- sqrt 5) / 2 at the two classes
         # of 5-cycles, and no other row holds a value that is not an int
         table = build_character_table(parse_group_spec("A5"))
-        forms = table.splits
-        assert table.splits is forms
+        forms = [row.split for row in table.rows]
         assert all(row.split is form for row, form in zip(table.rows, forms))
         assert all(form[0] is row.values for row, form in zip(table.rows, forms))
         fives = [j for j, d in enumerate(table.class_data.element_orders) if d == 5]
