@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, settings
 
-from chartab.cyclo import from_rational, root_of_unity
+from chartab.cyclo import Cyclo, from_rational, root_of_unity
 from chartab.permgroup import parse_group_spec
 
 # tests/mutants.py runs its tests under this profile: a kill needs a failing
@@ -53,6 +53,19 @@ def ratio(p, q=1):
 
 def zeta(e, k=1):
     return root_of_unity(e, k)
+
+
+def element_sum_pairing(f1, f2):
+    """<f1, f2> summed element by element, (1/|G|) sum_t f1(t) conj(f2(t)),
+    one exact `Cyclo` sum and no class weights: the oracle for
+    `inner_product`."""
+    g = f1.group
+    member = g.conjugacy_classes().member_index
+    total = Cyclo.zero()
+    for t in g.elements:
+        j = member[t]
+        total = total + f1.values[j] * f2.values[j].conj()
+    return Fraction(1, g.order) * total
 
 
 def perm_of(group, cycle_text):

@@ -46,6 +46,16 @@ KRONECKER = "tests/test_cyclo.py::TestKroneckerResidues"
 ORTHOGONALITY = "tests/test_reps.py::TestMatrixOrthogonality"
 ORACLE = "tests/test_reps.py::TestExactOracle"
 RECIPROCITY = "tests/test_analysis.py::test_frobenius_reciprocity"
+CHECKS = "tests/test_analysis.py::TestCheckAll"
+CORRUPT = "tests/test_analysis.py::TestCheckAllCorruptions::test_named_checks_fail"
+
+
+def always_passes(check: str, verdict: str, *tests: str) -> Mutant:
+    """check_all's named check made to pass on every table: its verdict, the
+    text before the comma that ends it in the check's `add` call, becomes
+    True."""
+    return Mutant(f"{check}-always-passes", "analysis.py", f"{verdict},", "True,", tests)
+
 
 MUTANTS = [
     # the lift's one object per value, the table's value index and the row
@@ -181,10 +191,55 @@ MUTANTS = [
            "return [parent_index[g] - 1 for g in self.conjugacy_classes().representatives]",
            (f"{RECIPROCITY}[A5<S5]",)),
     Mutant("restrict-reads-the-inverse-class", "analysis.py",
-           "tuple(map(chi.values.__getitem__, h.fusion_to_parent()))",
-           "tuple(chi.values[chi.group.conjugacy_classes().inverse_class[j]]"
-           " for j in h.fusion_to_parent())",
+           "tuple(map(chi.values.__getitem__, fusion))",
+           "tuple(chi.values[chi.group.conjugacy_classes().inverse_class[j]] for j in fusion)",
            (f"{RECIPROCITY}[M11<M12]",)),
+    # every check that check_all runs can fail: a test fails when it always
+    # passes
+    always_passes("first-row-trivial", "all(v == scale for v in img[0])",
+                  f"{CORRUPT}[S3-negate-row]"),
+    always_passes("degrees-ascending",
+                  "all(degrees[i] <= degrees[i + 1] for i in range(len(degrees) - 1))\n"
+                  "        and all(d >= 1 for d in degrees)",
+                  f"{CORRUPT}[S3-negate-row]"),
+    always_passes("degree-squares-sum", "sq == order", f"{CORRUPT}[S3-duplicate-row]"),
+    always_passes("degree-divides-order", "divisors_ok",
+                  f"{CHECKS}::test_degree_that_is_not_a_divisor_fails"),
+    always_passes("row-orthonormality", "ortho_ok",
+                  f"{CHECKS}::test_perturbed_table_fails", f"{CORRUPT}[S3-add-one]"),
+    always_passes("column-norms", "col_ok", f"{CORRUPT}[S3-duplicate-row]",
+                  f"{CORRUPT}[S3-swap-columns]"),
+    always_passes("column-cross-orthogonality", "cross_ok", f"{CORRUPT}[S3-times-zeta3]",
+                  f"{CORRUPT}[S3-halve]"),
+    always_passes("weighted-column-sum", "all(degree_pairings)", f"{CORRUPT}[S3-add-one]",
+                  f"{CORRUPT}[S3-halve]"),
+    always_passes("linear-characters", "n_linear == index and multiplicative",
+                  f"{CHECKS}::test_degree_one_row_that_is_not_a_homomorphism_fails",
+                  f"{CORRUPT}[Q8-halve]"),
+    always_passes("central-character-identity", "central_ok",
+                  "tests/test_analysis.py::TestCheckAllCorruptions"
+                  "::test_swapped_classes_fail_only_the_central_identity[S6-1-2]",
+                  f"{CORRUPT}[S3-swap-columns]"),
+    always_passes("inverse-class-conjugation", "inverse_ok", f"{CORRUPT}[A4-conjugate]",
+                  f"{CORRUPT}[S3-times-zeta3]"),
+    always_passes("rows-irreducible", "all(irreducible)", f"{CORRUPT}[S3-add-one]",
+                  f"{CORRUPT}[S3-halve]"),
+    always_passes("sym-alt-squares", "symalt_ok", f"{CORRUPT}[S3-halve]",
+                  f"{CORRUPT}[S3-plus-modulus]"),
+    always_passes("linear-twist-irreducible", "prod_ok", f"{CORRUPT}[S3-add-one]",
+                  f"{CORRUPT}[A4-conjugate]"),
+    # `classfun`'s pairing conjugates its second operand, and `decompose`
+    # rejects a negative multiplicity
+    Mutant("inner-product-without-its-conjugate", "classfun.py",
+           "_sized([*map(Cyclo.conj, f2.values)], sizes)",
+           "_sized(list(f2.values), sizes)",
+           ("tests/test_acceptance.py::test_criterion_9_oracle_equivalence",
+            "tests/test_classfun.py::TestInnerProduct::test_hermitian_and_positive")),
+    Mutant("decompose-accepts-a-negative-multiplicity", "classfun.py",
+           "if rem or q < 0:",
+           "if rem:",
+           ("tests/test_classfun.py::TestDecompose::test_rejects_non_character",
+            "tests/test_classfun.py::test_decompose_rejections_on_an_irrational_table_are_pinned")),
     # the split form: a pairing is one int sum over the int parts and one
     # dot over the positions of either operand's other values, and sym/alt
     # halves an int sum exactly

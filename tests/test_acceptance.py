@@ -43,6 +43,7 @@ from conftest import (
     S5_ROWS,
     class_index_of,
     documented_row_key,
+    element_sum_pairing,
     expected_row_set,
     ratio,
     same_abstract_table,
@@ -322,12 +323,14 @@ def test_criterion_9_oracle_equivalence():
                     )
                     assert cc.a[j][k][l] == count
 
-    # class-weighted inner products against full element summation
+    # class-weighted inner products against full element summation, on
+    # random class functions and on the table rows (chi_1, chi_h) and
+    # (chi_h, chi_h) of every builtin of order <= 60
     rng = random.Random(97)
+    pairs = []
     for name in BUILTINS_LE_24:
         g = parse_group_spec(name)
-        data = g.conjugacy_classes()
-        h = len(data)
+        h = len(g.conjugacy_classes())
         for _ in range(3):
             f1 = ClassFunction(
                 g, [root_of_unity(6, rng.randrange(6)) * rng.randrange(-2, 3)
@@ -336,11 +339,14 @@ def test_criterion_9_oracle_equivalence():
             f2 = ClassFunction(
                 g, [ratio(rng.randrange(-3, 4)) for _ in range(h)]
             )
-            brute = Cyclo.zero()
-            for t in g.elements:
-                j = data.member_index[t]
-                brute = brute + f1.values[j] * f2.values[j].conj()
-            assert Fraction(1, g.order) * brute == inner_product(f1, f2)
+            pairs.append((f1, f2))
+    for name in BUILTIN_NAMES:
+        g = parse_group_spec(name)
+        if g.order <= 60:
+            rows = build_character_table(g).rows
+            pairs += [(rows[0], rows[-1]), (rows[-1], rows[-1])]
+    for f1, f2 in pairs:
+        assert element_sum_pairing(f1, f2) == inner_product(f1, f2)
 
     # Fourier inversion and Plancherel on 100 random inputs
     rng = random.Random(20260810)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,14 @@ from chartab.analysis import (
 )
 from chartab.classfun import (
     ClassFunction,
+    NotACharacterError,
     decompose,
     inner_product,
     regular_character,
     trivial_character,
 )
 from chartab.cyclo import Cyclo, root_of_unity
-from chartab.permgroup import GroupMismatchError, PermGroup, parse_group_spec
+from chartab.permgroup import GroupMismatchError, PermGroup, Subgroup, parse_group_spec
 from chartab.tablegen import CharacterTable, build_character_table
 
 from conftest import (
@@ -27,6 +29,7 @@ from conftest import (
     assert_value_index,
     class_index_of,
     count_perm_products,
+    element_sum_pairing,
     parse_again,
     perm_of,
     ratio,
@@ -209,6 +212,17 @@ class TestRestrictionReport:
         monkeypatch.setattr(cli, "build_character_table", doubled_for_the_subgroup)
         assert cli.main(["restrict", "S3", "--subgroup", "perm:2:(0,1)", "--char", "1"]) == 1
         assert "consistency failure: multiplicities" in capsys.readouterr().err
+
+    def test_the_fusion_map_is_made_once_per_report(
+            self, monkeypatch, s5_table, a5_subgroup, a5_table):
+        # the restriction and the vanishing off H read one fusion map
+        calls = []
+        fusion = Subgroup.fusion_to_parent
+        monkeypatch.setattr(Subgroup, "fusion_to_parent",
+                            lambda self: calls.append(self) or fusion(self))
+        for row in s5_table.rows:
+            restriction_report(row, a5_subgroup, a5_table)
+        assert calls == [a5_subgroup] * len(s5_table)
 
     def test_regular_restriction_pairing_s4(self):
         g = parse_group_spec("S4")
@@ -496,19 +510,18 @@ CORRUPTION_FAILURES = {
                   "linear-twist-irreducible"},
     "swap-columns": {"column-norms", "row-orthonormality",
                      "central-character-identity"},
-    "negate-row": {"first-row-trivial", "degrees-ascending", "regular-decomposition"},
+    "negate-row": {"first-row-trivial", "degrees-ascending"},
     "duplicate-row": {"row-orthonormality", "column-norms", "degree-squares-sum"},
     "times-zeta3": {"row-orthonormality", "column-cross-orthogonality",
                     "inverse-class-conjugation", "central-character-identity"},
     # every identity that reads the entry fails, and no comparison of two
-    # values; plus-modulus fails the magnitude bound too
+    # values
     "halve": {"row-orthonormality", "column-norms", "column-cross-orthogonality",
               "weighted-column-sum", "central-character-identity", "rows-irreducible",
               "sym-alt-squares", "linear-twist-irreducible"},
     "plus-modulus": {"row-orthonormality", "column-norms", "column-cross-orthogonality",
                      "weighted-column-sum", "central-character-identity",
-                     "value-magnitude-bound", "rows-irreducible", "sym-alt-squares",
-                     "linear-twist-irreducible"},
+                     "rows-irreducible", "sym-alt-squares", "linear-twist-irreducible"},
 }
 
 D4XS3 = "perm:7:(1,3,0,2);(0,1);(4,6,5);(4,6)"
@@ -592,17 +605,23 @@ VERDICT_TABLES = (
 )
 
 
+def _verdict_table(case, name, arg):
+    """The table of one `VERDICT_TABLES` case."""
+    table = build_character_table(parse_group_spec(name))
+    if case == "corrupt":
+        return _corrupted(table, arg)
+    if case == "swap":
+        return _classes_swapped(table, *arg)
+    return table
+
+
 @pytest.mark.parametrize("case, name, arg", VERDICT_TABLES,
                          ids=[f"{c}-{n}-{a}" for c, n, a in VERDICT_TABLES])
 def test_report_is_the_same_over_every_generating_set(case, name, arg):
     # the central identity holds for j in a set S that generates Z(CG) and
     # every k exactly when it holds for every pair, so the report is the
     # same with every nontrivial class in place of the split classes
-    table = build_character_table(parse_group_spec(name))
-    if case == "corrupt":
-        table = _corrupted(table, arg)
-    elif case == "swap":
-        table = _classes_swapped(table, *arg)
+    table = _verdict_table(case, name, arg)
     report = check_all(table).to_json()
     read = []
 
@@ -615,6 +634,51 @@ def test_report_is_the_same_over_every_generating_set(case, name, arg):
     table._split_matrices = Handed((j, tablegen.class_matrix(data, j)) for j in range(1, len(table)))
     assert check_all(table).to_json() == report
     assert sorted(read) == list(range(1, len(table)))
+
+
+def _implied_checks_failing(table):
+    """The names of the checks that check_all does not run, since the
+    others imply them, that fail on the table, each decided here from its
+    definition (README, "Implied checks")."""
+    g, rows, degrees = table.group, table.rows, table.degrees
+    data = table.class_data
+    h = len(data)
+    failing = set()
+    if len(rows) != h:
+        failing.add("square-table")
+    try:
+        regular_ok = decompose(regular_character(g), table) == list(degrees)
+    except NotACharacterError:
+        regular_ok = False
+    if not regular_ok:
+        failing.add("regular-decomposition")
+    columns = [[row.values[l] for row in rows] for l in range(h)]
+    if any(columns[l] == columns[m] for l in range(h) for m in range(l)):
+        failing.add("columns-distinct")
+    if any(v != v.conj() for j in range(h) if data.inverse_class[j] == j for v in columns[j]):
+        failing.add("self-inverse-classes-real")
+    # in floats with a 1e-9 tolerance: no ring map preserves a magnitude
+    if any(abs(v.to_float()) > n + 1e-9 for n, row in zip(degrees, rows) for v in row.values):
+        failing.add("value-magnitude-bound")
+    if g.order <= 60 and any(element_sum_pairing(a, rows[-1]) != inner_product(a, rows[-1])
+                             for a in (rows[0], rows[-1])):
+        failing.add("inner-product-oracle")
+    return failing
+
+
+def test_implied_checks_fail_only_where_a_kept_check_fails():
+    # each of the six checks that check_all does not run fails only on a
+    # table that check_all already fails.  Four of them fail somewhere here,
+    # so the implications are exercised; square-table fails on no
+    # constructed table, and inner-product-oracle only on a library fault
+    seen = Counter()
+    for case, name, arg in VERDICT_TABLES:
+        table = _verdict_table(case, name, arg)
+        implied = _implied_checks_failing(table)
+        assert not implied or not check_all(table).ok, (case, name, arg, implied)
+        seen.update(implied)
+    assert seen == {"columns-distinct": 3, "regular-decomposition": 6,
+                    "self-inverse-classes-real": 7, "value-magnitude-bound": 12}
 
 
 M11 = "perm:11:(0,1,2,3,4,5,6,7,8,9,10);(2,6,10,7)(3,9,4,5)"

@@ -25,7 +25,7 @@ from chartab.cyclo import Cyclo, CycloError, dot, from_rational, root_of_unity
 from chartab.permgroup import GroupMismatchError, parse_group_spec
 from chartab.tablegen import build_character_table
 
-from conftest import BUILTINS_LE_24, class_index_of, parse_again, ratio
+from conftest import BUILTINS_LE_24, class_index_of, element_sum_pairing, parse_again, ratio
 
 
 def row_by_degree_and_value(table, degree, col, value):
@@ -111,19 +111,13 @@ class TestInnerProduct:
         # brute-force oracle: sum over all |G| elements
         rng = random.Random(23)
         g = parse_group_spec(name)
-        data = g.conjugacy_classes()
-        h = len(data)
+        h = len(g.conjugacy_classes())
         for _ in range(5):
             f1 = ClassFunction(g, [ratio(rng.randrange(-3, 4)) for _ in range(h)])
             f2 = ClassFunction(
                 g, [root_of_unity(4, rng.randrange(4)) for _ in range(h)]
             )
-            brute = Cyclo.zero()
-            for t in g.elements:
-                j = data.member_index[t]
-                brute = brute + f1.values[j] * f2.values[j].conj()
-            brute = Fraction(1, g.order) * brute
-            assert brute == inner_product(f1, f2)
+            assert element_sum_pairing(f1, f2) == inner_product(f1, f2)
 
 
 class TestBilinearForm:
