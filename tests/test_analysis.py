@@ -1,5 +1,7 @@
+import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -370,52 +372,74 @@ class TestCheckAll:
 
     def test_commutator_subgroup_is_closed_once(self, monkeypatch):
         # a group of its own, not one the parse cache has seen; the build
-        # closes G' to seed its split, and check_all reads the same G'
+        # closes G' to seed its split, and check_all closes none, and reads
+        # neither the power maps nor the class of each element
         g = PermGroup(4, parse_group_spec("S4").generators)
         calls = []
         closure = PermGroup._normal_closure_of
         monkeypatch.setattr(PermGroup, "_normal_closure_of",
                             lambda self, seed: calls.append(seed) or closure(self, seed))
         table = build_character_table(g)
+        assert len(calls) == 1
+        table.split_classes  # the class matrices the central identity reads
+
+        class Guarded:  # the class data, refusing the maps check_all does not read
+            def __getattr__(self, name):
+                assert name not in ("power_class", "member_index"), name
+                return getattr(g.conjugacy_classes(), name)
+
+        table.class_data = Guarded()
         assert check_all(table).ok
         assert len(calls) == 1
 
     def test_degree_one_row_that_is_not_a_homomorphism_fails(self):
         # a linear row of C5 with its values at two classes swapped: still
-        # one of [G:G'] = 5 rows of degree 1, but chi(s g) != chi(s) chi(g)
-        # for the generator s
+        # a row of degree 1 and norm 1, but chi(s g) != chi(s) chi(g), so
+        # its central character, the row itself, is no algebra map
         g = parse_group_spec("C5")
         vals = [list(r.values) for r in build_character_table(g).rows]
         vals[1][2], vals[1][3] = vals[1][3], vals[1][2]
         report = check_all(CharacterTable(g, [ClassFunction(g, v) for v in vals]))
-        failing = {r.name for r in report.results if not r.passed}
-        assert "linear-characters" in failing
+        assert not report.ok
+        assert {r.name for r in report.results if not r.passed} == {
+            "row-orthonormality", "central-character-identity"}
 
     @pytest.mark.parametrize("degree", [0, Fraction(1, 2)], ids=["zero", "half"])
     def test_degree_that_is_not_a_divisor_fails(self, degree):
         # failures are data: a zero degree is reported, not divided by, and
-        # a fractional one does not divide |G| although 6 % (1/2) == 0
+        # a fractional one is below 1, though 6 % (1/2) == 0
         g = parse_group_spec("S3")
         vals = [list(r.values) for r in build_character_table(g).rows]
         vals[-1][0] = degree
         report = check_all(CharacterTable(g, [ClassFunction(g, v) for v in vals]))
-        failing = {r.name for r in report.results if not r.passed}
-        assert "degree-divides-order" in failing
+        assert not report.ok
+        assert {r.name for r in report.results if not r.passed} == {
+            "degrees-ascending", "row-orthonormality", "central-character-identity"}
 
-    def test_fault_in_sym_alt_decomposition_is_raised(self, monkeypatch):
-        # only a rejected multiplicity fails sym-alt-squares; a fault in the
-        # program where the check decomposes its squares is not a failed check
-        table = build_character_table(parse_group_spec("S4"))
-        calls = []
-
-        def faulty(*args):
-            calls.append(args)
-            raise RuntimeError("fault in the sym-alt decomposition")
-
-        monkeypatch.setattr(analysis, "_decomposes", faulty)
-        with pytest.raises(RuntimeError):
-            check_all(table)
-        assert len(calls) == 1
+    def test_the_ring_tells_every_sum_from_zero(self):
+        # a rational table's ring is Z/M with M = 2^W - 1, so a sum of
+        # products of values is 0 exactly when its residue is, while the
+        # 1-norm of its terms stays below M.  S7's last row made 35, its
+        # largest degree, at every class: at the split class of 21 elements
+        # and the class of 840, each side of the central identity is
+        # 35^2 * 21 * 840, beyond the row pairings' |G| (A^2 + D^2)
+        g = parse_group_spec("S7")
+        built = build_character_table(g)
+        h = len(built)
+        table = CharacterTable(g, [*built.rows[:-1], ClassFunction(g, [35] * h)])
+        sizes = table.class_data.sizes
+        ints = [[int(v.as_rational()) for v in row.values] for row in table.rows]
+        weighted = [[r * v for r, v in zip(sizes, row)] for row in ints]
+        pairings = max(sum(abs(a * b) for a, b in zip(x, w)) + g.order
+                       for x in ints for w in weighted)
+        central = max(
+            abs(w[j] * w[k]) + abs(row[0]) * sum(a * abs(w[l]) for l, a in enumerate(a_jk))
+            for row, w in zip(ints, weighted)
+            for j in table.split_classes
+            for k, a_jk in enumerate(table._split_matrices[j])
+        )
+        assert central > pairings
+        assert max(central, pairings) < analysis._ring(table)[0]
 
     def test_central_identity_reads_only_the_split_class_matrices(self, monkeypatch):
         # the identity is checked for j in the split classes S.  A built
@@ -503,25 +527,18 @@ def _corrupted(table, kind):
     return CharacterTable(g, [ClassFunction(g, v) for v in vals])
 
 
+ORTHO, CENTRAL = "row-orthonormality", "central-character-identity"
+
+# the exact set of checks that fail on each corruption of every table
 CORRUPTION_FAILURES = {
-    "add-one": {"row-orthonormality", "rows-irreducible", "weighted-column-sum",
-                "central-character-identity", "linear-twist-irreducible"},
-    "conjugate": {"inverse-class-conjugation", "row-orthonormality",
-                  "linear-twist-irreducible"},
-    "swap-columns": {"column-norms", "row-orthonormality",
-                     "central-character-identity"},
-    "negate-row": {"first-row-trivial", "degrees-ascending"},
-    "duplicate-row": {"row-orthonormality", "column-norms", "degree-squares-sum"},
-    "times-zeta3": {"row-orthonormality", "column-cross-orthogonality",
-                    "inverse-class-conjugation", "central-character-identity"},
-    # every identity that reads the entry fails, and no comparison of two
-    # values
-    "halve": {"row-orthonormality", "column-norms", "column-cross-orthogonality",
-              "weighted-column-sum", "central-character-identity", "rows-irreducible",
-              "sym-alt-squares", "linear-twist-irreducible"},
-    "plus-modulus": {"row-orthonormality", "column-norms", "column-cross-orthogonality",
-                     "weighted-column-sum", "central-character-identity",
-                     "rows-irreducible", "sym-alt-squares", "linear-twist-irreducible"},
+    "add-one": {ORTHO, CENTRAL},
+    "conjugate": {ORTHO, CENTRAL},
+    "swap-columns": {ORTHO, CENTRAL},
+    "negate-row": {"degrees-ascending"},
+    "duplicate-row": {ORTHO},
+    "times-zeta3": {ORTHO, CENTRAL},
+    "halve": {ORTHO, CENTRAL},
+    "plus-modulus": {ORTHO, CENTRAL},
 }
 
 D4XS3 = "perm:7:(1,3,0,2);(0,1);(4,6,5);(4,6)"
@@ -547,11 +564,13 @@ def _classes_swapped(table, j, k):
     return CharacterTable(g, rows)
 
 
+A5XC3 = "perm:8:(0,1,2);(0,1,2,3,4);(5,6,7)"
+
 # two classes of one size swapped in every row: the row and column pairings
 # and the class sizes cannot tell, only the class constants can
 CLASS_SWAPS = [
     # A5xC3, the two classes of 5-cycles: caught only by pairs with k > j
-    ("perm:8:(0,1,2);(0,1,2,3,4);(5,6,7)", 3, 4),
+    (A5XC3, 3, 4),
     # S6, transpositions and triple transpositions: a rational table
     ("S6", 1, 2),
 ]
@@ -571,20 +590,7 @@ class TestCheckAllCorruptions:
     def test_named_checks_fail(self, name, kind):
         g = parse_group_spec(name)
         report = check_all(_corrupted(build_character_table(g), kind))
-        failing = {r.name for r in report.results if not r.passed}
-        expected = set(CORRUPTION_FAILURES[kind])
-        if kind == "negate-row" and g.order // g.commutator_subgroup().order > 1:
-            # a nontrivial linear character twisted by another one gives the
-            # trivial character, whose row is now its negative
-            expected.add("linear-twist-irreducible")
-        if kind == "halve" and name == "Q8":
-            # Q8's one row of degree 2 holds only even entries, so the
-            # halved entry is in a linear row
-            expected.add("linear-characters")
-        if kind in ("halve", "plus-modulus"):
-            assert failing == expected
-        else:
-            assert expected <= failing
+        assert {r.name for r in report.results if not r.passed} == CORRUPTION_FAILURES[kind]
         assert [r.name for r in report.results] == [
             r.name for r in check_all(build_character_table(g)).results
         ]
@@ -679,6 +685,67 @@ def test_implied_checks_fail_only_where_a_kept_check_fails():
         seen.update(implied)
     assert seen == {"columns-distinct": 3, "regular-decomposition": 6,
                     "self-inverse-classes-real": 7, "value-magnitude-bound": 12}
+
+
+SEEDED_GROUPS = ["S3", "Q8", "A4", "S4", "D5", "C5", "C7", "A5", "S5", "A6", "D8",
+                 D4XS3, A5XC3]
+EDITS = ["add", "copy-entry", "conjugate-entry", "galois-row", "product-row",
+         "swap-columns", "negate-row", "swap-rows"]
+
+
+def _edited(vals, kind, rng, exponent):
+    """The rows vals, a list of value lists, with one seeded edit of the
+    kind made in place; an edit may leave the rows as they were, or
+    reorder them."""
+    h = len(vals)
+    # a column off the first, so that every degree stays rational
+    i, j = rng.randrange(h), rng.randrange(1, h)
+    k, l = rng.randrange(h), rng.randrange(h)
+    if kind == "add":
+        vals[i][j] = vals[i][j] + rng.choice((1, -1, root_of_unity(3), Fraction(1, 2)))
+    elif kind == "copy-entry":
+        vals[i][j] = vals[k][l]
+    elif kind == "conjugate-entry":
+        vals[i][j] = vals[i][j].conj()
+    elif kind == "galois-row":
+        s = rng.choice([s for s in range(1, exponent) if gcd(s, exponent) == 1])
+        vals[i] = [v.galois(s) for v in vals[i]]
+    elif kind == "product-row":
+        vals[k] = [a * b for a, b in zip(vals[i], vals[j])]
+    elif kind == "swap-columns":
+        j, k = rng.sample(range(1, h), 2)
+        for row in vals:
+            row[j], row[k] = row[k], row[j]
+    elif kind == "negate-row":
+        vals[i] = [-v for v in vals[i]]
+    elif kind == "swap-rows":
+        vals[i], vals[j] = vals[j], vals[i]
+
+
+def test_check_all_passes_exactly_the_built_table():
+    # the three checks determine the table: a table passes exactly when its
+    # rows, which the constructor sorts, are the built table's.  Each group
+    # takes 8 seeded edits of each kind; a Galois image or a product with a
+    # linear row is a row of the table, so such an edit, like a row swap,
+    # can leave the rows as they were
+    for case, name, arg in VERDICT_TABLES:
+        table = _verdict_table(case, name, arg)
+        built = build_character_table(table.group)
+        assert check_all(table).ok == (table.rows == built.rows), (case, name, arg)
+    rng = random.Random(835)
+    verdicts = Counter()
+    for name in SEEDED_GROUPS:
+        g = parse_group_spec(name)
+        built = build_character_table(g)
+        for kind in EDITS:
+            for _ in range(8):
+                vals = [list(r.values) for r in built.rows]
+                _edited(vals, kind, rng, g.exponent)
+                table = CharacterTable(g, [ClassFunction(g, v) for v in vals])
+                ok = check_all(table).ok
+                assert ok == (table.rows == built.rows), (name, kind, vals)
+                verdicts[ok] += 1
+    assert verdicts == {True: 329, False: 503}
 
 
 M11 = "perm:11:(0,1,2,3,4,5,6,7,8,9,10);(2,6,10,7)(3,9,4,5)"
