@@ -14,7 +14,9 @@ order.  Everything downstream of the prime field is exact.
 from __future__ import annotations
 
 import math
-from operator import mul
+from collections.abc import Sequence
+from itertools import chain, compress
+from operator import gt, mul, ne
 
 from . import _modp as mp
 from .classfun import ClassFunction
@@ -211,7 +213,7 @@ def modp_eigenbasis(g: PermGroup, p: int, matrices: dict | None = None) -> list[
     h = len(data)
     matrices = {} if matrices is None else matrices
     chars, e = _linear_exponents(g)
-    q = e // math.gcd(e, *(k for chi in chars for k in chi))
+    q = e // math.gcd(e, *chain.from_iterable(chars))
     if (p - 1) % q:
         raise TableConstructionError(
             f"F_{p} has no element of order q = {q}, the exponent of G/G' (bad prime)"
@@ -320,39 +322,54 @@ def degrees_from_eigen(g: PermGroup, vectors: list[list[int]], p: int) -> list[i
     return degrees
 
 
-def _indexed(rows: list[ClassFunction]) -> tuple[list[ClassFunction], list[Cyclo], list[list[int]]]:
-    """The rows in canonical order, each distinct value object of the rows
-    once (by identity), and each sorted row's values as positions in that
-    list.  The order is ascending degree, then each value's float rounded to
-    1e-9, descending, then each value's held form (order, nums, den): rows
-    whose floats all tie are ordered exactly, never by the order they come
-    in.  Each key is made once per value object."""
+def _indexed(rows: list[ClassFunction]) -> tuple[list[Cyclo], list[list[int]]]:
+    """Each distinct value object of the rows once (by identity), first met,
+    and each row's values as positions in that list: the index of a table
+    made by hand."""
     by_id: dict[int, Cyclo] = {}
     for row in rows:
         by_id.update(zip(map(id, row.values), row.values))
-    values = list(by_id.values())
-    position = dict(zip(by_id, range(len(values))))
-    cells = [list(map(position.__getitem__, map(id, row.values))) for row in rows]
+    position = dict(zip(by_id, range(len(by_id))))
+    return list(by_id.values()), [list(map(position.__getitem__, map(id, row.values)))
+                                  for row in rows]
+
+
+def _sorted(rows: list[ClassFunction], values: list[Cyclo], cells: Sequence[Sequence[int]]
+            ) -> tuple[list[ClassFunction], list[Cyclo], list[list[int]]]:
+    """The rows in canonical order, with their index renumbered by first
+    appearance in the sorted rows, so it does not depend on how its maker
+    numbered the values.  The order is ascending degree, then each value's
+    float rounded to 1e-9, descending, then each value's held form (order,
+    nums, den): rows whose floats all tie are ordered exactly, never by the
+    order they come in.  Each key is made once per value."""
     rounded = [(-int(round(f.real * 1e9)), -int(round(f.imag * 1e9)))
                for f in map(Cyclo.to_float, values)]
     held = [(v.order, v.nums, v.den) for v in values]
     order = sorted(range(len(rows)), key=lambda i: (
         rows[i].values[0].as_rational(),
         *map(rounded.__getitem__, cells[i]), *map(held.__getitem__, cells[i])))
-    return [rows[i] for i in order], values, [cells[i] for i in order]
+    cells = [cells[i] for i in order]
+    first = list(dict.fromkeys(chain.from_iterable(cells)))
+    position = dict(zip(first, range(len(first))))
+    return ([rows[i] for i in order], list(map(values.__getitem__, first)),
+            [list(map(position.__getitem__, row)) for row in cells])
 
 
 class CharacterTable:
     """The square table of irreducible characters in canonical order:
-    rows by ascending degree (ties by `_indexed`'s value keys), columns in the
+    rows by ascending degree (ties by `_sorted`'s value keys), columns in the
     group's canonical class order.  `values` holds each distinct value object
-    of the rows once, and `cells[i][j]` is the position of `rows[i].values[j]`
-    in it: the one index of every reader that handles each value once.
-    Every row is on a group equal to the table's.  A built table also holds
+    of the rows once, in order of first appearance in the rows, and
+    `cells[i][j]` is the position of `rows[i].values[j]` in it: the one index
+    of every reader that handles each value once.  `index` is that index of
+    the rows as given, from the lift, or else from `_indexed`; the row sort
+    renumbers it, so both give the same index on the same rows.  Every row
+    is on a group equal to the table's.  A built table also holds
     the lines of the F_p split and the class matrices it read, h^2 ints each,
     until `split_classes` is first read, and then the split classes' alone."""
 
-    def __init__(self, group: PermGroup, rows: list[ClassFunction]):
+    def __init__(self, group: PermGroup, rows: list[ClassFunction],
+                 index: tuple[list[Cyclo], Sequence[Sequence[int]]] | None = None):
         data = group.conjugacy_classes()
         if len(rows) != len(data):
             raise TableConstructionError(
@@ -362,7 +379,7 @@ class CharacterTable:
             raise GroupMismatchError("table rows on a different group")
         self.group = group
         self.class_data = data
-        self.rows, self.values, self.cells = _indexed(rows)
+        self.rows, self.values, self.cells = _sorted(rows, *(index or _indexed(rows)))
         self.degrees = tuple(r.values[0].as_rational() for r in self.rows)
         # the split's lines and its matrices by class, kept by `build_character_table`
         self._lines, self._read = None, {}
@@ -392,7 +409,8 @@ class CharacterTable:
 
 def lift_characters(group: PermGroup, vectors: list[list[int]],
                     degrees: list[int], p: int) -> CharacterTable:
-    """Lift mod-p character values to exact cyclotomics.
+    """Lift mod-p character values to exact cyclotomics, one class (a column
+    of chi mod p) at a time.
 
     A class j of elements g of order d is rational when it holds every
     generator g^s of <g>, gcd(s, d) = 1 (power_class[j][s] == j).  There
@@ -407,15 +425,21 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
     matrix is built once per order d.  The exact value is sum_t m_t
     zeta_d^t, in Q(zeta_d), or in Q when it is rational.  Each class is
     lifted from its own power map: chi(g^s) = sigma_s(chi(g)) holds of the
-    result, but no value is derived from another class's.
+    result, but no value is derived from another class's.  A class's tuples
+    `along` are the rows of its power classes' columns side by side.
 
-    A table holds few distinct values, so each is made once per call: the
-    rational value of each c, and the DFT of each tuple `along` of chi mod p
-    on the power classes (which, with d and p, fixes it).  Each distinct
-    value is one object, kept in one dict: a rational value by its int,
-    which a DFT result that is rational looks up too, and an irrational one
-    by (order, nums), so two tuples with one value share it.  The bounds are
-    still checked on every entry, against that row's degree.
+    A table holds few distinct values, so each is made once per call and
+    numbered as it is made: the rational value of each c, and the DFT of
+    each tuple `along` (which, with d and p, fixes it).  Each distinct value
+    is one object, numbered in one dict: a rational value by its int, which
+    a DFT result that is rational looks up too, and an irrational one by
+    (order, nums), so two tuples with one value share it.  The table is
+    handed these values and each entry's number, its index.
+
+    The bounds are checked on every entry, against that row's degree, and a
+    whole column at a time; the first failure is reported in row order (a
+    row's rational classes before its others), and a column's sum only when
+    no entry fails.
     """
     data = group.conjugacy_classes()
     e = group.exponent
@@ -440,46 +464,56 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
         w = [pow(zd_inv, k, p) * d_inv % p for k in range(d)]
         dft[d] = [[w[t * s % d] for s in range(d)] for t in range(d)]
     half = p // 2
-    rows = []
-    column_sums = [0] * len(data)  # sum_i n_i chi_i(g_j) on the rational classes
-    made: dict = {}  # c -> the rational value c; (order, nums) -> an irrational value
-    dft_values: dict[tuple, tuple] = {}  # along -> (sum m_t, value)
-    for n_i, v in zip(degrees, vectors):
-        chi = [n_i * x % p * r % p for x, r in zip(v, size_inv)]  # chi mod p
-        values = [None] * len(chi)
-        for j in rational:
-            c = chi[j]
-            if c > half:
-                c -= p
-            if abs(c) > n_i:
-                raise TableConstructionError(f"rational value {c} exceeds degree {n_i}")
-            column_sums[j] += n_i * c
-            value = made.get(c)
-            if value is None:
-                value = made[c] = Cyclo.from_rational(c)
-            values[j] = value
-        for j in nonrational:
-            along = tuple(map(chi.__getitem__, data.power_class[j]))
-            entry = dft_values.get(along)
-            if entry is None:
-                d = len(along)
-                exps = [sum(map(mul, along, w)) % p for w in dft[d]]
-                value = Cyclo(d, exps)
-                key = value.nums[0] if value.order == 1 else (value.order, value.nums)
-                entry = dft_values[along] = (sum(exps), made.setdefault(key, value))
-            total, values[j] = entry
-            # each m_t is in [0, p), so a sum of n_i bounds every m_t by n_i
-            if total != n_i:
-                raise TableConstructionError(
-                    f"multiplicities sum to {total}, expected degree {n_i}"
-                )
-        rows.append(ClassFunction._of(group, tuple(values)))
-    for j in rational[1:]:  # the regular character vanishes off the identity
-        if column_sums[j]:
-            raise TableConstructionError(
-                f"column {j}: sum of degree times value is {column_sums[j]}, not 0"
-            )
-    return CharacterTable(group, rows)
+    # chi_i(g_j) = n_i v_i[j] / r_j mod p, down each column j
+    columns = [[x * r % p for x in map(mul, degrees, column)]
+               for column, r in zip(zip(*vectors), size_inv)]
+    values: list[Cyclo] = []  # each distinct value, by its number
+    made: dict = {}  # c, or (order, nums) of an irrational value -> its number
+    dft_values: dict[tuple, tuple[int, int]] = {}  # along -> (sum m_t, number)
+    numbers: list = [None] * len(columns)  # each column's entries as numbers
+    # the first failing row and its message: each column looks only above it
+    first, fault = len(degrees), None
+    column_sum = None  # the message of the first rational column whose sum fails
+    for j in rational:
+        centred = [c - p if c > half else c for c in columns[j]]
+        i = next(compress(range(first), map(gt, map(abs, centred), degrees)), first)
+        if i < first:
+            first, fault = i, f"rational value {centred[i]} exceeds degree {degrees[i]}"
+        # the regular character vanishes off the identity
+        if j and column_sum is None and (total := sum(map(mul, degrees, centred))):
+            column_sum = f"column {j}: sum of degree times value is {total}, not 0"
+        numbers[j] = list(map(made.get, centred))
+        if None in numbers[j]:  # a value not met before
+            for c in dict.fromkeys(centred):
+                if c not in made:
+                    made[c] = len(values)
+                    values.append(Cyclo.from_rational(c))
+            numbers[j] = list(map(made.__getitem__, centred))
+    for j in nonrational:
+        alongs = list(zip(*map(columns.__getitem__, data.power_class[j])))
+        entries = list(map(dft_values.get, alongs))
+        if None in entries:  # a tuple not met before: one DFT per distinct one
+            for along in dict.fromkeys(alongs):
+                if along not in dft_values:
+                    d = len(along)
+                    exps = [sum(map(mul, along, w)) % p for w in dft[d]]
+                    value = Cyclo(d, exps)
+                    key = value.nums[0] if value.order == 1 else (value.order, value.nums)
+                    if key not in made:
+                        made[key] = len(values)
+                        values.append(value)
+                    dft_values[along] = sum(exps), made[key]
+            entries = list(map(dft_values.__getitem__, alongs))
+        totals, numbers[j] = zip(*entries)
+        # each m_t is in [0, p), so a sum of n_i bounds every m_t by n_i
+        i = next(compress(range(first), map(ne, totals, degrees)), first)
+        if i < first:
+            first, fault = i, f"multiplicities sum to {totals[i]}, expected degree {degrees[i]}"
+    if fault or column_sum:
+        raise TableConstructionError(fault or column_sum)
+    cells = list(zip(*numbers))
+    rows = [ClassFunction._of(group, tuple(map(values.__getitem__, row))) for row in cells]
+    return CharacterTable(group, rows, (values, cells))
 
 
 def build_character_table(g: PermGroup) -> CharacterTable:
@@ -546,4 +580,4 @@ def linear_characters(g: PermGroup) -> list[ClassFunction]:
         g_k = math.gcd(k, e)
         roots[k] = root_of_unity(e // g_k, k // g_k)
     rows = [ClassFunction._of(g, tuple(map(roots.__getitem__, chi))) for chi in chars]
-    return _indexed(rows)[0]
+    return _sorted(rows, *_indexed(rows))[0]

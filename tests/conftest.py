@@ -191,8 +191,11 @@ def documented_row_key(values):
 def assert_value_index(table):
     """`table.values` holds each value object of the rows once, and
     `table.cells[i][j]` is the position of `table.rows[i].values[j]` in it.
-    Each row's split form holds its own values, and a table made by hand
-    from rows with the same values gives equal forms."""
+    A table made by hand from the same rows has the same index: the same
+    value objects in the same order, and the same cells, so the lift's index
+    and the one `_indexed` makes agree.  Each row's split form holds its own
+    values, and a table made by hand from rows with the same values gives
+    equal forms."""
     from chartab.classfun import ClassFunction
     from chartab.tablegen import CharacterTable
 
@@ -202,6 +205,10 @@ def assert_value_index(table):
         assert all(table.values[c] is v for c, v in zip(cells, row.values))
     assert len({id(v) for v in table.values}) == len(table.values)
     assert {id(v) for row in table.rows for v in row.values} == {id(v) for v in table.values}
+    by_hand = CharacterTable(table.group, table.rows)
+    assert len(by_hand.values) == len(table.values)
+    assert all(a is b for a, b in zip(by_hand.values, table.values))
+    assert by_hand.cells == table.cells
     forms = [row.split for row in table.rows]
     assert all(form[0] is row.values for form, row in zip(forms, table.rows))
     again = CharacterTable(table.group, [ClassFunction(table.group, row.values) for row in table.rows])

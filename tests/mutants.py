@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 VALUE_INDEX = "tests/test_tablegen.py::TestValueIndex"
+LIFT = "tests/test_tablegen.py::TestLift"
 BUILTINS_PASS = "tests/test_analysis.py::TestCheckAll::test_builtin_tables_pass"
 KRONECKER = "tests/test_cyclo.py::TestKroneckerResidues"
 ORTHOGONALITY = "tests/test_reps.py::TestMatrixOrthogonality"
@@ -61,8 +62,8 @@ MUTANTS = [
     # the lift's one object per value, the table's value index and the row
     # order
     Mutant("cells-of-the-unsorted-rows", "tablegen.py",
-           "return [rows[i] for i in order], values, [cells[i] for i in order]",
-           "return [rows[i] for i in order], values, cells",
+           "    cells = [cells[i] for i in order]\n",
+           "",
            (f"{VALUE_INDEX}::test_cells_point_at_each_value_object_of_a_built_table",)),
     Mutant("row-order-by-floats-alone", "tablegen.py",
            "*map(rounded.__getitem__, cells[i]), *map(held.__getitem__, cells[i])))",
@@ -81,9 +82,23 @@ MUTANTS = [
            "if isinstance(n, str):  # a float or a Fraction power is not exact",
            ("tests/test_cyclo.py::TestFieldOps::test_pow_by_a_non_int_raises_cyclo_error",)),
     Mutant("lift-keeps-a-dft-value-apart", "tablegen.py",
-           "entry = dft_values[along] = (sum(exps), made.setdefault(key, value))",
-           "entry = dft_values[along] = (sum(exps), value)",
+           "if key not in made:",
+           "if True:",
            (f"{VALUE_INDEX}::test_a_built_table_holds_one_object_per_distinct_value",)),
+    # the lift's checks, a column at a time, and the index it hands the table
+    Mutant("lift-skips-the-rational-column-sums", "tablegen.py",
+           "(total := sum(map(mul, degrees, centred)))",
+           "(total := 0)",
+           (f"{LIFT}::test_wrong_rational_value_breaks_its_column",
+            f"{LIFT}::test_a_failing_row_is_reported_before_a_failing_column_sum")),
+    Mutant("lift-bound-against-the-next-row", "tablegen.py",
+           "map(gt, map(abs, centred), degrees)",
+           "map(gt, map(abs, centred), degrees[1:])",
+           (f"{LIFT}::test_bounds_are_checked_on_entries_whose_value_is_already_made",)),
+    Mutant("lift-cells-shifted-by-one-value", "tablegen.py",
+           "CharacterTable(group, rows, (values, cells))",
+           "CharacterTable(group, rows, (values[1:] + values[:1], cells))",
+           (f"{VALUE_INDEX}::test_cells_point_at_each_value_object_of_a_built_table",)),
     # the linear characters, the twisted copies of the F_p split's lines and
     # the normal closures' class products
     Mutant("linear-extension-without-its-multiplier", "tablegen.py",
@@ -196,12 +211,9 @@ MUTANTS = [
            (f"{RECIPROCITY}[M11<M12]",)),
     # every check that check_all runs can fail: a test fails when it always
     # passes
-    always_passes("degrees-ascending",
-                  "all(degrees[i] <= degrees[i + 1] for i in range(len(degrees) - 1))\n"
-                  "        and all(d >= 1 for d in degrees)",
-                  f"{CORRUPT}[S3-negate-row]"),
+    always_passes("degrees-ascending", "degrees[0] >= 1", f"{CORRUPT}[S3-negate-row]"),
     Mutant("degrees-ascending-without-positivity", "analysis.py",
-           "\n        and all(d >= 1 for d in degrees),", ",",
+           "degrees[0] >= 1,", "abs(degrees[0]) >= 1,",
            (f"{CORRUPT}[S3-negate-row]",)),
     always_passes("row-orthonormality", "ortho_ok",
                   f"{CHECKS}::test_perturbed_table_fails", f"{CORRUPT}[S3-add-one]"),

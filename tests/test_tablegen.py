@@ -769,8 +769,8 @@ def test_eigenvectors_of_every_class_matrix(name, seed):
 
 
 class TestLift:
-    def _a5_stages(self):
-        g = parse_group_spec("A5")
+    def _stages(self, spec="A5"):
+        g = parse_group_spec(spec)
         p = choose_prime(g)
         vectors = modp_eigenbasis(g, p)
         return g, p, vectors, degrees_from_eigen(g, vectors, p)
@@ -782,7 +782,7 @@ class TestLift:
     def test_wrong_rational_value_breaks_its_column(self):
         # chi(g) = 1 on the 3-cycles for the degree-4 character of A5; 0 is
         # within the degree bound, but sum_i n_i chi_i(g) is no longer 0
-        g, p, vectors, degrees = self._a5_stages()
+        g, p, vectors, degrees = self._stages()
         j = g.conjugacy_classes().element_orders.index(3)
         i = degrees.index(4)
         self._set_value(g, p, vectors[i], 4, j, 0)
@@ -792,7 +792,7 @@ class TestLift:
     def test_wrong_value_on_a_galois_conjugate_class_fails(self):
         # each class of 5-cycles has its own DFT, and each DFT reads chi on
         # both classes, so a wrong value there breaks that row's lift
-        g, p, vectors, degrees = self._a5_stages()
+        g, p, vectors, degrees = self._stages()
         orders = g.conjugacy_classes().element_orders
         j = len(orders) - 1 - orders[::-1].index(5)
         assert orders.index(5) < j
@@ -836,6 +836,63 @@ class TestLift:
                    else f"rational value {n_a} exceeds degree {n_b}")
         with pytest.raises(TableConstructionError, match=f"^{message}$"):
             lift_characters(g, vectors, degrees, p)
+
+    def _message(self, g, p, vectors, degrees):
+        with pytest.raises(TableConstructionError) as failure:
+            lift_characters(g, vectors, degrees, p)
+        return str(failure.value)
+
+    def _moved(self, g, p, vectors, degrees, i, j, to=None):
+        # a copy of the vectors with chi_i(g_j) mod p set to `to`, or moved
+        # up by 1
+        vectors = [list(v) for v in vectors]
+        if to is None:
+            to = degrees[i] * vectors[i][j] * pow(g.conjugacy_classes().sizes[j], -1, p) + 1
+        self._set_value(g, p, vectors[i], degrees[i], j, to)
+        return vectors
+
+    @pytest.mark.parametrize("spec, first, second, message", [
+        # A5's rational classes 3 and 4, (12)(34) and the 3-cycles: row 0
+        # (degree 1) takes 2 at class 4, and row 1 (degree 5) 6 at class 3
+        ("A5", (0, 4, 2), (1, 3, 6), "rational value 2 exceeds degree 1"),
+        # A5xC3, each value moved up by 1: class 1 (z, of order 3) and class
+        # 3 (a 5-cycle) are each outside the other's power map, so neither
+        # value is read along the other class
+        ("perm:8:(0,1,2);(0,1,2,3,4);(5,6,7)", (0, 3), (3, 1),
+         "multiplicities sum to 94, expected degree 1"),
+    ])
+    def test_the_first_failing_row_is_reported_before_an_earlier_failing_column(
+            self, spec, first, second, message):
+        # row a < b fails only from class j_a on, and row b at class j_b <
+        # j_a: read a column at a time, row b's fault is met first, but the
+        # lift reports the first fault in row order, row a's
+        g, p, vectors, degrees = self._stages(spec)
+        (a, j_a, *_), (b, j_b, *_) = first, second
+        assert a < b and j_b < j_a and degrees[a] != degrees[b]
+        row_a = self._moved(g, p, vectors, degrees, *first)
+        row_b = self._moved(g, p, vectors, degrees, *second)
+        both = self._moved(g, p, row_a, degrees, *second)
+        assert self._message(g, p, row_a, degrees) == message
+        assert self._message(g, p, row_b, degrees) != message
+        assert self._message(g, p, both, degrees) == message
+
+    @pytest.mark.parametrize("fault, message", [
+        # row 0 (degree 1) takes 2 at class 4, the last rational class
+        ((0, 4, 2), "rational value 2 exceeds degree 1"),
+        # row 4 (degree 4) moved up by 1 at class 2, the last class lifted by
+        # a DFT
+        ((4, 2), "multiplicities sum to 97, expected degree 4"),
+    ])
+    def test_a_failing_row_is_reported_before_a_failing_column_sum(self, fault, message):
+        # row 1 (degree 5) takes -1 at (12)(34), class 3, where it holds 1:
+        # within its bound, but column 3 now sums to -10; the row fault in a
+        # later class is still the one reported
+        g, p, vectors, degrees = self._stages()
+        assert degrees == [1, 5, 3, 3, 4]
+        column = self._moved(g, p, vectors, degrees, 1, 3, -1)
+        assert (self._message(g, p, column, degrees)
+                == "column 3: sum of degree times value is -10, not 0")
+        assert self._message(g, p, self._moved(g, p, column, degrees, *fault), degrees) == message
 
     @staticmethod
     def _reductions_in_lift(g, monkeypatch):
