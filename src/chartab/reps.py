@@ -278,16 +278,17 @@ class OrthogonalityReport:
 
 def check_matrix_orthogonality(rep1: MatrixRep, rep2: MatrixRep) -> OrthogonalityReport:
     """Evaluate (a_il, b_mj) = (1/|G|) sum_t a_il(t) b_mj(t^-1) on all index
-    tuples; for rep1 = rep2 the expected value is delta_ij delta_lm / dim,
-    across distinct irreducibles it is 0.  Both reps' images are made in one
-    ring of `_ring` (which checks each rep's Cayley edges first), and each
+    tuples; for one rep (rep1 is rep2, or their generator images are equal)
+    the expected value is delta_ij delta_lm / dim, across distinct
+    irreducibles it is 0.  Both reps' images are made in one ring of `_ring`
+    (which checks each rep's Cayley edges first, and one rep once), and each
     pairing is decided there as n1 sum_t D a_il(t) D b_mj(t^-1) = |G| D^2 or
     0; lists every violation with its exact value.  The reps' groups must
     be equal (`PermGroup`'s equality)."""
     group = rep1.group
     if group != rep2.group:
         raise GroupMismatchError("representations of different groups")
-    same = rep1 is rep2
+    same = rep1 is rep2 or rep1.images == rep2.images
     order, n1, n2 = group.order, rep1.dim, rep2.dim
     modulus, d, res = _ring([rep1] if same else [rep1, rep2],
                             lambda a, d: n1 * order * a * a + order * d * d)

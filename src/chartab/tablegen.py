@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from itertools import chain, compress
+from itertools import chain, compress, count
 from operator import gt, mul, ne
 
 from . import _modp as mp
@@ -305,20 +305,18 @@ def degrees_from_eigen(g: PermGroup, vectors: list[list[int]], p: int) -> list[i
     r_inv = [pow(r % p, p - 2, p) for r in data.sizes]
     by_residue = {n * n % p: n for n in range(1, math.isqrt(order) + 1) if order % n == 0}
     degrees = []
-    for v in vectors:
+    for i, v in enumerate(vectors):
         s = sum(map(mul, map(mul, v, r_inv), map(v.__getitem__, data.inverse_class))) % p
         if s == 0:
-            raise TableConstructionError("degenerate orthogonality sum")
+            raise TableConstructionError(f"degrees: p = {p}, row {i}: degenerate orthogonality sum")
         n_sq = order % p * pow(s, p - 2, p) % p
         if n_sq not in by_residue:
-            raise TableConstructionError(
-                f"degree residue {n_sq} is not the square of a divisor of |G| = {order}"
-            )
+            raise TableConstructionError(f"degrees: p = {p}, row {i}: degree residue {n_sq} is "
+                                         f"not the square of a divisor of |G| = {order}")
         degrees.append(by_residue[n_sq])
     if sum(n * n for n in degrees) != order:
-        raise TableConstructionError(
-            f"recovered degrees {sorted(degrees)} violate sum of squares = {order}"
-        )
+        raise TableConstructionError(f"degrees: p = {p}: recovered degrees {sorted(degrees)} "
+                                     f"violate sum of squares = {order}")
     return degrees
 
 
@@ -326,60 +324,65 @@ def _indexed(rows: list[ClassFunction]) -> tuple[list[Cyclo], list[list[int]]]:
     """Each distinct value object of the rows once (by identity), first met,
     and each row's values as positions in that list: the index of a table
     made by hand."""
-    by_id: dict[int, Cyclo] = {}
-    for row in rows:
-        by_id.update(zip(map(id, row.values), row.values))
+    by_id = {id(v): v for row in rows for v in row.values}
     position = dict(zip(by_id, range(len(by_id))))
     return list(by_id.values()), [list(map(position.__getitem__, map(id, row.values)))
                                   for row in rows]
 
 
-def _sorted(rows: list[ClassFunction], values: list[Cyclo], cells: Sequence[Sequence[int]]
-            ) -> tuple[list[ClassFunction], list[Cyclo], list[list[int]]]:
-    """The rows in canonical order, with their index renumbered by first
-    appearance in the sorted rows, so it does not depend on how its maker
-    numbered the values.  The order is ascending degree, then each value's
-    float rounded to 1e-9, descending, then each value's held form (order,
-    nums, den): rows whose floats all tie are ordered exactly, never by the
-    order they come in.  Each key is made once per value."""
+def _sorted(values: list[Cyclo], cells: Sequence[Sequence[int]]
+            ) -> tuple[list[Cyclo], list[list[int]]]:
+    """The index with its rows in canonical order and its values renumbered
+    by first appearance in the sorted rows, so it does not depend on how its
+    maker numbered the values.  The order is ascending degree, then each
+    value's float rounded to 1e-9, descending, then each value's held form
+    (order, nums, den): rows whose floats all tie are ordered exactly, never
+    by the order they come in.  Each key is made once per value."""
     rounded = [(-int(round(f.real * 1e9)), -int(round(f.imag * 1e9)))
                for f in map(Cyclo.to_float, values)]
     held = [(v.order, v.nums, v.den) for v in values]
-    order = sorted(range(len(rows)), key=lambda i: (
-        rows[i].values[0].as_rational(),
+    order = sorted(range(len(cells)), key=lambda i: (
+        values[cells[i][0]].as_rational(),
         *map(rounded.__getitem__, cells[i]), *map(held.__getitem__, cells[i])))
     cells = [cells[i] for i in order]
     first = list(dict.fromkeys(chain.from_iterable(cells)))
     position = dict(zip(first, range(len(first))))
-    return ([rows[i] for i in order], list(map(values.__getitem__, first)),
+    return (list(map(values.__getitem__, first)),
             [list(map(position.__getitem__, row)) for row in cells])
+
+
+def _rows(group: PermGroup, values: list[Cyclo], cells: list[list[int]]) -> list[ClassFunction]:
+    """The rows an index stands for, each value the index's own object."""
+    return [ClassFunction._of(group, tuple(map(values.__getitem__, row))) for row in cells]
 
 
 class CharacterTable:
     """The square table of irreducible characters in canonical order:
     rows by ascending degree (ties by `_sorted`'s value keys), columns in the
-    group's canonical class order.  `values` holds each distinct value object
-    of the rows once, in order of first appearance in the rows, and
-    `cells[i][j]` is the position of `rows[i].values[j]` in it: the one index
-    of every reader that handles each value once.  `index` is that index of
-    the rows as given, from the lift, or else from `_indexed`; the row sort
-    renumbers it, so both give the same index on the same rows.  Every row
-    is on a group equal to the table's.  A built table also holds
-    the lines of the F_p split and the class matrices it read, h^2 ints each,
-    until `split_classes` is first read, and then the split classes' alone."""
+    group's canonical class order.  A table is its index, given as `index`
+    (the lift's) or made from `rows` (each on a group equal to the table's)
+    by `_indexed`, never both: `values` holds each distinct value object
+    once, in order of first appearance in the sorted rows, `cells[i][j]` is
+    the position of `rows[i].values[j]` in it, and the rows are made from
+    it.  A built table also holds the lines of the F_p split and the class
+    matrices it read, h^2 ints each, until `split_classes` is first read,
+    and then the split classes' alone."""
 
-    def __init__(self, group: PermGroup, rows: list[ClassFunction],
+    def __init__(self, group: PermGroup, rows: list[ClassFunction] | None = None,
                  index: tuple[list[Cyclo], Sequence[Sequence[int]]] | None = None):
+        if (rows is None) == (index is None):
+            raise TypeError("a CharacterTable takes exactly one of rows and index")
         data = group.conjugacy_classes()
-        if len(rows) != len(data):
-            raise TableConstructionError(
-                f"table is not square: {len(rows)} rows, {len(data)} classes"
-            )
-        if any(row.group != group for row in rows):
+        values, cells = _indexed(rows) if index is None else index
+        if len(cells) != len(data):
+            raise TableConstructionError(f"table is not square: {len(cells)} rows, "
+                                         f"{len(data)} classes")
+        if rows is not None and any(row.group != group for row in rows):
             raise GroupMismatchError("table rows on a different group")
         self.group = group
         self.class_data = data
-        self.rows, self.values, self.cells = _sorted(rows, *(index or _indexed(rows)))
+        self.values, self.cells = _sorted(values, cells)
+        self.rows = _rows(group, self.values, self.cells)
         self.degrees = tuple(r.values[0].as_rational() for r in self.rows)
         # the split's lines and its matrices by class, kept by `build_character_table`
         self._lines, self._read = None, {}
@@ -434,12 +437,11 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
     is one object, numbered in one dict: a rational value by its int, which
     a DFT result that is rational looks up too, and an irrational one by
     (order, nums), so two tuples with one value share it.  The table is
-    handed these values and each entry's number, its index.
+    handed these values and each entry's number, its index, alone.
 
-    The bounds are checked on every entry, against that row's degree, and a
-    whole column at a time; the first failure is reported in row order (a
-    row's rational classes before its others), and a column's sum only when
-    no entry fails.
+    It raises at its first fault, in the order it works: rational classes,
+    then the others, by index; in a class the lowest failing row, then a
+    rational column's sum.  Each message names the class, the row and p.
     """
     data = group.conjugacy_classes()
     e = group.exponent
@@ -471,17 +473,18 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
     made: dict = {}  # c, or (order, nums) of an irrational value -> its number
     dft_values: dict[tuple, tuple[int, int]] = {}  # along -> (sum m_t, number)
     numbers: list = [None] * len(columns)  # each column's entries as numbers
-    # the first failing row and its message: each column looks only above it
-    first, fault = len(degrees), None
-    column_sum = None  # the message of the first rational column whose sum fails
+
+    def fault(j: int, rows: str, what: str) -> TableConstructionError:
+        return TableConstructionError(f"lift: p = {p}, class {j}, {rows}: {what}")
+
     for j in rational:
         centred = [c - p if c > half else c for c in columns[j]]
-        i = next(compress(range(first), map(gt, map(abs, centred), degrees)), first)
-        if i < first:
-            first, fault = i, f"rational value {centred[i]} exceeds degree {degrees[i]}"
+        for i in compress(count(), map(gt, map(abs, centred), degrees)):
+            raise fault(j, f"row {i}", f"rational value {centred[i]} exceeds degree {degrees[i]}")
         # the regular character vanishes off the identity
-        if j and column_sum is None and (total := sum(map(mul, degrees, centred))):
-            column_sum = f"column {j}: sum of degree times value is {total}, not 0"
+        if j and (total := sum(map(mul, degrees, centred))):
+            raise fault(j, f"rows 0 to {len(degrees) - 1}",
+                        f"sum of degree times value is {total}, not 0")
         numbers[j] = list(map(made.get, centred))
         if None in numbers[j]:  # a value not met before
             for c in dict.fromkeys(centred):
@@ -506,14 +509,10 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
             entries = list(map(dft_values.__getitem__, alongs))
         totals, numbers[j] = zip(*entries)
         # each m_t is in [0, p), so a sum of n_i bounds every m_t by n_i
-        i = next(compress(range(first), map(ne, totals, degrees)), first)
-        if i < first:
-            first, fault = i, f"multiplicities sum to {totals[i]}, expected degree {degrees[i]}"
-    if fault or column_sum:
-        raise TableConstructionError(fault or column_sum)
-    cells = list(zip(*numbers))
-    rows = [ClassFunction._of(group, tuple(map(values.__getitem__, row))) for row in cells]
-    return CharacterTable(group, rows, (values, cells))
+        for i in compress(count(), map(ne, totals, degrees)):
+            raise fault(j, f"row {i}",
+                        f"multiplicities sum to {totals[i]}, expected degree {degrees[i]}")
+    return CharacterTable(group, index=(values, list(zip(*numbers))))
 
 
 def build_character_table(g: PermGroup) -> CharacterTable:
@@ -575,9 +574,8 @@ def linear_characters(g: PermGroup) -> list[ClassFunction]:
     read off `_linear_exponents`.  A value zeta_e^k is made once per
     distinct k."""
     chars, e = _linear_exponents(g)
-    roots = {}  # k -> zeta_e^k = zeta_(e/g)^(k/g), g = gcd(k, e): the natural field
-    for k in {k for chi in chars for k in chi}:
-        g_k = math.gcd(k, e)
-        roots[k] = root_of_unity(e // g_k, k // g_k)
-    rows = [ClassFunction._of(g, tuple(map(roots.__getitem__, chi))) for chi in chars]
-    return _sorted(rows, *_indexed(rows))[0]
+    ks = list(dict.fromkeys(chain.from_iterable(chars)))
+    position = dict(zip(ks, range(len(ks))))
+    # zeta_e^k = zeta_(e/g)^(k/g), g = gcd(k, e): the natural field
+    values = [root_of_unity(e // (g_k := math.gcd(k, e)), k // g_k) for k in ks]
+    return _rows(g, *_sorted(values, [list(map(position.__getitem__, chi)) for chi in chars]))

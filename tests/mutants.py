@@ -49,6 +49,20 @@ ORACLE = "tests/test_reps.py::TestExactOracle"
 RECIPROCITY = "tests/test_analysis.py::test_frobenius_reciprocity"
 CHECKS = "tests/test_analysis.py::TestCheckAll"
 CORRUPT = "tests/test_analysis.py::TestCheckAllCorruptions::test_named_checks_fail"
+NULLSPACE = "tests/test_tablegen.py::TestNullspaceRows"
+
+
+# a rational column's checks in the lift: its entries' bounds, then its sum
+LIFT_BOUNDS = """\
+        for i in compress(count(), map(gt, map(abs, centred), degrees)):
+            raise fault(j, f"row {i}", f"rational value {centred[i]} exceeds degree {degrees[i]}")
+"""
+LIFT_SUM = """\
+        # the regular character vanishes off the identity
+        if j and (total := sum(map(mul, degrees, centred))):
+            raise fault(j, f"rows 0 to {len(degrees) - 1}",
+                        f"sum of degree times value is {total}, not 0")
+"""
 
 
 def always_passes(check: str, verdict: str, *tests: str) -> Mutant:
@@ -59,12 +73,17 @@ def always_passes(check: str, verdict: str, *tests: str) -> Mutant:
 
 
 MUTANTS = [
-    # the lift's one object per value, the table's value index and the row
-    # order
+    # the table is its index: the constructor sorts it and makes the rows of
+    # it, and takes rows or an index, never both
     Mutant("cells-of-the-unsorted-rows", "tablegen.py",
            "    cells = [cells[i] for i in order]\n",
            "",
-           (f"{VALUE_INDEX}::test_cells_point_at_each_value_object_of_a_built_table",)),
+           (f"{VALUE_INDEX}::test_an_index_in_any_order_makes_the_sorted_table",
+            "tests/test_tablegen.py::TestTableInvariants::test_first_row_trivial_and_degrees_sorted")),
+    Mutant("table-takes-rows-beside-an-index", "tablegen.py",
+           "if (rows is None) == (index is None):",
+           "if rows is None and index is None:",
+           (f"{VALUE_INDEX}::test_rows_and_an_index_together_are_refused",)),
     Mutant("row-order-by-floats-alone", "tablegen.py",
            "*map(rounded.__getitem__, cells[i]), *map(held.__getitem__, cells[i])))",
            "*map(rounded.__getitem__, cells[i])))",
@@ -85,20 +104,50 @@ MUTANTS = [
            "if key not in made:",
            "if True:",
            (f"{VALUE_INDEX}::test_a_built_table_holds_one_object_per_distinct_value",)),
-    # the lift's checks, a column at a time, and the index it hands the table
+    # the lift's checks, a column at a time, each fault raised as it is met:
+    # rational classes, then the others, by index, the lowest row of a class,
+    # and a rational column's sum after its entries; and the index it hands
+    # the table
     Mutant("lift-skips-the-rational-column-sums", "tablegen.py",
            "(total := sum(map(mul, degrees, centred)))",
            "(total := 0)",
            (f"{LIFT}::test_wrong_rational_value_breaks_its_column",
-            f"{LIFT}::test_a_failing_row_is_reported_before_a_failing_column_sum")),
+            f"{LIFT}::test_a_rational_column_sum_is_reported_after_its_entries")),
     Mutant("lift-bound-against-the-next-row", "tablegen.py",
            "map(gt, map(abs, centred), degrees)",
            "map(gt, map(abs, centred), degrees[1:])",
            (f"{LIFT}::test_bounds_are_checked_on_entries_whose_value_is_already_made",)),
+    Mutant("lift-rational-classes-from-the-last", "tablegen.py",
+           "    for j in rational:\n",
+           "    for j in rational[::-1]:\n",
+           (f"{LIFT}::test_the_first_class_lifted_is_reported_before_a_lower_row",)),
+    Mutant("lift-reports-the-highest-failing-row", "tablegen.py",
+           "for i in compress(count(), map(ne, totals, degrees)):",
+           "for i in reversed([*compress(count(), map(ne, totals, degrees))]):",
+           (f"{LIFT}::test_the_first_class_lifted_is_reported_before_a_lower_row",)),
+    Mutant("lift-column-sum-before-its-entries", "tablegen.py",
+           LIFT_BOUNDS + LIFT_SUM, LIFT_SUM + LIFT_BOUNDS,
+           (f"{LIFT}::test_a_rational_column_sum_is_reported_after_its_entries",)),
     Mutant("lift-cells-shifted-by-one-value", "tablegen.py",
-           "CharacterTable(group, rows, (values, cells))",
-           "CharacterTable(group, rows, (values[1:] + values[:1], cells))",
-           (f"{VALUE_INDEX}::test_cells_point_at_each_value_object_of_a_built_table",)),
+           "CharacterTable(group, index=(values, list(zip(*numbers))))",
+           "CharacterTable(group, index=(values[1:] + values[:1], list(zip(*numbers))))",
+           ("tests/test_tablegen.py::TestGoldenTables::test_a5_surds",)),
+    # `_modp`: one incremental row reduction, read for null spaces (rows
+    # reduced last first) and for the minimal polynomial of one vector
+    # (the first dependency of its Krylov sequence)
+    Mutant("elimination-adds-the-pivot-row", "_modp.py",
+           "r[:len(b)] = [(x - c * y) % p for x, y in zip(r, b)]",
+           "r[:len(b)] = [(x + c * y) % p for x, y in zip(r, b)]",
+           (f"{NULLSPACE}::test_rref_basis_of_left_null_space",)),
+    Mutant("krylov-multiplies-the-first-vector-again", "_modp.py",
+           "            w = _row_times(w, a, p)\n",
+           "            w = _row_times(v, a, p)\n",
+           ("tests/test_tablegen.py::TestMinimalPolynomial::test_annihilator_of_one_vector",)),
+    Mutant("null-space-rows-in-reduction-order", "_modp.py",
+           "deps = list(_dependencies(a[::-1], p))[::-1]",
+           "deps = list(_dependencies(a[::-1], p))",
+           (f"{NULLSPACE}::test_rref_basis_of_left_null_space",
+            f"{NULLSPACE}::test_each_dependent_row_is_one_of_the_identity")),
     # the linear characters, the twisted copies of the F_p split's lines and
     # the normal closures' class products
     Mutant("linear-extension-without-its-multiplier", "tablegen.py",
@@ -228,12 +277,17 @@ MUTANTS = [
            "return order * (a * a + d * d)",
            (f"{CHECKS}::test_the_ring_tells_every_sum_from_zero",)),
     # `classfun`'s pairing conjugates its second operand, and `decompose`
-    # rejects a negative multiplicity
+    # rejects an irrational or a negative multiplicity
     Mutant("inner-product-without-its-conjugate", "classfun.py",
            "_sized([*map(Cyclo.conj, f2.values)], sizes)",
            "_sized(list(f2.values), sizes)",
            ("tests/test_acceptance.py::test_criterion_9_oracle_equivalence",
             "tests/test_classfun.py::TestInnerProduct::test_hermitian_and_positive")),
+    Mutant("decompose-reads-an-irrational-sum-as-rational", "classfun.py",
+           "if not s.is_rational():",
+           "if False:",
+           ("tests/test_classfun.py::TestDecompose::test_rejects_non_character",
+            "tests/test_classfun.py::test_decompose_rejections_on_an_irrational_table_are_pinned")),
     Mutant("decompose-accepts-a-negative-multiplicity", "classfun.py",
            "if rem or q < 0:",
            "if rem:",
@@ -241,7 +295,7 @@ MUTANTS = [
             "tests/test_classfun.py::test_decompose_rejections_on_an_irrational_table_are_pinned")),
     # the split form: a pairing is one int sum over the int parts and one
     # dot over the positions of either operand's other values, and sym/alt
-    # halves an int sum exactly
+    # halves an int sum exactly, with the alternating square's sign
     Mutant("split-dot-drops-the-rest", "cyclo.py",
            "return dot([*map(xs.__getitem__, rest), n], [*map(ys.__getitem__, rest), 1])",
            "return _held(1, (n,), 1)",
@@ -252,14 +306,24 @@ MUTANTS = [
            "rest = sorted({*x_rest, *y_rest})",
            "rest = sorted(x_rest)",
            ("tests/test_cyclo.py::test_split_dot_on_fixed_mixes",)),
+    Mutant("alt-square-of-the-ints-with-its-sign-flipped", "classfun.py",
+           "alt_vals = list(map(_half, map(sub, cc, s)))",
+           "alt_vals = list(map(_half, map(sub, s, cc)))",
+           ("tests/test_classfun.py::TestSymAltSquare::test_s5_alternating_square",)),
+    Mutant("alt-square-of-the-other-values-with-its-sign-flipped", "classfun.py",
+           "alt_vals[j] = (chi_sq - sq_values[j]) * Fraction(1, 2)",
+           "alt_vals[j] = (sq_values[j] - chi_sq) * Fraction(1, 2)",
+           ("tests/test_classfun.py::TestSymAltSquare::test_sum_recovers_square",
+            "tests/test_classfun.py::TestSymAltSquare::test_squares_from_squared_representatives[A5]")),
     Mutant("sym-alt-floors-an-odd-half", "classfun.py",
            "n >> 1 if n % 2 == 0 else Fraction(n, 2)",
            "n >> 1",
            ("tests/test_classfun.py::test_sym_alt_halves_an_odd_int_exactly",
             "tests/test_classfun.py::test_class_functions_match_the_per_term_code")),
     # `reps`: the determinant, the tree images made and certified in a ring
-    # built from the generators, its fallback to exact images, and every
-    # identity an int equation in that ring
+    # built from the generators, its fallback to exact images, every
+    # identity an int equation in that ring, and two reps with equal images
+    # paired as one
     Mutant("det-without-its-cofactor-signs", "reps.py",
            "[-v if j % 2 else v for j, v in enumerate(a[0])]",
            "list(a[0])",
@@ -273,6 +337,11 @@ MUTANTS = [
            "(sum(map(mul, row, col)) - d * t) % modulus",
            "(sum(map(mul, row, col)) - t) % modulus",
            ("tests/test_reps.py::test_full_images_are_pinned",)),
+    Mutant("reps-are-one-only-as-one-object", "reps.py",
+           "same = rep1 is rep2 or rep1.images == rep2.images",
+           "same = rep1 is rep2",
+           (f"{ORTHOGONALITY}::test_equal_images_held_as_two_objects_are_one_rep",
+            f"{ORTHOGONALITY}::test_a_pairing_sum_of_the_group_order_is_told_apart_from_zero")),
     Mutant("pairing-without-its-n1-factor", "reps.py",
            "if (n1 * sum(map(mul, a_vecs[i][l], b_vecs[m][j]))",
            "if (sum(map(mul, a_vecs[i][l], b_vecs[m][j]))",
@@ -318,7 +387,7 @@ MUTANTS = [
             "tests/test_analysis.py::TestRestrictionReport::test_a_table_of_another_subgroup_is_refused",
             f"{ORTHOGONALITY}::test_a_group_of_the_same_degree_and_other_generators_is_refused")),
     Mutant("table-accepts-rows-of-another-group", "tablegen.py",
-           "if any(row.group != group for row in rows):",
+           "if rows is not None and any(row.group != group for row in rows):",
            "if False:",
            ("tests/test_tablegen.py::test_a_table_with_rows_of_another_group_is_refused",)),
     # the CLI: `main` reads the group of each command that takes --cap and

@@ -216,15 +216,55 @@ class TestMatrixOrthogonality:
         assert not report.ok
         assert report.violations
 
-    def test_a_pairing_sum_of_the_group_order_is_told_apart_from_zero(self):
-        # two trivial reps of the cyclic group of order 15, held as two
-        # objects, so the expected cross pairing is 0; it is
-        # (1/15) sum_t 1 = 1, and n1 sum_t 1 = |G| = 15 = 2^4 - 1 is the
-        # modulus that a bound without its |G| factor would choose
-        g = parse_group_spec("perm:8:(0,1,2)(3,4,5,6,7)")
-        rep1, rep2 = (MatrixRep(g, [((Cyclo.one(),),)]) for _ in range(2))
-        report = check_matrix_orthogonality(rep1, rep2)
-        assert report.violations == [((0, 0, 0, 0), 1, 0)]
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_a_pairing_sum_of_the_group_order_is_told_apart_from_zero(self, copies):
+        # the 2-dim trivial rep of the cyclic group of order 255, passed as
+        # one object or as two with equal images: one rep.  Its pairing
+        # (0, 0, 1, 1) is (1/255) sum_t 1 = 1 where 0 is expected, and
+        # n1 sum_t 1 = 2 |G| = 510 is 0 modulo 255 = 2^8 - 1, the modulus
+        # that a bound without its |G| factor, 2 A'^2 + D^2 = 33, would choose
+        g = parse_group_spec("perm:25:(0,1,2)(3,4,5,6,7)"
+                             "(8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24)")
+        rep1, rep2 = (MatrixRep(g, [((1, 0), (0, 1))]) for _ in range(2))
+        report = check_matrix_orthogonality(rep1, rep2 if copies == 2 else rep1)
+        half = Fraction(1, 2)
+        assert report.same_rep
+        assert report.violations == [
+            ((0, 0, 0, 0), 1, half), ((0, 0, 1, 1), 1, 0), ((0, 1, 1, 0), 0, half),
+            ((1, 0, 0, 1), 0, half), ((1, 1, 0, 0), 1, 0), ((1, 1, 1, 1), 1, half)]
+
+    def test_equal_images_held_as_two_objects_are_one_rep(self, monkeypatch):
+        # two builtin_rep calls make two objects with equal images, which
+        # pair as one object passed twice: in one ring, with the self
+        # pairings 1/dim expected
+        from chartab import reps
+
+        rings = []
+        ring = reps._ring
+
+        def counting(group_reps, *args):
+            rings.append(len(group_reps))
+            return ring(group_reps, *args)
+
+        monkeypatch.setattr(reps, "_ring", counting)
+        one, two = builtin_rep("dihedral-rot:5:1"), builtin_rep("dihedral-rot:5:1")
+        assert one is not two and one.images == two.images
+        for rep2 in (one, two):
+            report = check_matrix_orthogonality(one, rep2)
+            assert repr(report) == "OrthogonalityReport(16 pairings, ok)"
+            assert report.same_rep
+        assert rings == [1, 1]
+
+    def test_reps_with_other_images_are_two_reps(self):
+        # rotation by 2 pi r / 5 for r = 1, 2 and 4: r = 2 is another
+        # irreducible, so every pairing is 0; r = 4 is equivalent to r = 1
+        # but has other images, so it is a second rep and the 4 pairings
+        # that an equivalence makes nonzero are violations
+        one = builtin_rep("dihedral-rot:5:1")
+        for r, state in [(2, "ok"), (4, "4 violations")]:
+            report = check_matrix_orthogonality(one, builtin_rep(f"dihedral-rot:5:{r}"))
+            assert repr(report) == f"OrthogonalityReport(16 pairings, {state})"
+            assert not report.same_rep
 
     def test_group_mismatch(self, q8_rep):
         g = parse_group_spec("C3")
@@ -457,7 +497,7 @@ def oracle_report(rep1, rep2):
     n1, n2 = rep1.dim, rep2.dim
     violations = []
     for i, l, m, j in itertools.product(range(n1), range(n1), range(n2), range(n2)):
-        diagonal = rep1 is rep2 and i == j and l == m
+        diagonal = (rep1 is rep2 or rep1.images == rep2.images) and i == j and l == m
         value = Fraction(1, len(elements)) * dot([full1[t][i][l] for t in elements],
                                                  [full2[u][m][j] for u in inverses])
         expected = from_rational(Fraction(1, n1)) if diagonal else Cyclo.zero()
@@ -473,10 +513,10 @@ def report_text(rep1, rep2):
 
 
 def trivial_pair_of_order_255():
-    # the cross pairing of two 2-dim trivial reps, held as two objects, sums
-    # n1 |G| = 510 where 0 is expected; 255 = 2^8 - 1 is the modulus that the
-    # pairing bound without its |G| factor, 2 A'^2 + D^2 = 33 with A' = 4,
-    # would give the ring
+    # the 2-dim trivial rep, held as two objects with equal images: one
+    # rep, whose pairing (0, 0, 1, 1) sums n1 |G| = 510 where 0 is expected;
+    # 255 = 2^8 - 1 is the modulus that the pairing bound without its |G|
+    # factor, 2 A'^2 + D^2 = 33 with A' = 4, would give the ring
     g = parse_group_spec("perm:25:(0,1,2)(3,4,5,6,7)"
                          "(8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24)")
     return tuple(MatrixRep(g, [((1, 0), (0, 1))]) for _ in range(2))

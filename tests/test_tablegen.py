@@ -614,6 +614,30 @@ class TestDegrees:
         with pytest.raises(TableConstructionError, match=rf"residue {n_sq}\b.*\b120\b"):
             degrees_from_eigen(g, [v], p)
 
+    def test_each_failure_names_its_row_and_p(self, monkeypatch):
+        # S5's last line, row 6, with one entry moved: no divisor of 120 has
+        # its degree residue
+        g = parse_group_spec("S5")
+        p = choose_prime(g)
+        vectors = modp_eigenbasis(g, p)
+        vectors[6][1] = (vectors[6][1] + 1) % p
+        with pytest.raises(TableConstructionError, match=(
+                rf"^degrees: p = {p}, row 6: degree residue 57 is not the square of a divisor "
+                r"of \|G\| = 120$")):
+            degrees_from_eigen(g, vectors, p)
+        # 3 divides |S3| = 6, so every line's orthogonality sum is 0 mod 3,
+        # and row 0's is read first
+        monkeypatch.setattr(tablegen, "choose_prime", lambda g: 3)
+        with pytest.raises(TableConstructionError,
+                           match=r"^degrees: p = 3, row 0: degenerate orthogonality sum$"):
+            build_character_table(parse_group_spec("S3"))
+        # at p = 7 every line of S5 has a residue, but not the right one
+        monkeypatch.setattr(tablegen, "choose_prime", lambda g: 7)
+        with pytest.raises(TableConstructionError, match=(
+                r"^degrees: p = 7: recovered degrees \[5, 5, 8, 8, 8, 10, 10\] "
+                r"violate sum of squares = 120$")):
+            build_character_table(g)
+
 
 def test_build_with_a_bad_prime_fails_loudly(monkeypatch):
     # p = 7 is below 2 sqrt(|S5|) and not 1 mod the exponent 60, yet the split
@@ -786,7 +810,8 @@ class TestLift:
         j = g.conjugacy_classes().element_orders.index(3)
         i = degrees.index(4)
         self._set_value(g, p, vectors[i], 4, j, 0)
-        with pytest.raises(TableConstructionError, match=f"column {j}: .* is -4, not 0"):
+        message = f"lift: p = {p}, class {j}, rows 0 to 4: sum of degree times value is -4, not 0"
+        with pytest.raises(TableConstructionError, match=f"^{message}$"):
             lift_characters(g, vectors, degrees, p)
 
     def test_wrong_value_on_a_galois_conjugate_class_fails(self):
@@ -818,9 +843,12 @@ class TestLift:
 
     @pytest.mark.parametrize("larger", [False, True])
     def test_bounds_are_checked_on_entries_whose_value_is_already_made(self, larger):
-        # row b takes row a's vector times n_a / n_b, so chi_b = chi_a mod p:
-        # every value of row b, the DFT of each class included, was made for
-        # row a, yet the bounds must hold for row b's own degree n_b
+        # row b takes row a's values, chi_b = chi_a mod p, at the identity
+        # class and at the classes lifted by a DFT (A7's two classes of
+        # 7-cycles, whose power maps meet no other class): each DFT of row
+        # b was made for row a, yet the bounds must hold for row b's own
+        # degree n_b.  Its other rational classes, and their column sums,
+        # are untouched
         g = parse_group_spec("A7")
         p = choose_prime(g)
         vectors = modp_eigenbasis(g, p)
@@ -828,13 +856,18 @@ class TestLift:
         a, b = next((a, b) for a in range(len(degrees)) for b in range(a + 1, len(degrees))
                     if degrees[a] != degrees[b] and (degrees[b] > degrees[a]) == larger)
         n_a, n_b = degrees[a], degrees[b]
-        vectors[b] = [x * n_a * pow(n_b, -1, p) % p for x in vectors[a]]
-        # chi_b(1) = n_a: above a smaller degree at the identity class; below
-        # a larger one everywhere, so the rational classes pass and the first
-        # non-rational class's multiplicities, those of row a, sum to n_a
-        message = (f"multiplicities sum to {n_a}, expected degree {n_b}" if larger
-                   else f"rational value {n_a} exceeds degree {n_b}")
-        with pytest.raises(TableConstructionError, match=f"^{message}$"):
+        data = g.conjugacy_classes()
+        assert [j for j, d in enumerate(data.element_orders) if d == 7] == [5, 6]
+        assert set(data.power_class[5]) == set(data.power_class[6]) == {0, 5, 6}
+        for j in (0, 5, 6):
+            vectors[b][j] = vectors[a][j] * n_a * pow(n_b, -1, p) % p
+        # chi_b(1) = n_a: above a smaller degree at the identity class, the
+        # first class lifted; below a larger one, so the first class lifted
+        # by a DFT, class 5, is the first fault, its multiplicities those
+        # of row a, summing to n_a
+        message = (f"class 5, row {b}: multiplicities sum to {n_a}, expected degree {n_b}"
+                   if larger else f"class 0, row {b}: rational value {n_a} exceeds degree {n_b}")
+        with pytest.raises(TableConstructionError, match=rf"^lift: p = {p}, {message}$"):
             lift_characters(g, vectors, degrees, p)
 
     def _message(self, g, p, vectors, degrees):
@@ -851,48 +884,57 @@ class TestLift:
         self._set_value(g, p, vectors[i], degrees[i], j, to)
         return vectors
 
-    @pytest.mark.parametrize("spec, first, second, message", [
-        # A5's rational classes 3 and 4, (12)(34) and the 3-cycles: row 0
-        # (degree 1) takes 2 at class 4, and row 1 (degree 5) 6 at class 3
-        ("A5", (0, 4, 2), (1, 3, 6), "rational value 2 exceeds degree 1"),
-        # A5xC3, each value moved up by 1: class 1 (z, of order 3) and class
-        # 3 (a 5-cycle) are each outside the other's power map, so neither
-        # value is read along the other class
+    @pytest.mark.parametrize("spec, first, second, messages", [
+        # A5's classes are lifted in the order 0, 3, 4 (rational), then 1, 2:
+        # row 0 (degree 1) takes 2 at class 4, and row 1 (degree 5) 6 at
+        # class 3
+        ("A5", (0, 4, 2), (1, 3, 6), ("class 4, row 0: rational value 2 exceeds degree 1",
+                                      "class 3, row 1: rational value 6 exceeds degree 5")),
+        # A5xC3, each value moved up by 1 at a class lifted by a DFT: class 3
+        # (a 5-cycle) and class 1 (z, of order 3) are each outside the
+        # other's power map
         ("perm:8:(0,1,2);(0,1,2,3,4);(5,6,7)", (0, 3), (3, 1),
-         "multiplicities sum to 94, expected degree 1"),
+         ("class 3, row 0: multiplicities sum to 94, expected degree 1",
+          "class 1, row 3: multiplicities sum to 67, expected degree 5")),
+        # A5 at class 1, the first class lifted by a DFT: row 4 (degree 4)
+        # and row 0 (degree 1) both fail there, and the lower row is reported
+        ("A5", (4, 1), (0, 1), ("class 1, row 4: multiplicities sum to 97, expected degree 4",
+                                "class 1, row 0: multiplicities sum to 94, expected degree 1")),
     ])
-    def test_the_first_failing_row_is_reported_before_an_earlier_failing_column(
-            self, spec, first, second, message):
-        # row a < b fails only from class j_a on, and row b at class j_b <
-        # j_a: read a column at a time, row b's fault is met first, but the
-        # lift reports the first fault in row order, row a's
+    def test_the_first_class_lifted_is_reported_before_a_lower_row(
+            self, spec, first, second, messages):
+        # row a fails at class j_a only, and row b at class j_b, which the
+        # lift reaches first (or at j_a, with b < a): its fault is the one
+        # reported when both are present
         g, p, vectors, degrees = self._stages(spec)
-        (a, j_a, *_), (b, j_b, *_) = first, second
-        assert a < b and j_b < j_a and degrees[a] != degrees[b]
         row_a = self._moved(g, p, vectors, degrees, *first)
         row_b = self._moved(g, p, vectors, degrees, *second)
         both = self._moved(g, p, row_a, degrees, *second)
-        assert self._message(g, p, row_a, degrees) == message
-        assert self._message(g, p, row_b, degrees) != message
-        assert self._message(g, p, both, degrees) == message
+        expected = [f"lift: p = {p}, {m}" for m in messages]
+        assert self._message(g, p, row_a, degrees) == expected[0]
+        assert self._message(g, p, row_b, degrees) == expected[1]
+        assert self._message(g, p, both, degrees) == expected[1]
 
     @pytest.mark.parametrize("fault, message", [
-        # row 0 (degree 1) takes 2 at class 4, the last rational class
-        ((0, 4, 2), "rational value 2 exceeds degree 1"),
-        # row 4 (degree 4) moved up by 1 at class 2, the last class lifted by
-        # a DFT
-        ((4, 2), "multiplicities sum to 97, expected degree 4"),
+        # row 0 (degree 1) takes 2 at class 4, a later rational class
+        ((0, 4, 2), "class 3, rows 0 to 4: sum of degree times value is -10, not 0"),
+        # row 4 (degree 4) moved up by 1 at class 2, a class lifted by a DFT
+        ((4, 2), "class 3, rows 0 to 4: sum of degree times value is -10, not 0"),
+        # row 0 takes 2 at class 3 itself: the column's entries come first
+        ((0, 3, 2), "class 3, row 0: rational value 2 exceeds degree 1"),
     ])
-    def test_a_failing_row_is_reported_before_a_failing_column_sum(self, fault, message):
+    def test_a_rational_column_sum_is_reported_after_its_entries(self, fault, message):
         # row 1 (degree 5) takes -1 at (12)(34), class 3, where it holds 1:
-        # within its bound, but column 3 now sums to -10; the row fault in a
-        # later class is still the one reported
+        # within its bound, but column 3 now sums to -10, which is reported
+        # before the faults of every class lifted after class 3 (4, then 1
+        # and 2)
         g, p, vectors, degrees = self._stages()
         assert degrees == [1, 5, 3, 3, 4]
         column = self._moved(g, p, vectors, degrees, 1, 3, -1)
         assert (self._message(g, p, column, degrees)
-                == "column 3: sum of degree times value is -10, not 0")
-        assert self._message(g, p, self._moved(g, p, column, degrees, *fault), degrees) == message
+                == f"lift: p = {p}, class 3, rows 0 to 4: sum of degree times value is -10, not 0")
+        assert (self._message(g, p, self._moved(g, p, column, degrees, *fault), degrees)
+                == f"lift: p = {p}, {message}")
 
     @staticmethod
     def _reductions_in_lift(g, monkeypatch):
@@ -1407,6 +1449,37 @@ class TestValueIndex:
         table = build_character_table(parse_group_spec(name))
         held = {(v.order, v.nums, v.den) for v in table.values}
         assert len(held) == len(table.values)
+
+    def test_rows_and_an_index_together_are_refused(self):
+        # S4's row 2 copied over row 1, handed beside the built table's index:
+        # the rows and the index would be two tables, so neither is made
+        g = parse_group_spec("S4")
+        t = build_character_table(g)
+        rows = [t.rows[0], t.rows[2], *t.rows[2:]]
+        refusal = "^a CharacterTable takes exactly one of rows and index$"
+        with pytest.raises(TypeError, match=refusal):
+            CharacterTable(g, rows, (t.values, t.cells))
+        with pytest.raises(TypeError, match=refusal):
+            CharacterTable(g)
+        # the rows alone are the table they hold, index and rows alike
+        by_hand = CharacterTable(g, rows)
+        assert by_hand.degrees == (1, 2, 2, 3, 3)
+        assert by_hand.rows == rows
+        assert_value_index(by_hand)
+
+    @pytest.mark.parametrize("name", ["A5", "A7", C24])
+    def test_an_index_in_any_order_makes_the_sorted_table(self, name):
+        # the index with its rows reversed and its values renumbered from the
+        # end: the constructor sorts it, renumbers it by first appearance and
+        # makes the rows of its own values
+        t = build_character_table(parse_group_spec(name))
+        last = len(t.values) - 1
+        cells = [[last - c for c in row] for row in reversed(t.cells)]
+        table = CharacterTable(t.group, index=(t.values[::-1], cells))
+        assert table.cells == t.cells
+        assert list(map(id, table.values)) == list(map(id, t.values))
+        assert table.rows == t.rows and table.degrees == t.degrees
+        assert_value_index(table)
 
     def test_equal_values_that_are_distinct_objects_are_indexed_apart(self):
         # ClassFunction makes a value of each int, so the four 1s are four
