@@ -113,19 +113,22 @@ def poly_eval(a: list[int], x: int, p: int) -> int:
     return acc
 
 
-def minimal_polynomial(a: Matrix, v: list[int], p: int) -> list[int]:
+def minimal_polynomial(a: Matrix, v: list[int], p: int) -> list[int] | None:
     """Minimal polynomial of the vector v under the square matrix a over F_p:
     the monic f of least degree with v f(a) = 0 (coefficients ascending).
 
-    f is the first dependency of the Krylov vectors v, va, va^2, ..., made
-    one at a time as the reduction asks for them.  f divides the minimal
-    polynomial of a, and equals it when a is diagonalizable and v has a
-    nonzero component on each of its eigenspaces.
+    f is the first dependency of the Krylov vectors v, va, ..., va^n for v
+    of length n, made one at a time as the reduction asks for them; n + 1
+    vectors of length n are dependent, so None means a fault in the
+    reduction.  f divides the minimal polynomial of a, and equals it when a
+    is diagonalizable and v has a nonzero component on each of its
+    eigenspaces.
     """
     def krylov():
         w = v
-        while True:
-            yield w
+        yield w
+        for _ in v:
             w = _row_times(w, a, p)
+            yield w
 
-    return next(_dependencies(krylov(), p))[1]
+    return next((c for _, c in _dependencies(krylov(), p)), None)

@@ -262,7 +262,8 @@ def _ring(table: CharacterTable) -> tuple[int, int, list[list[int]], list[list[i
     coordinates zeta_L^i.  A is the largest 1-norm of a D-scaled value, so
     a product of two has 1-norm at most A^2, and the D-scaled degree
     |D n_i| <= A:
-    - a row pairing against |G| D^2 delta_ij: |G| (A^2 + D^2);
+    - a norm against |G| D^2: |G| (A^2 + D^2), which also covers the 2A of
+      a difference of two values, so rows are equal when their residues are;
     - the central identity, times D^2, as sum_l a_jkl r_l = r_j r_k:
       r_j r_k A^2 + |D n_i| r_j r_k A <= 2 r_j r_k A^2."""
     order, big = table.group.order, max(table.class_data.sizes)
@@ -289,7 +290,7 @@ def check_all(table: CharacterTable) -> CheckReport:
     every sum or difference the suite tests: an identity between sums of
     products of values is one int equation modulo M, and its verdict is the
     exact one.  The central-character identity is evaluated in integer form
-    on the size-weighted conjugates of the row pairings, for the classes in
+    on the size-weighted conjugates of the norms, for the classes in
     `table.split_classes`, which generate the centre of the group algebra,
     so only their class matrices are read, from the table, which makes only
     those its split did not read."""
@@ -306,15 +307,13 @@ def check_all(table: CharacterTable) -> CheckReport:
     degrees = table.degrees
     add("degrees-ascending", degrees[0] >= 1, f"degrees {list(degrees)}")
 
-    # |G| D^2 <chi_i, chi_j> = sum_l D chi_i(g_l) r_l D conj(chi_j(g_l))
+    # |G| D^2 <chi_i, chi_i> = sum_l D chi_i(g_l) r_l D conj(chi_i(g_l)), and
+    # two rows are equal exactly when their residue rows are (`_ring`)
     weighted = [[r * c % mod for r, c in zip(table.class_data.sizes, cv)] for cv in conj]
     unit = order * scale * scale % mod
-    ortho_ok = all(
-        sum(map(mul, img[i], weighted[j])) % mod == (unit if i == j else 0)
-        for i in range(h)
-        for j in range(i, h)
-    )
-    add("row-orthonormality", ortho_ok, "<chi_i, chi_j> = delta_ij exactly")
+    norms_ok = all(sum(map(mul, row, w)) % mod == unit for row, w in zip(img, weighted))
+    add("rows-of-norm-one-and-distinct", norms_ok and len(set(map(tuple, img))) == h,
+        "<chi_i, chi_i> = 1 and chi_i != chi_j for i != j exactly")
 
     # lambda_ij lambda_ik = sum_l a_jkl lambda_il, lambda_ij = r_j chi_i(g_j) / n_i,
     # times D^2 n_i^2 and conjugated: w_j w_k = D n_i sum_l a_jkl w_l, w =

@@ -112,6 +112,9 @@ def _split_space(rows: mp.Matrix, pivots: list[int], mat: mp.Matrix,
     d = len(rows)
     coords = mp.mat_mul(rows, mp.transpose([mat[c] for c in pivots]), p)
     ann = mp.minimal_polynomial(mp.transpose(coords), [r[0] for r in rows], p)
+    if ann is None:
+        raise TableConstructionError(f"F_{p} split: no dependency among the {d + 1} Krylov "
+                                     f"vectors of a space of dimension {d}")
     kept = []  # (first eigenvalue of its orbit, orbit size)
     roots: set[int] = set()
     for lam in range(p):

@@ -50,6 +50,7 @@ RECIPROCITY = "tests/test_analysis.py::test_frobenius_reciprocity"
 CHECKS = "tests/test_analysis.py::TestCheckAll"
 CORRUPT = "tests/test_analysis.py::TestCheckAllCorruptions::test_named_checks_fail"
 NULLSPACE = "tests/test_tablegen.py::TestNullspaceRows"
+MINPOLY = "tests/test_tablegen.py::TestMinimalPolynomial::test_annihilator_of_one_vector"
 
 
 # a rational column's checks in the lift: its entries' bounds, then its sum
@@ -134,15 +135,17 @@ MUTANTS = [
            ("tests/test_tablegen.py::TestGoldenTables::test_a5_surds",)),
     # `_modp`: one incremental row reduction, read for null spaces (rows
     # reduced last first) and for the minimal polynomial of one vector
-    # (the first dependency of its Krylov sequence)
+    # (the first dependency of its Krylov sequence, of at most n + 1
+    # vectors, so a reduction that hides every dependency fails and does not
+    # hang)
     Mutant("elimination-adds-the-pivot-row", "_modp.py",
            "r[:len(b)] = [(x - c * y) % p for x, y in zip(r, b)]",
            "r[:len(b)] = [(x + c * y) % p for x, y in zip(r, b)]",
-           (f"{NULLSPACE}::test_rref_basis_of_left_null_space",)),
+           (MINPOLY, f"{NULLSPACE}::test_rref_basis_of_left_null_space")),
     Mutant("krylov-multiplies-the-first-vector-again", "_modp.py",
            "            w = _row_times(w, a, p)\n",
            "            w = _row_times(v, a, p)\n",
-           ("tests/test_tablegen.py::TestMinimalPolynomial::test_annihilator_of_one_vector",)),
+           (MINPOLY,)),
     Mutant("null-space-rows-in-reduction-order", "_modp.py",
            "deps = list(_dependencies(a[::-1], p))[::-1]",
            "deps = list(_dependencies(a[::-1], p))",
@@ -158,6 +161,12 @@ MUTANTS = [
            "lines.extend([a * b % p for a, b in zip(c, v)] for c in copies)",
            "lines.append(v)",
            ("tests/test_tablegen.py::TestTwistOrbits",)),
+    # the split finds roots anywhere in F_p: only PSL(2,31)'s table, which the
+    # closed-formula oracle checks, is built at a p above 20,000 (29,761)
+    Mutant("split-misses-roots-above-20000", "tablegen.py",
+           "    for lam in range(p):\n",
+           "    for lam in range(min(p, 20000)):\n",
+           ("tests/test_psl2_oracle.py::test_the_table_is_the_closed_formulas[31]",)),
     # one maker of class matrices: the split hands each matrix it computes to
     # the table, which keeps the split classes' matrices for check_all
     Mutant("table-hands-over-a-neighbouring-class-matrix", "tablegen.py",
@@ -264,14 +273,22 @@ MUTANTS = [
     Mutant("degrees-ascending-without-positivity", "analysis.py",
            "degrees[0] >= 1,", "abs(degrees[0]) >= 1,",
            (f"{CORRUPT}[S3-negate-row]",)),
-    always_passes("row-orthonormality", "ortho_ok",
+    always_passes("rows-of-norm-one-and-distinct", "norms_ok and len(set(map(tuple, img))) == h",
                   f"{CHECKS}::test_perturbed_table_fails", f"{CORRUPT}[S3-add-one]"),
+    # the rows are distinct as values: not as cells, which a table made by
+    # hand numbers by object
+    Mutant("norms-without-distinctness", "analysis.py",
+           "norms_ok and len(set(map(tuple, img))) == h,", "norms_ok,",
+           (f"{CORRUPT}[S3-duplicate-row]",)),
+    Mutant("distinct-by-cells", "analysis.py",
+           "len(set(map(tuple, img))) == h", "len(set(map(tuple, table.cells))) == h",
+           (f"{CHECKS}::test_a_row_copied_as_values_of_its_own_fails_only_the_row_check",)),
     always_passes("central-character-identity", "central_ok",
                   "tests/test_analysis.py::TestCheckAllCorruptions"
                   "::test_swapped_classes_fail_only_the_central_identity[S6-1-2]",
                   f"{CORRUPT}[S3-swap-columns]"),
     # the ring's bound covers the central identity's sums, which outgrow the
-    # row pairings' where a split class and the largest class are large
+    # norms' where a split class and the largest class are large
     Mutant("ring-bound-without-the-central-term", "analysis.py",
            "return max(order * (a * a + d * d), 2 * big * big * a * a)",
            "return order * (a * a + d * d)",

@@ -417,6 +417,15 @@ class TestMinimalPolynomial:
         if all(w):
             assert len(f) == len(set(diag)) + 1
 
+    def test_a_reduction_that_finds_no_dependency_stops_at_n_plus_one_vectors(
+            self, monkeypatch):
+        # n + 1 vectors of length n are dependent, so no more are drawn: a
+        # fault that hides every dependency returns None instead of hanging
+        drawn = []
+        monkeypatch.setattr(mp, "_dependencies", lambda rows, p: drawn.extend(rows) or iter(()))
+        assert mp.minimal_polynomial([[1, 2, 0], [0, 1, 2], [2, 0, 1]], [1, 0, 0], 5) is None
+        assert len(drawn) == 4
+
 
 class TestNullspaceRows:
     @settings(max_examples=80, deadline=None)
@@ -578,6 +587,13 @@ class TestSplitSpace:
         rows, pivots, mat = self.diagonal_space(eigenvalues)
         with pytest.raises(TableConstructionError, match=match):
             _split_space(rows, pivots, mat, 13, twists)
+
+    def test_a_minimal_polynomial_that_is_not_found_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(mp, "minimal_polynomial", lambda a, v, p: None)
+        rows, pivots, mat = self.diagonal_space([1, 3])
+        with pytest.raises(TableConstructionError, match=r"^F_13 split: no dependency among "
+                           r"the 3 Krylov vectors of a space of dimension 2$"):
+            _split_space(rows, pivots, mat, 13)
 
 
 class TestDegrees:
