@@ -290,10 +290,10 @@ def check_all(table: CharacterTable) -> CheckReport:
     every sum or difference the suite tests: an identity between sums of
     products of values is one int equation modulo M, and its verdict is the
     exact one.  The central-character identity is evaluated in integer form
-    on the size-weighted conjugates of the norms, for the classes in
-    `table.split_classes`, which generate the centre of the group algebra,
+    on the size-weighted conjugates of the norms, for the classes of
+    `table.split_matrices`, which generate the centre of the group algebra,
     so only their class matrices are read, from the table, which makes only
-    those its split did not read."""
+    those its split did not compute."""
     h = len(table)
     order = table.group.order
     mod, scale, img, conj = _ring(table)
@@ -325,8 +325,8 @@ def check_all(table: CharacterTable) -> CheckReport:
     # holds exactly when the row is zero
     identities = [
         (j, k, [l for l, a in enumerate(a_jk) if a], [a for a in a_jk if a])
-        for j in table.split_classes
-        for k, a_jk in enumerate(table._split_matrices[j])
+        for j, m_j in table.split_matrices.items()
+        for k, a_jk in enumerate(m_j)
     ]
 
     def central_identity_holds(n: int, w: list[int]) -> bool:

@@ -293,10 +293,10 @@ def check_matrix_orthogonality(rep1: MatrixRep, rep2: MatrixRep) -> Orthogonalit
     modulus, d, res = _ring([rep1] if same else [rep1, rep2],
                             lambda a, d: n1 * order * a * a + order * d * d)
     elements = group.elements
-    res1, res2 = (dict(zip(elements, r)) for r in (res[0], res[-1]))
+    res2 = dict(zip(elements, res[-1]))
     inverses = [t.inv() for t in elements]
-    # D a_il(t) and D b_mj(t^-1) mod M, as vectors over t
-    a_vecs = [[[res1[t][i][l] for t in elements] for l in range(n1)] for i in range(n1)]
+    # D a_il(t) and D b_mj(t^-1) mod M, as vectors over t in enumeration order
+    a_vecs = [[[r[i][l] for r in res[0]] for l in range(n1)] for i in range(n1)]
     b_vecs = [[[res2[u][m][j] for u in inverses] for j in range(n2)] for m in range(n2)]
     violations = []
     checked = 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import cached_property
 from itertools import chain, compress, count
 from operator import gt, mul, ne
 
@@ -166,9 +167,10 @@ def _acts_as_scalar(rows: mp.Matrix, j: int, p: int) -> bool:
     return all((r[j] - lam * r[0]) % p == 0 for r in rows)
 
 
-def modp_eigenbasis(g: PermGroup, p: int, matrices: dict | None = None) -> list[list[int]]:
+def modp_eigenbasis(g: PermGroup, p: int) -> tuple[list[list[int]], dict[int, mp.Matrix]]:
     """Simultaneous eigenvectors of all class matrices over F_p, the lines
-    of the split, each normalized so its identity-class coordinate is 1.
+    of the split, each normalized so its identity-class coordinate is 1,
+    and the class matrices the split computed, by class.
 
     The class matrices commute and, for a prime with p = 1 (mod exponent),
     which does not divide |G|, are diagonalized by the central characters
@@ -189,9 +191,8 @@ def modp_eigenbasis(g: PermGroup, p: int, matrices: dict | None = None) -> list[
     by some of the w_i, so M_j acts on it as the scalar lam exactly when
     r[j] = lam r[0] for every basis row r.  M_j is computed only when some
     space of dimension > 1 fails that test, and only those spaces are
-    split.  Lines are unique, so the result, and the split classes read off
-    it, are the same whichever matrices split them.  Each matrix computed
-    is put in `matrices` by class, when a dict is given.
+    split.  Lines are unique, so the lines, and the split classes read off
+    them, are the same whichever matrices split them.
 
     A linear lambda twists a central character, chi -> lambda chi, as
     (lambda w)_j = lambda(g_j) w_j, and the twists permute the spaces the
@@ -214,7 +215,7 @@ def modp_eigenbasis(g: PermGroup, p: int, matrices: dict | None = None) -> list[
     [G:G'] distinct vectors raise."""
     data = g.conjugacy_classes()
     h = len(data)
-    matrices = {} if matrices is None else matrices
+    matrices = {}
     chars, e = _linear_exponents(g)
     q = e // math.gcd(e, *chain.from_iterable(chars))
     if (p - 1) % q:
@@ -275,7 +276,7 @@ def modp_eigenbasis(g: PermGroup, p: int, matrices: dict | None = None) -> list[
             f"F_{p} split: {len(lines)} lines with their twists, {distinct} distinct, "
             f"for {h - len(linear)} nonlinear characters (bad prime)"
         )
-    return linear + lines
+    return linear + lines, matrices
 
 
 def split_classes(lines: list[list[int]]) -> tuple[int, ...]:
@@ -287,7 +288,8 @@ def split_classes(lines: list[list[int]]) -> tuple[int, ...]:
     central identity asks: for a row, the x with f(xy) = f(x) f(y) for all
     y, f(C_l) = lambda_il, form a subalgebra that holds 1, so it holds a
     generating set exactly when it holds Z(CG): one verdict for every set.
-    A table keeps their class matrices for it (`CharacterTable.split_classes`)."""
+    A table keeps their class matrices (`CharacterTable.split_matrices`).  The
+    split computes M_j only to split lines that agree before j, so j is one."""
     labels, blocks, split = [()] * len(lines), 1, []
     for j in range(1, len(lines)):  # one line per class
         if blocks == len(lines):
@@ -365,11 +367,10 @@ class CharacterTable:
     group's canonical class order.  A table is its index, given as `index`
     (the lift's) or made from `rows` (each on a group equal to the table's)
     by `_indexed`, never both: `values` holds each distinct value object
-    once, in order of first appearance in the sorted rows, `cells[i][j]` is
-    the position of `rows[i].values[j]` in it, and the rows are made from
-    it.  A built table also holds the lines of the F_p split and the class
-    matrices it read, h^2 ints each, until `split_classes` is first read,
-    and then the split classes' alone."""
+    once, in order of first appearance in the sorted rows, and `cells[i][j]`
+    is the position of `rows[i].values[j]` in it.  `degrees` is read off it
+    when the table is made, `rows` and `split_matrices` on first read.  A
+    built table holds the F_p split's lines and matrices until then."""
 
     def __init__(self, group: PermGroup, rows: list[ClassFunction] | None = None,
                  index: tuple[list[Cyclo], Sequence[Sequence[int]]] | None = None):
@@ -385,32 +386,33 @@ class CharacterTable:
         self.group = group
         self.class_data = data
         self.values, self.cells = _sorted(values, cells)
-        self.rows = _rows(group, self.values, self.cells)
-        self.degrees = tuple(r.values[0].as_rational() for r in self.rows)
-        # the split's lines and its matrices by class, kept by `build_character_table`
-        self._lines, self._read = None, {}
-        self._split_matrices = None  # S's class matrices, by class, once read
+        self.degrees = tuple(self.values[row[0]].as_rational() for row in self.cells)
+        self._eigenbasis = None  # `modp_eigenbasis`'s (lines, matrices), kept by the build
+
+    @cached_property
+    def rows(self) -> list[ClassFunction]:
+        return _rows(self.group, self.values, self.cells)
+
+    @cached_property
+    def split_matrices(self) -> dict[int, mp.Matrix]:
+        """M_j for each j in `split_classes` of the group's lines, never read
+        off the rows: those the kept split, or one run here, computed, and
+        the others made here; the split's record then goes."""
+        lines, read = self._eigenbasis or modp_eigenbasis(self.group, choose_prime(self.group))
+        self._eigenbasis = None
+        return {j: read[j] if j in read else class_matrix(self.class_data, j)
+                for j in split_classes(lines)}
 
     @property
     def split_classes(self) -> tuple[int, ...]:
-        """`split_classes` of the group's lines, never read off the rows,
-        computed on first use: from the lines `build_character_table` kept,
-        and for a table made any other way from a split run once, here.  The
-        table keeps each one's class matrix, the split's or, for a class the
-        split did not read, one made here, and drops the lines and the rest."""
-        if self._split_matrices is None:
-            read = self._read
-            lines = self._lines or modp_eigenbasis(self.group, choose_prime(self.group), read)
-            self._split_matrices = {j: read[j] if j in read else class_matrix(self.class_data, j)
-                                    for j in split_classes(lines)}
-            self._lines = self._read = None
-        return tuple(self._split_matrices)
+        """The split classes S, in index order."""
+        return tuple(self.split_matrices)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.cells)
 
     def __repr__(self) -> str:
-        return f"CharacterTable({self.group.spec}, {len(self.rows)}x{len(self.rows)})"
+        return f"CharacterTable({self.group.spec}, {len(self)}x{len(self)})"
 
 
 def lift_characters(group: PermGroup, vectors: list[list[int]],
@@ -521,11 +523,9 @@ def lift_characters(group: PermGroup, vectors: list[list[int]],
 def build_character_table(g: PermGroup) -> CharacterTable:
     """Full pipeline: prime -> eigenbasis -> degrees -> lift."""
     p = choose_prime(g)
-    read: dict[int, list[list[int]]] = {}
-    vectors = modp_eigenbasis(g, p, read)
-    degrees = degrees_from_eigen(g, vectors, p)
-    table = lift_characters(g, vectors, degrees, p)
-    table._lines, table._read = vectors, read
+    lines, matrices = modp_eigenbasis(g, p)
+    table = lift_characters(g, lines, degrees_from_eigen(g, lines, p), p)
+    table._eigenbasis = lines, matrices
     return table
 
 

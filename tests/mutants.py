@@ -178,6 +178,28 @@ MUTANTS = [
            "class_matrix(self.class_data, j)",
            ("tests/test_analysis.py::TestCheckAll"
             "::test_central_identity_reads_only_the_split_class_matrices",)),
+    Mutant("split-hands-back-no-matrices", "tablegen.py",
+           "return linear + lines, matrices",
+           "return linear + lines, {}",
+           ("tests/test_tablegen.py::TestEigenbasis::test_split_computes_only_the_matrices_it_reads",)),
+    # S holds R, the classes the split read, and more: D8 (R = [1, 3], S =
+    # (1, 2, 3, 5)) and D4xC2^3
+    Mutant("split-matrices-of-the-classes-read-alone", "tablegen.py",
+           "for j in split_classes(lines)}",
+           "for j in split_classes(lines) if j in read}",
+           ("tests/test_tablegen.py::TestEigenbasis::test_split_skips_covered_class_matrices[D8-4]",
+            "tests/test_analysis.py::TestCheckAll"
+            "::test_central_identity_reads_only_the_split_class_matrices")),
+    # a table's degrees are read off the identity class's cells when it is
+    # made, and its rows when first read, once
+    Mutant("degrees-read-off-the-last-cell", "tablegen.py",
+           "self.values[row[0]].as_rational() for row in self.cells",
+           "self.values[row[-1]].as_rational() for row in self.cells",
+           (f"{VALUE_INDEX}::test_a_build_makes_no_row_until_one_is_read",)),
+    Mutant("rows-made-on-every-read", "tablegen.py",
+           "    @cached_property\n    def rows(",
+           "    @property\n    def rows(",
+           (f"{VALUE_INDEX}::test_a_build_makes_no_row_until_one_is_read",)),
     Mutant("closure-reads-the-class-products-in-one-order", "permgroup.py",
            "small, large = (k, i) if data.sizes[k] <= data.sizes[i] else (i, k)",
            "small, large = (k, i)",

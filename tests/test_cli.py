@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from chartab import cli, tablegen
+from chartab.classfun import ClassFunction
 from chartab.permgroup import parse_group_spec
 
 
@@ -16,6 +17,22 @@ def run_cli(capsys, *argv):
 
 
 class TestTable:
+    @pytest.mark.parametrize("command", ["table", "check"])
+    def test_json_makes_no_class_function(self, capsys, monkeypatch, command):
+        # the JSON encoder and check_all read the table's index, so neither
+        # makes a row: a ClassFunction is made by __init__ or by _of
+        made = []
+        real_init, real_of = ClassFunction.__init__, ClassFunction._of.__func__
+        monkeypatch.setattr(ClassFunction, "__init__",
+                            lambda self, *args: made.append(args) or real_init(self, *args))
+        monkeypatch.setattr(ClassFunction, "_of",
+                            classmethod(lambda cls, *args: made.append(args) or real_of(cls, *args)))
+        code, out, _ = run_cli(capsys, command, "S5", "--format", "json")
+        assert code == 0 and json.loads(out)
+        assert not made
+        tablegen.build_character_table(parse_group_spec("S5")).rows
+        assert len(made) == 7
+
     def test_s3_text(self, capsys):
         code, out, _ = run_cli(capsys, "table", "S3")
         assert code == 0
@@ -360,7 +377,9 @@ def test_installed_entry_point():
 D4XD4 = "perm:8:(0,1,2,3);(0,2);(4,5,6,7);(4,6)"
 
 
-@pytest.mark.parametrize("argv, digest", [
+# each case is named by its command alone, so a re-pinned digest keeps its
+# test's id
+PINNED_JSON = [
     ("table A5", "82f5eeedf0389d5db9cd5a6dd89664b2dc26d8b4db3a792a5c6b91c748f5a777"),
     ("table S5", "f0e05f679321da4f7a75746df46d5eaee3af92d97b0c17e0a679be349580ad6e"),
     ("table A6", "fe3ffb5207402bc09c43360f913096aa5413640feedefb14abdf3640a7d5641b"),
@@ -392,7 +411,10 @@ D4XD4 = "perm:8:(0,1,2,3);(0,2);(4,5,6,7);(4,6)"
     ("restrict S6 --subgroup A6 --char 11",
      "a95b0dbfd487f429442248687b548bf47b2e62d0e7e0805543bf069beb90dc5c"),
     ("check S5", "a0671730098e3840aa45e21bce8889e310b1830ecf50de51a0863f83b78946cd"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_JSON, ids=[argv for argv, _ in PINNED_JSON])
 def test_json_output_is_pinned(capsys, argv, digest):
     # sha256 of stdout re-indented: a change in how values are held inside
     # the library must not change a byte of output.  stdout itself is one

@@ -336,7 +336,9 @@ def _images_text(name):
     return "".join(f"{el!r} {mat!r}\n" for el, mat in rep.full_images.items())
 
 
-@pytest.mark.parametrize("name, digest", [
+# the pinned cases are named by their first parameter alone, so a re-pinned
+# digest keeps its test's id
+PINNED_IMAGES = [
     ("dihedral-rot:3", "8660ab49505edb95a4f14c1c78558934b9f42342df1da6df36b92485d4027f28"),
     ("dihedral-rot:4", "0bae66a309b4adb9403461812f7f23634dc39d6b2f16bcd9314ec9c955079e75"),
     ("dihedral-rot:5", "60183f89d7724d13883493f541f0bc6a97e033ee21d97b6fd45133b459505036"),
@@ -345,7 +347,10 @@ def _images_text(name):
     ("dihedral-rot:8", "2371ea4ae60a2cde06ada4a643cd072ba8615352929cbae9bb4b5d1d7c0031fc"),
     ("dihedral-rot:9", "603f61d66ca24c3b93d3110b070f1b35e20f3dc3eab006539d83f38c27582bda"),
     ("q8-2dim", "9ab6b8db84da3570545c5e2606a4105f0992fc38547ddc440eb21dc9ab80df6e"),
-])
+]
+
+
+@pytest.mark.parametrize("name, digest", PINNED_IMAGES, ids=[name for name, _ in PINNED_IMAGES])
 def test_full_images_are_pinned(name, digest):
     # sha256 of the repr of every element's image, for dihedral-rot:n:r over
     # r = 0..n-1: entries with denominator 2 in Q(zeta_n) and Q(zeta_4n), so
@@ -373,7 +378,7 @@ def test_orthogonality_report_is_pinned(n):
     )
 
 
-@pytest.mark.parametrize("n, digest", [
+PINNED_REPORTS = [
     (3, "cb7f8ff2aba6757c0a179808e0965ac4fffb2c017ce632ce920c293faf249151"),
     (4, "fa8404b78c81391deee1cc286b21d2c396119cc9ab81ee105f67328c341c570d"),
     (5, "46d540db652f48a259ef9ae72489549ad4dbebd8c2f7df3df984aa2b92377f30"),
@@ -381,7 +386,10 @@ def test_orthogonality_report_is_pinned(n):
     (7, "855504df0b93963ec3c262efa5c42c21ab7f04d024d6f4ab259036df884b7dce"),
     (8, "d667fcf9c7d4b2d8b941d2c928dafda54c08589da96c39635b3d1c15313a7ec4"),
     (9, "e86386920a9d3bcce89f1153b634a429556469a4696ab3ebfbf246264922898e"),
-])
+]
+
+
+@pytest.mark.parametrize("n, digest", PINNED_REPORTS, ids=[str(n) for n, _ in PINNED_REPORTS])
 def test_orthogonality_reports_over_all_rotations_are_pinned(n, digest):
     # sha256 of every report, with its violations, of dihedral-rot:n:r1
     # against dihedral-rot:n:r2 for r1, r2 in 0..n-1, rep2 the same object

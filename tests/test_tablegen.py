@@ -168,7 +168,7 @@ class TestEigenbasis:
         g = parse_group_spec("C2")
         p = choose_prime(g)
         assert p == 3
-        vectors = modp_eigenbasis(g, p)
+        vectors, _ = modp_eigenbasis(g, p)
         assert sorted(tuple(v) for v in vectors) == [(1, 1), (1, 2)]
 
     @pytest.mark.parametrize("name", [
@@ -183,7 +183,7 @@ class TestEigenbasis:
         g = parse_group_spec(name)
         cc = class_constants(g)
         p = choose_prime(g)
-        vectors = modp_eigenbasis(g, p)
+        vectors, _ = modp_eigenbasis(g, p)
         assert len(vectors) == cc.h
         for v in vectors:
             assert v[0] == 1
@@ -202,7 +202,7 @@ class TestEigenbasis:
         cc = class_constants(g)
         p = choose_prime(g)
         data = g.conjugacy_classes()
-        for v in modp_eigenbasis(g, p):
+        for v in modp_eigenbasis(g, p)[0]:
             for j in range(cc.h):
                 for k in range(cc.h):
                     l = data.member_index[data.representatives[j] * data.representatives[k]]
@@ -219,8 +219,10 @@ class TestEigenbasis:
             return real(data, j)
 
         monkeypatch.setattr(tablegen, "class_matrix", spy)
-        build_character_table(parse_group_spec("S8"))
-        assert read == [1, 2]
+        g = parse_group_spec("S8")
+        _, matrices = modp_eigenbasis(g, choose_prime(g))
+        assert read == list(matrices) == [1, 2]
+        assert all(matrices[j] == real(g.conjugacy_classes(), j) for j in read)
 
     @pytest.mark.parametrize("spec, reads, split", SPLIT_READS,
                              ids=[f"{spec}-{len(split)}" for spec, _, split in SPLIT_READS])
@@ -229,7 +231,9 @@ class TestEigenbasis:
         # space of dimension > 1, which the spaces show: column j of the
         # basis is not a multiple of column 0.  The classes read, in order,
         # and the split classes are pinned, so that a change in how that
-        # test is made reads the same matrices
+        # test is made reads the same matrices.  Every class read is a split
+        # class: the lines of a space held at class j agree on every class
+        # before it, and M_j is read only when two of them differ at j
         read = []
         real = tablegen.class_matrix
 
@@ -242,6 +246,7 @@ class TestEigenbasis:
         table = build_character_table(g)
         assert read == reads
         assert table.split_classes == tuple(split)
+        assert set(reads) <= set(split)
 
     @pytest.mark.parametrize("spec", [spec for spec, _, _ in SPLIT_READS] + ["S5", D4_X_S3])
     def test_split_classes_do_not_depend_on_the_classes_read(self, monkeypatch, spec):
@@ -259,7 +264,7 @@ class TestEigenbasis:
 
         monkeypatch.setattr(tablegen, "class_matrix", spy)
         monkeypatch.setattr(tablegen, "_acts_as_scalar", lambda rows, j, p: False)
-        lines = modp_eigenbasis(g, choose_prime(g))
+        lines, _ = modp_eigenbasis(g, choose_prime(g))
         assert tablegen.split_classes(lines) == split
         assert read == list(range(1, len(read) + 1))
 
@@ -288,7 +293,7 @@ class TestEigenbasis:
         # identity class counts as not scalar
         g = parse_group_spec(name)
         p = choose_prime(g)
-        eigvecs = modp_eigenbasis(g, p)
+        eigvecs, _ = modp_eigenbasis(g, p)
         column = [v[j] for v in eigvecs]
         lam = max(column, key=column.count)
         same = [v for v in eigvecs if v[j] == lam]
@@ -483,7 +488,7 @@ class TestSplitSpace:
         g = parse_group_spec(name)
         cc = class_constants(g)
         p = choose_prime(g)
-        eigvecs = modp_eigenbasis(g, p)
+        eigvecs, _ = modp_eigenbasis(g, p)
         mat = cc.a[j]
         assert len({v[j] for v in eigvecs}) > 1
         rows, pivots = rref(identity(cc.h), p)
@@ -511,7 +516,7 @@ class TestSplitSpace:
 
             monkeypatch.setattr(module, name, spy)
         g = parse_group_spec(spec)
-        assert len(modp_eigenbasis(g, choose_prime(g))) == len(g.conjugacy_classes())
+        assert len(modp_eigenbasis(g, choose_prime(g))[0]) == len(g.conjugacy_classes())
         splits = calls.count("_split_space")
         assert splits > 0
         assert calls.count("minimal_polynomial") == splits
@@ -523,7 +528,7 @@ class TestSplitSpace:
         # with entries left of a pivot
         g = parse_group_spec(name)
         p = choose_prime(g)
-        eigvecs = modp_eigenbasis(g, p)
+        eigvecs, _ = modp_eigenbasis(g, p)
         mat = tablegen.class_matrix(g.conjugacy_classes(), j)
         echelon, echelon_pivots = rref(eigvecs[1:], p)
         k = len(echelon)
@@ -600,26 +605,26 @@ class TestDegrees:
     def test_s5_multiset(self):
         g = parse_group_spec("S5")
         p = choose_prime(g)
-        vectors = modp_eigenbasis(g, p)
+        vectors, _ = modp_eigenbasis(g, p)
         degrees = degrees_from_eigen(g, vectors, p)
         assert sorted(degrees) == [1, 1, 4, 4, 5, 5, 6]
 
     def test_q8(self):
         g = parse_group_spec("Q8")
         p = choose_prime(g)
-        degrees = degrees_from_eigen(g, modp_eigenbasis(g, p), p)
+        degrees = degrees_from_eigen(g, modp_eigenbasis(g, p)[0], p)
         assert sorted(degrees) == [1, 1, 1, 1, 2]
 
     def test_trivial(self):
         g = parse_group_spec("C1")
         p = choose_prime(g)
-        assert degrees_from_eigen(g, modp_eigenbasis(g, p), p) == [1]
+        assert degrees_from_eigen(g, modp_eigenbasis(g, p)[0], p) == [1]
 
     def test_perturbed_eigenvector_names_its_residue(self):
         g = parse_group_spec("S5")
         p = choose_prime(g)
         data = g.conjugacy_classes()
-        v = modp_eigenbasis(g, p)[-1]
+        v = modp_eigenbasis(g, p)[0][-1]
         v[1] = (v[1] + 1) % p
         # n^2 = |G| / sum_j v_j v_j* / r_j mod p, and no divisor n of |G|
         # has that square
@@ -635,7 +640,7 @@ class TestDegrees:
         # its degree residue
         g = parse_group_spec("S5")
         p = choose_prime(g)
-        vectors = modp_eigenbasis(g, p)
+        vectors, _ = modp_eigenbasis(g, p)
         vectors[6][1] = (vectors[6][1] + 1) % p
         with pytest.raises(TableConstructionError, match=(
                 rf"^degrees: p = {p}, row 6: degree residue 57 is not the square of a divisor "
@@ -801,7 +806,7 @@ def test_eigenvectors_of_every_class_matrix(name, seed):
     g = parse_group_spec(relabeled_spec(parse_group_spec(name), seed))
     data = g.conjugacy_classes()
     p = choose_prime(g)
-    vectors = modp_eigenbasis(g, p)
+    vectors, _ = modp_eigenbasis(g, p)
     for j in range(len(data)):
         mat = tablegen.class_matrix(data, j)
         for v in vectors:
@@ -812,7 +817,7 @@ class TestLift:
     def _stages(self, spec="A5"):
         g = parse_group_spec(spec)
         p = choose_prime(g)
-        vectors = modp_eigenbasis(g, p)
+        vectors, _ = modp_eigenbasis(g, p)
         return g, p, vectors, degrees_from_eigen(g, vectors, p)
 
     def _set_value(self, g, p, v, n, j, c):
@@ -851,7 +856,7 @@ class TestLift:
         # degrees still succeed at p = 31, so the lift is the first stage
         # that needs an element of order e in F_p
         g = parse_group_spec("S5")
-        vectors = modp_eigenbasis(g, 31)
+        vectors, _ = modp_eigenbasis(g, 31)
         degrees = degrees_from_eigen(g, vectors, 31)
         assert sorted(degrees) == [1, 1, 4, 4, 5, 5, 6]
         with pytest.raises(TableConstructionError, match=r"^lift: exponent e = 60 .* p = 31\b"):
@@ -867,7 +872,7 @@ class TestLift:
         # are untouched
         g = parse_group_spec("A7")
         p = choose_prime(g)
-        vectors = modp_eigenbasis(g, p)
+        vectors, _ = modp_eigenbasis(g, p)
         degrees = degrees_from_eigen(g, vectors, p)
         a, b = next((a, b) for a in range(len(degrees)) for b in range(a + 1, len(degrees))
                     if degrees[a] != degrees[b] and (degrees[b] > degrees[a]) == larger)
@@ -956,7 +961,7 @@ class TestLift:
     def _reductions_in_lift(g, monkeypatch):
         """The number of cyclo._reduce calls lift_characters makes on g."""
         p = choose_prime(g)
-        vectors = modp_eigenbasis(g, p)
+        vectors, _ = modp_eigenbasis(g, p)
         degrees = degrees_from_eigen(g, vectors, p)
         calls = [0]
         reduce = cyclo._reduce
@@ -995,7 +1000,7 @@ class TestLift:
         # Galois relation between classes is left for test_galois_closure
         g = parse_group_spec(spec)
         p = choose_prime(g)
-        vectors = modp_eigenbasis(g, p)
+        vectors, _ = modp_eigenbasis(g, p)
         degrees = degrees_from_eigen(g, vectors, p)
         calls = []
         galois = Cyclo.galois
@@ -1286,7 +1291,7 @@ class TestSeededSplit:
         # of the split from the whole space
         g = parse_group_spec(name)
         p = choose_prime(g)
-        assert sorted(map(tuple, modp_eigenbasis(g, p))) == full_split(g, p)
+        assert sorted(map(tuple, modp_eigenbasis(g, p)[0])) == full_split(g, p)
 
     @pytest.mark.parametrize("name", LINEAR_ORACLE_GROUPS + ["A6", "A7", "A8", "S8"])
     def test_split_classes_separate_the_lines(self, name):
@@ -1296,15 +1301,15 @@ class TestSeededSplit:
         p = choose_prime(g)
         split = build_character_table(g).split_classes
         assert len(set(split)) == len(split)
-        lines = modp_eigenbasis(g, p)
+        lines, _ = modp_eigenbasis(g, p)
         assert len({tuple(v[j] for j in split) for v in lines}) == len(lines)
 
     @pytest.mark.parametrize("name", ["S5", D4_X_S3])
     def test_split_classes_read_from_the_kept_lines_on_first_use(self, monkeypatch, name):
         # a build reads no split classes; the first read takes them from
-        # the lines the build kept, and no split runs again
+        # the lines the build kept, which then go, and no split runs again
         g = parse_group_spec(name)
-        expected = tablegen.split_classes(modp_eigenbasis(g, choose_prime(g)))
+        expected = tablegen.split_classes(modp_eigenbasis(g, choose_prime(g))[0])
         calls = []
         real = tablegen.split_classes
 
@@ -1322,6 +1327,7 @@ class TestSeededSplit:
         assert table.split_classes == expected
         assert table.split_classes == expected
         assert len(calls) == 1
+        assert table._eigenbasis is None
 
     @pytest.mark.parametrize("name, values, split", [
         ("C1", [[1]], ()),
@@ -1360,7 +1366,7 @@ class TestTwistOrbits:
     def test_one_split_per_orbit_of_spaces(self, monkeypatch, spec, splits, eigenspaces):
         g = parse_group_spec(spec)
         calls = self.count_split_calls(monkeypatch)
-        assert len(modp_eigenbasis(g, choose_prime(g))) == len(g.conjugacy_classes())
+        assert len(modp_eigenbasis(g, choose_prime(g))[0]) == len(g.conjugacy_classes())
         assert calls.count("_split_space") == splits
         assert calls.count("nullspace_rows") == eigenspaces
 
@@ -1465,6 +1471,19 @@ class TestValueIndex:
         table = build_character_table(parse_group_spec(name))
         held = {(v.order, v.nums, v.den) for v in table.values}
         assert len(held) == len(table.values)
+
+    def test_a_build_makes_no_row_until_one_is_read(self, monkeypatch):
+        # the degrees are read off the index, at each row's identity-class
+        # cell, and the rows are made on first read, once
+        made = []
+        real = tablegen._rows
+        monkeypatch.setattr(tablegen, "_rows", lambda *args: made.append(args) or real(*args))
+        table = build_character_table(parse_group_spec("S4"))
+        assert table.degrees == (1, 1, 2, 3, 3)
+        assert not made
+        assert table.rows is table.rows
+        assert len(made) == 1
+        assert table.degrees == tuple(row.values[0] for row in table.rows)
 
     def test_rows_and_an_index_together_are_refused(self):
         # S4's row 2 copied over row 1, handed beside the built table's index:
