@@ -4,10 +4,11 @@ A representation is given by generator images.  Every identity it is
 checked on, each Cayley-graph edge rho(el) rho(s) = rho(el s) of the
 group's breadth-first enumeration and each Schur pairing, is one int
 equation modulo M in the residue ring of `kronecker_residues`.  That ring
-is built from the images of the identity and the generators alone, and the
-image of every other element is made in it, one int matrix product per edge
-of the discovery tree; a coefficient-range test on each such residue, with
-the tree, proves a bound on every image that no depth enters (`_ring`).
+is built from the images of the identity and the generators alone.  One
+walk of the Cayley graph makes every other image in it, one int matrix
+product per tree edge, and checks every other edge; a coefficient-range
+test on each such residue proves a bound on every image that no depth
+enters (`_ring`).
 Exact `Cyclo` images are made along the same tree, and only when asked:
 `full_images`, `image`, `character_of`, the value of a violated pairing, or
 a ring whose guess a residue fails.
@@ -63,24 +64,16 @@ def mat_det(a: CycloMatrix) -> Cyclo:
                [mat_det(tuple(row[:j] + row[j + 1:] for row in a[1:])) for j in range(n)])
 
 
-def _edges(group: PermGroup) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
-    """The Cayley graph of the group's generators, walked in the group's
-    breadth-first enumeration order, which is the order it reaches the
-    elements in: for each element after the identity, (position of el,
-    generator) of the edge el -> el s that first reaches it, and every other
-    edge as (position of el, generator, position of el s)."""
+def _columns(group: PermGroup) -> tuple[list[list[int]], list[int]]:
+    """The Cayley graph of the group's generators on the positions of its
+    breadth-first enumeration, which is the order it reaches the elements
+    in: for each generator s, the position of el s for each el, and the
+    position of each el^-1, made by C-level maps over one position dict."""
     elements = group.elements
-    position = {el: i for i, el in enumerate(elements)}
-    gens = [gen.right_mul() for gen in group.generators]
-    tree, others = [], []
-    for i, el in enumerate(elements):
-        for k, times_gen in enumerate(gens):
-            j = position[times_gen(el)]  # a tuple, which a Perm key equals
-            if j > len(tree):
-                tree.append((i, k))
-            else:
-                others.append((i, k, j))
-    return tree, others
+    at = dict(zip(elements, range(len(elements)))).__getitem__
+    # a gather returns a tuple, which a Perm key equals
+    return ([list(map(at, map(gen.right_mul(), elements))) for gen in group.generators],
+            list(map(at, map(Perm.inv, elements))))
 
 
 def _coefficient_bits(d: int) -> int:
@@ -95,35 +88,42 @@ def _shaped(flat: list[int], mats: list[list[CycloMatrix]]) -> list[list[list[li
     return [[[list(islice(it, len(row))) for row in m] for m in ms] for ms in mats]
 
 
-def _tree_residues(tree: list[tuple[int, int]], rings: list, modulus: int, d: int,
-                   bias: int, outside: int) -> list | None:
-    """Each rep's (D rho(el) mod M for each el in enumeration order, its
-    generator residues), from its [D 1, D rho(s) for each generator s] mod M
-    along the tree; None if D has no inverse mod M or a residue fails the
-    range test of `kronecker_window`."""
-    try:
-        inverse = pow(d, -1, modulus)
-    except ValueError:  # an odd D that shares a factor with M
-        return None
-    out = []
-    for root, *gens in rings:
-        # rho(s) = D rho(s) D^-1 mod M: one sum of d products per tree entry
-        cols = [list(zip(*[[t * inverse % modulus for t in row] for row in m])) for m in gens]
-        res = [root]
-        for i, g in tree:
-            image = [[(sum(map(mul, row, col)) + bias) % modulus for col in cols[g]]
-                     for row in res[i]]
-            if any(t & outside for row in image for t in row):
-                return None
-            res.append([[t - bias for t in row] for row in image])
-        out.append((res, gens))
-    return out
+def _walk(rep: "MatrixRep", columns: list[list[int]], res: list, gens: list, modulus: int,
+          d: int, inverse: int = 0, bias: int = 0, outside: int = 0) -> bool:
+    """One walk of the Cayley graph of rep's group over its residues in a
+    ring of `kronecker_residues`, edge el_i -> el_i s_k in the enumeration
+    order of (i, k): res holds D rho(el) mod M for each el reached so far,
+    and gens D rho(s) mod M.  An edge to the next new position is a tree
+    edge: R(el_i) R(s_k) D^-1 (inverse = D^-1 mod M) is appended, and False
+    returned if it fails the range test (bias, outside) of `kronecker_window`
+    (over complete images, no edge is one).  Every other edge of a rep not
+    checked yet, D rho(el_i) D rho(s_k) = D D rho(el_j), is checked, the
+    first that fails raises, and a walk that ends marks the rep checked."""
+    # rho(s) = D rho(s) D^-1 mod M: one sum of d products per tree entry
+    tree = [list(zip(*[[t * inverse % modulus for t in row] for row in m])) for m in gens]
+    gen_cols = [list(zip(*m)) for m in gens]
+    for i, targets in enumerate(zip(*columns)):
+        for k, j in enumerate(targets):
+            if j == len(res):
+                image = [[(sum(map(mul, row, col)) + bias) % modulus for col in tree[k]]
+                         for row in res[i]]
+                if any(t & outside for row in image for t in row):
+                    return False
+                res.append([[t - bias for t in row] for row in image])
+            elif not rep._checked and any((sum(map(mul, row, col)) - d * t) % modulus
+                                          for row, target in zip(res[i], res[j])
+                                          for col, t in zip(gen_cols[k], target)):
+                raise InconsistentRepError("images are not a homomorphism at element "
+                                           + rep.group.elements[j].cycle_string())
+    rep._checked = True
+    return True
 
 
 def _ring(reps: Sequence["MatrixRep"], bound: Callable[[int, int], int] = lambda a, d: 0
-          ) -> tuple[int, int, list[list[list[list[int]]]]]:
+          ) -> tuple[int, int, list[list[list[list[int]]]], list[int]]:
     """The reps' images in one ring of `kronecker_residues`: (M, D, [D rho(el)
-    mod M for each el in enumeration order, for each rep]).  It checks every
+    mod M for each el in enumeration order, for each rep], the position of
+    each el^-1).  Its one `_walk` per rep makes every image and checks every
     Cayley edge of each rep not checked yet, and raises at the first that
     fails.  The caller states what else the ring decides as bound(A', D),
     with A' a bound on the 1-norm of every D rho(el).
@@ -138,15 +138,16 @@ def _ring(reps: Sequence["MatrixRep"], bound: Callable[[int, int], int] = lambda
     By induction from R(1) = D 1: if R(el) is the image of D rho(el), then
     D beta - D rho(el) D rho(s) maps to 0 and has 1-norm at most
     D A' + d A' A_s, which the ring's bound covers, so it is 0 and
-    beta = D rho(el s).  So A' is a proven bound with no depth in it, and a
-    non-tree edge, D rho(el) D rho(s) = D D rho(el s), is decided under it.
+    beta = D rho(el s).  So A' is a proven bound with no depth in it, and
+    each other edge, D rho(el) D rho(s) = D D rho(el s), whose two images
+    the walk has already made and tested, is decided under it.
 
     If a residue fails (an image whose denominator passes the generators'
     D, or a coefficient past 2^k), or D has no inverse mod M (M is odd, so
     only an odd D can share a factor with it), the ring is built once more,
     from the exact images along the tree, with A' = A_s = the A read off
-    them."""
-    tree, others = _edges(reps[0].group)
+    them, and the same walk runs over them."""
+    columns, inverses = _columns(reps[0].group)
     dim = max(rep.dim for rep in reps)
 
     def stated(a: int, a_s: int, d: int) -> int:
@@ -156,28 +157,21 @@ def _ring(reps: Sequence["MatrixRep"], bound: Callable[[int, int], int] = lambda
     modulus, d, b, n, flat, _ = kronecker_residues(
         [v for mats in roots for m in mats for row in m for v in row],
         lambda a_s, d, n: stated(n << _coefficient_bits(d), a_s, d))
-    rings = _tree_residues(tree, _shaped(flat, roots), modulus, d,
-                           *kronecker_window(b, n, _coefficient_bits(d)))
-    if rings is None:
+    rings = [([root], gens) for root, *gens in _shaped(flat, roots)]
+    try:
+        guess = pow(d, -1, modulus), *kronecker_window(b, n, _coefficient_bits(d))
+    except ValueError:  # an odd D that shares a factor with M
+        guess = None
+    if guess is None or not all(_walk(rep, columns, res, gens, modulus, d, *guess)
+                                for rep, (res, gens) in zip(reps, rings)):
         exact = [[*rep._exact_images().values(), *rep.images] for rep in reps]
         modulus, d, _, _, flat, _ = kronecker_residues(
             [v for mats in exact for m in mats for row in m for v in row],
             lambda a, d, n: stated(a, a, d))
-        rings = [(mats[:len(tree) + 1], mats[len(tree) + 1:]) for mats in _shaped(flat, exact)]
-    for rep, (res, gens) in zip(reps, rings):
-        if rep._checked:
-            continue
-        gen_cols = [list(zip(*m)) for m in gens]
-        for i, g, j in others:
-            if any((sum(map(mul, row, col)) - d * t) % modulus
-                   for row, target in zip(res[i], res[j])
-                   for col, t in zip(gen_cols[g], target)):
-                raise InconsistentRepError(
-                    f"images are not a homomorphism at element "
-                    f"{rep.group.elements[j].cycle_string()}"
-                )
-        rep._checked = True
-    return modulus, d, [res for res, _ in rings]
+        rings = [(mats[:len(inverses)], mats[len(inverses):]) for mats in _shaped(flat, exact)]
+        for rep, (res, gens) in zip(reps, rings):
+            _walk(rep, columns, res, gens, modulus, d)
+    return modulus, d, [res for res, _ in rings], inverses
 
 
 class MatrixRep:
@@ -191,6 +185,8 @@ class MatrixRep:
         self.group = group
         self.images = tuple(_as_matrix(m) for m in images)
         self.dim = len(self.images[0]) if self.images else 1
+        if self.dim < 1:
+            raise ValueError("generator images must have dimension at least 1")
         for m in self.images:
             if len(m) != self.dim or any(len(row) != self.dim for row in m):
                 raise ValueError("generator images must be square of equal size")
@@ -216,16 +212,21 @@ class MatrixRep:
 
     def _exact_images(self) -> dict[Perm, CycloMatrix]:
         """The one routine that makes exact images, once: rho(el s) =
-        rho(el) rho(s) along the discovery tree, |G| - 1 products."""
+        rho(el) rho(s) along the tree edges of `_columns`, |G| - 1 products."""
         if self._exact is None:
             full = [mat_identity(self.dim)]
-            for i, k in _edges(self.group)[0]:
-                full.append(mat_mul(full[i], self.images[k]))
+            for i, targets in enumerate(zip(*_columns(self.group)[0])):
+                for j, image in zip(targets, self.images):
+                    if j == len(full):
+                        full.append(mat_mul(full[i], image))
             self._exact = dict(zip(self.group.elements, full))
         return self._exact
 
     def image(self, el: Perm) -> CycloMatrix:
-        return self.full_images[el]
+        images = self.full_images
+        if el not in images:
+            raise GroupMismatchError(f"element {el.cycle_string()} not in group")
+        return images[el]
 
     def __repr__(self) -> str:
         return f"MatrixRep(dim={self.dim}, group={self.group.spec})"
@@ -290,14 +291,12 @@ def check_matrix_orthogonality(rep1: MatrixRep, rep2: MatrixRep) -> Orthogonalit
         raise GroupMismatchError("representations of different groups")
     same = rep1 is rep2 or rep1.images == rep2.images
     order, n1, n2 = group.order, rep1.dim, rep2.dim
-    modulus, d, res = _ring([rep1] if same else [rep1, rep2],
-                            lambda a, d: n1 * order * a * a + order * d * d)
-    elements = group.elements
-    res2 = dict(zip(elements, res[-1]))
-    inverses = [t.inv() for t in elements]
+    modulus, d, res, inverses = _ring([rep1] if same else [rep1, rep2],
+                                      lambda a, d: n1 * order * a * a + order * d * d)
     # D a_il(t) and D b_mj(t^-1) mod M, as vectors over t in enumeration order
+    res2 = list(map(res[-1].__getitem__, inverses))
     a_vecs = [[[r[i][l] for r in res[0]] for l in range(n1)] for i in range(n1)]
-    b_vecs = [[[res2[u][m][j] for u in inverses] for j in range(n2)] for m in range(n2)]
+    b_vecs = [[[r[m][j] for r in res2] for j in range(n2)] for m in range(n2)]
     violations = []
     checked = 0
     for i in range(n1):
@@ -308,8 +307,9 @@ def check_matrix_orthogonality(rep1: MatrixRep, rep2: MatrixRep) -> Orthogonalit
                     checked += 1
                     if (n1 * sum(map(mul, a_vecs[i][l], b_vecs[m][j]))
                             - (order * d * d if diagonal else 0)) % modulus:
-                        full1, full2 = rep1.full_images, rep2.full_images
-                        value = Fraction(1, order) * dot([full1[t][i][l] for t in elements],
+                        full1 = rep1.full_images.values()
+                        full2 = list(rep2.full_images.values())
+                        value = Fraction(1, order) * dot([t[i][l] for t in full1],
                                                          [full2[u][m][j] for u in inverses])
                         expected = from_rational(Fraction(1, n1)) if diagonal else Cyclo.zero()
                         violations.append(((i, l, m, j), value, expected))

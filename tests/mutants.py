@@ -368,10 +368,15 @@ MUTANTS = [
            "list(a[0])",
            ("tests/test_reps.py::TestExtension::test_det_of_a_vandermonde_matrix",)),
     Mutant("non-tree-edges-never-checked", "reps.py",
-           "for i, g, j in others:",
-           "for i, g, j in others[:0]:",
+           "elif not rep._checked and any(",
+           "elif False and any(",
            ("tests/test_reps.py::test_first_failing_edge_is_pinned",
             "tests/test_reps.py::TestExtension::test_inconsistent_images_rejected")),
+    Mutant("walk-makes-no-tree-image", "reps.py",
+           "if j == len(res):",
+           "if j > len(res):",
+           ("tests/test_reps.py::test_full_images_are_pinned[q8-2dim]",
+            f"{ORACLE}::test_an_ok_report_makes_no_exact_image")),
     Mutant("edge-without-its-d-factor", "reps.py",
            "(sum(map(mul, row, col)) - d * t) % modulus",
            "(sum(map(mul, row, col)) - t) % modulus",

@@ -56,6 +56,7 @@ class TestExtension:
         ([], "^expected 1 generator images, got 0$"),
         ([((1, 0),)], "^generator images must be square of equal size$"),
         ([((1, 0), (0,))], "^generator images must be square of equal size$"),
+        ([()], "^generator images must have dimension at least 1$"),
     ])
     def test_malformed_images_rejected(self, images, match):
         with pytest.raises(ValueError, match=match):
@@ -96,6 +97,19 @@ class TestExtension:
                 for ra, rb in zip(product_image, direct)
                 for a, b in zip(ra, rb)
             )
+
+    def test_image_of_an_element_outside_the_group_is_refused(self):
+        rep = builtin_rep("dihedral-rot:3:1")
+        with pytest.raises(GroupMismatchError, match=r"^element \(0,1\) not in group$"):
+            rep.image(Perm((1, 0, 2, 3)))
+
+    @pytest.mark.parametrize("name", ["S1", "C1", "A2"])
+    def test_trivial_rep_of_a_trivial_group(self, name):
+        # degree 1, where a gather is `tuple`, or no generators at all
+        g = parse_group_spec(name)
+        rep = MatrixRep(g, [((1,),)] * len(g.generators))
+        assert repr(check_matrix_orthogonality(rep, rep)) == "OrthogonalityReport(1 pairings, ok)"
+        assert rep.full_images == {Perm.identity(g.degree): ((from_rational(1),),)}
 
     def test_identity_maps_to_identity(self, q8_rep):
         from chartab.permgroup import Perm
