@@ -207,25 +207,30 @@ def trivial_character(g: PermGroup) -> ClassFunction:
 # -- cyclic-group Fourier transform ------------------------------------------
 
 
+def _on_cyclic(values: Sequence[Cyclo], n: int) -> list[Cyclo]:
+    """The n values of a function on Z/n as `Cyclo`s, for a modulus n >= 1."""
+    if n < 1:
+        raise ValueError(f"modulus n must be at least 1, got {n}")
+    if len(values) != n:
+        raise ValueError(f"expected {n} values, got {len(values)}")
+    return [Cyclo._coerce(v) for v in values]
+
+
 def dft_cyclic(f: Sequence[Cyclo], n: int) -> list[Cyclo]:
     """fhat(q) = (1/n) sum_k f(k) zeta_n^(-kq), the 1/n-normalized transform.
 
     An irrational fhat(q) is held at order lcm(n, orders of the f(k))."""
-    if len(f) != n:
-        raise ValueError(f"expected {n} values, got {len(f)}")
-    return _root_sums([Cyclo._coerce(v) for v in f], n, -1, n)
+    return _root_sums(_on_cyclic(f, n), n, -1, n)
 
 
 def inverse_dft_cyclic(fhat: Sequence[Cyclo], n: int) -> list[Cyclo]:
     """f(k) = sum_q fhat(q) zeta_n^(kq), held at the order `dft_cyclic` uses."""
-    if len(fhat) != n:
-        raise ValueError(f"expected {n} values, got {len(fhat)}")
-    return _root_sums([Cyclo._coerce(v) for v in fhat], n, 1)
+    return _root_sums(_on_cyclic(fhat, n), n, 1)
 
 
 def plancherel_check(f: Sequence[Cyclo], n: int) -> tuple[Cyclo, Cyclo]:
     """Both sides of (1/n) sum |f(k)|^2 = sum |fhat(q)|^2, exactly."""
-    f = [Cyclo._coerce(v) for v in f]
+    f = _on_cyclic(f, n)
     fhat = dft_cyclic(f, n)
     lhs = Fraction(1, n) * dot(f, [v.conj() for v in f])
     return lhs, dot(fhat, [v.conj() for v in fhat])

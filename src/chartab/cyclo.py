@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -430,7 +431,18 @@ class Cyclo:
         return out
 
     def approx_str(self, places: int = 4) -> str:
-        v = self.to_float()
+        """The value to `places` decimals; a part past the float range
+        shows as inf or -inf."""
+        try:
+            v = self.to_float()
+        except OverflowError:  # a coefficient past the float range
+            # the value times 2^-k, k the bits of its largest coefficient,
+            # each part scaled back by 2^k; a part within the rounding of
+            # the whole is 0, not an infinity
+            k = max(n.bit_length() for n in map(abs, self.nums)) - self.den.bit_length()
+            v = Cyclo(self.order, [Fraction(n, self.den << k) for n in self.nums]).to_float()
+            v = complex(*(_ldexp(x, k) if abs(x) > abs(v) * 2.0 ** -40 else 0.0
+                          for x in (v.real, v.imag)))
         re, im = round(v.real, places), round(v.imag, places)
         re += 0.0  # avoid -0.0
         im += 0.0
@@ -457,6 +469,8 @@ class Cyclo:
         raises `CycloError`.  It returns the canonical form, as the
         constructor does, so a rational value reads back at order 1 whatever
         order its input names."""
+        if not isinstance(data, Mapping):
+            raise CycloError(f"a {type(data).__name__} is not a mapping of order and coefficients")
         order, coeffs = data.get("order"), data.get("coeffs")
         _check_order(order)
         if not isinstance(coeffs, (list, tuple)) or len(coeffs) != euler_phi(order):
@@ -467,6 +481,14 @@ class Cyclo:
             return Cyclo(order, [Fraction(c) for c in coeffs])
         except (ValueError, ZeroDivisionError) as exc:
             raise CycloError(f"malformed coefficient in {coeffs!r}") from exc
+
+
+def _ldexp(x: float, k: int) -> float:
+    """x 2^k, or an infinity of x's sign past the float range."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _inexact(q) -> CycloError:

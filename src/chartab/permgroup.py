@@ -3,20 +3,21 @@
 Groups are given by generators on 0-based points (degree <= 32) and enumerated
 by breadth-first closure, which is adequate at desk scale (default cap
 100,000 elements).  Every product x * q is one C-level gather built once for
-the right factor q (`Perm.right_mul`).  Enumeration records, for each
-generator s, the position of el * s of each element, and the conjugation
-sweep runs on those positions with no product.  Conjugacy classes carry
-inverse and power maps and are sorted canonically: (size ascending, element
-order ascending, lexicographically least representative); the
-representative is the least member.  Normal subgroups are unions of
-classes (`NormalSubgroup`); `Subgroup` is a subgroup given by generators, a
-`PermGroup` of its own that knows its parent.
+the right factor q (`Perm.right_mul`).  Enumeration records the Cayley graph
+(`PermGroup.columns`, the position of el * s of each element for each
+generator s), the conjugation sweep runs on it with no product, and the group
+keeps it.  Classes carry inverse and power maps and are sorted canonically:
+(size ascending, element order ascending, lexicographically least
+representative); the representative is the least member.  Normal subgroups
+are unions of classes (`NormalSubgroup`); `Subgroup` is a subgroup given by
+generators, a `PermGroup` of its own that knows its parent.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import itemgetter
@@ -160,12 +161,13 @@ class ClassData:
     `representatives[j]` and `element_orders[j]`; `member_index` maps every
     element of the group to its class.  `power_class[j][s]` is the class of
     g_j^s for s < d_j, the order of g_j; the class of any power g_j^s is
-    `power_class[j][s % d_j]`."""
+    `power_class[j][s % d_j]`.  `inverse_position[x]` is the position of el_x^-1."""
 
-    def __init__(self, orbits: list[list[Perm]], member_index: dict[Perm, int]):
+    def __init__(self, orbits: list[list[Perm]], member_index: dict[Perm, int], inverse_position):
         """`orbits` are the classes in any order and `member_index` holds
         every element of the group; the classes are sorted canonically and
         each element's value in `member_index` becomes its class."""
+        self.inverse_position = inverse_position
         reps = [min(orbit) for orbit in orbits]
         powers = [_powers(g) for g in reps]
         ranked = sorted(range(len(orbits)),
@@ -213,8 +215,8 @@ class PermGroup:
         # the classes are swept, then its canonical class (member_index)
         self._index: Optional[dict[Perm, int]] = None
         # per generator s, the position of el_i * s for each position i: made
-        # by enumeration, read and dropped by the sweep
-        self._right: Optional[list[list[int]]] = None
+        # by enumeration as lists, which the sweep reads and keeps as arrays
+        self._right: Optional[list] = None
         self._class_data: Optional[ClassData] = None
         self._commutator_subgroup: Optional[NormalSubgroup] = None
 
@@ -233,8 +235,8 @@ class PermGroup:
     def enumerate(self) -> list[Perm]:
         """Breadth-first product closure of the generators, deterministic
         order.  The element index maps each element to its position in the
-        list, and `_right[t][i]` is the position of el_i * s for the t-th
-        generator s, for the conjugation sweep."""
+        list, and `columns[t][i]` is the position of el_i * s for the t-th
+        generator s."""
         if self._elements is not None:
             return self._elements
         identity = Perm.identity(self.degree)
@@ -261,6 +263,12 @@ class PermGroup:
     @property
     def elements(self) -> list[Perm]:
         return self.enumerate()
+
+    @property
+    def columns(self) -> list:
+        """`columns[t][i]` is the position of el_i * s_t in `elements`."""
+        self.enumerate()
+        return self._right
 
     @property
     def order(self) -> int:
@@ -306,8 +314,10 @@ class PermGroup:
                         seen[z] = 1
                         orbit.append(z)
             orbits.append(list(map(elements.__getitem__, orbit)))
-        self._right = None  # read by the sweep alone
-        self._class_data = ClassData(orbits, index)
+        for t in range(len(right)):  # kept as arrays, 4 bytes a position, one at a time
+            right[t] = array("i", right[t])
+        inv = array("i", inv)
+        self._class_data = ClassData(orbits, index, inv)
         return self._class_data
 
     # -- subgroups ------------------------------------------------------------

@@ -64,18 +64,6 @@ def mat_det(a: CycloMatrix) -> Cyclo:
                [mat_det(tuple(row[:j] + row[j + 1:] for row in a[1:])) for j in range(n)])
 
 
-def _columns(group: PermGroup) -> tuple[list[list[int]], list[int]]:
-    """The Cayley graph of the group's generators on the positions of its
-    breadth-first enumeration, which is the order it reaches the elements
-    in: for each generator s, the position of el s for each el, and the
-    position of each el^-1, made by C-level maps over one position dict."""
-    elements = group.elements
-    at = dict(zip(elements, range(len(elements)))).__getitem__
-    # a gather returns a tuple, which a Perm key equals
-    return ([list(map(at, map(gen.right_mul(), elements))) for gen in group.generators],
-            list(map(at, map(Perm.inv, elements))))
-
-
 def _coefficient_bits(d: int) -> int:
     """k of the guess that every D rho(el) has its coefficients in [-2^k,
     2^k): 2^k > 2D, which bounds those of a unitary rep over a prime L."""
@@ -88,7 +76,7 @@ def _shaped(flat: list[int], mats: list[list[CycloMatrix]]) -> list[list[list[li
     return [[[list(islice(it, len(row))) for row in m] for m in ms] for ms in mats]
 
 
-def _walk(rep: "MatrixRep", columns: list[list[int]], res: list, gens: list, modulus: int,
+def _walk(rep: "MatrixRep", columns: list, res: list, gens: list, modulus: int,
           d: int, inverse: int = 0, bias: int = 0, outside: int = 0) -> bool:
     """One walk of the Cayley graph of rep's group over its residues in a
     ring of `kronecker_residues`, edge el_i -> el_i s_k in the enumeration
@@ -120,10 +108,10 @@ def _walk(rep: "MatrixRep", columns: list[list[int]], res: list, gens: list, mod
 
 
 def _ring(reps: Sequence["MatrixRep"], bound: Callable[[int, int], int] = lambda a, d: 0
-          ) -> tuple[int, int, list[list[list[list[int]]]], list[int]]:
+          ) -> tuple[int, int, list[list[list[list[int]]]]]:
     """The reps' images in one ring of `kronecker_residues`: (M, D, [D rho(el)
-    mod M for each el in enumeration order, for each rep], the position of
-    each el^-1).  Its one `_walk` per rep makes every image and checks every
+    mod M for each el in enumeration order, for each rep]).  Its one `_walk`
+    per rep, on the group's `columns`, makes every image and checks every
     Cayley edge of each rep not checked yet, and raises at the first that
     fails.  The caller states what else the ring decides as bound(A', D),
     with A' a bound on the 1-norm of every D rho(el).
@@ -147,7 +135,7 @@ def _ring(reps: Sequence["MatrixRep"], bound: Callable[[int, int], int] = lambda
     only an odd D can share a factor with it), the ring is built once more,
     from the exact images along the tree, with A' = A_s = the A read off
     them, and the same walk runs over them."""
-    columns, inverses = _columns(reps[0].group)
+    group = reps[0].group
     dim = max(rep.dim for rep in reps)
 
     def stated(a: int, a_s: int, d: int) -> int:
@@ -162,16 +150,16 @@ def _ring(reps: Sequence["MatrixRep"], bound: Callable[[int, int], int] = lambda
         guess = pow(d, -1, modulus), *kronecker_window(b, n, _coefficient_bits(d))
     except ValueError:  # an odd D that shares a factor with M
         guess = None
-    if guess is None or not all(_walk(rep, columns, res, gens, modulus, d, *guess)
+    if guess is None or not all(_walk(rep, group.columns, res, gens, modulus, d, *guess)
                                 for rep, (res, gens) in zip(reps, rings)):
         exact = [[*rep._exact_images().values(), *rep.images] for rep in reps]
         modulus, d, _, _, flat, _ = kronecker_residues(
             [v for mats in exact for m in mats for row in m for v in row],
             lambda a, d, n: stated(a, a, d))
-        rings = [(mats[:len(inverses)], mats[len(inverses):]) for mats in _shaped(flat, exact)]
+        rings = [(mats[:group.order], mats[group.order:]) for mats in _shaped(flat, exact)]
         for rep, (res, gens) in zip(reps, rings):
-            _walk(rep, columns, res, gens, modulus, d)
-    return modulus, d, [res for res, _ in rings], inverses
+            _walk(rep, group.columns, res, gens, modulus, d)
+    return modulus, d, [res for res, _ in rings]
 
 
 class MatrixRep:
@@ -212,10 +200,11 @@ class MatrixRep:
 
     def _exact_images(self) -> dict[Perm, CycloMatrix]:
         """The one routine that makes exact images, once: rho(el s) =
-        rho(el) rho(s) along the tree edges of `_columns`, |G| - 1 products."""
+        rho(el) rho(s) along the tree edges of the group's `columns`, |G| - 1
+        products."""
         if self._exact is None:
             full = [mat_identity(self.dim)]
-            for i, targets in enumerate(zip(*_columns(self.group)[0])):
+            for i, targets in enumerate(zip(*self.group.columns)):
                 for j, image in zip(targets, self.images):
                     if j == len(full):
                         full.append(mat_mul(full[i], image))
@@ -291,8 +280,9 @@ def check_matrix_orthogonality(rep1: MatrixRep, rep2: MatrixRep) -> Orthogonalit
         raise GroupMismatchError("representations of different groups")
     same = rep1 is rep2 or rep1.images == rep2.images
     order, n1, n2 = group.order, rep1.dim, rep2.dim
-    modulus, d, res, inverses = _ring([rep1] if same else [rep1, rep2],
-                                      lambda a, d: n1 * order * a * a + order * d * d)
+    modulus, d, res = _ring([rep1] if same else [rep1, rep2],
+                            lambda a, d: n1 * order * a * a + order * d * d)
+    inverses = group.conjugacy_classes().inverse_position
     # D a_il(t) and D b_mj(t^-1) mod M, as vectors over t in enumeration order
     res2 = list(map(res[-1].__getitem__, inverses))
     a_vecs = [[[r[i][l] for r in res[0]] for l in range(n1)] for i in range(n1)]

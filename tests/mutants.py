@@ -51,6 +51,7 @@ CHECKS = "tests/test_analysis.py::TestCheckAll"
 CORRUPT = "tests/test_analysis.py::TestCheckAllCorruptions::test_named_checks_fail"
 NULLSPACE = "tests/test_tablegen.py::TestNullspaceRows"
 MINPOLY = "tests/test_tablegen.py::TestMinimalPolynomial::test_annihilator_of_one_vector"
+CAYLEY = "tests/test_permgroup.py::TestCayleyGraph"
 
 
 # a rational column's checks in the lift: its entries' bounds, then its sum
@@ -407,6 +408,17 @@ MUTANTS = [
            "lambda a, d, n: stated(a, a, d))",
            "lambda a, d, n: stated(n << _coefficient_bits(d), a, d))",
            (f"{ORACLE}::test_first_failing_element_matches_the_exact_oracle",)),
+    # the Cayley graph that enumeration makes and the sweep keeps as arrays,
+    # the only one: `reps` walks its columns and pairs at its inverse positions
+    Mutant("kept-columns-all-the-last-generator", "permgroup.py",
+           'right[t] = array("i", right[t])',
+           'right[t] = array("i", right[-1])',
+           (f"{CAYLEY}::test_columns_and_inverse_positions_match_a_recomputation[Q8]",)),
+    Mutant("kept-inverse-positions-reversed", "permgroup.py",
+           'inv = array("i", inv)',
+           'inv = array("i", inv[::-1])',
+           (f"{CAYLEY}::test_columns_and_inverse_positions_match_a_recomputation[Q8]",
+            f"{ORTHOGONALITY}::test_q8_self_pairings")),
     # a group is its degree and generators, and a table's rows are on its
     # group
     Mutant("group-equality-by-identity", "permgroup.py",

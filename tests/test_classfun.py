@@ -632,6 +632,12 @@ class TestFourier:
         with pytest.raises(ValueError):
             dft_cyclic([from_rational(1)], 2)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("fn", [dft_cyclic, inverse_dft_cyclic, plancherel_check])
+    def test_a_modulus_below_one_is_refused(self, fn, n):
+        with pytest.raises(ValueError, match=f"modulus n must be at least 1, got {n}"):
+            fn([], n)
+
     # the transform against its definition, one Cyclo product per term
     @staticmethod
     def naive_dft(f, n):

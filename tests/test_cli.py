@@ -234,6 +234,15 @@ class TestFourier:
         rhs = Cyclo.from_json(payload["plancherel"]["freq_side"])
         assert lhs == rhs
 
+    def test_a_value_past_the_float_range(self, capsys):
+        code, out, _ = run_cli(capsys, "fourier", "2", "--values", "1,1e400")
+        assert code == 0
+        assert f"fhat(0) = {10**400 + 1}/2 ~ inf\n" in out
+        assert f"fhat(1) = -{10**400 - 1}/2 ~ -inf\n" in out
+        code, out, _ = run_cli(capsys, "fourier", "2", "--values", "1,1e400", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["transform"][0] == {"order": 1, "coeffs": [f"{10**400 + 1}/2"]}
+
     def test_wrong_count(self, capsys):
         code, _, err = run_cli(capsys, "fourier", "4", "--values", "1,2")
         assert code == 2

@@ -376,6 +376,19 @@ class TestRendering:
     def test_display_includes_approx(self):
         assert "~" in str(root_of_unity(4, 1))
 
+    @pytest.mark.parametrize("value, approx", [
+        (from_rational(10**400), "inf"),
+        (from_rational(Fraction(-10**400, 3)), "-inf"),
+        (root_of_unity(3) * 10**400, "-inf+infi"),
+        # a part within the rounding of the whole is 0, not an infinity
+        (root_of_unity(4) * -10**400 + 1, "0.0000-infi"),
+        (Cyclo(3, [10**400, 2 * 10**400]), "0.0000+infi"),
+    ])
+    def test_a_part_past_the_float_range_shows_as_an_infinity(self, value, approx):
+        assert value.approx_str() == approx
+        assert str(value) == f"{value.exact_str()} ~ {approx}"
+        assert Cyclo.from_json(value.to_json()) == value
+
     def test_json_round_trip(self):
         v = from_rational(Fraction(2, 3)) + root_of_unity(12, 7)
         data = v.to_json()
@@ -406,6 +419,9 @@ class TestRendering:
         {"order": 1, "coeffs": [True]},  # nor a coefficient
         {"order": 3, "coeffs": "12"},  # not a list
         {"order": 3},
+        None,  # not a mapping
+        [1],
+        "x",
     ])
     def test_json_malformed_input(self, data):
         with pytest.raises(CycloError):

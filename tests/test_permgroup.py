@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +274,25 @@ class TestEnumerate:
             assert g.order % g.exponent == 0
             for el in g.elements:
                 assert g.exponent % el.order() == 0
+
+
+class TestCayleyGraph:
+    """The Cayley graph that enumeration makes and the sweep keeps, against
+    products, inverses and a dict of positions made here."""
+
+    @pytest.mark.parametrize("spec", ["S1", "C1", "A2", "Q8", "D9", "A5", RELABELED_PRODUCTS[2]])
+    def test_columns_and_inverse_positions_match_a_recomputation(self, spec):
+        parsed = parse_group_spec(spec)
+        g = PermGroup(parsed.degree, parsed.generators)  # enumerated and swept here
+        elements = g.elements
+        position = {el: i for i, el in enumerate(elements)}
+        columns = [[position[el * s] for el in elements] for s in g.generators]
+        assert list(map(list, g.columns)) == columns
+        inverses = g.conjugacy_classes().inverse_position
+        assert list(inverses) == [position[el.inv()] for el in elements]
+        # the sweep keeps both as arrays, the columns in place
+        assert list(map(list, g.columns)) == columns
+        assert all(isinstance(c, array) for c in [*g.columns, inverses])
 
 
 class TestConjugacyClasses:

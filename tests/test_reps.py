@@ -9,7 +9,7 @@ import pytest
 
 from chartab.classfun import is_irreducible, trivial_character
 from chartab.cyclo import Cyclo, dot, from_rational
-from chartab.permgroup import GroupMismatchError, ParseError, Perm, parse_group_spec
+from chartab.permgroup import GroupMismatchError, ParseError, Perm, PermGroup, parse_group_spec
 from chartab.reps import (
     InconsistentRepError,
     MatrixRep,
@@ -25,12 +25,25 @@ from chartab.reps import (
 )
 from chartab.tablegen import build_character_table, linear_characters
 
-from conftest import class_index_of, ratio, zeta
+from conftest import class_index_of, count_perm_products, ratio, zeta
 
 
 @pytest.fixture(scope="module")
 def q8_rep():
     return builtin_rep("q8-2dim").extend_to_group()
+
+
+def count_inversions(monkeypatch):
+    """Count the `Perm.inv` calls made from now on, in a one-item list."""
+    count = [0]
+    inv = Perm.inv
+
+    def counted(p):
+        count[0] += 1
+        return inv(p)
+
+    monkeypatch.setattr(Perm, "inv", counted)
+    return count
 
 
 class TestExtension:
@@ -600,6 +613,30 @@ class TestExactOracle:
         rep = builtin_rep(name)
         assert check_matrix_orthogonality(rep, rep).ok
         assert rep._exact is None
+
+
+class TestCayleyGraphOfTheGroup:
+    @pytest.mark.parametrize("name", ["q8-2dim", "dihedral-rot:9:2"])
+    def test_extension_inverts_no_element_and_sweeps_no_class(self, name, monkeypatch):
+        # a group of its own, not enumerated yet: the walk reads the columns
+        # of its enumeration and needs no inverse
+        builtin = builtin_rep(name)
+        g = PermGroup(builtin.group.degree, builtin.group.generators)
+        rep = MatrixRep(g, builtin.images)
+        inversions = count_inversions(monkeypatch)
+        rep.extend_to_group()
+        assert inversions == [0]
+        assert g._class_data is None
+
+    def test_the_exact_fallback_builds_no_second_graph(self, monkeypatch):
+        g = PermGroup(S3.degree, S3.generators)
+        rep = conjugated(g, [permutation_matrix(s) for s in S3.generators],
+                         S3_PAST_THE_GENERATORS_DENOMINATORS)
+        g.enumerate()
+        products, inversions = count_perm_products(monkeypatch), count_inversions(monkeypatch)
+        rep.extend_to_group()
+        assert rep._exact is not None  # the guessed ring failed
+        assert products == [0] and inversions == [0]
 
 
 class TestFallback:
