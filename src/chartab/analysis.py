@@ -7,7 +7,8 @@ all-in-one invariant suite over a finished character table.
 
 from __future__ import annotations
 
-from operator import mul
+from itertools import starmap
+from operator import mul, sub
 
 from . import _modp as mp
 from .classfun import ClassFunction, decompose, inner_product, regular_character
@@ -289,11 +290,12 @@ def check_all(table: CharacterTable) -> CheckReport:
     `kronecker_residues`, built once per call under `_ring`'s bound B on
     every sum or difference the suite tests: an identity between sums of
     products of values is one int equation modulo M, and its verdict is the
-    exact one.  The central-character identity is evaluated in integer form
-    on the size-weighted conjugates of the norms, for the classes of
-    `table.split_matrices`, which generate the centre of the group algebra,
-    so only their class matrices are read, from the table, which makes only
-    those its split did not compute."""
+    exact one.  The central-character identity is evaluated on the columns
+    of the size-weighted conjugates of the norms, one pass over every row
+    per pair (j, k) with j among the classes of `table.split_matrices`,
+    which generate the centre of the group algebra, so only their class
+    matrices are read, from the table, which makes only those its split did
+    not compute; a row of degree 0 passes it only when it is zero."""
     h = len(table)
     order = table.group.order
     mod, scale, img, conj = _ring(table)
@@ -316,28 +318,26 @@ def check_all(table: CharacterTable) -> CheckReport:
         "<chi_i, chi_i> = 1 and chi_i != chi_j for i != j exactly")
 
     # lambda_ij lambda_ik = sum_l a_jkl lambda_il, lambda_ij = r_j chi_i(g_j) / n_i,
-    # times D^2 n_i^2 and conjugated: w_j w_k = D n_i sum_l a_jkl w_l, w =
-    # weighted[i], a_jkl in row k of the class matrix M_j, D n_i = img[i][0].
-    # It is checked for j in the split classes S and every k, which covers
-    # every pair: the x of Z(CG) with f(xy) = f(x) f(y) for every y, f(C_l) =
-    # lambda_il, form a subalgebra that holds 1 (lambda_i1 = 1) and S, and S
-    # generates Z(CG).  At a zero degree every pair asks w_j w_k = 0, which
-    # holds exactly when the row is zero
-    identities = [
-        (j, k, [l for l, a in enumerate(a_jk) if a], [a for a in a_jk if a])
-        for j, m_j in table.split_matrices.items()
-        for k, a_jk in enumerate(m_j)
-    ]
+    # times D^2 n_i^2 and conjugated: w_j w_k = n sum_l a_jkl w_l, over every
+    # row at once, w_l the column l of weighted, n the column D n_i = img[i][0]
+    # and a_jkl in row k of the class matrix M_j (a lone term is its own sum,
+    # with no tuple a row).  It is checked for j in the split classes S and
+    # every k, which covers every pair: the x of Z(CG) with f(xy) = f(x) f(y)
+    # for every y, f(C_l) = lambda_il, form a subalgebra that holds 1
+    # (lambda_i1 = 1) and S, and S generates Z(CG).  At a zero degree the
+    # identity asks only w_j w_k = 0 for j in S, which a nonzero row can
+    # meet, so such a row must be zero, a test of its own
+    cols, n = list(zip(*weighted)), [row[0] for row in img]
+    identities = [(j, k, a_jk) for j, m_j in table.split_matrices.items()
+                  for k, a_jk in enumerate(m_j)]
 
-    def central_identity_holds(n: int, w: list[int]) -> bool:
-        if not n:
-            return not any(w)
-        return all(
-            not (w[j] * w[k] - n * sum(map(mul, coeffs, map(w.__getitem__, support)))) % mod
-            for j, k, support, coeffs in identities
-        )
+    def holds(j: int, k: int, a_jk: list[int]) -> bool:
+        terms = [cols[l] if a == 1 else map(a.__mul__, cols[l]) for l, a in enumerate(a_jk) if a]
+        total = map(sum, zip(*terms)) if terms[1:] else terms[0]
+        return not any(map(mod.__rmod__, map(sub, map(mul, cols[j], cols[k]), map(mul, n, total))))
 
-    central_ok = all(central_identity_holds(row[0], w) for row, w in zip(img, weighted))
+    central_ok = (not any(any(w) for d, w in zip(n, weighted) if not d)
+                  and all(starmap(holds, identities)))
     add(
         "central-character-identity",
         central_ok,

@@ -310,6 +310,17 @@ MUTANTS = [
                   "tests/test_analysis.py::TestCheckAllCorruptions"
                   "::test_swapped_classes_fail_only_the_central_identity[S6-1-2]",
                   f"{CORRUPT}[S3-swap-columns]"),
+    # the central identity is one pass over every row per (j, k), which a
+    # nonzero row of degree 0 can pass, so such a row is tested on its own;
+    # each a_jkl other than 1 scales its column
+    Mutant("central-identity-without-the-zero-degree-test", "analysis.py",
+           "(not any(any(w) for d, w in zip(n, weighted) if not d)\n                  and ",
+           "(",
+           (f"{CHECKS}::test_a_zero_degree_row_passes_the_central_identity_only_when_zero",)),
+    Mutant("central-identity-reads-every-coefficient-as-one", "analysis.py",
+           "cols[l] if a == 1 else map(a.__mul__, cols[l])",
+           "cols[l]",
+           (f"{BUILTINS_PASS}[S3]",)),
     # the ring's bound covers the central identity's sums, which outgrow the
     # norms' where a split class and the largest class are large
     Mutant("ring-bound-without-the-central-term", "analysis.py",

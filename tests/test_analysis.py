@@ -432,6 +432,22 @@ class TestCheckAll:
         assert {r.name for r in report.results if not r.passed} == {
             "degrees-ascending", "rows-of-norm-one-and-distinct", "central-character-identity"}
 
+    def test_a_zero_degree_row_passes_the_central_identity_only_when_zero(self):
+        # S4's last row made the indicator of class 3, a 4-cycle, outside its
+        # split classes S = (1, 2).  At degree 0 the identity asks w_j w_k = 0
+        # for j in S alone, and the row is 0 there, so it meets every pair:
+        # only the test that a zero-degree row is zero fails it.  S3 cannot
+        # show this, since its split classes are all its nontrivial classes
+        g = parse_group_spec("S4")
+        built = build_character_table(g)
+        h = len(built)
+        table = CharacterTable(g, [*built.rows[:-1],
+                                   ClassFunction(g, [int(l == 3) for l in range(h)])])
+        assert 3 not in table.split_classes
+        report = check_all(table)
+        assert {r.name for r in report.results if not r.passed} == {
+            "degrees-ascending", "rows-of-norm-one-and-distinct", "central-character-identity"}
+
     def test_the_ring_tells_every_sum_from_zero(self):
         # a rational table's ring is Z/M with M = 2^W - 1, so a sum of
         # products of values is 0 exactly when its residue is, while the
